@@ -27,7 +27,7 @@ from . import __version__
 from .dynamics import (OrbitEscapedBudget, code_orbit, from_edge, resolve,
                        skew_orbit, skew_orbit_float)
 from .eigen import EigenFamily, family_eigen, verify_family
-from .exact import QuadNum, QVec2, parse_quad, sqrt_rational
+from .exact import FieldMixError, QuadNum, QVec2, parse_quad, sqrt_rational
 from .freegrp import H, H_INV, V, V_INV, Word, rho
 from .graphs import make_group, vertices_in_ball
 from .measures import (conjugate_boundary_point, decay_profile, plane_point,
@@ -105,12 +105,6 @@ def _family(spec: str, flags: dict | None = None) -> EigenFamily:
     return family_eigen(name, **params)
 
 
-def _sign_str(pair) -> str:
-    if pair is None:
-        return ''
-    return ('+' if pair.sx > 0 else '-') + ('+' if pair.sy > 0 else '-')
-
-
 def _emit_text(args, text: str) -> None:
     if args.out:
         with open(args.out, 'w') as handle:
@@ -146,12 +140,12 @@ def _shrink_rows(data, depth: int):
     for n in range(last + 1):
         letter = str(data.increments[n - 1]) if n else ''
         v = data.vectors[n]
+        sign = data.signs[n]
         critical = ''
         if n:
-            critical = int(data.signs[n] is not None
-                           and data.signs[n] == data.signs[n - 1])
+            critical = int(sign is not None and sign == data.signs[n - 1])
         rows.append([n, letter, str(v.x), str(v.y),
-                     _sign_str(data.signs[n]), critical])
+                     '' if sign is None else str(sign), critical])
     return rows
 
 
@@ -400,8 +394,8 @@ def _add_common(sub, fmt_default='csv'):
     sub.add_argument('--format', choices=('csv', 'json', 'svg'),
                      default=fmt_default)
     sub.add_argument('--seed', type=int, default=0)
-    sub.add_argument('--budget', type=int,
-                     default=int(os.environ.get(BUDGET_ENV, 0)) or None)
+    # default from BUDGET_ENV, read in main where a bad value exits 2
+    sub.add_argument('--budget', type=int)
 
 
 def _add_family_knobs(sub):
@@ -498,6 +492,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_budget():
+    raw = os.environ.get(BUDGET_ENV, '0')
+    try:
+        return int(raw) or None
+    except ValueError:
+        raise ValueError('%s must be an integer, got %r'
+                         % (BUDGET_ENV, raw)) from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -505,6 +508,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
+        if args.budget is None:
+            args.budget = _env_budget()
         return args.handler(args)
     except OrbitEscapedBudget as exc:
         print('budget exhausted after %d steps' % exc.steps_done,
@@ -513,7 +518,7 @@ def main(argv=None) -> int:
     except NotRenormalizableInput as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NOT_RENORM
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, FieldMixError) as exc:
         print('error: %s' % exc, file=sys.stderr)
         return EXIT_PARSE
 

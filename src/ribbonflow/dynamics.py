@@ -11,10 +11,13 @@ exists for long statistical runs and is checked against the exact one.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .exact import QuadNum
 from .surface import Surface
+
+_ZERO = QuadNum(0)
 
 
 class OrbitEscapedBudget(Exception):
@@ -81,37 +84,34 @@ def hpoint(surface: Surface, a, t) -> HPoint:
         raise ValueError('section circles sit at A-vertices')
     return HPoint(a, QuadNum(t) % surface.circle_length(a))
 
+
 def resolve(surface: Surface, p: HPoint):
     """The edge whose top interval contains the point, plus the offset
-    inside it.  Intervals are half open on the right."""
-    t = p.t
-    for e in surface.circle_edges(p.a):
-        w = surface.width(e)
-        if t < w:
-            return e, t
-        t = t - w
-    raise ValueError('coordinate beyond circle length at %r' % (p.a,))
-
-
-def _resolve_left(surface: Surface, a, t):
-    # left-limit resolution: intervals taken half open on the left, so
-    # a boundary coordinate belongs to the edge ending there
-    edges = surface.circle_edges(a)
-    if not t:
-        t = surface.circle_length(a)
-    for e in edges:
-        w = surface.width(e)
-        if t <= w:
-            return e, t
-        t = t - w
-    raise ValueError('coordinate beyond circle length at %r' % (a,))
+    inside it.  Intervals are half open on the right, so a point on a cut
+    resolves to offset 0; its left continuation is the west neighbor at
+    its full width, as in SingularHit.left."""
+    sec = surface.section(p.a)
+    i = bisect_right(sec.cuts, p.t) - 1
+    if not 0 <= i < len(sec.edges):
+        raise ValueError('coordinate beyond circle length at %r' % (p.a,))
+    return sec.edges[i], p.t - sec.cuts[i]
 
 
 def from_edge(surface: Surface, e, offset) -> HPoint:
     """The circle point at a given offset inside the top interval of e."""
-    offset = QuadNum(offset)
+    if not isinstance(offset, QuadNum):
+        offset = QuadNum(offset)
     a = surface.graph.alpha(e)
-    return HPoint(a, surface.edge_offsets(a)[e] + offset)
+    return HPoint(a, surface.section(a).offset(e) + offset)
+
+
+def _jump(surface: Surface, e, o, u) -> HPoint:
+    # S then R^u: across the top of e into the cylinder above, then round
+    # that cylinder's circle by u times its height
+    e2 = surface.north(e)
+    a2 = surface.graph.alpha(e2)
+    t2 = surface.section(a2).offset(e2) + o + u * surface.weight(a2)
+    return HPoint(a2, t2 % surface.circle_length(a2))
 
 
 def iet_step(surface: Surface, theta, p: HPoint) -> HPoint:
@@ -119,10 +119,7 @@ def iet_step(surface: Surface, theta, p: HPoint) -> HPoint:
     B-vertex, then rotate the target circle by (x/y) times its height."""
     x, y = _theta_parts(theta)
     e, o = resolve(surface, p)
-    e2 = surface.north(e)
-    a2 = surface.graph.alpha(e2)
-    t2 = surface.edge_offsets(a2)[e2] + o + (x / y) * surface.weight(a2)
-    return HPoint(a2, t2 % surface.circle_length(a2))
+    return _jump(surface, e, o, x / y)
 
 
 def return_time(surface: Surface, theta, p: HPoint) -> QuadNum:
@@ -130,6 +127,44 @@ def return_time(surface: Surface, theta, p: HPoint) -> QuadNum:
     x, y = _theta_parts(theta)
     e, _ = resolve(surface, p)
     return surface.weight(surface.graph.alpha(surface.north(e))) / y
+
+
+def _exact(x):
+    return x
+
+
+def walk(surface: Surface, u, e, cx, cy, scalar=_exact) -> list:
+    """Follow the line of slope 1/u from (cx, cy) inside the rectangle
+    over e through side gluings up to its first crossing of a top edge.
+
+    Returns the legs, one (edge, width, x0, y0, x1, y1) per rectangle
+    crossed.  The last leg ends on the top edge with x1 in [0, width), so
+    a line through a top-right corner ends at offset 0 of the east
+    neighbor.  scalar converts the surface's exact lengths into the
+    arithmetic of the walk: the identity for exact walks, float for
+    float ones.
+    """
+    zero = scalar(_ZERO)
+    # east and west keep the A-vertex, so every rectangle crossed has the
+    # height of the first
+    h = scalar(surface.height(e))
+    legs = []
+    while True:
+        w = scalar(surface.width(e))
+        x1 = cx + u * (h - cy)
+        if x1 < zero:
+            y1 = cy - cx / u
+            legs.append((e, w, cx, cy, zero, y1))
+            e = surface.west(e)
+            cx, cy = scalar(surface.width(e)), y1
+        elif x1 < w:
+            legs.append((e, w, cx, cy, x1, h))
+            return legs
+        else:
+            # u == 0 here means a vertical line up the right side
+            y1 = cy + (w - cx) / u if u else cy
+            legs.append((e, w, cx, cy, w, y1))
+            e, cx, cy = surface.east(e), zero, y1
 
 
 def flow_to_next_edge(surface: Surface, theta, p: SurfacePoint):
@@ -140,31 +175,13 @@ def flow_to_next_edge(surface: Surface, theta, p: SurfacePoint):
     runs exactly into a rectangle corner.
     """
     x, y = _theta_parts(theta)
-    u = x / y
-    e = p.edge
-    cx, cy = QuadNum(p.x), QuadNum(p.y)
-    while True:
-        w = surface.width(e)
-        h = surface.height(e)
-        x_top = cx + u * (h - cy)
-        if 0 < x_top < w:
-            return from_edge(surface, e, x_top)
-        if x_top == 0 or x_top == w:
-            if x_top == 0:
-                left_e = surface.west(e)
-                hit = (from_edge(surface, e, 0),
-                       (left_e, surface.width(left_e)), (e, QuadNum(0)))
-            else:
-                hit = (from_edge(surface, surface.east(e), 0),
-                       (e, w), (surface.east(e), QuadNum(0)))
-            return SingularHit(*hit)
-        if x_top > w:
-            cy = cy + (w - cx) / u
-            e, cx = surface.east(e), QuadNum(0)
-        else:
-            cy = cy + (0 - cx) / u
-            e = surface.west(e)
-            cx = surface.width(e)
+    e, _, _, _, x_top, _ = walk(surface, x / y, p.edge, QuadNum(p.x),
+                                QuadNum(p.y))[-1]
+    point = from_edge(surface, e, x_top)
+    if x_top:
+        return point
+    left = surface.west(e)
+    return SingularHit(point, (left, surface.width(left)), (e, _ZERO))
 
 
 def flow_to_next_edge_float(surface: Surface, theta, edge, x: float,
@@ -172,27 +189,11 @@ def flow_to_next_edge_float(surface: Surface, theta, edge, x: float,
     """Float version of the geometric flow; returns (A-vertex, circle
     coordinate).  Corner hits are not detected in float mode."""
     tx, ty = (theta.x, theta.y) if hasattr(theta, 'x') else theta
-    u = float(tx) / float(ty)
-    e, cx, cy = edge, float(x), float(y)
-    while True:
-        w = float(surface.width(e))
-        h = float(surface.height(e))
-        x_top = cx + u * (h - cy)
-        if 0.0 <= x_top < w:
-            a = surface.graph.alpha(e)
-            off = 0.0
-            for e2 in surface.circle_edges(a):
-                if e2 == e:
-                    break
-                off += float(surface.width(e2))
-            return a, off + x_top
-        if x_top >= w:
-            cy += (w - cx) / u
-            e, cx = surface.east(e), 0.0
-        else:
-            cy += (0.0 - cx) / u
-            e = surface.west(e)
-            cx = float(surface.width(e))
+    e, _, _, _, x_top, _ = walk(surface, float(tx) / float(ty), edge,
+                                float(x), float(y), float)[-1]
+    a = surface.graph.alpha(e)
+    sec = surface.section(a)
+    return a, sec.float_cuts[sec.index[e]] + x_top
 
 
 def code_orbit(surface: Surface, theta, p: HPoint, steps: int,
@@ -212,39 +213,23 @@ def code_orbit(surface: Surface, theta, p: HPoint, steps: int,
     symbols = []
     points = []
     visited = {p.a}
-    a, t = p.a, p.t
     for k in range(steps):
-        boundary = _is_boundary(surface, a, t)
-        if boundary and branch is None:
-            raise SingularHitError(
-                'orbit hit an interval endpoint at step %d' % k)
-        if boundary and branch == 'left':
-            e, o = _resolve_left(surface, a, t)
-        else:
-            e, o = resolve(surface, HPoint(a, t))
+        e, o = resolve(surface, p)
+        if not o:
+            if branch is None:
+                raise SingularHitError(
+                    'orbit hit an interval endpoint at step %d' % k)
+            if branch == 'left':
+                e = surface.west(e)
+                o = surface.width(e)
         symbols.append(e)
-        points.append(HPoint(a, t))
-        e2 = surface.north(e)
-        a2 = surface.graph.alpha(e2)
-        t = (surface.edge_offsets(a2)[e2] + o
-             + u * surface.weight(a2)) % surface.circle_length(a2)
-        a = a2
-        if budget is not None and a not in visited:
-            visited.add(a)
+        points.append(p)
+        p = _jump(surface, e, o, u)
+        if budget is not None and p.a not in visited:
+            visited.add(p.a)
             if len(visited) > budget:
                 raise OrbitEscapedBudget(k + 1, len(visited))
     return symbols, points
-
-
-def _is_boundary(surface: Surface, a, t) -> bool:
-    acc = QuadNum(0)
-    if t == acc:
-        return True
-    for e in surface.circle_edges(a):
-        acc = acc + surface.width(e)
-        if t == acc:
-            return True
-    return False
 
 
 def occupation_stats(points, cells):
@@ -332,30 +317,14 @@ def iet_step_float(surface: Surface, theta, st: FloatState) -> FloatState:
     rotation error on each circle coordinate."""
     x, y = (theta.x, theta.y) if hasattr(theta, 'x') else theta
     u = float(x) / float(y)
-    t = st.t
-    acc = 0.0
-    edge = None
-    for e in surface.circle_edges(st.a):
-        w = float(surface.width(e))
-        if t < acc + w:
-            edge = e
-            break
-        acc += w
-    if edge is None:
-        edge = e
-        acc -= w
-    o = t - acc
-    e2 = surface.north(edge)
+    sec = surface.section(st.a)
+    # rounding can push t onto the circle's end: keep it in the last edge
+    i = min(bisect_right(sec.float_cuts, st.t), len(sec.edges)) - 1
+    e2 = surface.north(sec.edges[i])
     a2 = surface.graph.alpha(e2)
-    off = 0.0
-    for e3 in surface.circle_edges(a2):
-        if e3 == e2:
-            break
-        off += float(surface.width(e3))
-    length = float(surface.circle_length(a2))
-    base = off + o
+    sec2 = surface.section(a2)
+    base = sec2.float_cuts[sec2.index[e2]] + (st.t - sec.float_cuts[i])
     add = u * float(surface.weight(a2)) - st.comp
     t2 = base + add
     comp = (t2 - base) - add
-    t2 = t2 % length
-    return FloatState(a2, t2, comp)
+    return FloatState(a2, t2 % float(surface.circle_length(a2)), comp)

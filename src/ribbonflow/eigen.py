@@ -21,27 +21,13 @@ _ONE = QuadNum(1)
 _ZERO = QuadNum(0)
 
 
-def qpow(base: QuadNum, k: int) -> QuadNum:
-    """Exact integer power; negative exponents invert."""
-    if k < 0:
-        base = _ONE / base
-        k = -k
-    out = _ONE
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base
-        k >>= 1
-    return out
-
-
 def _power_cache(base: QuadNum) -> Callable[[int], QuadNum]:
     table = {0: _ONE, 1: base}
 
     def power(k: int) -> QuadNum:
         got = table.get(k)
         if got is None:
-            got = table[k] = qpow(base, k)
+            got = table[k] = base ** k
         return got
 
     return power

@@ -20,6 +20,17 @@ class FieldMixError(ArithmeticError):
     """Arithmetic attempted between scalars of two different quadratic fields."""
 
 
+def _power(base, n: int, one):
+    """base ** n for an integer n >= 0, by repeated squaring."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 def _square_split(n: int) -> tuple[int, int]:
     """Return (s, d) with n = s*s*d and d squarefree, for n >= 1."""
     s, d = 1, 1
@@ -184,6 +195,14 @@ class QuadNum:
         if o is None:
             return NotImplemented
         return o * self.inverse()
+
+    def __pow__(self, n):
+        """Exact integer power; negative exponents invert."""
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return _power(self.inverse(), -n, QuadNum(1))
+        return _power(self, n, QuadNum(1))
 
     def conjugate(self) -> 'QuadNum':
         """The Galois conjugate a - b*sqrt(d)."""
@@ -498,15 +517,8 @@ class QMat2:
 
     def __pow__(self, n: int) -> 'QMat2':
         if n < 0:
-            return self.inverse() ** (-n)
-        out = QMat2.identity()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return _power(self.inverse(), -n, QMat2.identity())
+        return _power(self, n, QMat2.identity())
 
     def __str__(self) -> str:
         return '[[%s, %s], [%s, %s]]' % (self.a, self.b, self.c, self.d)

@@ -359,24 +359,6 @@ def make_group(name: str, **params) -> Group:
     return _GROUPS[name](**params)
 
 
-def make_family(name: str, **params) -> RibbonGraph:
-    """Build a graph family by name: gz, tripod, ntree, skew."""
-    if name == 'gz':
-        return PathGraph()
-    if name == 'tripod':
-        return TripodGraph()
-    if name == 'ntree':
-        return RegularTree(params['n'])
-    if name == 'skew':
-        group = params.get('group')
-        if isinstance(group, str):
-            group = make_group(group, **params.get('group_params', {}))
-        gens = [tuple(g) if isinstance(g, list) else g
-                for g in params['generators']]
-        return SkewGraph(group, gens)
-    raise ValueError('unknown family %r' % name)
-
-
 class SparseFun:
     """An exact, finitely supported vertex function."""
 

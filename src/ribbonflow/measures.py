@@ -20,12 +20,15 @@ straddling gap as the error bound.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .dynamics import HPoint, _theta_parts, iet_step, resolve
+from .dynamics import (HPoint, _theta_parts, from_edge, hpoint, iet_step,
+                       resolve, walk)
 from .exact import QuadNum
 from .graphs import OracleFun, RibbonGraph, SparseFun, pairing, upsilon_eval
+from .renorm import critical_times
 from .surface import Surface
 
 _ZERO = QuadNum(0)
@@ -77,16 +80,6 @@ def survivor_check(graph: RibbonGraph, f, data, depth: int, window):
     return None
 
 
-def critical_times(data, depth: int) -> tuple:
-    """Indices n >= 1 in the prefix whose quadrant repeats the previous
-    one."""
-    out = []
-    for n in range(1, depth + 1):
-        if data.signs[n] is not None and data.signs[n] == data.signs[n - 1]:
-            out.append(n)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class DecayProfile:
     """Renormalized absolute values at one vertex along the ray."""
@@ -116,7 +109,7 @@ def decay_profile(graph: RibbonGraph, f, vertex, data, depth: int
             ok = False
         values.append(abs(val))
     flags = tuple(values[i] <= values[i - 1] for i in range(1, len(values)))
-    crit = critical_times(data, depth)
+    crit = tuple(n for n in critical_times(data) if n <= depth)
     half = values[0] / 2
     halving = None
     for n in crit:
@@ -126,21 +119,13 @@ def decay_profile(graph: RibbonGraph, f, vertex, data, depth: int
     return DecayProfile(tuple(values), flags, crit, halving, ok)
 
 
-def _endpoint_ladder(surface: Surface, a) -> list:
-    cums = [_ZERO]
-    for e in surface.circle_edges(a):
-        cums.append(cums[-1] + surface.width(e))
-    return cums
-
-
 def _coding_grid(surface: Surface, theta, e, depth: int) -> dict:
     """Offsets in the top interval of e whose forward orbit meets an
     interval endpoint within the given number of steps, mapped to the
     step count of the first hit."""
     w = surface.width(e)
     a0 = surface.graph.alpha(e)
-    t0 = surface.edge_offsets(a0)[e]
-    cells = [(_ZERO, w, a0, t0)]
+    cells = [(_ZERO, w, a0, surface.section(a0).offset(e))]
     grid = {_ZERO: 0, w: 0}
     for step in range(1, depth + 1):
         refined = []
@@ -148,11 +133,17 @@ def _coding_grid(surface: Surface, theta, e, depth: int) -> dict:
             img = iet_step(surface, theta, HPoint(a, t))
             a2, t2 = img.a, img.t
             length = surface.circle_length(a2)
-            ladder = _endpoint_ladder(surface, a2)
-            cuts = [c for c in ladder if t2 < c < t2 + ln]
-            cuts += [length + c for c in ladder if _ZERO < length + c < t2 + ln]
+            ladder = surface.section(a2).cuts
+            # cuts inside the image [t2, t2 + ln), which may run past the
+            # circle's end; there the last cut is the first one again, so
+            # the wrapped list skips cuts[0]
+            end = t2 + ln
+            cuts = list(ladder[bisect_right(ladder, t2):
+                               bisect_left(ladder, end)])
+            cuts += [length + c for c in
+                     ladder[1:bisect_left(ladder, end - length)]]
             prev_q, prev_t = q, t2
-            for c in sorted(set(cuts)):
+            for c in cuts:
                 off = q + (c - t2)
                 grid.setdefault(off, step)
                 refined.append((prev_q, off - prev_q, a2, prev_t % length))
@@ -176,40 +167,22 @@ def _chain_crossings(surface: Surface, theta, e, q, steps: int) -> SparseFun:
     w = surface.width(e)
     if 2 * q >= w and q > 0:
         bump(surface.graph.beta(e), 1)
-    a = surface.graph.alpha(e)
-    t = surface.edge_offsets(a)[e] + q
+    start = from_edge(surface, e, q)
+    # q may be the full width, which can end the circle
+    p = hpoint(surface, start.a, start.t)
     for _ in range(steps):
-        e1, o = resolve(surface, HPoint(a, t % surface.circle_length(a)))
-        r = surface.north(e1)
-        a2 = surface.graph.alpha(r)
-        cx, cy = o, _ZERO
-        while True:
-            wr = surface.width(r)
-            h = surface.height(r)
-            x_top = cx + u * (h - cy)
-            topped = _ZERO <= x_top <= wr if u >= 0 else _ZERO <= x_top < wr
-            if u > 0:
-                x_end = x_top if topped else wr
-                if cx < wr / 2 <= x_end:
-                    bump(surface.graph.beta(r), 1)
-            elif u < 0:
-                x_end = x_top if topped else _ZERO
-                if x_end <= wr / 2 < cx:
-                    bump(surface.graph.beta(r), -1)
-            y_end = h if topped else cy + (x_end - cx) / u
-            if cy < h / 2 <= y_end:
-                bump(a2, -1)
-            if topped:
-                base = surface.edge_offsets(a2)[r]
-                a, t = a2, (base + x_top) % surface.circle_length(a2)
-                break
-            if u > 0:
-                cy = y_end
-                r, cx = surface.east(r), _ZERO
-            else:
-                cy = y_end
-                r = surface.west(r)
-                cx = surface.width(r)
+        e1, o = resolve(surface, p)
+        legs = walk(surface, u, surface.north(e1), o, _ZERO)
+        h = surface.height(legs[0][0])
+        for r, wr, x0, y0, x1, y1 in legs:
+            if u > 0 and x0 < wr / 2 <= x1:
+                bump(surface.graph.beta(r), 1)
+            elif u < 0 and x1 <= wr / 2 < x0:
+                bump(surface.graph.beta(r), -1)
+            if y0 < h / 2 <= y1:
+                bump(surface.graph.alpha(r), -1)
+        r, _, _, _, x1, _ = legs[-1]
+        p = from_edge(surface, r, x1)
     return SparseFun(counts)
 
 

@@ -15,11 +15,30 @@ and phi_homology is the shear action on classes.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .exact import QuadNum
 from .freegrp import Letter, Word
 from .graphs import RibbonGraph, SparseFun, pairing
 
 _ZERO = QuadNum(0)
+
+
+class Section(NamedTuple):
+    """The horizontal circle at an A-vertex, cut into the top intervals of
+    its bottom edges: edges[i] covers [cuts[i], cuts[i+1]), so
+    0 = cuts[0] < ... < cuts[-1] and cuts[-1] is the sum of the widths.
+    float_cuts are the same cuts rounded once, for float-mode orbits, and
+    index maps each edge to its position."""
+
+    edges: tuple
+    cuts: tuple
+    float_cuts: tuple
+    index: dict
+
+    def offset(self, e) -> QuadNum:
+        """Circle coordinate of the left end of e's interval."""
+        return self.cuts[self.index[e]]
 
 
 class Surface:
@@ -29,6 +48,7 @@ class Surface:
         self.graph = graph
         self.weight = weight
         self.lam = QuadNum(lam)
+        self._sections = {}
 
     @classmethod
     def from_family(cls, family) -> 'Surface':
@@ -65,15 +85,24 @@ class Surface:
     def circle_length(self, v) -> QuadNum:
         return self.lam * self.weight(v)
 
+    def section(self, a) -> Section:
+        """The cut circle at an A-vertex, built on first use and kept."""
+        sec = self._sections.get(a)
+        if sec is None:
+            edges = self.circle_edges(a)
+            cuts = [_ZERO]
+            for e in edges:
+                cuts.append(cuts[-1] + self.width(e))
+            sec = self._sections[a] = Section(
+                edges, tuple(cuts), tuple(map(float, cuts)),
+                {e: i for i, e in enumerate(edges)})
+        return sec
+
     def edge_offsets(self, a) -> dict:
         """Left-endpoint coordinate of each bottom edge along the
         horizontal circle at an A-vertex."""
-        out = {}
-        t = _ZERO
-        for e in self.circle_edges(a):
-            out[e] = t
-            t = t + self.width(e)
-        return out
+        sec = self.section(a)
+        return dict(zip(sec.edges, sec.cuts))
 
     def circle_defect(self, v) -> QuadNum:
         """Total crossing-edge length minus lam * w(v); zero iff the

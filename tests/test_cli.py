@@ -193,6 +193,22 @@ def test_parse_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_mixed_fields_exit_two(capsys):
+    code = main(['shrink', '--lambda', 'sqrt(2)', '--theta', '1, sqrt(3)'])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.count('\n') == 1 and 'sqrt(2)' in err
+
+
+def test_bad_budget_env_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv('RIBBONFLOW_BUDGET', 'abc')
+    code = main(['simulate', '--group', 'Z', '--generators', '(1,-1)',
+                 '--alpha', '1/2*sqrt(2)', '--steps', '5'])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.count('\n') == 1 and 'RIBBONFLOW_BUDGET' in err
+
+
 def test_missing_subcommand_exits_two(capsys):
     assert main([]) == EXIT_PARSE
     capsys.readouterr()

@@ -170,6 +170,38 @@ def test_code_orbit_singular_needs_branch():
     assert all(r != l for r, l in zip(right, left))
 
 
+@pytest.mark.parametrize('make,a,theta', [
+    (staircase, ('a', 0), stair_theta(ALPHA)),
+    (lambda: Surface.from_family(tripod_family(2)), ('c',), THETA41),
+])
+def test_cut_points_and_their_left_branch(make, a, theta):
+    s = make()
+    sec = s.section(a)
+    assert sec.cuts[0] == 0 and sec.cuts[-1] == s.circle_length(a)
+    for e, cut in zip(sec.edges, sec.cuts):
+        p = HPoint(a, cut)
+        assert resolve(s, p) == (e, 0)
+        # a vertical line up the left side of e runs into the same corner
+        hit = flow_to_next_edge(s, (0, 1), SurfacePoint(e, QuadNum(0),
+                                                         QuadNum(0)))
+        assert hit.point == p
+        assert hit.left == (s.west(e), s.width(s.west(e)))
+        syms, pts = code_orbit(s, theta, p, 2, branch='left')
+        le, lo = hit.left
+        assert syms[0] == le
+        # the left image is where the geometric flow from the right end
+        # of le's top interval lands
+        assert pts[1] == flow_to_next_edge(
+            s, theta, SurfacePoint(s.north(le), lo, QuadNum(0)))
+        right, _ = code_orbit(s, theta, p, 1, branch='right')
+        assert right == [e]
+    p = hpoint(s, a, QuadNum(Fraction(3, 11)))
+    _, pts = code_orbit(s, theta, p, 50)
+    for q in pts:
+        assert q == p
+        p = iet_step(s, theta, p)
+
+
 def test_code_orbit_budget_escape():
     s = staircase()
     theta = stair_theta(ALPHA)

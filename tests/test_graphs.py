@@ -12,8 +12,8 @@ from ribbonflow.freegrp import (H, H_INV, IDENTITY, LETTERS, V, V_INV, Word,
 from ribbonflow.graphs import (Cyclic, FreeGroup, Heisenberg, IntegerLattice,
                                IntegersZ, OracleFun, PathGraph, RegularTree,
                                SkewGraph, SparseFun, TripodGraph, adjacency,
-                               chi, edges_incident, make_family, make_group,
-                               pairing, project_class, upsilon, upsilon_eval,
+                               chi, edges_incident, make_group, pairing,
+                               project_class, upsilon, upsilon_eval,
                                vertices_in_ball)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -165,15 +165,8 @@ def test_cyclic_and_lattice():
     assert lat.identity == (0, 0)
 
 
-def test_make_family_and_group_dispatch():
-    assert isinstance(make_family('gz'), PathGraph)
-    assert isinstance(make_family('tripod'), TripodGraph)
-    assert make_family('ntree', n=4).n == 4
-    skew = make_family('skew', group='Z', generators=[1, -1])
-    assert isinstance(skew, SkewGraph)
+def test_make_group_dispatch():
     assert isinstance(make_group('heisenberg'), Heisenberg)
-    with pytest.raises(ValueError):
-        make_family('moebius')
     with pytest.raises(ValueError):
         make_group('tetrahedral')
 

@@ -14,11 +14,11 @@ from ribbonflow.freegrp import rho
 from ribbonflow.graphs import (IntegersZ, OracleFun, upsilon_eval,
                                vertices_in_ball)
 from ribbonflow.measures import (DecayProfile, MeasureClass, Witness,
-                                 conjugate_boundary_point, critical_times,
-                                 decay_profile, maharam_check, plane_point,
-                                 survivor_check, transposed_surface,
-                                 transversal_measure, verified_measure_class)
-from ribbonflow.renorm import shrinking_sequence
+                                 conjugate_boundary_point, decay_profile,
+                                 maharam_check, plane_point, survivor_check,
+                                 transposed_surface, transversal_measure,
+                                 verified_measure_class)
+from ribbonflow.renorm import critical_times, shrinking_sequence
 from ribbonflow.surface import Surface
 
 THETA2 = (QuadNum(1), sqrt_rational(2) - 1)
@@ -173,7 +173,7 @@ def test_decay_profile_flags_non_survivor():
 
 def test_critical_times_need_repeated_quadrant():
     data = shrinking_sequence(QuadNum(2), THETA2)
-    assert critical_times(data, 6) == (1, 2, 3, 4, 5, 6)
+    assert critical_times(data)[:6] == (1, 2, 3, 4, 5, 6)
 
 
 def lebesgue_staircase():
