@@ -60,7 +60,10 @@ def _theta(text: str) -> tuple:
 
 def _literal(text: str):
     """Generator tuples and character values, e.g. "(1,-1)" or "4"."""
-    value = ast.literal_eval(text)
+    try:
+        value = ast.literal_eval(text)
+    except SyntaxError:
+        raise ValueError('not a literal: %r' % text) from None
     if isinstance(value, list):
         value = tuple(value)
     if isinstance(value, tuple):
@@ -79,12 +82,25 @@ def _scalar(text: str):
         return text
 
 
-def _family(spec: str, flags: dict | None = None) -> EigenFamily:
-    """Resolve "name" or "name:key=value,key=value" plus flag overrides.
+_GROUP_FLAGS = ('m', 'd', 'k')
+_FAMILY_FLAGS = ('t', 's', 'n', 'group', 'generators', 'chi') + _GROUP_FLAGS
+
+
+def _flags(args, keys) -> dict:
+    """The given flags of args that were set on the command line."""
+    return {k: getattr(args, k) for k in keys
+            if getattr(args, k, None) is not None}
+
+
+def _family(spec: str, args=None) -> EigenFamily:
+    """Resolve "name" or "name:key=value,key=value", with every family
+    flag set in args overriding the inline value.
 
     Inline parameters cover the scalar knobs (t, s, n, m, d, k, chi,
     group); generator tuples come in through --generators.
     """
+    if not spec:
+        raise ValueError('--family is required')
     name, _, tail = spec.partition(':')
     params: dict = {}
     if tail:
@@ -93,11 +109,9 @@ def _family(spec: str, flags: dict | None = None) -> EigenFamily:
             if not eq:
                 raise ValueError('bad family parameter %r' % part)
             params[key.strip()] = _scalar(raw.strip())
-    for key, value in (flags or {}).items():
-        if value is not None:
-            params[key] = value
+    params.update(_flags(args, _FAMILY_FLAGS))
     if name == 'character':
-        group_params = {k: params.pop(k) for k in ('m', 'd', 'k')
+        group_params = {k: params.pop(k) for k in _GROUP_FLAGS
                         if k in params}
         group = params.get('group')
         if isinstance(group, str):
@@ -116,7 +130,7 @@ def _emit_text(args, text: str) -> None:
 def _emit_table(args, meta: dict, header: list, rows: list) -> None:
     meta = {k: v if isinstance(v, (int, str)) else str(v)
             for k, v in meta.items()}
-    if getattr(args, 'format', 'csv') == 'json':
+    if args.format == 'json':
         doc = {'version': __version__, 'seed': args.seed}
         doc.update(meta)
         doc['columns'] = list(header)
@@ -176,11 +190,7 @@ def cmd_omega(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    flags = {'t': args.t, 's': args.s, 'n': args.n, 'group': args.group,
-             'chi': args.chi, 'm': args.m, 'd': args.d, 'k': args.k}
-    if args.generators:
-        flags['generators'] = _literal(args.generators)
-    fam = _family(args.family, flags)
+    fam = _family(args.family, args)
     report = verify_family(fam, args.window)
     ball = sorted(vertices_in_ball(fam.graph, fam.root, args.window),
                   key=repr)
@@ -193,13 +203,20 @@ def cmd_eigen(args) -> int:
     return EXIT_OK
 
 
+def _env_budget():
+    raw = os.environ.get(BUDGET_ENV, '0')
+    try:
+        return int(raw) or None
+    except ValueError:
+        raise ValueError('%s must be an integer, got %r'
+                         % (BUDGET_ENV, raw)) from None
+
+
 def cmd_simulate(args) -> int:
-    budget = args.budget
+    budget = _env_budget() if args.budget is None else args.budget
     if args.group:
-        generators = _literal(args.generators)
-        group = make_group(args.group, **{k: v for k, v in
-                                          (('m', args.m), ('d', args.d),
-                                           ('k', args.k)) if v is not None})
+        generators = args.generators
+        group = make_group(args.group, **_flags(args, _GROUP_FLAGS))
         state = (QuadNum(0), group.identity)
         n = len(generators)
         alpha = _exact(args.alpha)
@@ -216,7 +233,7 @@ def cmd_simulate(args) -> int:
         meta = {'group': args.group, 'alpha': args.alpha, 'steps': args.steps}
         _emit_table(args, meta, ['step', 'x', 'g'], rows)
         return EXIT_OK
-    fam = _family(args.family, {'t': args.t, 'n': args.n, 's': args.s})
+    fam = _family(args.family, args)
     surface = Surface.from_family(fam)
     theta = _theta(args.theta)
     edge = fam.graph.base_edge(fam.root)
@@ -233,31 +250,36 @@ def cmd_simulate(args) -> int:
 
 
 def _pair(args):
-    fam1 = _family(args.family, {'t': args.t, 'n': args.n, 's': args.s})
+    fam1 = _family(args.family, args)
     fam2 = _family(args.family2)
     theta1 = _theta(args.theta)
     theta2 = _theta(args.theta2)
     return fam1, fam2, theta1, theta2
 
 
-def _sign_data(fam, theta, depth):
-    data = shrinking_sequence(fam.lam, theta, max_steps=max(depth + 8, 64))
+def _matched_pair(args):
+    """The prelude of survivor and decay: the first family's graph, the
+    sign data of its direction, the plane function of the second
+    family's weights and direction, the window around the root, and the
+    table metadata."""
+    fam1, fam2, theta1, theta2 = _pair(args)
+    data = shrinking_sequence(fam1.lam, theta1,
+                              max_steps=max(args.depth + 8, 64))
     if data.status is not TailStatus.PERIODIC:
         raise NotRenormalizableInput(
             'direction has no periodic renormalizing tail (%s)'
             % data.status.name.lower())
-    return data
-
-
-def cmd_survivor(args) -> int:
-    fam1, fam2, theta1, theta2 = _pair(args)
-    data = _sign_data(fam1, theta1, args.depth)
     f = plane_point(fam1.graph, fam2.weight, theta2)
     window = sorted(vertices_in_ball(fam1.graph, fam1.root, args.window),
                     key=repr)
-    witness = survivor_check(fam1.graph, f, data, args.depth, window)
     meta = {'depth': args.depth, 'window': args.window,
             'lambda1': fam1.lam, 'lambda2': fam2.lam}
+    return fam1.graph, data, f, window, meta
+
+
+def cmd_survivor(args) -> int:
+    graph, data, f, window, meta = _matched_pair(args)
+    witness = survivor_check(graph, f, data, args.depth, window)
     header = ['result', 'n', 'vertex', 'sign']
     if witness is None:
         rows = [['pass', '', '', '']]
@@ -269,28 +291,22 @@ def cmd_survivor(args) -> int:
 
 
 def cmd_decay(args) -> int:
-    fam1, fam2, theta1, theta2 = _pair(args)
-    data = _sign_data(fam1, theta1, args.depth)
-    f = plane_point(fam1.graph, fam2.weight, theta2)
-    window = sorted(vertices_in_ball(fam1.graph, fam1.root, args.window),
-                    key=repr)
+    graph, data, f, window, meta = _matched_pair(args)
     rows = []
     for v in window:
-        prof = decay_profile(fam1.graph, f, v, data, args.depth)
+        prof = decay_profile(graph, f, v, data, args.depth)
         halving = '' if prof.halving_index is None else prof.halving_index
         for n, value in enumerate(prof.values):
             rows.append([repr(v), n, str(value),
                          int(n in prof.critical), halving,
                          int(prof.survivor_ok)])
-    meta = {'depth': args.depth, 'window': args.window,
-            'lambda1': fam1.lam, 'lambda2': fam2.lam}
     header = ['vertex', 'n', 'value', 'critical', 'halving', 'survivor_ok']
     _emit_table(args, meta, header, rows)
     return EXIT_OK
 
 
 def cmd_growth(args) -> int:
-    fam = _family(args.family, {'t': args.t, 'n': args.n, 's': args.s})
+    fam = _family(args.family, args)
     lengths, sides = ball_growth(fam.graph, fam.weight, fam.lam, fam.root,
                                  args.depth)
     lam = fam.lam
@@ -373,15 +389,13 @@ def _limit_set_svg(lam: QuadNum, depth: int, seed: int) -> str:
 
 
 def cmd_render(args) -> int:
-    if args.format not in ('svg',):
-        raise ValueError('render emits svg only')
     if args.style == 'limitset':
         if not args.lam:
             raise ValueError('limit-set render needs --lambda')
         _emit_text(args, _limit_set_svg(_exact(args.lam), args.depth,
                                         args.seed))
         return EXIT_OK
-    fam = _family(args.family, {'t': args.t, 'n': args.n, 's': args.s})
+    fam = _family(args.family, args)
     surface = Surface.from_family(fam)
     svg = svg_truncation(surface, radius=args.depth)
     header = '<!-- ribbonflow %s seed %d -->\n' % (__version__, args.seed)
@@ -389,13 +403,10 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, fmt_default='csv'):
+def _add_common(sub, formats=('csv', 'json')):
     sub.add_argument('--out')
-    sub.add_argument('--format', choices=('csv', 'json', 'svg'),
-                     default=fmt_default)
+    sub.add_argument('--format', choices=formats, default=formats[0])
     sub.add_argument('--seed', type=int, default=0)
-    # default from BUDGET_ENV, read in main where a bad value exits 2
-    sub.add_argument('--budget', type=int)
 
 
 def _add_family_knobs(sub):
@@ -407,7 +418,7 @@ def _add_family_knobs(sub):
     sub.add_argument('--d', type=int)
     sub.add_argument('--k', type=int)
     sub.add_argument('--group')
-    sub.add_argument('--generators')
+    sub.add_argument('--generators', type=_literal)
     sub.add_argument('--chi', type=_literal)
 
 
@@ -448,6 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--steps', type=int, default=100)
     p.add_argument('--mode', choices=('exact', 'float'), default='exact')
     p.add_argument('--branch', choices=('left', 'right'), default='right')
+    # default from BUDGET_ENV, read in cmd_simulate where a bad value
+    # exits 2
+    p.add_argument('--budget', type=int)
     _add_common(p)
     p.set_defaults(handler=cmd_simulate)
 
@@ -487,18 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default='surface')
     p.add_argument('--lambda', dest='lam')
     p.add_argument('--depth', type=int, default=3)
-    _add_common(p, fmt_default='svg')
+    _add_common(p, formats=('svg',))
     p.set_defaults(handler=cmd_render)
     return parser
-
-
-def _env_budget():
-    raw = os.environ.get(BUDGET_ENV, '0')
-    try:
-        return int(raw) or None
-    except ValueError:
-        raise ValueError('%s must be an integer, got %r'
-                         % (BUDGET_ENV, raw)) from None
 
 
 def main(argv=None) -> int:
@@ -508,8 +513,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
-        if args.budget is None:
-            args.budget = _env_budget()
         return args.handler(args)
     except OrbitEscapedBudget as exc:
         print('budget exhausted after %d steps' % exc.steps_done,

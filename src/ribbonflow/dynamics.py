@@ -11,6 +11,7 @@ exists for long statistical runs and is checked against the exact one.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -122,13 +123,6 @@ def iet_step(surface: Surface, theta, p: HPoint) -> HPoint:
     return _jump(surface, e, o, x / y)
 
 
-def return_time(surface: Surface, theta, p: HPoint) -> QuadNum:
-    """Flow time spent crossing the cylinder above the point."""
-    x, y = _theta_parts(theta)
-    e, _ = resolve(surface, p)
-    return surface.weight(surface.graph.alpha(surface.north(e))) / y
-
-
 def _exact(x):
     return x
 
@@ -232,19 +226,6 @@ def code_orbit(surface: Surface, theta, p: HPoint, steps: int,
     return symbols, points
 
 
-def occupation_stats(points, cells):
-    """Visit counts for cells given as (A-vertex, lo, hi) coordinate
-    windows on the circles."""
-    cells = tuple(cells)
-    lohi = [(a, QuadNum(lo), QuadNum(hi)) for a, lo, hi in cells]
-    counts = [0] * len(cells)
-    for p in points:
-        for i, (a, lo, hi) in enumerate(lohi):
-            if p.a == a and lo <= p.t < hi:
-                counts[i] += 1
-    return counts
-
-
 def skew_step(n: int, alpha, group, generators, state):
     """One step of the skew rotation: rotate the circle coordinate and
     multiply the group coordinate by the generator of the subinterval
@@ -255,13 +236,7 @@ def skew_step(n: int, alpha, group, generators, state):
         raise ValueError('generator count does not match n')
     if not (0 <= x < 1):
         raise ValueError('circle coordinate must lie in [0, 1)')
-    i = 0
-    acc = QuadNum(0)
-    step = QuadNum(1) / n
-    while acc + step <= x:
-        acc = acc + step
-        i += 1
-    mult = generators[i]
+    mult = generators[math.floor(n * x)]
     return ((x + QuadNum(alpha)) % 1, group.op(mult, g))
 
 

@@ -222,23 +222,27 @@ def character_eigen(group, generators, values) -> EigenFamily:
                        graph.root(), (('chi', shown),))
 
 
+_FAMILIES = {
+    'gz_constant': (gz_constant, ()),
+    'gz_exponential': (gz_exponential, ('t',)),
+    'tripod': (tripod_family, ('t',)),
+    'ntree_constant': (ntree_constant, ('n',)),
+    'ntree_horo': (ntree_horofunction, ('n', 's')),
+    'character': (character_eigen, ('group', 'generators', 'chi')),
+}
+
+
 def family_eigen(name: str, **params) -> EigenFamily:
     """Build a named family: gz_constant, gz_exponential, tripod,
-    ntree_constant, ntree_horo, or character."""
-    if name == 'gz_constant':
-        return gz_constant()
-    if name == 'gz_exponential':
-        return gz_exponential(params['t'])
-    if name == 'tripod':
-        return tripod_family(params['t'])
-    if name == 'ntree_constant':
-        return ntree_constant(params['n'])
-    if name == 'ntree_horo':
-        return ntree_horofunction(params['n'], params['s'])
-    if name == 'character':
-        return character_eigen(params['group'], params['generators'],
-                               params['chi'])
-    raise ValueError('unknown eigenfamily %r' % name)
+    ntree_constant, ntree_horo, or character.  Parameters a family does
+    not take are ignored; a missing one is a ValueError naming it."""
+    if name not in _FAMILIES:
+        raise ValueError('unknown eigenfamily %r' % name)
+    build, keys = _FAMILIES[name]
+    for key in keys:
+        if key not in params:
+            raise ValueError('family %s needs parameter %r' % (name, key))
+    return build(*(params[key] for key in keys))
 
 
 def builtin_families() -> tuple:
@@ -365,8 +369,9 @@ def verify_eigen_tree(tree: RegularTree, fn, lam, depth: int,
 
 
 def verify_family(family: EigenFamily, radius: int) -> ResidualReport:
-    """Residual check with the traversal suited to the family's graph."""
-    if isinstance(family.graph, RegularTree) and radius > 12:
+    """Residual check with the traversal suited to the family's graph:
+    regular trees are streamed, other graphs walk a materialized ball."""
+    if isinstance(family.graph, RegularTree):
         return verify_eigen_tree(family.graph, family.weight, family.lam,
                                  radius)
     return verify_eigen(family.graph, family.weight, family.lam, radius,

@@ -204,14 +204,6 @@ class QuadNum:
             return _power(self.inverse(), -n, QuadNum(1))
         return _power(self, n, QuadNum(1))
 
-    def conjugate(self) -> 'QuadNum':
-        """The Galois conjugate a - b*sqrt(d)."""
-        return QuadNum._make(self._a, -self._b, self._d)
-
-    def field_norm(self) -> Fraction:
-        """a**2 - b**2 * d, the product with the Galois conjugate."""
-        return self._a * self._a - self._b * self._b * self._d
-
     def sign(self) -> int:
         a, b = self._a, self._b
         if b == 0:
@@ -254,15 +246,19 @@ class QuadNum:
         return float(self._a) + float(self._b) * math.sqrt(self._d)
 
     def __floor__(self) -> int:
-        if self._b == 0:
-            return math.floor(self._a)
-        n = math.floor(float(self))
-        # float was only an estimate; fix it exactly
-        while self < n:
-            n -= 1
-        while self >= n + 1:
-            n += 1
-        return n
+        a, b = self._a, self._b
+        if b == 0:
+            return math.floor(a)
+        # (A + B*sqrt(d)) / Q over the common denominator Q > 0; sqrt(B*B*d)
+        # is irrational, so its floor is isqrt(B*B*d) and that of its
+        # negative is -isqrt(B*B*d) - 1
+        q = math.lcm(a.denominator, b.denominator)
+        big_a = a.numerator * (q // a.denominator)
+        big_b = b.numerator * (q // b.denominator)
+        root = math.isqrt(big_b * big_b * self._d)
+        if big_b > 0:
+            return (big_a + root) // q
+        return (big_a - root - 1) // q
 
     def __mod__(self, other):
         o = self._lift(other)
@@ -390,9 +386,6 @@ class SignPair(Enum):
         """Image under the quarter turn (x, y) -> (-y, x)."""
         return SignPair((-self.sy, self.sx))
 
-    def opposite(self) -> 'SignPair':
-        return SignPair((-self.sx, -self.sy))
-
     def __str__(self) -> str:
         return ('+' if self.sx > 0 else '-') + ('+' if self.sy > 0 else '-')
 
@@ -441,9 +434,6 @@ class QVec2:
 
     def norm_sq(self) -> QuadNum:
         return self.dot(self)
-
-    def is_parallel(self, other: 'QVec2') -> bool:
-        return self.wedge(other) == QuadNum(0)
 
     def quadrant(self) -> 'SignPair | None':
         """The open quadrant containing the vector, or None on an axis."""

@@ -76,10 +76,6 @@ class Word:
             letters.extend([unit] * abs(exp))
         return cls(letters)
 
-    @property
-    def is_identity(self) -> bool:
-        return not self._letters
-
     def __len__(self) -> int:
         return len(self._letters)
 
@@ -174,13 +170,3 @@ _SIGMA = {
 
 def sign_act_letter(letter: Letter, s: SignPair) -> SignPair:
     return _SIGMA[_as_letter(letter)][s]
-
-
-def sign_act(word: Word, s: SignPair) -> SignPair:
-    """Transport a quadrant along a word, rightmost letter first.
-
-    Valid for directions that every prefix of the word expands.
-    """
-    for letter in reversed(tuple(word)):
-        s = _SIGMA[letter][s]
-    return s

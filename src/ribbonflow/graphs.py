@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Callable, Iterable
+from typing import Callable
 
 from .exact import QuadNum
 from .freegrp import Letter, Word, gamma
@@ -100,14 +100,6 @@ def vertices_in_ball(graph: RibbonGraph, root, radius: int) -> set:
                 seen.add(w)
                 frontier.append((w, d + 1))
     return seen
-
-
-def edges_incident(graph: RibbonGraph, vertices: Iterable) -> set:
-    """All edges touching the vertex set."""
-    out = set()
-    for v in vertices:
-        out.update(graph.edges_at(v))
-    return out
 
 
 class PathGraph(RibbonGraph):

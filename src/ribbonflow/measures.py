@@ -306,25 +306,3 @@ def maharam_check(graph, chi, f, elements):
         if f(('b', g)) * chi(g) != base:
             return g
     return None
-
-
-@dataclass(frozen=True)
-class MeasureClass:
-    """A measure candidate with the depth to which it survived."""
-
-    f: object
-    theta: tuple
-    lam: QuadNum
-    label: str
-    verified_depth: int
-
-
-def verified_measure_class(graph: RibbonGraph, f, data, depth: int, window,
-                           lam, label: str) -> MeasureClass:
-    """Run survivor_check and package the result; a witness raises."""
-    witness = survivor_check(graph, f, data, depth, window)
-    if witness is not None:
-        raise ValueError('not a survivor at depth %d: %r'
-                         % (witness.n, witness))
-    return MeasureClass(f, (data.theta.x, data.theta.y), QuadNum(lam),
-                        label, depth)

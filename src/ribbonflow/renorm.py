@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import QMat2, QuadNum, QVec2, SignPair, quad_sqrt
+from .exact import QuadNum, QVec2, SignPair, quad_sqrt
 from .freegrp import H, H_INV, LETTERS, V, V_INV, Letter, Word, rho, rho_letter
 
 
@@ -307,19 +307,6 @@ def is_renormalizing(increments: Sequence[Letter] = (),
     return RenormVerdict(Verdict.YES)
 
 
-def classify_data(data: ShrinkData) -> RenormVerdict:
-    """Verdict for a computed shrinking prefix."""
-    if data.status is TailStatus.PERIODIC:
-        start, length = data.period
-        return is_renormalizing(data.increments[:start],
-                                data.increments[start:start + length])
-    if data.status is TailStatus.EXCLUDED_TAIL:
-        return RenormVerdict(Verdict.NO, data.excluded_id)
-    if data.status is TailStatus.NO_STRICT_SHRINKER:
-        return RenormVerdict(Verdict.NO, 'no strict shrinker')
-    return RenormVerdict(Verdict.UNDETERMINED, 'budget exhausted')
-
-
 def _canonical_direction(v: QVec2) -> QVec2:
     sy = v.y.sign()
     if sy < 0 or (sy == 0 and v.x.sign() < 0):
@@ -425,22 +412,3 @@ def omega_test(n: int, alpha, max_steps: int = 64) -> OmegaResult:
     if data.status is TailStatus.NO_STRICT_SHRINKER:
         return OmegaResult(OmegaKind.NOT_IN_OMEGA, 'no strict shrinker', data)
     return OmegaResult(OmegaKind.UNDETERMINED, 'budget exhausted', data)
-
-
-def decay_products(data: ShrinkData) -> tuple[float, ...]:
-    """omega^n * |vectors[n]| / |theta| at each critical time n.
-
-    omega is the large root of x^2 - lam*x + 1; the products staying
-    bounded by 1 from some index on is the expected decay profile.  Float
-    precision is fine here: this is a diagnostic, not a certificate.
-    """
-    lam = float(data.lam)
-    if lam < 2:
-        raise ValueError('decay rate needs lam >= 2')
-    omega = (lam + math.sqrt(lam * lam - 4)) / 2
-    base = math.sqrt(float(data.theta.norm_sq()))
-    out = []
-    for n in critical_times(data):
-        norm = math.sqrt(float(data.vectors[n].norm_sq()))
-        out.append(omega ** n * norm / base)
-    return tuple(out)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .exact import QuadNum
 from .freegrp import Letter, Word
-from .graphs import RibbonGraph, SparseFun, pairing
+from .graphs import RibbonGraph, SparseFun
 
 _ZERO = QuadNum(0)
 
@@ -188,11 +188,6 @@ def z_class(surface: Surface, h: HomologyVec) -> SparseFun:
         else:
             out.append((graph.alpha(e), -c))
     return SparseFun(out)
-
-
-def xi_pair(surface: Surface, f, h: HomologyVec) -> QuadNum:
-    """The holonomy-style pairing of a vertex function with a class."""
-    return pairing(f, z_class(surface, h))
 
 
 def _cylinder_class(surface: Surface, kind: str, v) -> HomologyVec:

@@ -200,6 +200,43 @@ def test_mixed_fields_exit_two(capsys):
     assert err.count('\n') == 1 and 'sqrt(2)' in err
 
 
+def test_budget_and_format_flags_are_per_command(capsys):
+    shrink = ['shrink', '--lambda', '2', '--theta', '1, -1+sqrt(2)']
+    assert main(shrink + ['--budget', '5']) == EXIT_PARSE
+    assert main(shrink + ['--format', 'svg']) == EXIT_PARSE
+    capsys.readouterr()
+
+
+def test_missing_family_parameter_names_it(capsys):
+    code = main(['growth', '--family', 'tripod'])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.count('\n') == 1 and 'tripod' in err and "'t'" in err
+
+
+def test_missing_family_and_malformed_literal_exit_two(capsys):
+    assert main(['growth', '--depth', '3']) == EXIT_PARSE
+    assert main(['eigen', '--family', 'character', '--group', 'Z',
+                 '--generators', '(1,', '--chi', '4']) == EXIT_PARSE
+    capsys.readouterr()
+
+
+CHARACTER_Z = ['--family', 'character', '--group', 'Z', '--generators',
+               '(1,-1)', '--chi', '4']
+
+
+def test_character_family_reaches_growth_and_render(tmp_path, capsys):
+    code, out = run(capsys, ['growth', *CHARACTER_Z, '--depth', '4'])
+    assert code == EXIT_OK
+    assert '# lambda 5/2' in out
+    svg = tmp_path / 'staircase.svg'
+    code = main(['render', '--style', 'surface', *CHARACTER_Z, '--depth',
+                 '2', '--out', str(svg)])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert xml.dom.minidom.parse(str(svg)).documentElement.tagName == 'svg'
+
+
 def test_bad_budget_env_exits_two(capsys, monkeypatch):
     monkeypatch.setenv('RIBBONFLOW_BUDGET', 'abc')
     code = main(['simulate', '--group', 'Z', '--generators', '(1,-1)',

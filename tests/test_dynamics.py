@@ -10,9 +10,8 @@ from ribbonflow.dynamics import (FloatState, HPoint, OrbitEscapedBudget,
                                  SingularHit, SingularHitError, SurfacePoint,
                                  code_orbit, flow_to_next_edge,
                                  flow_to_next_edge_float, from_edge, hpoint,
-                                 iet_step, iet_step_float, occupation_stats,
-                                 resolve, return_time, skew_orbit,
-                                 skew_orbit_float, skew_step)
+                                 iet_step, iet_step_float, resolve,
+                                 skew_orbit, skew_orbit_float, skew_step)
 from ribbonflow.eigen import gz_constant, gz_exponential, tripod_family
 from ribbonflow.exact import QuadNum, sqrt_rational
 from ribbonflow.graphs import Cyclic, IntegersZ, SkewGraph
@@ -74,8 +73,6 @@ def test_step_matches_geometric_flow(make, theta, start):
         q = iet_step(s, theta, p)
         assert isinstance(geo, HPoint)
         assert geo == q
-        assert return_time(s, theta, p) == s.height(s.north(e)) / theta[1]
-        assert return_time(s, theta, p) > 0
         p = q
 
 
@@ -214,17 +211,6 @@ def test_skew_orbit_budget_escape():
     with pytest.raises(OrbitEscapedBudget):
         skew_orbit(2, ALPHA, IntegersZ(), (1, -1), (QuadNum(0), 0), 10000,
                    budget=4)
-
-
-def test_occupation_stats_counts_cells():
-    s = staircase()
-    pts = [hpoint(s, ('a', 0), QuadNum(Fraction(k, 8))) for k in range(8)]
-    one = QuadNum(1)
-    half = QuadNum(Fraction(1, 2))
-    counts = occupation_stats(pts, [(('a', 0), QuadNum(0), half),
-                                    (('a', 0), half, one),
-                                    (('a', 1), QuadNum(0), one)])
-    assert counts == [4, 4, 0]
 
 
 @pytest.mark.parametrize('fam', [gz_exponential(2), tripod_family(2)])

@@ -153,6 +153,17 @@ def test_family_eigen_dispatch():
         family_eigen('harmonic')
 
 
+@pytest.mark.parametrize('name,params,missing', [
+    ('tripod', {}, 't'),
+    ('ntree_horo', {'n': 3}, 's'),
+    ('character', {'group': 'Z', 'chi': 4}, 'generators'),
+])
+def test_family_eigen_names_missing_parameter(name, params, missing):
+    with pytest.raises(ValueError, match="%s needs parameter '%s'"
+                       % (name, missing)):
+        family_eigen(name, **params)
+
+
 def test_perturbed_constant_residuals_are_local():
     fam = gz_constant()
     bumped = OracleFun(lambda v: 2 if v == 0 else 1)
@@ -174,6 +185,17 @@ def test_tree_walk_matches_generic_walk():
     assert slow.nonzero_count == fast.nonzero_count == 4
     assert sorted(slow.nonzero) == sorted(fast.nonzero)
     assert slow.max_abs == fast.max_abs
+
+
+@pytest.mark.parametrize('fam', [ntree_constant(3),
+                                 ntree_horofunction(3, HALF)])
+def test_streamed_tree_family_matches_ball_walk(fam):
+    streamed = verify_family(fam, 6)
+    walked = verify_eigen(fam.graph, fam.weight, fam.lam, 6, fam.root)
+    assert streamed.vertex_count == walked.vertex_count == 1 + 3 * (2**6 - 1)
+    assert streamed.nonzero == walked.nonzero == ()
+    assert streamed.nonzero_count == walked.nonzero_count == 0
+    assert streamed.max_abs == walked.max_abs == 0
 
 
 def test_report_formatting():

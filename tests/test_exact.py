@@ -137,6 +137,27 @@ def test_floor_is_floor(x):
     assert QuadNum(n) <= x < QuadNum(n + 1)
 
 
+def test_floor_of_huge_operands():
+    # beyond float range, and far past where a float estimate lands
+    # within a few units
+    assert math.floor(QuadNum(10**400, 1, 2)) == 10**400 + 1
+    assert math.floor(QuadNum(10**30 + 1, 3, 2)) == 10**30 + 5
+    assert math.floor(QuadNum(10**30 + 1, -3, 2)) == 10**30 - 4
+    assert QuadNum(10**400, 1, 2) % 1 == QuadNum(-1, 1, 2)
+
+
+big_rationals = st.builds(Fraction, st.integers(-10**40, 10**40),
+                          st.integers(1, 10**12))
+
+
+@given(big_rationals, big_rationals, st.sampled_from(SQUAREFREE))
+def test_floor_brackets_by_sign(a, b, d):
+    x = QuadNum(a, b, d)
+    n = math.floor(x)
+    assert (x - n).sign() >= 0
+    assert (x - (n + 1)).sign() < 0
+
+
 def test_sign_pair_rotation_cycle():
     s = SignPair.PP
     seen = [str(s)]

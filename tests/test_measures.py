@@ -13,11 +13,10 @@ from ribbonflow.exact import QVec2, QuadNum, sqrt_rational
 from ribbonflow.freegrp import rho
 from ribbonflow.graphs import (IntegersZ, OracleFun, upsilon_eval,
                                vertices_in_ball)
-from ribbonflow.measures import (DecayProfile, MeasureClass, Witness,
+from ribbonflow.measures import (DecayProfile, Witness,
                                  conjugate_boundary_point, decay_profile,
                                  maharam_check, plane_point, survivor_check,
-                                 transposed_surface, transversal_measure,
-                                 verified_measure_class)
+                                 transposed_surface, transversal_measure)
 from ribbonflow.renorm import critical_times, shrinking_sequence
 from ribbonflow.surface import Surface
 
@@ -345,16 +344,3 @@ def test_maharam_scaling_on_skew_family():
                        else fam.weight(v))
     assert maharam_check(fam.graph, chi, broken, range(-8, 9)) == 3
 
-
-def test_verified_measure_class_packaging():
-    w1, w2, data, theta2 = gz_pair()
-    f = plane_point(w1.graph, w2.weight, theta2)
-    mc = verified_measure_class(w1.graph, f, data, 8, ball_window(w1.graph, 8),
-                                QuadNum(2), 'gz pair')
-    assert isinstance(mc, MeasureClass)
-    assert mc.verified_depth == 8
-    nudged = plane_point(w1.graph, w2.weight,
-                         (theta2[0], theta2[1] + QuadNum('1/1000')))
-    with pytest.raises(ValueError):
-        verified_measure_class(w1.graph, nudged, data, 8,
-                               ball_window(w1.graph, 8), QuadNum(2), 'bad')

@@ -10,9 +10,7 @@ from ribbonflow.renorm import (
     ShrinkData,
     TailStatus,
     Verdict,
-    classify_data,
     critical_times,
-    decay_products,
     direction_from_sequence,
     is_renormalizing,
     omega_test,
@@ -170,7 +168,6 @@ def test_omega_accepts_quadratic():
     res = omega_test(2, QuadNum(0, Fraction(1, 2), 2), 32)
     assert res.kind is OmegaKind.IN_OMEGA
     assert res.data.increments[:2] == (V_INV, H_INV)
-    assert classify_data(res.data).verdict is Verdict.YES
 
 
 def test_omega_rejects_rational():
@@ -196,15 +193,6 @@ def test_omega_rejects_interval_endpoint():
 def test_omega_undetermined_on_tiny_budget():
     res = omega_test(2, QuadNum(0, Fraction(1, 2), 2), 1)
     assert res.kind is OmegaKind.UNDETERMINED
-
-
-def test_decay_products_bounded():
-    data = shrinking_sequence(2, GOLDEN_DIR, 12)
-    assert all(p <= 1 + 1e-9 for p in decay_products(data))
-    data3 = shrinking_sequence(
-        3, direction_from_sequence(3, period=(H_INV, V_INV)), 12)
-    prods = decay_products(data3)
-    assert prods and all(p <= 1 + 1e-9 for p in prods)
 
 
 @given(st.sampled_from([2, 3]), st.integers(-40, 40), st.integers(1, 40))

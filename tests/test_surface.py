@@ -10,11 +10,10 @@ from ribbonflow.eigen import (builtin_families, gz_constant, gz_exponential,
                               character_eigen, ntree_constant, tripod_family)
 from ribbonflow.exact import QuadNum
 from ribbonflow.freegrp import Word, gamma
-from ribbonflow.graphs import (Heisenberg, OracleFun, SparseFun, upsilon,
-                               vertices_in_ball)
+from ribbonflow.graphs import (Heisenberg, OracleFun, SparseFun, pairing,
+                               upsilon, vertices_in_ball)
 from ribbonflow.surface import (HomologyVec, Surface, ball_growth,
-                                phi_homology, svg_truncation, xi_pair,
-                                z_class)
+                                phi_homology, svg_truncation, z_class)
 
 
 def heisenberg_constant():
@@ -68,8 +67,9 @@ def test_xi_pair_bottom_edge():
     f = OracleFun(plane)
     for e in (-2, 0, 3):
         want = y * s.width(e)
-        assert xi_pair(s, f, HomologyVec.horizontal(e)) == want
-    assert xi_pair(s, f, HomologyVec.vertical(0)) == -x * s.height(0)
+        assert pairing(f, z_class(s, HomologyVec.horizontal(e))) == want
+    assert pairing(f, z_class(s, HomologyVec.vertical(0))) == \
+        -x * s.height(0)
 
 
 def test_phi_letters_frozen():
