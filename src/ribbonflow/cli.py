@@ -47,15 +47,11 @@ class NotRenormalizableInput(Exception):
     pass
 
 
-def _exact(text: str) -> QuadNum:
-    return parse_quad(text)
-
-
 def _theta(text: str) -> tuple:
     parts = text.split(',')
     if len(parts) != 2:
         raise ValueError('direction needs two comma-separated entries')
-    return (_exact(parts[0]), _exact(parts[1]))
+    return (parse_quad(parts[0]), parse_quad(parts[1]))
 
 
 def _literal(text: str):
@@ -77,7 +73,7 @@ def _scalar(text: str):
     except ValueError:
         pass
     try:
-        return _exact(text)
+        return parse_quad(text)
     except ValueError:
         return text
 
@@ -164,7 +160,7 @@ def _shrink_rows(data, depth: int):
 
 
 def cmd_shrink(args) -> int:
-    lam = _exact(args.lam)
+    lam = parse_quad(args.lam)
     theta = _theta(args.theta)
     data = shrinking_sequence(lam, theta, max_steps=args.depth)
     meta = {'lambda': lam, 'status': data.status.name.lower(),
@@ -175,7 +171,8 @@ def cmd_shrink(args) -> int:
 
 
 def cmd_omega(args) -> int:
-    result = omega_test(args.n, _exact(args.alpha), max_steps=args.depth)
+    result = omega_test(args.n, parse_quad(args.alpha),
+                        max_steps=args.depth)
     period = ''
     if result.data is not None and result.data.period:
         period = '%d+%d' % result.data.period
@@ -203,23 +200,27 @@ def cmd_eigen(args) -> int:
     return EXIT_OK
 
 
-def _env_budget():
-    raw = os.environ.get(BUDGET_ENV, '0')
-    try:
-        return int(raw) or None
-    except ValueError:
-        raise ValueError('%s must be an integer, got %r'
-                         % (BUDGET_ENV, raw)) from None
-
-
 def cmd_simulate(args) -> int:
-    budget = _env_budget() if args.budget is None else args.budget
+    raw = os.environ.get(BUDGET_ENV, '0') if args.budget is None \
+        else args.budget
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError('--budget and %s take an integer >= 0, got %r'
+                         % (BUDGET_ENV, raw))
+    budget = budget or None  # 0 means unbounded
+    mode = '--group' if args.group else '--family'
+    for key in ('generators', 'alpha') if args.group else ('theta',):
+        if getattr(args, key) is None:
+            raise ValueError('%s needs --%s' % (mode, key))
     if args.group:
         generators = args.generators
         group = make_group(args.group, **_flags(args, _GROUP_FLAGS))
         state = (QuadNum(0), group.identity)
         n = len(generators)
-        alpha = _exact(args.alpha)
+        alpha = parse_quad(args.alpha)
         if args.mode == 'float':
             states = skew_orbit_float(n, float(alpha), group, generators,
                                       (0.0, group.identity), args.steps)
@@ -328,12 +329,9 @@ def cmd_conjugate(args) -> int:
     s1 = Surface.from_family(fam1)
     s2 = Surface.from_family(fam2)
     edge = fam1.graph.base_edge(fam1.root)
-    if args.t is not None:
-        jobs = [(args.side, _exact(args.t))]
-    else:
-        w, h = s1.width(edge), s1.height(edge)
-        jobs = [('bottom', QuadNum(0)), ('bottom', w / 2), ('bottom', w),
-                ('top', w), ('left', h), ('right', h)]
+    w, h = s1.width(edge), s1.height(edge)
+    jobs = [('bottom', QuadNum(0)), ('bottom', w / 2), ('bottom', w),
+            ('top', w), ('left', h), ('right', h)]
     rows = []
     for side, t in jobs:
         img = conjugate_boundary_point(s1, s2, theta1, theta2, edge, side, t,
@@ -392,7 +390,7 @@ def cmd_render(args) -> int:
     if args.style == 'limitset':
         if not args.lam:
             raise ValueError('limit-set render needs --lambda')
-        _emit_text(args, _limit_set_svg(_exact(args.lam), args.depth,
+        _emit_text(args, _limit_set_svg(parse_quad(args.lam), args.depth,
                                         args.seed))
         return EXIT_OK
     fam = _family(args.family, args)
@@ -489,8 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--theta', required=True)
     p.add_argument('--theta2', required=True)
     p.add_argument('--depth', type=int, default=14)
-    p.add_argument('--side', choices=('bottom', 'top', 'left', 'right'),
-                   default='bottom')
     _add_common(p)
     p.set_defaults(handler=cmd_conjugate)
 

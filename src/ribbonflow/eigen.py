@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .exact import QuadNum, quad_sqrt, sqrt_rational
+from .exact import QuadNum, quad_sqrt
 from .graphs import (Cyclic, FreeGroup, Group, Heisenberg, IntegerLattice,
                      IntegersZ, OracleFun, PathGraph, RegularTree,
                      RibbonGraph, SkewGraph, TripodGraph, make_group,
@@ -196,11 +196,7 @@ def character_eigen(group, generators, values) -> EigenFamily:
     for val in eta_vals:
         eps = eps + val
         delta = delta + _ONE / val
-    square = delta * eps
-    if square.is_rational:
-        lam = sqrt_rational(square.as_fraction())
-    else:
-        lam = quad_sqrt(square)
+    lam = quad_sqrt(delta * eps)
     discs = {x.field_disc for x in eta_vals + [lam] if x.field_disc}
     if len(discs) > 1:
         raise ValueError('eigenvalue leaves the quadratic coefficient field')
@@ -287,13 +283,33 @@ class ResidualReport:
             self.vertex_count, self.radius, state)
 
 
-def verify_eigen(graph: RibbonGraph, fn, lam, radius: int, root=None,
-                 keep: int = 64) -> ResidualReport:
+# nonzero residuals a report lists; its count and max cover all of them
+_KEEP = 64
+
+
+def _tally(radius: int, residuals) -> ResidualReport:
+    """Fold the (vertex, residual) pairs of one walk into a report."""
+    nonzero = []
+    visited = count = 0
+    max_abs = _ZERO
+    for v, res in residuals:
+        visited += 1
+        if res:
+            count += 1
+            mag = abs(res)
+            if mag > max_abs:
+                max_abs = mag
+            if len(nonzero) < _KEEP:
+                nonzero.append((v, res))
+    return ResidualReport(radius, visited, tuple(nonzero), count, max_abs)
+
+
+def verify_eigen(graph: RibbonGraph, fn, lam, radius: int,
+                 root=None) -> ResidualReport:
     """Residual A f - lam f at every vertex within the radius.
 
     Walks the ball breadth-first and memoizes oracle values, so each
-    vertex is evaluated once.  Nonzero residuals are collected up to the
-    keep limit; the count and max are over all of them.
+    vertex is evaluated once.
     """
     lam = QuadNum(lam)
     if root is None:
@@ -309,27 +325,18 @@ def verify_eigen(graph: RibbonGraph, fn, lam, radius: int, root=None,
             cache[v] = got
         return got
 
-    nonzero = []
-    count = 0
-    max_abs = _ZERO
-    ball = vertices_in_ball(graph, root, radius)
-    for v in ball:
-        total = _ZERO
-        for w in graph.neighbors(v):
-            total = total + val(w)
-        res = total - lam * val(v)
-        if res:
-            count += 1
-            mag = abs(res)
-            if mag > max_abs:
-                max_abs = mag
-            if len(nonzero) < keep:
-                nonzero.append((v, res))
-    return ResidualReport(radius, len(ball), tuple(nonzero), count, max_abs)
+    def residuals():
+        for v in vertices_in_ball(graph, root, radius):
+            total = _ZERO
+            for w in graph.neighbors(v):
+                total = total + val(w)
+            yield v, total - lam * val(v)
+
+    return _tally(radius, residuals())
 
 
-def verify_eigen_tree(tree: RegularTree, fn, lam, depth: int,
-                      keep: int = 64) -> ResidualReport:
+def verify_eigen_tree(tree: RegularTree, fn, lam,
+                      depth: int) -> ResidualReport:
     """verify_eigen specialized to the regular tree rooted at ().
 
     Streams a depth-first walk instead of materializing the ball, since
@@ -338,34 +345,25 @@ def verify_eigen_tree(tree: RegularTree, fn, lam, depth: int,
     """
     lam = QuadNum(lam)
     n = tree.n
-    nonzero = []
-    count = 0
-    max_abs = _ZERO
-    visited = 0
     root = ()
-    stack = [(root, QuadNum(fn(root)), None, 0)]
-    while stack:
-        v, fv, f_parent, d = stack.pop()
-        visited += 1
-        kids = [v + (j,) for j in range(n if v == root else n - 1)]
-        total = _ZERO if f_parent is None else f_parent
-        kid_vals = []
-        for w in kids:
-            fw = fn(w)
-            kid_vals.append(fw)
-            total = total + fw
-        res = total - lam * fv
-        if res:
-            count += 1
-            mag = abs(res)
-            if mag > max_abs:
-                max_abs = mag
-            if len(nonzero) < keep:
-                nonzero.append((v, res))
-        if d < depth:
-            for w, fw in zip(kids, kid_vals):
-                stack.append((w, fw, fv, d + 1))
-    return ResidualReport(depth, visited, tuple(nonzero), count, max_abs)
+
+    def residuals():
+        stack = [(root, QuadNum(fn(root)), None, 0)]
+        while stack:
+            v, fv, f_parent, d = stack.pop()
+            kids = [v + (j,) for j in range(n if v == root else n - 1)]
+            total = _ZERO if f_parent is None else f_parent
+            kid_vals = []
+            for w in kids:
+                fw = fn(w)
+                kid_vals.append(fw)
+                total = total + fw
+            yield v, total - lam * fv
+            if d < depth:
+                for w, fw in zip(kids, kid_vals):
+                    stack.append((w, fw, fv, d + 1))
+
+    return _tally(depth, residuals())
 
 
 def verify_family(family: EigenFamily, radius: int) -> ResidualReport:
@@ -407,9 +405,4 @@ def spoke_threshold(lam) -> QuadNum:
     lam = QuadNum(lam)
     if lam < 2:
         raise ValueError('threshold needs an eigenvalue of at least 2')
-    disc = lam * lam - 4
-    if disc.is_rational:
-        root = sqrt_rational(disc.as_fraction())
-    else:
-        root = quad_sqrt(disc)
-    return (lam - root) / 2
+    return (lam - quad_sqrt(lam * lam - 4)) / 2

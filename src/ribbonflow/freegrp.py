@@ -124,11 +124,23 @@ def rho_letter(lam, letter: Letter) -> QMat2:
 
 
 def rho(lam, word: Word) -> QMat2:
-    """The representation sending h, v to the upper and lower shears by lam."""
-    out = QMat2.identity()
+    """The representation sending h, v to the upper and lower shears by lam.
+
+    Each letter multiplies the product so far on the right, which is one
+    column operation: h adds +-lam times the first column to the second,
+    and v the second to the first.
+    """
+    lam = lam if isinstance(lam, QuadNum) else QuadNum(lam)
+    neg = -lam
+    a, d = QuadNum(1), QuadNum(1)
+    b, c = QuadNum(0), QuadNum(0)
     for letter in word:
-        out = out * rho_letter(lam, letter)
-    return out
+        off = lam if letter.exp == 1 else neg
+        if letter.gen == 'h':
+            b, d = b + off * a, d + off * c
+        else:
+            a, c = a + off * b, c + off * d
+    return QMat2(a, b, c, d)
 
 
 _GAMMA = {H: V_INV, H_INV: V, V: H_INV, V_INV: H}

@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import QuadNum, QVec2, SignPair, quad_sqrt
-from .freegrp import H, H_INV, LETTERS, V, V_INV, Letter, Word, rho, rho_letter
+from .freegrp import (H, H_INV, LETTERS, V, V_INV, Letter, Word, rho,
+                      rho_letter, sign_act_letter)
 
 
 def _as_quad(value) -> QuadNum:
@@ -189,23 +190,15 @@ def shrinking_sequence(lam, theta, max_steps: int = 64) -> ShrinkData:
                       status=status, period=period, excluded_id=excluded_id)
 
 
-# quadrants a generator can shrink, and where it can send them
-_ADMISSIBLE = {
-    H: (SignPair.PM, SignPair.MP),
-    V: (SignPair.PM, SignPair.MP),
-    H_INV: (SignPair.PP, SignPair.MM),
-    V_INV: (SignPair.PP, SignPair.MM),
-}
+# A letter that shrinks a vector from quadrant s to quadrant t has an
+# inverse that expands t back to s, so both tables are read off the
+# inverse's quadrant transport: the quadrants a letter can shrink are the
+# images of that transport, and it can send s to any t carried back to s.
+_ADMISSIBLE = {l: {sign_act_letter(l.inverse(), t) for t in SignPair}
+               for l in LETTERS}
 _TRANSITIONS = {
-    (SignPair.PM, H): {SignPair.PM, SignPair.MM},
-    (SignPair.MP, H): {SignPair.PP, SignPair.MP},
-    (SignPair.PM, V): {SignPair.PP, SignPair.PM},
-    (SignPair.MP, V): {SignPair.MP, SignPair.MM},
-    (SignPair.PP, H_INV): {SignPair.PP, SignPair.MP},
-    (SignPair.MM, H_INV): {SignPair.PM, SignPair.MM},
-    (SignPair.PP, V_INV): {SignPair.PP, SignPair.PM},
-    (SignPair.MM, V_INV): {SignPair.MP, SignPair.MM},
-}
+    (s, l): {t for t in SignPair if sign_act_letter(l.inverse(), t) is s}
+    for l in LETTERS for s in _ADMISSIBLE[l]}
 
 
 def _reconstruct_signs(s0: SignPair,
@@ -219,8 +212,7 @@ def _reconstruct_signs(s0: SignPair,
     out = [s0]
     for i in range(len(increments) - 1):
         allowed = _TRANSITIONS[(out[-1], increments[i])]
-        confined = set(_ADMISSIBLE[increments[i + 1]])
-        meet = allowed & confined
+        meet = allowed & _ADMISSIBLE[increments[i + 1]]
         if len(meet) != 1:
             raise ArithmeticError('sign reconstruction is ambiguous')
         out.append(meet.pop())
@@ -240,12 +232,6 @@ def sign_sequence(data: ShrinkData) -> tuple[SignPair, ...]:
     return tuple(data.signs)
 
 
-_SAME_EXP_PAIRS = {
-    (H, H), (H, V), (V, H), (V, V),
-    (H_INV, H_INV), (H_INV, V_INV), (V_INV, H_INV), (V_INV, V_INV),
-}
-
-
 def critical_times(data: ShrinkData) -> tuple[int, ...]:
     """Times n >= 1 with signs[n-1] == signs[n].
 
@@ -258,7 +244,7 @@ def critical_times(data: ShrinkData) -> tuple[int, ...]:
     limit = len(data.increments)
     from_words = tuple(
         n for n in range(1, limit)
-        if (data.increments[n], data.increments[n - 1]) in _SAME_EXP_PAIRS)
+        if data.increments[n].exp == data.increments[n - 1].exp)
     if tuple(t for t in from_signs if t < limit) != from_words:
         raise ArithmeticError(
             'critical times disagree between sign and word routes')

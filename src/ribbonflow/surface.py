@@ -9,8 +9,12 @@ one per B-vertex.  The eigen-relation makes every cylinder have inverse
 modulus lam.
 
 Relative homology classes are integer combinations of oriented rectangle
-sides; z_class pairs them with cylinder cores, giving a vertex function,
-and phi_homology is the shear action on classes.
+sides, held as SparseFuns over the side symbols ('h', e), the bottom edge
+of the rectangle over e oriented rightward, and ('v', e), its left edge
+oriented upward; tops and right sides are the bottoms and lefts of the
+north and east neighbors, so each surface edge has one symbol.  z_class
+pairs classes with cylinder cores, giving a vertex function, and
+phi_homology is the shear action on classes.
 """
 
 from __future__ import annotations
@@ -72,16 +76,6 @@ class Surface:
     def south(self, e):
         return self.graph.prev_at_b(e)
 
-    def circle_edges(self, v) -> tuple:
-        """The rotation orbit of the base edge at a vertex, in cyclic
-        order.
-
-        At an A-vertex these are the bottom edges making up the
-        horizontal circle; at a B-vertex, the left edges of the vertical
-        circle.
-        """
-        return self.graph.edges_at(v)
-
     def circle_length(self, v) -> QuadNum:
         return self.lam * self.weight(v)
 
@@ -89,7 +83,7 @@ class Surface:
         """The cut circle at an A-vertex, built on first use and kept."""
         sec = self._sections.get(a)
         if sec is None:
-            edges = self.circle_edges(a)
+            edges = self.graph.edges_at(a)
             cuts = [_ZERO]
             for e in edges:
                 cuts.append(cuts[-1] + self.width(e))
@@ -104,75 +98,8 @@ class Surface:
         sec = self.section(a)
         return dict(zip(sec.edges, sec.cuts))
 
-    def circle_defect(self, v) -> QuadNum:
-        """Total crossing-edge length minus lam * w(v); zero iff the
-        eigen-relation holds at v."""
-        total = _ZERO
-        for e in self.circle_edges(v):
-            total = total + self.weight(self.graph.other_end(e, v))
-        return total - self.circle_length(v)
 
-
-class HomologyVec:
-    """An integer combination of oriented rectangle sides.
-
-    ('h', e) is the bottom edge of the rectangle over e, oriented
-    rightward; ('v', e) is its left edge, oriented upward.  Tops and
-    right sides are the same surface edges as their north/east
-    neighbors' bottoms and lefts, so this indexing hits each edge once.
-    """
-
-    __slots__ = ('_data',)
-
-    def __init__(self, data=()):
-        store = {}
-        for sym, c in (data.items() if isinstance(data, dict) else data):
-            c = int(c)
-            if c:
-                store[sym] = store.get(sym, 0) + c
-        self._data = {s: c for s, c in store.items() if c}
-
-    @classmethod
-    def horizontal(cls, e, k: int = 1) -> 'HomologyVec':
-        return cls([(('h', e), k)])
-
-    @classmethod
-    def vertical(cls, e, k: int = 1) -> 'HomologyVec':
-        return cls([(('v', e), k)])
-
-    def items(self):
-        return self._data.items()
-
-    def __add__(self, other: 'HomologyVec') -> 'HomologyVec':
-        out = dict(self._data)
-        for s, c in other._data.items():
-            out[s] = out.get(s, 0) + c
-        return HomologyVec(out)
-
-    def __sub__(self, other: 'HomologyVec') -> 'HomologyVec':
-        return self + (-1) * other
-
-    def __rmul__(self, k: int) -> 'HomologyVec':
-        return HomologyVec([(s, k * c) for s, c in self._data.items()])
-
-    def __eq__(self, other):
-        if not isinstance(other, HomologyVec):
-            return NotImplemented
-        return self._data == other._data
-
-    def __hash__(self):
-        return hash(frozenset(self._data.items()))
-
-    def __bool__(self):
-        return bool(self._data)
-
-    def __repr__(self):
-        body = ', '.join('%r: %d' % (s, c) for s, c in
-                         sorted(self._data.items(), key=repr))
-        return 'HomologyVec({%s})' % body
-
-
-def z_class(surface: Surface, h: HomologyVec) -> SparseFun:
+def z_class(surface: Surface, h: SparseFun) -> SparseFun:
     """Intersection numbers with cylinder cores, as a vertex function.
 
     A rightward bottom edge sits in the vertical cylinder of its
@@ -190,34 +117,27 @@ def z_class(surface: Surface, h: HomologyVec) -> SparseFun:
     return SparseFun(out)
 
 
-def _cylinder_class(surface: Surface, kind: str, v) -> HomologyVec:
+def _cylinder_class(surface: Surface, kind: str, v) -> SparseFun:
     # core of the horizontal cylinder at an A-vertex is homologous to the
     # full circle of bottom edges; dually for vertical cylinders
-    if kind == 'h':
-        return HomologyVec([(('h', e), 1) for e in surface.graph.edges_at(v)])
-    return HomologyVec([(('v', e), 1) for e in surface.graph.edges_at(v)])
+    return SparseFun([((kind, e), 1) for e in surface.graph.edges_at(v)])
 
 
-def phi_letter(surface: Surface, letter: Letter,
-               h: HomologyVec) -> HomologyVec:
+def phi_letter(surface: Surface, letter: Letter, h: SparseFun) -> SparseFun:
     """One shear letter acting on homology: an h-power fixes horizontal
-    classes and pushes vertical ones around their horizontal cylinder,
-    and dually for v-powers."""
+    classes and pushes vertical ones around the horizontal cylinder of
+    their A-vertex, and dually for v-powers."""
     graph = surface.graph
-    out = HomologyVec()
+    out = h
     for (kind, e), c in h.items():
-        out = out + HomologyVec([((kind, e), c)])
-        if letter.gen == 'h' and kind == 'v':
+        if kind != letter.gen:
+            v = graph.alpha(e) if kind == 'v' else graph.beta(e)
             out = out + (c * letter.exp) * _cylinder_class(
-                surface, 'h', graph.alpha(e))
-        elif letter.gen == 'v' and kind == 'h':
-            out = out + (c * letter.exp) * _cylinder_class(
-                surface, 'v', graph.beta(e))
+                surface, letter.gen, v)
     return out
 
 
-def phi_homology(surface: Surface, word: Word,
-                 h: HomologyVec) -> HomologyVec:
+def phi_homology(surface: Surface, word: Word, h: SparseFun) -> SparseFun:
     """The word action on classes, rightmost letter first."""
     for letter in reversed(tuple(word)):
         h = phi_letter(surface, letter, h)

@@ -144,6 +144,9 @@ def test_c04_eigen_residuals_vanish_on_radius_20_balls():
         report = verify_family(fam, 20)
         assert report.ok, fam.describe()
         assert report.max_abs == QuadNum(0)
+        if fam.name.startswith('ntree'):
+            # every vertex of the regular 3-tree's radius-20 ball
+            assert report.vertex_count == 1 + 3 * (2 ** 20 - 1)
     assert spoke_profile(2, 12) == tuple(QuadNum(i) for i in range(1, 13))
 
 

@@ -174,6 +174,60 @@ def test_simulate_skew_budget_exit(capsys, monkeypatch):
     assert code == EXIT_BUDGET
 
 
+SKEW_Z = ['simulate', '--group', 'Z', '--generators', '(1,1)', '--alpha',
+          '1/2*sqrt(2)', '--steps', '5']
+
+
+def test_budget_zero_is_unbounded_for_flag_and_env(capsys, monkeypatch):
+    code, by_flag = run(capsys, SKEW_Z + ['--budget', '0'])
+    assert code == EXIT_OK
+    monkeypatch.setenv('RIBBONFLOW_BUDGET', '0')
+    code, by_env = run(capsys, SKEW_Z)
+    assert code == EXIT_OK
+    assert by_flag == by_env and len(csv_body(by_flag)[1]) == 5
+
+
+def test_negative_budget_exits_two(capsys, monkeypatch):
+    assert main(SKEW_Z + ['--budget', '-1']) == EXIT_PARSE
+    monkeypatch.setenv('RIBBONFLOW_BUDGET', '-1')
+    assert main(SKEW_Z) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.count('\n') == 2 and 'RIBBONFLOW_BUDGET' in err
+
+
+@pytest.mark.parametrize('drop', ['--generators', '--alpha'])
+def test_skew_simulate_names_missing_flag(capsys, drop):
+    i = SKEW_Z.index(drop)
+    code = main(SKEW_Z[:i] + SKEW_Z[i + 2:])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.count('\n') == 1 and drop in err
+
+
+def test_surface_simulate_names_missing_theta(capsys):
+    code = main(['simulate', '--family', 'gz_constant', '--steps', '3'])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.count('\n') == 1 and '--theta' in err
+
+
+TRIPOD_PAIR = ['--family2', 'tripod:t=3', '--theta', '4, -5+sqrt(41)',
+               '--theta2', '3, -5+sqrt(34)', '--depth', '4']
+
+
+def test_conjugate_t_is_the_family_parameter(capsys):
+    # --t sets the tripod's t, exactly as the inline spelling does, and
+    # conjugate prints its six fixed boundary points
+    code, by_flag = run(capsys, ['conjugate', '--family', 'tripod', '--t',
+                                 '2', *TRIPOD_PAIR])
+    assert code == EXIT_OK
+    code, inline = run(capsys, ['conjugate', '--family', 'tripod:t=2',
+                                *TRIPOD_PAIR])
+    assert code == EXIT_OK
+    assert by_flag == inline
+    assert len(csv_body(by_flag)[1]) == 6
+
+
 def test_simulate_skew_float_mode(capsys):
     code, out = run(capsys, ['simulate', '--group', 'Z', '--generators',
                              '(1,-1)', '--alpha', '1/2*sqrt(2)', '--mode',

@@ -43,7 +43,7 @@ def test_hpoint_wraps_and_rejects_b_vertices():
 
 def test_resolve_roundtrip():
     s = Surface.from_family(gz_exponential(2))
-    for e in s.circle_edges(0):
+    for e in s.graph.edges_at(0):
         for num in (0, 1, 3):
             o = QuadNum(Fraction(num, 4)) * s.width(e)
             if o >= s.width(e):
@@ -223,7 +223,7 @@ def test_step_images_tile_target_circles(fam):
     for a2 in targets:
         length = s.circle_length(a2)
         arcs = []
-        for e2 in s.circle_edges(a2):
+        for e2 in s.graph.edges_at(a2):
             e = s.south(e2)
             img = iet_step(s, (u, 1), from_edge(s, e, 0))
             assert img.a == a2

@@ -204,7 +204,7 @@ def test_transversal_adds_up_around_circle():
     y = THETA2[1]
     a = s.graph.alpha(0)
     total = QuadNum(0)
-    for e in s.circle_edges(a):
+    for e in s.graph.edges_at(a):
         total += transversal_measure(s, f, THETA2, e, s.width(e), 4).value
     assert total == s.circle_length(a) * y
 

@@ -1,3 +1,5 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -210,3 +212,31 @@ def test_quadratic_invariants_along_golden_ray():
     norms = [v.norm_sq() for v in data.vectors]
     for a, b in zip(norms, norms[1:]):
         assert (b - a).sign() < 0
+
+
+def _off_axis_prefix(data):
+    """The longest prefix of data whose vectors all stay off the axes."""
+    k = next((n for n, s in enumerate(data.signs) if s is None),
+             len(data.signs)) - 1
+    return replace(data, increments=data.increments[:max(k, 0)],
+                   vectors=data.vectors[:k + 1], signs=data.signs[:k + 1])
+
+
+def test_sign_tables_cover_every_transition():
+    # the reconstruction tables are read off the quadrant transport; every
+    # (quadrant, letter) pair they allow must occur on some direction and
+    # rebuild the directly evaluated signs
+    rng = random.Random(404)
+    seen = set()
+    for i in range(200):
+        lam = (QuadNum(2), QuadNum('5/2'), QuadNum(3))[i % 3]
+        p = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+        q = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+        data = _off_axis_prefix(
+            shrinking_sequence(lam, QVec2(QuadNum(p, q, 2), 1), 12))
+        if not data.increments:
+            continue
+        signs = sign_sequence(data)  # cross-checked inside
+        critical_times(data)
+        seen.update(zip(signs, data.increments))
+    assert len(seen) == 8

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ribbonflow.eigen import (builtin_families, gz_constant, gz_exponential,
-                              character_eigen, ntree_constant, tripod_family)
+from ribbonflow.eigen import (gz_constant, gz_exponential, character_eigen,
+                              ntree_constant, tripod_family)
 from ribbonflow.exact import QuadNum
 from ribbonflow.freegrp import Word, gamma
 from ribbonflow.graphs import (Heisenberg, OracleFun, SparseFun, pairing,
-                               upsilon, vertices_in_ball)
-from ribbonflow.surface import (HomologyVec, Surface, ball_growth,
-                                phi_homology, svg_truncation, z_class)
+                               upsilon)
+from ribbonflow.surface import (Surface, ball_growth, phi_homology,
+                                svg_truncation, z_class)
 
 
 def heisenberg_constant():
@@ -36,21 +36,21 @@ def test_rectangle_sides_exponential():
     assert s.width(0) == 2 and s.height(0) == 1
     assert s.width(1) == 2 and s.height(1) == 4
     assert s.edge_offsets(0) == {-1: QuadNum(0), 0: QuadNum('1/2')}
-    assert s.circle_defect(0) == 0
 
 
-def test_circle_identity_everywhere():
-    for fam in builtin_families():
-        s = Surface.from_family(fam)
-        for v in vertices_in_ball(fam.graph, fam.root, 4):
-            assert s.circle_defect(v) == 0, (fam.describe(), v)
+def horizontal(e):
+    return SparseFun.basis(('h', e))
+
+
+def vertical(e):
+    return SparseFun.basis(('v', e))
 
 
 def test_z_class_frozen():
     s = Surface.from_family(gz_constant())
-    assert z_class(s, HomologyVec.horizontal(0)) == SparseFun({1: 1})
-    assert z_class(s, HomologyVec.vertical(0)) == SparseFun({0: -1})
-    h = HomologyVec([(('h', 0), 2), (('v', 1), -3)])
+    assert z_class(s, horizontal(0)) == SparseFun({1: 1})
+    assert z_class(s, vertical(0)) == SparseFun({0: -1})
+    h = SparseFun([(('h', 0), 2), (('v', 1), -3)])
     assert z_class(s, h) == SparseFun({1: 2, 2: 3})
 
 
@@ -67,8 +67,8 @@ def test_xi_pair_bottom_edge():
     f = OracleFun(plane)
     for e in (-2, 0, 3):
         want = y * s.width(e)
-        assert pairing(f, z_class(s, HomologyVec.horizontal(e))) == want
-    assert pairing(f, z_class(s, HomologyVec.vertical(0))) == \
+        assert pairing(f, z_class(s, horizontal(e))) == want
+    assert pairing(f, z_class(s, vertical(0))) == \
         -x * s.height(0)
 
 
@@ -76,16 +76,16 @@ def test_phi_letters_frozen():
     s = Surface.from_family(gz_constant())
     h_word = Word.from_str('h')
     v_word = Word.from_str('v')
-    sigma = HomologyVec.vertical(0)
+    sigma = vertical(0)
     assert phi_homology(s, h_word, sigma) == (
-        sigma + HomologyVec.horizontal(-1) + HomologyVec.horizontal(0))
-    assert phi_homology(s, h_word, HomologyVec.horizontal(5)) == (
-        HomologyVec.horizontal(5))
-    assert phi_homology(s, v_word, HomologyVec.horizontal(0)) == (
-        HomologyVec.horizontal(0) + HomologyVec.vertical(0)
-        + HomologyVec.vertical(1))
+        sigma + horizontal(-1) + horizontal(0))
+    assert phi_homology(s, h_word, horizontal(5)) == (
+        horizontal(5))
+    assert phi_homology(s, v_word, horizontal(0)) == (
+        horizontal(0) + vertical(0)
+        + vertical(1))
     assert phi_homology(s, Word.from_str('h^-1'), sigma) == (
-        sigma - HomologyVec.horizontal(-1) - HomologyVec.horizontal(0))
+        sigma - horizontal(-1) - horizontal(0))
     # inverse letters undo each other
     assert phi_homology(s, Word.from_str('h^-1 h'), sigma) == sigma
 
@@ -99,7 +99,7 @@ def _words(max_len=3):
 def _classes(edges):
     sym = st.tuples(st.sampled_from(['h', 'v']), st.sampled_from(edges))
     term = st.tuples(sym, st.integers(min_value=-3, max_value=3))
-    return st.lists(term, max_size=4).map(HomologyVec)
+    return st.lists(term, max_size=4).map(SparseFun)
 
 
 @settings(max_examples=120, deadline=None)
