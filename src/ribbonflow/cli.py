@@ -67,6 +67,22 @@ def _literal(text: str):
     return value
 
 
+def _generators(text: str) -> tuple:
+    value = _literal(text)
+    if not isinstance(value, tuple):
+        raise argparse.ArgumentTypeError(
+            'takes a tuple of generators such as "(1,-1)", got %r' % text)
+    return value
+
+
+def _size(text: str) -> int:
+    """Depths, windows and step counts: integers >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError('takes an integer >= 0, got %r'
+                                         % text)
+    return int(text)
+
+
 def _scalar(text: str):
     try:
         return int(text)
@@ -203,14 +219,10 @@ def cmd_eigen(args) -> int:
 def cmd_simulate(args) -> int:
     raw = os.environ.get(BUDGET_ENV, '0') if args.budget is None \
         else args.budget
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = -1
-    if budget < 0:
+    if not raw.isdecimal():
         raise ValueError('--budget and %s take an integer >= 0, got %r'
                          % (BUDGET_ENV, raw))
-    budget = budget or None  # 0 means unbounded
+    budget = int(raw) or None  # 0 means unbounded
     mode = '--group' if args.group else '--family'
     for key in ('generators', 'alpha') if args.group else ('theta',):
         if getattr(args, key) is None:
@@ -416,7 +428,7 @@ def _add_family_knobs(sub):
     sub.add_argument('--d', type=int)
     sub.add_argument('--k', type=int)
     sub.add_argument('--group')
-    sub.add_argument('--generators', type=_literal)
+    sub.add_argument('--generators', type=_generators)
     sub.add_argument('--chi', type=_literal)
 
 
@@ -432,20 +444,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser('shrink', help='greedy shrinking sequence table')
     p.add_argument('--lambda', dest='lam', required=True)
     p.add_argument('--theta', required=True)
-    p.add_argument('--depth', type=int, default=32)
+    p.add_argument('--depth', type=_size, default=32)
     _add_common(p)
     p.set_defaults(handler=cmd_shrink)
 
     p = subs.add_parser('omega', help='renormalizable parameter test')
     p.add_argument('--n', type=int, required=True)
     p.add_argument('--alpha', required=True)
-    p.add_argument('--depth', type=int, default=64)
+    p.add_argument('--depth', type=_size, default=64)
     _add_common(p)
     p.set_defaults(handler=cmd_omega)
 
     p = subs.add_parser('eigen', help='eigenfunction family dump')
     _add_family_knobs(p)
-    p.add_argument('--window', type=int, default=6)
+    p.add_argument('--window', type=_size, default=6)
     _add_common(p)
     p.set_defaults(handler=cmd_eigen)
 
@@ -454,12 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_knobs(p)
     p.add_argument('--theta')
     p.add_argument('--alpha')
-    p.add_argument('--steps', type=int, default=100)
+    p.add_argument('--steps', type=_size, default=100)
     p.add_argument('--mode', choices=('exact', 'float'), default='exact')
     p.add_argument('--branch', choices=('left', 'right'), default='right')
     # default from BUDGET_ENV, read in cmd_simulate where a bad value
     # exits 2
-    p.add_argument('--budget', type=int)
+    p.add_argument('--budget')
     _add_common(p)
     p.set_defaults(handler=cmd_simulate)
 
@@ -470,14 +482,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument('--family2', required=True)
         p.add_argument('--theta', required=True)
         p.add_argument('--theta2', required=True)
-        p.add_argument('--depth', type=int, default=12)
-        p.add_argument('--window', type=int, default=12)
+        p.add_argument('--depth', type=_size, default=12)
+        p.add_argument('--window', type=_size, default=12)
         _add_common(p)
         p.set_defaults(handler=handler)
 
     p = subs.add_parser('growth', help='cylinder-union boundary growth')
     _add_family_knobs(p)
-    p.add_argument('--depth', type=int, default=10)
+    p.add_argument('--depth', type=_size, default=10)
     _add_common(p)
     p.set_defaults(handler=cmd_growth)
 
@@ -486,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--family2', required=True)
     p.add_argument('--theta', required=True)
     p.add_argument('--theta2', required=True)
-    p.add_argument('--depth', type=int, default=14)
+    p.add_argument('--depth', type=_size, default=14)
     _add_common(p)
     p.set_defaults(handler=cmd_conjugate)
 
@@ -496,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--style', choices=('surface', 'limitset'),
                    default='surface')
     p.add_argument('--lambda', dest='lam')
-    p.add_argument('--depth', type=int, default=3)
+    p.add_argument('--depth', type=_size, default=3)
     _add_common(p, formats=('svg',))
     p.set_defaults(handler=cmd_render)
     return parser

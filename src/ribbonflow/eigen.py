@@ -14,8 +14,8 @@ from typing import Callable
 from .exact import QuadNum, quad_sqrt
 from .graphs import (Cyclic, FreeGroup, Group, Heisenberg, IntegerLattice,
                      IntegersZ, OracleFun, PathGraph, RegularTree,
-                     RibbonGraph, SkewGraph, TripodGraph, make_group,
-                     vertices_in_ball)
+                     RibbonGraph, SkewGraph, TripodGraph, _build_named,
+                     make_group, vertices_in_ball)
 
 _ONE = QuadNum(1)
 _ZERO = QuadNum(0)
@@ -232,13 +232,7 @@ def family_eigen(name: str, **params) -> EigenFamily:
     """Build a named family: gz_constant, gz_exponential, tripod,
     ntree_constant, ntree_horo, or character.  Parameters a family does
     not take are ignored; a missing one is a ValueError naming it."""
-    if name not in _FAMILIES:
-        raise ValueError('unknown eigenfamily %r' % name)
-    build, keys = _FAMILIES[name]
-    for key in keys:
-        if key not in params:
-            raise ValueError('family %s needs parameter %r' % (name, key))
-    return build(*(params[key] for key in keys))
+    return _build_named('family', _FAMILIES, name, params)
 
 
 def builtin_families() -> tuple:

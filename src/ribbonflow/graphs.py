@@ -10,17 +10,21 @@ construction consumes.
 Vertex functions come in two flavors: exact sparse dictionaries with finite
 support, and closed-form oracles.  All operators here (adjacency, the shears
 H and V, their word action, and the perturbed action) keep sparse functions
-sparse and exact.
+sparse and exact; their terms are summed in one constructor, which adds
+repeated vertices and drops zeros.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
+from itertools import chain
 from typing import Callable
 
 from .exact import QuadNum
 from .freegrp import Letter, Word, gamma
+
+_ZERO = QuadNum(0)
 
 
 class RibbonGraph(ABC):
@@ -89,6 +93,8 @@ class RibbonGraph(ABC):
 
 def vertices_in_ball(graph: RibbonGraph, root, radius: int) -> set:
     """All vertices within the given graph distance of the root."""
+    if radius < 0:
+        raise ValueError('radius must be >= 0, got %r' % radius)
     seen = {root}
     frontier = deque([(root, 0)])
     while frontier:
@@ -166,8 +172,8 @@ class RegularTree(RibbonGraph):
     """
 
     def __init__(self, n: int):
-        if n < 2:
-            raise ValueError('valence must be at least 2')
+        if not isinstance(n, int) or n < 2:
+            raise ValueError('valence must be an integer >= 2, got %s' % n)
         self.n = n
 
     def root(self):
@@ -337,18 +343,28 @@ class SkewGraph(RibbonGraph):
 
 
 _GROUPS = {
-    'Z': lambda **kw: IntegersZ(),
-    'Z^d': lambda d, **kw: IntegerLattice(d),
-    'cyclic': lambda m, **kw: Cyclic(m),
-    'free': lambda k, **kw: FreeGroup(k),
-    'heisenberg': lambda **kw: Heisenberg(),
+    'Z': (IntegersZ, ()),
+    'Z^d': (IntegerLattice, ('d',)),
+    'cyclic': (Cyclic, ('m',)),
+    'free': (FreeGroup, ('k',)),
+    'heisenberg': (Heisenberg, ()),
 }
 
 
+def _build_named(kind: str, table: dict, name: str, params: dict):
+    """Call the builder of table[name] = (builder, keys) on params[keys]."""
+    if name not in table:
+        raise ValueError('unknown %s %r' % (kind, name))
+    build, keys = table[name]
+    for key in keys:
+        if key not in params:
+            raise ValueError('%s %s needs parameter %r' % (kind, name, key))
+    return build(*(params[key] for key in keys))
+
+
 def make_group(name: str, **params) -> Group:
-    if name not in _GROUPS:
-        raise ValueError('unknown group %r' % name)
-    return _GROUPS[name](**params)
+    """Build a named group: Z, Z^d, cyclic, free or heisenberg."""
+    return _build_named('group', _GROUPS, name, params)
 
 
 class SparseFun:
@@ -359,9 +375,7 @@ class SparseFun:
     def __init__(self, data=()):
         store = {}
         for v, val in (data.items() if isinstance(data, dict) else data):
-            val = val if isinstance(val, QuadNum) else QuadNum(val)
-            if val:
-                store[v] = store.get(v, QuadNum(0)) + val
+            store[v] = store.get(v, _ZERO) + val
         self._data = {v: c for v, c in store.items() if c}
 
     @classmethod
@@ -379,16 +393,14 @@ class SparseFun:
         return self._data.items()
 
     def __call__(self, v) -> QuadNum:
-        return self._data.get(v, QuadNum(0))
+        return self._data.get(v, _ZERO)
 
     def __add__(self, other: 'SparseFun') -> 'SparseFun':
-        out = dict(self._data)
-        for v, c in other._data.items():
-            out[v] = out.get(v, QuadNum(0)) + c
-        return SparseFun(out)
+        return SparseFun(chain(self.items(), other.items()))
 
     def __sub__(self, other: 'SparseFun') -> 'SparseFun':
-        return self + (-1) * other
+        return SparseFun(chain(self.items(),
+                               ((v, -c) for v, c in other.items())))
 
     def __rmul__(self, scalar) -> 'SparseFun':
         return SparseFun([(v, scalar * c) for v, c in self._data.items()])
@@ -431,16 +443,13 @@ def project_class(graph: RibbonGraph, x: SparseFun, cls: str) -> SparseFun:
 
 def adjacency(graph: RibbonGraph, x: SparseFun) -> SparseFun:
     """A(x)(v) = sum of x over the neighbors of v, with multiplicity."""
-    out: list = []
-    for v, c in x.items():
-        for w in graph.neighbors(v):
-            out.append((w, c))
-    return SparseFun(out)
+    return SparseFun((w, c) for v, c in x.items()
+                     for w in graph.neighbors(v))
 
 
 def pairing(f, x: SparseFun) -> QuadNum:
     """Sum of x(v) * f(v) over the support of x."""
-    total = QuadNum(0)
+    total = _ZERO
     for v, c in x.items():
         total = total + c * f(v)
     return total

@@ -50,9 +50,21 @@ def plane_point(graph: RibbonGraph, f, v) -> OracleFun:
 Witness = namedtuple('Witness', 'n vertex sign')
 
 
-def _class_sign(graph: RibbonGraph, sign_pair, vertex) -> int:
-    return (sign_pair.sx if graph.vertex_class(vertex) == 'a'
-            else sign_pair.sy)
+def _renormalized(graph: RibbonGraph, f, data, depth: int, vertices):
+    """(n, v, value, sign_ok) for n = 0..depth and each vertex: the word
+    action of g_n on f at v, and whether it vanishes or has the sign the
+    n-th quadrant gives the class of v (any sign on an axis)."""
+    if depth >= len(data.signs):
+        raise ValueError('shrinking data shorter than requested depth')
+    vertices = tuple(vertices)
+    for n in range(depth + 1):
+        s = data.signs[n]
+        word = data.group_element(n)
+        for v in vertices:
+            value = upsilon_eval(graph, word, f, v)
+            sign = value.sign()
+            yield n, v, value, not sign or s is None or sign == (
+                s.sx if graph.vertex_class(v) == 'a' else s.sy)
 
 
 def survivor_check(graph: RibbonGraph, f, data, depth: int, window):
@@ -64,19 +76,10 @@ def survivor_check(graph: RibbonGraph, f, data, depth: int, window):
     its bipartition class.  Returns None on a pass, else the first
     violation as Witness(n, vertex, sign).
     """
-    if depth >= len(data.signs):
-        raise ValueError('shrinking data shorter than requested depth')
-    window = tuple(window)
-    for n in range(depth + 1):
-        s = data.signs[n]
-        if s is None:
-            continue
-        word = data.group_element(n)
-        for v in window:
-            val = upsilon_eval(graph, word, f, v)
-            sign = val.sign()
-            if sign and sign != _class_sign(graph, s, v):
-                return Witness(n, v, sign)
+    for n, v, value, sign_ok in _renormalized(graph, f, data, depth,
+                                              window):
+        if not sign_ok:
+            return Witness(n, v, value.sign())
     return None
 
 
@@ -99,15 +102,9 @@ def decay_profile(graph: RibbonGraph, f, vertex, data, depth: int
     first critical time whose value has dropped to half the start.  A
     sign violation at the vertex marks the input as a non-survivor.
     """
-    values = []
-    ok = True
-    for n in range(depth + 1):
-        val = upsilon_eval(graph, data.group_element(n), f, vertex)
-        s = data.signs[n]
-        if s is not None and val.sign() and \
-                val.sign() != _class_sign(graph, s, vertex):
-            ok = False
-        values.append(abs(val))
+    rows = list(_renormalized(graph, f, data, depth, (vertex,)))
+    values = [abs(value) for _, _, value, _ in rows]
+    ok = all(sign_ok for _, _, _, sign_ok in rows)
     flags = tuple(values[i] <= values[i - 1] for i in range(1, len(values)))
     crit = tuple(n for n in critical_times(data) if n <= depth)
     half = values[0] / 2
@@ -159,14 +156,10 @@ def _chain_crossings(surface: Surface, theta, e, q, steps: int) -> SparseFun:
     number of return steps."""
     x, y = _theta_parts(theta)
     u = x / y
-    counts = {}
-
-    def bump(v, k):
-        counts[v] = counts.get(v, 0) + k
-
+    terms = []
     w = surface.width(e)
     if 2 * q >= w and q > 0:
-        bump(surface.graph.beta(e), 1)
+        terms.append((surface.graph.beta(e), 1))
     start = from_edge(surface, e, q)
     # q may be the full width, which can end the circle
     p = hpoint(surface, start.a, start.t)
@@ -176,14 +169,14 @@ def _chain_crossings(surface: Surface, theta, e, q, steps: int) -> SparseFun:
         h = surface.height(legs[0][0])
         for r, wr, x0, y0, x1, y1 in legs:
             if u > 0 and x0 < wr / 2 <= x1:
-                bump(surface.graph.beta(r), 1)
+                terms.append((surface.graph.beta(r), 1))
             elif u < 0 and x1 <= wr / 2 < x0:
-                bump(surface.graph.beta(r), -1)
+                terms.append((surface.graph.beta(r), -1))
             if y0 < h / 2 <= y1:
-                bump(surface.graph.alpha(r), -1)
+                terms.append((surface.graph.alpha(r), -1))
         r, _, _, _, x1, _ = legs[-1]
         p = from_edge(surface, r, x1)
-    return SparseFun(counts)
+    return SparseFun(terms)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ phi_homology is the shear action on classes.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from .exact import QuadNum
@@ -108,19 +109,8 @@ def z_class(surface: Surface, h: SparseFun) -> SparseFun:
     negatively.
     """
     graph = surface.graph
-    out = []
-    for (kind, e), c in h.items():
-        if kind == 'h':
-            out.append((graph.beta(e), c))
-        else:
-            out.append((graph.alpha(e), -c))
-    return SparseFun(out)
-
-
-def _cylinder_class(surface: Surface, kind: str, v) -> SparseFun:
-    # core of the horizontal cylinder at an A-vertex is homologous to the
-    # full circle of bottom edges; dually for vertical cylinders
-    return SparseFun([((kind, e), 1) for e in surface.graph.edges_at(v)])
+    return SparseFun((graph.beta(e), c) if kind == 'h' else
+                     (graph.alpha(e), -c) for (kind, e), c in h.items())
 
 
 def phi_letter(surface: Surface, letter: Letter, h: SparseFun) -> SparseFun:
@@ -128,13 +118,13 @@ def phi_letter(surface: Surface, letter: Letter, h: SparseFun) -> SparseFun:
     classes and pushes vertical ones around the horizontal cylinder of
     their A-vertex, and dually for v-powers."""
     graph = surface.graph
-    out = h
-    for (kind, e), c in h.items():
-        if kind != letter.gen:
-            v = graph.alpha(e) if kind == 'v' else graph.beta(e)
-            out = out + (c * letter.exp) * _cylinder_class(
-                surface, letter.gen, v)
-    return out
+    # the core of the horizontal cylinder at an A-vertex is homologous to
+    # the full circle of its bottom edges; dually for vertical cylinders
+    pushed = [((letter.gen, e2), c * letter.exp)
+              for (kind, e), c in h.items() if kind != letter.gen
+              for e2 in graph.edges_at(
+                  graph.alpha(e) if kind == 'v' else graph.beta(e))]
+    return SparseFun(chain(h.items(), pushed))
 
 
 def phi_homology(surface: Surface, word: Word, h: SparseFun) -> SparseFun:

@@ -1,7 +1,11 @@
 """Exit codes, output discipline, and the documented invocations."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.dom.minidom
+from pathlib import Path
 
 import pytest
 
@@ -332,3 +336,62 @@ def test_render_limit_set_needs_hyperbolic_lambda(capsys):
     assert main(['render', '--style', 'limitset', '--lambda', '2',
                  '--depth', '2']) == EXIT_PARSE
     capsys.readouterr()
+
+
+def run_module(argv):
+    """The CLI in a fresh interpreter, stopped after 30 s, so an input
+    that makes it loop fails the test instead of stalling the suite."""
+    src = str(Path(__file__).resolve().parents[1] / 'src')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get('PYTHONPATH')])))
+    return subprocess.run([sys.executable, *argv], env=env, timeout=30,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize('argv', [
+    ['eigen', '--family', 'gz_constant', '--window', '-1'],
+    ['survivor', *GZ_PAIR, '--window', '-1'],
+    ['decay', *GZ_PAIR, '--depth', '-1', '--window', '0'],
+    ['simulate', '--family', 'gz_constant', '--theta', '1, -1+sqrt(2)',
+     '--steps', '-1'],
+])
+def test_negative_sizes_exit_two(argv):
+    proc = run_module(['-m', 'ribbonflow.cli', *argv])
+    assert proc.returncode == EXIT_PARSE
+    assert 'Traceback' not in proc.stderr
+    assert 'integer >= 0' in proc.stderr.splitlines()[-1]
+
+
+def test_ball_rejects_negative_radius():
+    proc = run_module(['-c', 'from ribbonflow.graphs import PathGraph, '
+                       'vertices_in_ball; vertices_in_ball(PathGraph(), 0, '
+                       '-1)'])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == \
+        'ValueError: radius must be >= 0, got -1'
+
+
+def test_missing_group_parameter_names_it(capsys):
+    code = main(['simulate', '--group', 'Z^d', '--generators',
+                 '((1,0),(-1,0))', '--alpha', '1/2*sqrt(2)'])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err == "error: group Z^d needs parameter 'd'\n"
+
+
+def test_non_integer_valence_exits_two(capsys):
+    code = main(['growth', '--family', 'ntree_constant:n=5/2'])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.count('\n') == 1 and 'valence' in err and '5/2' in err
+
+
+@pytest.mark.parametrize('argv', [
+    ['growth', '--family', 'character', '--group', 'Z', '--chi', '4'],
+    ['simulate', '--group', 'Z', '--alpha', '1/2*sqrt(2)'],
+])
+def test_generators_must_be_a_tuple(capsys, argv):
+    code = main(argv + ['--generators', '5'])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert 'argument --generators' in err.splitlines()[-1]

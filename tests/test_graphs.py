@@ -111,6 +111,9 @@ def test_ntree_valence_is_constant():
     assert g.neighbors((0,)) == ((), (0, 0), (0, 1))
     with pytest.raises(ValueError):
         RegularTree(1)
+    for n in (Fraction(5, 2), QuadNum('5/2'), 2.0):
+        with pytest.raises(ValueError, match='integer'):
+            RegularTree(n)
 
 
 def test_skew_requires_cyclically_trivial_generators():
@@ -168,8 +171,11 @@ def test_cyclic_and_lattice():
 
 def test_make_group_dispatch():
     assert isinstance(make_group('heisenberg'), Heisenberg)
+    assert make_group('Z^d', d=2, m=5).identity == (0, 0)
     with pytest.raises(ValueError):
         make_group('tetrahedral')
+    with pytest.raises(ValueError, match="group Z\\^d needs parameter 'd'"):
+        make_group('Z^d')
 
 
 # --- sparse functions ---
@@ -188,6 +194,18 @@ def test_sparse_drops_zeros():
     assert x.support() == frozenset([3])
     assert x(0) == QuadNum(0)
     assert x(3) == QuadNum(Fraction(1, 2))
+    # repeated int, Fraction and irrational terms on one key are summed,
+    # and a key whose terms cancel is dropped
+    r2 = QuadNum(0, 1, 2)
+    y = SparseFun([(1, 2), (1, Fraction(-1, 3)), (1, r2), (2, r2), (1, -r2),
+                   (2, Fraction(3, 4)), (2, -r2), (2, Fraction(-3, 4)),
+                   (4, 0), (1, 1)])
+    assert y.support() == frozenset([1])
+    assert y(1) == QuadNum(Fraction(8, 3))
+    assert y(2) == y(4) == QuadNum(0)
+    assert SparseFun({5: r2}) - SparseFun([(5, r2)]) == SparseFun.zero()
+    assert SparseFun([(6, 1)]) + SparseFun([(6, r2)]) == \
+        SparseFun([(6, 1 + r2)])
 
 
 def test_oracle_coerces_values():

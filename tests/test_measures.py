@@ -144,8 +144,10 @@ def test_square_minus_identity_preserves_survivors():
 def test_depth_beyond_sign_data_raises():
     w1, w2, data, theta2 = gz_pair()
     f = plane_point(w1.graph, w2.weight, theta2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match='shorter than'):
         survivor_check(w1.graph, f, data, len(data.signs), (0,))
+    with pytest.raises(ValueError, match='shorter than'):
+        decay_profile(w1.graph, f, 0, data, len(data.signs))
 
 
 def test_decay_profile_monotone_with_halving():
