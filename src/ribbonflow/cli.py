@@ -265,6 +265,10 @@ def cmd_simulate(args) -> int:
 def _pair(args):
     fam1 = _family(args.family, args)
     fam2 = _family(args.family2)
+    g1, g2 = fam1.graph, fam2.graph
+    if type(g1) is not type(g2) or vars(g1) != vars(g2):
+        raise ValueError('--family %s and --family2 %s weight different '
+                         'graphs' % (args.family, args.family2))
     theta1 = _theta(args.theta)
     theta2 = _theta(args.theta2)
     return fam1, fam2, theta1, theta2

@@ -31,12 +31,20 @@ def _power(base, n: int, one):
     return out
 
 
+_TRIAL_LIMIT = 10 ** 6
+
+
 def _square_split(n: int) -> tuple[int, int]:
-    """Return (s, d) with n = s*s*d and d squarefree, for n >= 1."""
+    """Return (s, d) with n = s*s*d and d squarefree, for n >= 1.
+
+    Trial division stops at 10^6.  A cofactor left below 10^18 has at
+    most two prime factors, so it is squarefree unless it is a square;
+    above 10^18 only a square cofactor is decided.
+    """
     s, d = 1, 1
     m = n
     p = 2
-    while p * p <= m:
+    while p * p <= m and p <= _TRIAL_LIMIT:
         if m % p == 0:
             k = 0
             while m % p == 0:
@@ -46,6 +54,14 @@ def _square_split(n: int) -> tuple[int, int]:
             if k % 2:
                 d *= p
         p += 1 if p == 2 else 2
+    if p * p > m:
+        return s, d * m
+    r = math.isqrt(m)
+    if r * r == m:
+        return s * r, d
+    if m >= _TRIAL_LIMIT ** 3:
+        raise ValueError('cannot split %d: a cofactor above 10^18 has no '
+                         'prime factor below 10^6' % n)
     return s, d * m
 
 

@@ -456,8 +456,14 @@ def pairing(f, x: SparseFun) -> QuadNum:
 
 
 def _shear(graph: RibbonGraph, letter: Letter, x: SparseFun) -> SparseFun:
-    cls = 'a' if letter.gen == 'h' else 'b'
-    bump = project_class(graph, adjacency(graph, x), cls)
+    """x plus the letter's exponent times the neighbour sums of x at the
+    A-vertices (h) or the B-vertices (v).
+
+    Every edge joins the two classes, so those sums read only the other
+    class of x.
+    """
+    bump = adjacency(graph, project_class(
+        graph, x, 'b' if letter.gen == 'h' else 'a'))
     return x + letter.exp * bump
 
 

@@ -9,6 +9,11 @@ horizontal segments by refining the symbolic coding, and exposes the
 finite-depth boundary map that conjugates the flows of two weightings
 of the same graph.
 
+Renormalized values come from the increments' shears, applied in turn
+to f cut to the shrinking neighbourhood of the window: one letter reads
+only neighbours, so after n letters the values within depth - n of the
+window are exact.
+
 Measures of segments come from chains joining vertices: an initial
 piece of a top-edge interval followed by a flow segment.  The chain's
 value against f is a signed count of core-circle crossings, and the
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 from .dynamics import (HPoint, _theta_parts, from_edge, hpoint, iet_step,
                        resolve, walk)
 from .exact import QuadNum
-from .graphs import OracleFun, RibbonGraph, SparseFun, pairing, upsilon_eval
+from .graphs import OracleFun, RibbonGraph, SparseFun, _shear, pairing
 from .renorm import critical_times
 from .surface import Surface
 
@@ -53,15 +58,32 @@ Witness = namedtuple('Witness', 'n vertex sign')
 def _renormalized(graph: RibbonGraph, f, data, depth: int, vertices):
     """(n, v, value, sign_ok) for n = 0..depth and each vertex: the word
     action of g_n on f at v, and whether it vanishes or has the sign the
-    n-th quadrant gives the class of v (any sign on an axis)."""
+    n-th quadrant gives the class of v (any sign on an axis).
+
+    g_n = w_n ... w_1 acts one increment at a time, and one letter reads
+    only neighbours, so f cut to the vertices within depth of the window
+    gives exact values within depth - n of it after n shears.
+    """
     if depth >= len(data.signs):
         raise ValueError('shrinking data shorter than requested depth')
     vertices = tuple(vertices)
+    rings = [tuple(dict.fromkeys(vertices))]
+    seen = set(rings[0])
+    for _ in range(depth):
+        ring = tuple(dict.fromkeys(w for u in rings[-1]
+                                   for w in graph.neighbors(u)
+                                   if w not in seen))
+        seen.update(ring)
+        rings.append(ring)
+    x = SparseFun((u, f(u)) for ring in rings for u in ring)
     for n in range(depth + 1):
+        if n:
+            x = _shear(graph, data.increments[n - 1], x)
+            x = SparseFun((u, x(u)) for ring in rings[:depth + 1 - n]
+                          for u in ring)
         s = data.signs[n]
-        word = data.group_element(n)
         for v in vertices:
-            value = upsilon_eval(graph, word, f, v)
+            value = x(v)
             sign = value.sign()
             yield n, v, value, not sign or s is None or sign == (
                 s.sx if graph.vertex_class(v) == 'a' else s.sy)

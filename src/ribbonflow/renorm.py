@@ -111,10 +111,6 @@ class ShrinkData:
     period: tuple[int, int] | None = None
     excluded_id: str | None = None
 
-    def group_element(self, n: int) -> Word:
-        """The ray element after n increments, as a reduced word."""
-        return Word(reversed(self.increments[:n]))
-
     def __len__(self) -> int:
         return len(self.increments)
 
@@ -147,9 +143,12 @@ def shrinking_sequence(lam, theta, max_steps: int = 64) -> ShrinkData:
     An exact projective revisit is recorded as a period and classified as an
     excluded tail when the period word is a constant or one of the two
     alternating families, but iteration continues to max_steps so the
-    returned prefix is usable at full length.
+    returned prefix is usable at full length.  Below lam = 2 two shrink
+    cones overlap, so the greedy choice is undefined there.
     """
     lam = _as_quad(lam)
+    if lam < 2:
+        raise ValueError('lambda must be at least 2, got %s' % lam)
     theta = _as_vec(theta)
     if not (theta.x or theta.y):
         raise ValueError('zero vector has no direction')

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import xml.dom.minidom
@@ -252,10 +254,30 @@ def test_parse_errors_exit_two(capsys):
 
 
 def test_mixed_fields_exit_two(capsys):
-    code = main(['shrink', '--lambda', 'sqrt(2)', '--theta', '1, sqrt(3)'])
+    code = main(['shrink', '--lambda', '3/2*sqrt(2)', '--theta',
+                 '1, sqrt(3)'])
     err = capsys.readouterr().err
     assert code == EXIT_PARSE
-    assert err.count('\n') == 1 and 'sqrt(2)' in err
+    assert err == 'error: cannot combine sqrt(2) with sqrt(3)\n'
+
+
+def test_lambda_below_two_exits_two(capsys):
+    code = main(['shrink', '--lambda', '1', '--theta', '1, -1+sqrt(2)',
+                 '--depth', '3'])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err == 'error: lambda must be at least 2, got 1\n'
+
+
+@pytest.mark.parametrize('command', ['conjugate', 'survivor', 'decay'])
+def test_pair_families_must_share_a_graph(capsys, command):
+    code = main([command, '--family', 'gz_constant', '--family2',
+                 'tripod:t=2', '--theta', '1, -1+sqrt(2)', '--theta2',
+                 '4, -5+sqrt(41)', '--depth', '2'])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err == ('error: --family gz_constant and --family2 tripod:t=2 '
+                   'weight different graphs\n')
 
 
 def test_budget_and_format_flags_are_per_command(capsys):
@@ -362,6 +384,18 @@ def test_negative_sizes_exit_two(argv):
     assert 'integer >= 0' in proc.stderr.splitlines()[-1]
 
 
+def test_huge_radicand_exits_at_once():
+    proc = run_module(['-c', 'from ribbonflow.exact import parse_quad; '
+                       "parse_quad('sqrt(100000000000000000039)')"])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith('ValueError: ')
+    assert '10^18' in proc.stderr.splitlines()[-1]
+    proc = run_module(['-m', 'ribbonflow.cli', 'shrink', '--lambda', '2',
+                       '--theta', '1, sqrt(1000000000000000000117)'])
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stderr.count('\n') == 1 and '10^18' in proc.stderr
+
+
 def test_ball_rejects_negative_radius():
     proc = run_module(['-c', 'from ribbonflow.graphs import PathGraph, '
                        'vertices_in_ball; vertices_in_ball(PathGraph(), 0, '
@@ -395,3 +429,41 @@ def test_generators_must_be_a_tuple(capsys, argv):
     err = capsys.readouterr().err
     assert code == EXIT_PARSE
     assert 'argument --generators' in err.splitlines()[-1]
+
+
+def readme_commands():
+    """(argv, documented exit code) for every ribbonflow line of the sh
+    blocks in the README's CLI section."""
+    readme = Path(__file__).resolve().parents[1] / 'README.md'
+    section = readme.read_text().split('\n## CLI\n', 1)[1]
+    section = section.split('\n## ', 1)[0]
+    commands = []
+    for block in re.findall(r'```sh\n(.*?)```', section, re.S):
+        for line in block.replace('\\\n', ' ').splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ['ribbonflow']:
+                documented = re.search(r'#.*\bexit (\d+)', line)
+                commands.append((argv[1:], int(documented.group(1))
+                                 if documented else EXIT_OK))
+    return commands
+
+
+def test_readme_examples_rerun_byte_identical(tmp_path, capsys):
+    commands = readme_commands()
+    assert len(commands) >= 12
+    assert [code for _, code in commands].count(EXIT_NOT_RENORM) == 1
+    for argv, documented in commands:
+        outputs = []
+        for run_index in range(2):
+            argv_run = list(argv)
+            out = None
+            if '--out' in argv_run:
+                i = argv_run.index('--out') + 1
+                out = tmp_path / ('%d-%s' % (run_index, argv_run[i]))
+                argv_run[i] = str(out)
+            code = main(argv_run)
+            captured = capsys.readouterr()
+            assert code == documented, (argv, captured.err)
+            outputs.append(out.read_bytes() if out else
+                           captured.out.encode())
+        assert outputs[0] and outputs[0] == outputs[1], argv

@@ -36,6 +36,17 @@ def test_canonical_form():
     assert QuadNum(2, 1, 1) == QuadNum(3)
 
 
+def test_canonical_form_past_trial_division():
+    # cofactors with no prime below 10^6: one or two large primes below
+    # 10^18, and a square above it
+    p, q, r = 1000003, 1000033, 10 ** 9 + 7
+    assert QuadNum(0, 1, p * p * 7) == QuadNum(0, p, 7)
+    assert QuadNum(0, 1, 12 * p * q).field_disc == 3 * p * q
+    assert QuadNum(0, 1, p ** 4) == QuadNum(p * p)
+    assert QuadNum(0, 1, r * r * 3) == QuadNum(0, r, 3)
+    assert sqrt_rational(Fraction(4 * q, 9)) == QuadNum(0, Fraction(2, 3), q)
+
+
 def test_rational_coercion_across_fields():
     x = QuadNum(0, 1, 2)
     assert x + 1 == QuadNum(1, 1, 2)

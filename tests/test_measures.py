@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from ribbonflow.dynamics import from_edge, iet_step, resolve
 from ribbonflow.eigen import (character, character_eigen, gz_constant,
-                              gz_exponential, tripod_family)
+                              gz_exponential, ntree_constant, tripod_family)
 from ribbonflow.exact import QVec2, QuadNum, sqrt_rational
-from ribbonflow.freegrp import rho
-from ribbonflow.graphs import (IntegersZ, OracleFun, upsilon_eval,
-                               vertices_in_ball)
-from ribbonflow.measures import (DecayProfile, Witness,
+from ribbonflow.freegrp import Word, rho
+from ribbonflow.graphs import (Heisenberg, IntegersZ, OracleFun,
+                               upsilon_eval, vertices_in_ball)
+from ribbonflow.measures import (DecayProfile, Witness, _renormalized,
                                  conjugate_boundary_point, decay_profile,
                                  maharam_check, plane_point, survivor_check,
                                  transposed_surface, transversal_measure)
@@ -54,11 +54,69 @@ def test_plane_point_intertwines_word_action():
     data = shrinking_sequence(fam.lam, THETA41)
     f = plane_point(fam.graph, fam.weight, v)
     for n in (0, 1, 2, 5):
-        word = data.group_element(n)
+        word = Word(reversed(data.increments[:n]))
         moved = rho(fam.lam, word) * v
         g = plane_point(fam.graph, fam.weight, moved)
         for u in (0, 1, -2, 3):
             assert upsilon_eval(fam.graph, word, f, u) == g(u)
+
+
+def tree_vertex():
+    """One vertex of the 3-tree, where every shear branches."""
+    fam = ntree_constant(3)
+    theta = (QuadNum(2), QuadNum('-3+sqrt(13)'))
+    f = plane_point(fam.graph, fam.weight, theta)
+    return fam.graph, f, shrinking_sequence(fam.lam, theta), [()]
+
+
+def heisenberg_window():
+    """A radius-2 window of a Heisenberg skew graph, whose A-vertices have
+    double edges, under a direction with positive letters."""
+    gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+    fam = character_eigen(Heisenberg(), gens, (1, 1))
+    other = character_eigen(Heisenberg(), gens, (2, 1))
+    f = plane_point(fam.graph, other.weight, (QuadNum(3), QuadNum(-2)))
+    data = shrinking_sequence(fam.lam, (QuadNum(1), QuadNum('-2-sqrt(5)')))
+    return fam.graph, f, data, ball_window(fam.graph, 2)
+
+
+def matched_window(pair):
+    w1, w2, data, theta2 = pair()
+    return (w1.graph, plane_point(w1.graph, w2.weight, theta2), data,
+            ball_window(w1.graph, 12))
+
+
+@pytest.mark.parametrize('case', [
+    lambda: matched_window(gz_pair), lambda: matched_window(tripod_pair),
+    tree_vertex, heisenberg_window], ids=['gz', 'tripod', 'tree',
+                                          'heisenberg'])
+def test_renormalized_matches_the_adjoint_route(case):
+    graph, f, data, window = case()
+    depth = 8
+    rows = [(n, v, value) for n, v, value, _ in
+            _renormalized(graph, f, data, depth, window)]
+    expected = []
+    for n in range(depth + 1):
+        word = Word(reversed(data.increments[:n]))
+        expected += [(n, v, upsilon_eval(graph, word, f, v)) for v in window]
+    assert rows == expected
+
+
+@pytest.mark.parametrize('pair', [gz_pair, tripod_pair])
+def test_renormalized_matches_the_plane_reduction_at_depth_64(pair):
+    # g_n moves the plane function of an eigenfunction by moving its
+    # direction under the shear representation at that eigenvalue
+    w1, w2, data, theta2 = pair()
+    graph = w1.graph
+    f = plane_point(graph, w2.weight, theta2)
+    window = ball_window(graph, 12)
+    moved = [plane_point(graph, w2.weight, rho(
+        w2.lam, Word(reversed(data.increments[:n]))) * QVec2(*theta2))
+        for n in range(65)]
+    rows = list(_renormalized(graph, f, data, 64, window))
+    assert len(rows) == 65 * len(window)
+    for n, v, value, _ in rows:
+        assert value == moved[n](v), (n, v)
 
 
 def test_matched_pairs_share_sign_data():
