@@ -30,7 +30,7 @@ from .eigen import EigenFamily, family_eigen, verify_family
 from .exact import FieldMixError, QuadNum, QVec2, parse_quad, sqrt_rational
 from .freegrp import H, H_INV, V, V_INV, Word, rho
 from .graphs import make_group, vertices_in_ball
-from .measures import (conjugate_boundary_point, decay_profile, plane_point,
+from .measures import (conjugate_boundary_point, decay_profiles, plane_point,
                        survivor_check)
 from .renorm import OmegaKind, TailStatus, omega_test, shrinking_sequence
 from .surface import Surface, ball_growth, svg_truncation
@@ -69,9 +69,10 @@ def _literal(text: str):
 
 def _generators(text: str) -> tuple:
     value = _literal(text)
-    if not isinstance(value, tuple):
+    if not isinstance(value, tuple) or not value:
         raise argparse.ArgumentTypeError(
-            'takes a tuple of generators such as "(1,-1)", got %r' % text)
+            'takes a non-empty tuple of generators such as "(1,-1)", '
+            'got %r' % text)
     return value
 
 
@@ -104,23 +105,39 @@ def _flags(args, keys) -> dict:
             if getattr(args, k, None) is not None}
 
 
+def _top_level_parts(text: str) -> list:
+    """text split on the commas outside brackets."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in '([':
+            depth += 1
+        elif ch in ')]':
+            depth -= 1
+        elif ch == ',' and not depth:
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]]
+
+
 def _family(spec: str, args=None) -> EigenFamily:
     """Resolve "name" or "name:key=value,key=value", with every family
     flag set in args overriding the inline value.
 
-    Inline parameters cover the scalar knobs (t, s, n, m, d, k, chi,
-    group); generator tuples come in through --generators.
+    A bracketed inline value is a literal, as for --generators and
+    --chi: "character:group=Z,generators=(1,-1),chi=4".
     """
     if not spec:
         raise ValueError('--family is required')
     name, _, tail = spec.partition(':')
     params: dict = {}
     if tail:
-        for part in tail.split(','):
+        for part in _top_level_parts(tail):
             key, eq, raw = part.partition('=')
             if not eq:
                 raise ValueError('bad family parameter %r' % part)
-            params[key.strip()] = _scalar(raw.strip())
+            raw = raw.strip()
+            params[key.strip()] = (_literal(raw) if raw.startswith(('(', '['))
+                                   else _scalar(raw))
     params.update(_flags(args, _FAMILY_FLAGS))
     if name == 'character':
         group_params = {k: params.pop(k) for k in _GROUP_FLAGS
@@ -310,8 +327,8 @@ def cmd_survivor(args) -> int:
 def cmd_decay(args) -> int:
     graph, data, f, window, meta = _matched_pair(args)
     rows = []
-    for v in window:
-        prof = decay_profile(graph, f, v, data, args.depth)
+    for v, prof in zip(window, decay_profiles(graph, f, data, args.depth,
+                                              window)):
         halving = '' if prof.halving_index is None else prof.halving_index
         for n, value in enumerate(prof.values):
             rows.append([repr(v), n, str(value),

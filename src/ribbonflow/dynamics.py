@@ -15,7 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .exact import QuadNum
+from .exact import QuadNum, QVec2, _xy
 from .surface import Surface
 
 _ZERO = QuadNum(0)
@@ -69,14 +69,10 @@ class SingularHit:
 
 
 def _theta_parts(theta):
-    if hasattr(theta, 'x'):
-        x, y = theta.x, theta.y
-    else:
-        x, y = theta
-    x, y = QuadNum(x), QuadNum(y)
-    if not y > 0:
+    v = QVec2(*_xy(theta))
+    if not v.y.sign() > 0:
         raise ValueError('direction must point upward')
-    return x, y
+    return v.x, v.y
 
 
 def hpoint(surface: Surface, a, t) -> HPoint:
@@ -182,7 +178,7 @@ def flow_to_next_edge_float(surface: Surface, theta, edge, x: float,
                             y: float):
     """Float version of the geometric flow; returns (A-vertex, circle
     coordinate).  Corner hits are not detected in float mode."""
-    tx, ty = (theta.x, theta.y) if hasattr(theta, 'x') else theta
+    tx, ty = _xy(theta)
     e, _, _, _, x_top, _ = walk(surface, float(tx) / float(ty), edge,
                                 float(x), float(y), float)[-1]
     a = surface.graph.alpha(e)
@@ -232,6 +228,8 @@ def skew_step(n: int, alpha, group, generators, state):
     the point was in."""
     x, g = state
     x = QuadNum(x)
+    if not generators:
+        raise ValueError('need at least one generator')
     if n != len(generators):
         raise ValueError('generator count does not match n')
     if not (0 <= x < 1):
@@ -260,6 +258,8 @@ def skew_orbit_float(n: int, alpha: float, group, generators, state,
                      steps: int):
     """Float skew orbit with compensated circle summation, for long
     statistical runs; the exact path stays authoritative."""
+    if not generators:
+        raise ValueError('need at least one generator')
     x, g = state
     x = float(x)
     alpha = float(alpha)
@@ -290,7 +290,7 @@ class FloatState:
 def iet_step_float(surface: Surface, theta, st: FloatState) -> FloatState:
     """Float version of the return map, compensating the accumulated
     rotation error on each circle coordinate."""
-    x, y = (theta.x, theta.y) if hasattr(theta, 'x') else theta
+    x, y = _xy(theta)
     u = float(x) / float(y)
     sec = surface.section(st.a)
     # rounding can push t onto the circle's end: keep it in the last edge

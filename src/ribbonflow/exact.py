@@ -465,6 +465,12 @@ class QVec2:
         return 'QVec2(%r, %r)' % (self.x, self.y)
 
 
+def _xy(v) -> tuple:
+    """The two entries of a QVec2 or of an (x, y) pair, as given."""
+    x, y = (v.x, v.y) if isinstance(v, QVec2) else v
+    return x, y
+
+
 class QMat2:
     """A 2x2 matrix with QuadNum entries, stored row-major."""
 

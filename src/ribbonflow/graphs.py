@@ -17,7 +17,6 @@ repeated vertices and drops zeros.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
 from itertools import chain
 from typing import Callable
 
@@ -91,21 +90,24 @@ class RibbonGraph(ABC):
         return len(self.edges_at(v))
 
 
-def vertices_in_ball(graph: RibbonGraph, root, radius: int) -> set:
-    """All vertices within the given graph distance of the root."""
+def _rings(graph: RibbonGraph, sources, radius: int) -> list:
+    """Distinct vertices at distance 0..radius from the sources, by ring."""
     if radius < 0:
         raise ValueError('radius must be >= 0, got %r' % radius)
-    seen = {root}
-    frontier = deque([(root, 0)])
-    while frontier:
-        v, d = frontier.popleft()
-        if d == radius:
-            continue
-        for w in graph.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                frontier.append((w, d + 1))
-    return seen
+    rings = [tuple(dict.fromkeys(sources))]
+    seen = set(rings[0])
+    for _ in range(radius):
+        ring = tuple(dict.fromkeys(w for u in rings[-1]
+                                   for w in graph.neighbors(u)
+                                   if w not in seen))
+        seen.update(ring)
+        rings.append(ring)
+    return rings
+
+
+def vertices_in_ball(graph: RibbonGraph, root, radius: int) -> set:
+    """All vertices within the given graph distance of the root."""
+    return set(chain.from_iterable(_rings(graph, (root,), radius)))
 
 
 class PathGraph(RibbonGraph):
@@ -199,7 +201,18 @@ class RegularTree(RibbonGraph):
 
 
 class Group(ABC):
-    """A countable group with hashable canonical element encodings."""
+    """A countable group with hashable canonical element encodings.
+
+    Two groups are equal when they have the same type and parameters.
+    """
+
+    def __eq__(self, other):
+        if not isinstance(other, Group):
+            return NotImplemented
+        return type(self) is type(other) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((type(self), tuple(sorted(vars(self).items()))))
 
     @property
     @abstractmethod

@@ -12,7 +12,8 @@ of the same graph.
 Renormalized values come from the increments' shears, applied in turn
 to f cut to the shrinking neighbourhood of the window: one letter reads
 only neighbours, so after n letters the values within depth - n of the
-window are exact.
+window are exact.  The survivor check and the decay profiles of a whole
+window both read one such pass.
 
 Measures of segments come from chains joining vertices: an initial
 piece of a top-edge interval followed by a flow segment.  The chain's
@@ -31,8 +32,9 @@ from dataclasses import dataclass
 
 from .dynamics import (HPoint, _theta_parts, from_edge, hpoint, iet_step,
                        resolve, walk)
-from .exact import QuadNum
-from .graphs import OracleFun, RibbonGraph, SparseFun, _shear, pairing
+from .exact import QuadNum, QVec2, _xy
+from .graphs import (OracleFun, RibbonGraph, SparseFun, _rings, _shear,
+                     pairing)
 from .renorm import critical_times
 from .surface import Surface
 
@@ -42,8 +44,8 @@ _ONE = QuadNum(1)
 
 def plane_point(graph: RibbonGraph, f, v) -> OracleFun:
     """The vertex function x*f on the A side and y*f on the B side."""
-    x, y = (v.x, v.y) if hasattr(v, 'x') else v
-    x, y = QuadNum(x), QuadNum(y)
+    v = QVec2(*_xy(v))
+    x, y = v.x, v.y
 
     def value(vertex):
         scale = x if graph.vertex_class(vertex) == 'a' else y
@@ -67,14 +69,7 @@ def _renormalized(graph: RibbonGraph, f, data, depth: int, vertices):
     if depth >= len(data.signs):
         raise ValueError('shrinking data shorter than requested depth')
     vertices = tuple(vertices)
-    rings = [tuple(dict.fromkeys(vertices))]
-    seen = set(rings[0])
-    for _ in range(depth):
-        ring = tuple(dict.fromkeys(w for u in rings[-1]
-                                   for w in graph.neighbors(u)
-                                   if w not in seen))
-        seen.update(ring)
-        rings.append(ring)
+    rings = _rings(graph, vertices, depth)
     x = SparseFun((u, f(u)) for ring in rings for u in ring)
     for n in range(depth + 1):
         if n:
@@ -116,26 +111,34 @@ class DecayProfile:
     survivor_ok: bool
 
 
+def decay_profiles(graph: RibbonGraph, f, data, depth: int, window
+                   ) -> list:
+    """Track |word action of g_n on f| for n = 0..depth at each window
+    vertex, in window order, from one renormalized pass over the window.
+
+    Each profile flags where its sequence fails to be nonincreasing, and
+    reports the first critical time whose value has dropped to half the
+    start.  A sign violation at the vertex marks the input as a
+    non-survivor.
+    """
+    window = tuple(window)
+    rows = list(_renormalized(graph, f, data, depth, window))
+    crit = tuple(n for n in critical_times(data) if n <= depth)
+    profiles = []
+    for i in range(len(window)):
+        _, _, values, signs_ok = zip(*rows[i::len(window)])
+        values = tuple(map(abs, values))
+        flags = tuple(b <= a for a, b in zip(values, values[1:]))
+        halving = next((n for n in crit if values[n] <= values[0] / 2), None)
+        profiles.append(DecayProfile(values, flags, crit, halving,
+                                     all(signs_ok)))
+    return profiles
+
+
 def decay_profile(graph: RibbonGraph, f, vertex, data, depth: int
                   ) -> DecayProfile:
-    """Track |word action of g_n on f| at a vertex for n = 0..depth.
-
-    Flags where the sequence fails to be nonincreasing, and reports the
-    first critical time whose value has dropped to half the start.  A
-    sign violation at the vertex marks the input as a non-survivor.
-    """
-    rows = list(_renormalized(graph, f, data, depth, (vertex,)))
-    values = [abs(value) for _, _, value, _ in rows]
-    ok = all(sign_ok for _, _, _, sign_ok in rows)
-    flags = tuple(values[i] <= values[i - 1] for i in range(1, len(values)))
-    crit = tuple(n for n in critical_times(data) if n <= depth)
-    half = values[0] / 2
-    halving = None
-    for n in crit:
-        if values[n] <= half:
-            halving = n
-            break
-    return DecayProfile(tuple(values), flags, crit, halving, ok)
+    """The decay profile of one vertex; see decay_profiles."""
+    return decay_profiles(graph, f, data, depth, (vertex,))[0]
 
 
 def _coding_grid(surface: Surface, theta, e, depth: int) -> dict:

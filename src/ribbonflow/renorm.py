@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import QuadNum, QVec2, SignPair, quad_sqrt
+from .exact import QuadNum, QVec2, SignPair, _xy, quad_sqrt
 from .freegrp import (H, H_INV, LETTERS, V, V_INV, Letter, Word, rho,
                       rho_letter, sign_act_letter)
 
@@ -25,16 +25,9 @@ def _as_quad(value) -> QuadNum:
     return value if isinstance(value, QuadNum) else QuadNum(value)
 
 
-def _as_vec(value) -> QVec2:
-    if isinstance(value, QVec2):
-        return value
-    x, y = value
-    return QVec2(x, y)
-
-
 def shrink_membership(lam, letter: Letter, theta) -> bool:
     """Whether the generator strictly shrinks the vector (norm route)."""
-    theta = _as_vec(theta)
+    theta = QVec2(*_xy(theta))
     if not (theta.x or theta.y):
         raise ValueError('zero vector has no direction')
     image = rho_letter(lam, letter).apply(theta)
@@ -47,7 +40,7 @@ def shrink_membership_slope(lam, letter: Letter, theta) -> bool:
     Independent route kept alongside :func:`shrink_membership`; the two must
     agree everywhere (axes belong to no shrinking interval).
     """
-    theta = _as_vec(theta)
+    theta = QVec2(*_xy(theta))
     if not (theta.x or theta.y):
         raise ValueError('zero vector has no direction')
     lam = _as_quad(lam)
@@ -149,7 +142,7 @@ def shrinking_sequence(lam, theta, max_steps: int = 64) -> ShrinkData:
     lam = _as_quad(lam)
     if lam < 2:
         raise ValueError('lambda must be at least 2, got %s' % lam)
-    theta = _as_vec(theta)
+    theta = QVec2(*_xy(theta))
     if not (theta.x or theta.y):
         raise ValueError('zero vector has no direction')
     increments: list[Letter] = []
@@ -307,7 +300,7 @@ class DirectionCone:
     hi: QVec2
 
     def contains(self, theta) -> bool:
-        theta = _as_vec(theta)
+        theta = QVec2(*_xy(theta))
         d = self.lo.wedge(self.hi).sign()
         for cand in (theta, -theta):
             if (self.lo.wedge(cand).sign() == d

@@ -317,6 +317,33 @@ def test_character_family_reaches_growth_and_render(tmp_path, capsys):
     assert xml.dom.minidom.parse(str(svg)).documentElement.tagName == 'svg'
 
 
+def test_character_family_inline_matches_flags(capsys):
+    code, by_flag = run(capsys, ['growth', *CHARACTER_Z])
+    assert code == EXIT_OK
+    code, inline = run(capsys, ['growth', '--family',
+                                'character:group=Z,generators=(1,-1),chi=4'])
+    assert code == EXIT_OK
+    assert inline == by_flag
+
+
+def test_character_family_can_be_the_second_family(capsys):
+    code, out = run(capsys, [
+        'conjugate', *CHARACTER_Z, '--family2',
+        'character:group=Z,generators=(1,-1),chi=4', '--theta',
+        '1, -1+sqrt(2)', '--theta2', '1, -1+sqrt(2)', '--depth', '4'])
+    assert code == EXIT_OK
+    assert len(csv_body(out)[1]) == 6
+
+
+@pytest.mark.parametrize('mode', ['exact', 'float'])
+def test_empty_generators_exit_two(capsys, mode):
+    code = main(['simulate', '--group', 'Z', '--generators', '()',
+                 '--alpha', '1/2*sqrt(2)', '--steps', '3', '--mode', mode])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert 'argument --generators' in err.splitlines()[-1]
+
+
 def test_bad_budget_env_exits_two(capsys, monkeypatch):
     monkeypatch.setenv('RIBBONFLOW_BUDGET', 'abc')
     code = main(['simulate', '--group', 'Z', '--generators', '(1,-1)',

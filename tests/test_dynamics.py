@@ -13,7 +13,7 @@ from ribbonflow.dynamics import (FloatState, HPoint, OrbitEscapedBudget,
                                  iet_step, iet_step_float, resolve,
                                  skew_orbit, skew_orbit_float, skew_step)
 from ribbonflow.eigen import gz_constant, gz_exponential, tripod_family
-from ribbonflow.exact import QuadNum, sqrt_rational
+from ribbonflow.exact import QuadNum, QVec2, sqrt_rational
 from ribbonflow.graphs import Cyclic, IntegersZ, SkewGraph
 from ribbonflow.surface import Surface
 
@@ -100,6 +100,25 @@ def test_downward_direction_rejected():
     s = staircase()
     with pytest.raises(ValueError):
         iet_step(s, (1, -1), hpoint(s, ('a', 0), 0))
+    with pytest.raises(ValueError, match='upward'):
+        iet_step(s, QVec2(1, 0), hpoint(s, ('a', 0), 0))
+
+
+def test_directions_read_as_vectors_or_pairs():
+    s = Surface.from_family(tripod_family(2))
+    p = hpoint(s, ('c',), QuadNum(Fraction(3, 11)))
+    vec = QVec2(*THETA41)
+    assert iet_step(s, vec, p) == iet_step(s, THETA41, p)
+    e, o = resolve(s, p)
+    start = SurfacePoint(s.north(e), o, QuadNum(0))
+    assert flow_to_next_edge(s, vec, start) == \
+        flow_to_next_edge(s, THETA41, start)
+    pair_f = (float(THETA41[0]), float(THETA41[1]))
+    vec_f = QVec2(*pair_f)
+    st_f = FloatState(p.a, float(p.t))
+    assert iet_step_float(s, vec_f, st_f) == iet_step_float(s, pair_f, st_f)
+    assert flow_to_next_edge_float(s, vec_f, s.north(e), float(o), 0.0) == \
+        flow_to_next_edge_float(s, pair_f, s.north(e), float(o), 0.0)
 
 
 def test_skew_matches_staircase_iet():
@@ -134,6 +153,10 @@ def test_skew_rejects_bad_input():
         skew_step(2, Fraction(1, 3), group, (1, -1), (QuadNum(2), 0))
     with pytest.raises(ValueError):
         skew_step(3, Fraction(1, 3), group, (1, -1), (QuadNum(0), 0))
+    with pytest.raises(ValueError, match='at least one generator'):
+        skew_step(0, Fraction(1, 3), group, (), (QuadNum(0), 0))
+    with pytest.raises(ValueError, match='at least one generator'):
+        skew_orbit_float(0, 0.5, group, (), (0.0, 0), 3)
 
 
 def test_code_orbit_rational_slope_periodic():

@@ -12,7 +12,7 @@ from ribbonflow.freegrp import (H, H_INV, IDENTITY, LETTERS, V, V_INV, Word,
 from ribbonflow.graphs import (Cyclic, FreeGroup, Heisenberg, IntegerLattice,
                                IntegersZ, OracleFun, PathGraph, RegularTree,
                                SkewGraph, SparseFun, TripodGraph, adjacency,
-                               chi, make_group, pairing,
+                               _rings, chi, make_group, pairing,
                                project_class, upsilon, upsilon_eval,
                                vertices_in_ball)
 
@@ -176,6 +176,42 @@ def test_make_group_dispatch():
         make_group('tetrahedral')
     with pytest.raises(ValueError, match="group Z\\^d needs parameter 'd'"):
         make_group('Z^d')
+
+
+def test_groups_compare_by_value():
+    assert make_group('Z') == IntegersZ()
+    assert hash(make_group('Z^d', d=2)) == hash(IntegerLattice(2))
+    assert Cyclic(3) != Cyclic(4)
+    assert IntegerLattice(1) != FreeGroup(1)
+    assert vars(SkewGraph(IntegersZ(), (1, -1))) == \
+        vars(SkewGraph(make_group('Z'), (1, -1)))
+
+
+RING_GRAPHS = [g for g in GRAPHS if g[0] != 'staircase']
+
+
+@pytest.mark.parametrize('name,graph,root', RING_GRAPHS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_rings_are_distance_shells(name, graph, root, data):
+    near = sorted(vertices_in_ball(graph, root, 2), key=repr)
+    sources = data.draw(st.lists(st.sampled_from(near), min_size=1,
+                                 max_size=4))
+    radius = data.draw(st.integers(min_value=0, max_value=4))
+    rings = _rings(graph, sources, radius)
+    assert len(rings) == radius + 1
+    assert rings[0] == tuple(dict.fromkeys(sources))
+    flat = [v for ring in rings for v in ring]
+    assert len(flat) == len(set(flat))
+    for k in range(1, radius + 1):
+        earlier = {u for ring in rings[:k - 1] for u in ring}
+        for v in rings[k]:
+            near_v = set(graph.neighbors(v))
+            assert near_v & set(rings[k - 1])
+            assert not near_v & earlier
+        # and ring k holds every new neighbour of ring k - 1
+        close = earlier.union(rings[k - 1], rings[k])
+        assert {w for u in rings[k - 1] for w in graph.neighbors(u)} <= close
 
 
 # --- sparse functions ---

@@ -15,8 +15,9 @@ from ribbonflow.graphs import (Heisenberg, IntegersZ, OracleFun,
                                upsilon_eval, vertices_in_ball)
 from ribbonflow.measures import (DecayProfile, Witness, _renormalized,
                                  conjugate_boundary_point, decay_profile,
-                                 maharam_check, plane_point, survivor_check,
-                                 transposed_surface, transversal_measure)
+                                 decay_profiles, maharam_check, plane_point,
+                                 survivor_check, transposed_surface,
+                                 transversal_measure)
 from ribbonflow.renorm import critical_times, shrinking_sequence
 from ribbonflow.surface import Surface
 
@@ -100,6 +101,13 @@ def test_renormalized_matches_the_adjoint_route(case):
         word = Word(reversed(data.increments[:n]))
         expected += [(n, v, upsilon_eval(graph, word, f, v)) for v in window]
     assert rows == expected
+    # one pass over the window gives each vertex its own profile
+    profiles = decay_profiles(graph, f, data, depth, window)
+    assert profiles == [decay_profile(graph, f, v, data, depth)
+                        for v in window]
+    assert [p.values for p in profiles] == [
+        tuple(abs(value) for _, u, value in expected if u == v)
+        for v in window]
 
 
 @pytest.mark.parametrize('pair', [gz_pair, tripod_pair])
