@@ -1,10 +1,14 @@
 """Exact arithmetic in real quadratic fields, with small vectors and matrices.
 
-Every scalar is a number a + b*sqrt(d) with rational a, b and a fixed
-squarefree integer d >= 0.  All operations are exact: no floats enter any
-computation unless the caller explicitly asks for one.  Mixing two scalars
-from genuinely different fields raises :class:`FieldMixError`; rational
-scalars (b == 0) are compatible with every field.
+Every scalar is a number (a + b*sqrt(d))/q held as four ints: q > 0,
+gcd(a, b, q) == 1, and a fixed squarefree d >= 0 that is 0 exactly when
+b == 0 (the integral representation of H. Cohen, *A Course in
+Computational Algebraic Number Theory*).  Arithmetic works on the ints
+and reduces by one gcd; Fractions appear only where a number is built,
+parsed or printed.  All operations are exact: no floats enter any
+computation unless the caller explicitly asks for one.  Mixing two
+scalars from genuinely different fields raises :class:`FieldMixError`;
+rational scalars (b == 0) are compatible with every field.
 """
 
 from __future__ import annotations
@@ -67,24 +71,39 @@ def _square_split(n: int) -> tuple[int, int]:
 
 @total_ordering
 class QuadNum:
-    """An exact element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
+    """An exact element (a + b*sqrt(d))/q of the real field Q(sqrt(d)).
 
-    The representation is canonical: d is squarefree, and d == 0 whenever
-    b == 0.  Construction accepts ints, Fractions and textual forms like
-    ``"3-2*sqrt(2)"`` (see :func:`parse_quad`).
+    Four ints are stored, and the representation is canonical: q > 0,
+    gcd(a, b, q) == 1, d is squarefree, and d == 0 exactly when b == 0.
+    Equal values therefore have equal components.  Construction accepts
+    ints, Fractions and textual forms like ``"3-2*sqrt(2)"`` (see
+    :func:`parse_quad`); the rational and radical parts read back as
+    Fractions.
     """
 
-    __slots__ = ('_a', '_b', '_d')
+    __slots__ = ('_a', '_b', '_q', '_d')
 
     def __init__(self, a=0, b=0, d: int = 0):
+        if not b and not d:
+            if type(a) is int:
+                self._a = a
+                self._b = self._d = 0
+                self._q = 1
+                return
+            if type(a) is Fraction:
+                self._a = a.numerator
+                self._b = self._d = 0
+                self._q = a.denominator
+                return
+        if isinstance(a, QuadNum):
+            if b != 0 or d != 0:
+                raise ValueError('copy construction takes no extra arguments')
+            self._a, self._b, self._q, self._d = a._a, a._b, a._q, a._d
+            return
         if isinstance(a, str):
             if b != 0 or d != 0:
                 raise ValueError('textual form takes no extra arguments')
             a, b, d = _parse_components(a)
-        elif isinstance(a, QuadNum):
-            if b != 0 or d != 0:
-                raise ValueError('copy construction takes no extra arguments')
-            a, b, d = a._a, a._b, a._d
         a = Fraction(a)
         b = Fraction(b)
         d = int(d)
@@ -105,27 +124,21 @@ class QuadNum:
             else:
                 b *= s
                 d = sf
-        self._a = a
-        self._b = b
+        # over q = lcm of the reduced denominators no prime divides a, b
+        # and q at once, so gcd(a, b, q) == 1 already
+        q = math.lcm(a.denominator, b.denominator)
+        self._a = a.numerator * (q // a.denominator)
+        self._b = b.numerator * (q // b.denominator)
+        self._q = q
         self._d = d
-
-    @classmethod
-    def _make(cls, a: Fraction, b: Fraction, d: int) -> 'QuadNum':
-        # arithmetic fast path: a, b are Fractions and d is already
-        # squarefree, so only the b == 0 collapse needs enforcing
-        out = object.__new__(cls)
-        out._a = a
-        out._b = b
-        out._d = d if b else 0
-        return out
 
     @property
     def rational_part(self) -> Fraction:
-        return self._a
+        return Fraction(self._a, self._q)
 
     @property
     def radical_part(self) -> Fraction:
-        return self._b
+        return Fraction(self._b, self._q)
 
     @property
     def field_disc(self) -> int:
@@ -134,80 +147,88 @@ class QuadNum:
 
     @property
     def is_rational(self) -> bool:
-        return self._b == 0
+        return not self._b
 
     def as_fraction(self) -> Fraction:
-        if self._b != 0:
+        if self._b:
             raise ValueError('%s is irrational' % self)
-        return self._a
+        return self.rational_part
 
     def _field_with(self, other: 'QuadNum') -> int:
-        if self._d == other._d:
-            return self._d
-        if self._d == 0:
-            return other._d
-        if other._d == 0:
-            return self._d
-        raise FieldMixError(
-            'cannot combine sqrt(%d) with sqrt(%d)' % (self._d, other._d))
-
-    @staticmethod
-    def _lift(value) -> 'QuadNum | None':
-        if isinstance(value, QuadNum):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QuadNum(value)
-        return None
+        """The field of self and an irrational other outside self's field."""
+        if self._d:
+            raise FieldMixError(
+                'cannot combine sqrt(%d) with sqrt(%d)' % (self._d, other._d))
+        return other._d
 
     def __add__(self, other):
-        o = self._lift(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        d = self._field_with(o)
-        return QuadNum._make(self._a + o._a, self._b + o._b, d)
+        d = self._d
+        if o._d and o._d != d:
+            d = self._field_with(o)
+        q, oq = self._q, o._q
+        if q == oq:
+            return _reduced(self._a + o._a, self._b + o._b, q, d)
+        return _reduced(self._a * oq + o._a * q, self._b * oq + o._b * q,
+                        q * oq, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> 'QuadNum':
-        return QuadNum._make(-self._a, -self._b, self._d)
+        return _reduced(-self._a, -self._b, self._q, self._d)
 
     def __sub__(self, other):
-        o = self._lift(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        d = self._field_with(o)
-        return QuadNum._make(self._a - o._a, self._b - o._b, d)
+        d = self._d
+        if o._d and o._d != d:
+            d = self._field_with(o)
+        q, oq = self._q, o._q
+        if q == oq:
+            return _reduced(self._a - o._a, self._b - o._b, q, d)
+        return _reduced(self._a * oq - o._a * q, self._b * oq - o._b * q,
+                        q * oq, d)
 
     def __rsub__(self, other):
-        o = self._lift(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        d = self._field_with(o)
-        return QuadNum._make(self._a * o._a + self._b * o._b * d,
-                             self._a * o._b + self._b * o._a, d)
+        d = self._d
+        if o._d and o._d != d:
+            d = self._field_with(o)
+        a, b, oa, ob = self._a, self._b, o._a, o._b
+        return _reduced(a * oa + b * ob * d, a * ob + b * oa,
+                        self._q * o._q, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> 'QuadNum':
-        n = self._a * self._a - self._b * self._b * self._d
+        # q/(a + b*sqrt(d)) = (a*q - b*q*sqrt(d)) / (a*a - b*b*d)
+        a, b, d = self._a, self._b, self._d
+        n = a * a - b * b * d
         if n == 0:
             raise ZeroDivisionError('division by zero')
-        return QuadNum._make(self._a / n, -self._b / n, self._d)
+        if n < 0:
+            a, b, n = -a, -b, -n
+        return _reduced(a * self._q, -b * self._q, n, d)
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -217,67 +238,63 @@ class QuadNum:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return _power(self.inverse(), -n, QuadNum(1))
-        return _power(self, n, QuadNum(1))
+            return _power(self.inverse(), -n, _ONE)
+        return _power(self, n, _ONE)
 
     def sign(self) -> int:
         a, b = self._a, self._b
-        if b == 0:
+        if not b:
             return (a > 0) - (a < 0)
-        if a == 0:
+        if not a:
             return 1 if b > 0 else -1
         if (a > 0) == (b > 0):
             return 1 if a > 0 else -1
-        # opposite signs: |a| vs |b|*sqrt(d) decided by squaring
-        lhs, rhs = a * a, b * b * self._d
-        if lhs == rhs:
-            return 0
-        winner = a if lhs > rhs else b
+        # opposite signs: |a| vs |b|*sqrt(d) decided by squaring; they
+        # differ, since sqrt(d) is irrational
+        winner = a if a * a > b * b * self._d else b
         return 1 if winner > 0 else -1
 
     def __bool__(self) -> bool:
-        return self._a != 0 or self._b != 0
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
-        o = self._lift(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        return (self._a, self._b, self._d) == (o._a, o._b, o._d)
+        return (self._a == o._a and self._b == o._b and self._q == o._q
+                and self._d == o._d)
 
     def __lt__(self, other):
-        o = self._lift(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
         return (self - o).sign() < 0
 
     def __hash__(self):
-        if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b, self._d))
+        if not self._b:
+            return hash(self.rational_part)
+        return hash((self.rational_part, self.radical_part, self._d))
 
     def __abs__(self) -> 'QuadNum':
-        return -self if self.sign() < 0 else QuadNum(self)
+        return -self if self.sign() < 0 else self
 
     def __float__(self) -> float:
-        return float(self._a) + float(self._b) * math.sqrt(self._d)
+        # int / int rounds correctly even where either int overflows a float
+        return self._a / self._q + self._b / self._q * math.sqrt(self._d)
 
     def __floor__(self) -> int:
-        a, b = self._a, self._b
-        if b == 0:
-            return math.floor(a)
-        # (A + B*sqrt(d)) / Q over the common denominator Q > 0; sqrt(B*B*d)
-        # is irrational, so its floor is isqrt(B*B*d) and that of its
-        # negative is -isqrt(B*B*d) - 1
-        q = math.lcm(a.denominator, b.denominator)
-        big_a = a.numerator * (q // a.denominator)
-        big_b = b.numerator * (q // b.denominator)
-        root = math.isqrt(big_b * big_b * self._d)
-        if big_b > 0:
-            return (big_a + root) // q
-        return (big_a - root - 1) // q
+        a, b, q = self._a, self._b, self._q
+        if not b:
+            return a // q
+        # sqrt(b*b*d) is irrational, so its floor is isqrt(b*b*d) and
+        # that of its negative is -isqrt(b*b*d) - 1
+        root = math.isqrt(b * b * self._d)
+        if b > 0:
+            return (a + root) // q
+        return (a - root - 1) // q
 
     def __mod__(self, other):
-        o = self._lift(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
         if o.sign() <= 0:
@@ -285,17 +302,49 @@ class QuadNum:
         return self - math.floor(self / o) * o
 
     def __str__(self) -> str:
-        if self._b == 0:
-            return str(self._a)
+        a, b = self.rational_part, self.radical_part
+        if b == 0:
+            return str(a)
         root = 'sqrt(%d)' % self._d
-        mag = abs(self._b)
+        mag = abs(b)
         term = root if mag == 1 else '%s*%s' % (mag, root)
-        if self._a == 0:
-            return term if self._b > 0 else '-' + term
-        return '%s%s%s' % (self._a, '+' if self._b > 0 else '-', term)
+        if a == 0:
+            return term if b > 0 else '-' + term
+        return '%s%s%s' % (a, '+' if b > 0 else '-', term)
 
     def __repr__(self) -> str:
         return "QuadNum('%s')" % self
+
+
+def _reduced(a: int, b: int, q: int, d: int) -> QuadNum:
+    """The canonical QuadNum (a + b*sqrt(d))/q, for q > 0 and a squarefree
+    d that is the field of the operands (read as 0 once b == 0)."""
+    if q != 1:
+        g = math.gcd(a, b, q)
+        if g != 1:
+            a //= g
+            b //= g
+            q //= g
+    out = object.__new__(QuadNum)
+    out._a = a
+    out._b = b
+    out._q = q
+    out._d = d if b else 0
+    return out
+
+
+def _lift(value) -> 'QuadNum | None':
+    """value as a QuadNum, for QuadNums, ints and Fractions; else None."""
+    if type(value) is QuadNum:
+        return value
+    if isinstance(value, int):
+        return _reduced(value, 0, 1, 0)
+    if isinstance(value, Fraction):
+        return _reduced(value.numerator, 0, value.denominator, 0)
+    return None
+
+
+_ONE = QuadNum(1)
 
 
 _ROOT_PART = r'(?:(?P<b>\d+(?:\s*/\s*\d+)?)\s*\*\s*)?sqrt\(\s*(?P<d>\d+)\s*\)'
@@ -313,10 +362,17 @@ def _parse_components(text: str) -> tuple[Fraction, Fraction, int]:
     groups = m.groupdict()
     a_s = groups.get('a')
     sign, b_s, d_s = groups['sign'], groups['b'], groups['d']
-    a = Fraction(a_s.replace(' ', '')) if a_s is not None else Fraction(0)
+
+    def ratio(digits: str) -> Fraction:
+        try:
+            return Fraction(digits.replace(' ', ''))
+        except ZeroDivisionError:
+            raise ValueError('zero denominator in %r' % text) from None
+
+    a = ratio(a_s) if a_s is not None else Fraction(0)
     if d_s is None:
         return a, Fraction(0), 0
-    b = Fraction(b_s.replace(' ', '')) if b_s is not None else Fraction(1)
+    b = ratio(b_s) if b_s is not None else Fraction(1)
     if sign == '-':
         b = -b
     return a, b, int(d_s)
@@ -357,7 +413,7 @@ def quad_sqrt(x: QuadNum) -> QuadNum:
         raise ValueError('square root of a negative number')
     if x.is_rational:
         return sqrt_rational(x.as_fraction())
-    a, b, d = x._a, x._b, x._d
+    a, b, d = x.rational_part, x.radical_part, x.field_disc
     # want (c + e*sqrt(d))**2 = x: c*c + e*e*d = a and 2*c*e = b
     norm = a * a - b * b * d
     root_norm = sqrt_rational(norm) if norm >= 0 else None

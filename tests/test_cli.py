@@ -423,6 +423,19 @@ def test_huge_radicand_exits_at_once():
     assert proc.stderr.count('\n') == 1 and '10^18' in proc.stderr
 
 
+@pytest.mark.parametrize('argv', [
+    ['shrink', '--lambda', '2', '--theta', '1/0, 1', '--depth', '3'],
+    ['shrink', '--lambda', '1/0', '--theta', '1, -1+sqrt(2)', '--depth', '3'],
+    ['omega', '--n', '2', '--alpha', '1/0'],
+    ['growth', '--family', 'tripod:t=1/0', '--depth', '2'],
+    ['eigen', '--family', 'gz_exponential:t=1/0', '--window', '2'],
+])
+def test_zero_denominator_exits_two(argv):
+    proc = run_module(['-m', 'ribbonflow.cli', *argv])
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stderr == "error: zero denominator in '1/0'\n"
+
+
 def test_ball_rejects_negative_radius():
     proc = run_module(['-c', 'from ribbonflow.graphs import PathGraph, '
                        'vertices_in_ball; vertices_in_ball(PathGraph(), 0, '

@@ -123,9 +123,74 @@ def test_parse_rejects_garbage():
             parse_quad(text)
 
 
+def test_zero_denominator_is_a_value_error():
+    for text in ['1/0', '1+1/0*sqrt(2)']:
+        with pytest.raises(ValueError, match='zero denominator in'):
+            parse_quad(text)
+
+
 @given(quads())
 def test_parse_serialize_inverse(x):
     assert parse_quad(str(x)) == x
+
+
+def same(x, y):
+    return x == y and hash(x) == hash(y)
+
+
+@given(quads(), quads(), rationals)
+def test_routes_to_one_value_agree(x, y, r):
+    # __eq__ compares the stored components, so a result left unreduced
+    # would differ from the same value built another way
+    if y.field_disc not in (0, x.field_disc):
+        y = QuadNum(y.rational_part, y.radical_part, x.field_disc)
+    assert same((x + y) - y, x)
+    assert same((x - y) + y, x)
+    assert same(-(-x), x)
+    assert same(x + r - r, x)
+    assert same(QuadNum(x.rational_part, x.radical_part, x.field_disc), x)
+    if y:
+        assert same((x * y) / y, x)
+        assert same(y * y.inverse(), QuadNum(1))
+    if r:
+        assert same(x * r / r, x)
+    if r and x:
+        assert same(r / (r / x), x)
+
+
+@pytest.mark.parametrize('r', [0, 1, -1, -7, 10 ** 40, -10 ** 40 + 3,
+                               Fraction(1, 3), Fraction(-22, 7),
+                               Fraction(10 ** 30 + 1, 10 ** 20)])
+def test_rationals_hash_and_compare_as_themselves(r):
+    x = QuadNum(r)
+    assert x == r and r == x
+    assert hash(x) == hash(r)
+    assert x.is_rational and x.as_fraction() == r
+    assert hash(x + QuadNum(0, 1, 2) - QuadNum(0, 1, 2)) == hash(r)
+
+
+def test_quadnums_have_no_dict():
+    x = QuadNum(1, 1, 2) * QuadNum(Fraction(1, 3))
+    assert not hasattr(x, '__dict__')
+    with pytest.raises(AttributeError):
+        x.extra = 1
+
+
+def test_field_mix_raises_in_every_operator():
+    x, y = QuadNum(0, 1, 2), QuadNum(1, 1, 3)
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y,
+               lambda: x < y):
+        with pytest.raises(FieldMixError):
+            op()
+
+
+def test_float_of_huge_operands():
+    assert float(QuadNum(10 ** 400, 10 ** 400, 2) / 10 ** 400) == \
+        pytest.approx(1 + math.sqrt(2))
+    x = QuadNum(10 ** 400 + 1, 10 ** 400, 2) / 10 ** 400
+    assert float(x) == pytest.approx(1 + math.sqrt(2))
+    assert float(QuadNum(-10 ** 400, 1, 2) / 10 ** 400) == \
+        pytest.approx(-1.0)
 
 
 @given(quads(d=2), quads(d=2), quads(d=2))
