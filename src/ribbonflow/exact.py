@@ -171,13 +171,17 @@ class QuadNum:
         q, oq = self._q, o._q
         if q == oq:
             return _reduced(self._a + o._a, self._b + o._b, q, d)
-        return _reduced(self._a * oq + o._a * q, self._b * oq + o._b * q,
-                        q * oq, d)
+        a = self._a * oq + o._a * q
+        b = self._b * oq + o._b * q
+        if q == 1 or oq == 1:
+            # gcd(a + k*q, b + m*q, q) is the other summand's gcd(a, b, q)
+            return _canonical(a, b, q * oq, d)
+        return _reduced(a, b, q * oq, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> 'QuadNum':
-        return _reduced(-self._a, -self._b, self._q, self._d)
+        return _canonical(-self._a, -self._b, self._q, self._d)
 
     def __sub__(self, other):
         o = _lift(other)
@@ -189,8 +193,11 @@ class QuadNum:
         q, oq = self._q, o._q
         if q == oq:
             return _reduced(self._a - o._a, self._b - o._b, q, d)
-        return _reduced(self._a * oq - o._a * q, self._b * oq - o._b * q,
-                        q * oq, d)
+        a = self._a * oq - o._a * q
+        b = self._b * oq - o._b * q
+        if q == 1 or oq == 1:
+            return _canonical(a, b, q * oq, d)
+        return _reduced(a, b, q * oq, d)
 
     def __rsub__(self, other):
         o = _lift(other)
@@ -283,15 +290,7 @@ class QuadNum:
         return self._a / self._q + self._b / self._q * math.sqrt(self._d)
 
     def __floor__(self) -> int:
-        a, b, q = self._a, self._b, self._q
-        if not b:
-            return a // q
-        # sqrt(b*b*d) is irrational, so its floor is isqrt(b*b*d) and
-        # that of its negative is -isqrt(b*b*d) - 1
-        root = math.isqrt(b * b * self._d)
-        if b > 0:
-            return (a + root) // q
-        return (a - root - 1) // q
+        return _floor(self._a, self._b, self._q, self._d)
 
     def __mod__(self, other):
         o = _lift(other)
@@ -299,7 +298,16 @@ class QuadNum:
             return NotImplemented
         if o.sign() <= 0:
             raise ValueError('modulus must be positive')
-        return self - math.floor(self / o) * o
+        d = self._d
+        if o._d and o._d != d:
+            d = self._field_with(o)
+        a, b, q, oa, ob, oq = self._a, self._b, self._q, o._a, o._b, o._q
+        # self/o = oq*(a + b*sqrt(d))*(oa - ob*sqrt(d)) / (q*n)
+        n = oa * oa - ob * ob * d
+        s = oq if n > 0 else -oq
+        k = _floor(s * (a * oa - b * ob * d), s * (b * oa - a * ob),
+                   q * abs(n), d)
+        return _reduced(a * oq - k * oa * q, b * oq - k * ob * q, q * oq, d)
 
     def __str__(self) -> str:
         a, b = self.rational_part, self.radical_part
@@ -325,12 +333,36 @@ def _reduced(a: int, b: int, q: int, d: int) -> QuadNum:
             a //= g
             b //= g
             q //= g
+    # the body of _canonical, inlined: this runs once per arithmetic result
     out = object.__new__(QuadNum)
     out._a = a
     out._b = b
     out._q = q
     out._d = d if b else 0
     return out
+
+
+def _canonical(a: int, b: int, q: int, d: int) -> QuadNum:
+    """_reduced for components known to have gcd(a, b, q) == 1."""
+    out = object.__new__(QuadNum)
+    out._a = a
+    out._b = b
+    out._q = q
+    out._d = d if b else 0
+    return out
+
+
+def _floor(a: int, b: int, q: int, d: int) -> int:
+    """floor((a + b*sqrt(d))/q) for q > 0 and squarefree d (any d if
+    b == 0); the components need not be reduced."""
+    if not b:
+        return a // q
+    # sqrt(b*b*d) is irrational, so its floor is isqrt(b*b*d) and that of
+    # its negative is -isqrt(b*b*d) - 1
+    root = math.isqrt(b * b * d)
+    if b > 0:
+        return (a + root) // q
+    return (a - root - 1) // q
 
 
 def _lift(value) -> 'QuadNum | None':

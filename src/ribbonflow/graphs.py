@@ -10,8 +10,9 @@ construction consumes.
 Vertex functions come in two flavors: exact sparse dictionaries with finite
 support, and closed-form oracles.  All operators here (adjacency, the shears
 H and V, their word action, and the perturbed action) keep sparse functions
-sparse and exact; their terms are summed in one constructor, which adds
-repeated vertices and drops zeros.
+sparse and exact.  The constructor of a sparse function adds repeated
+vertices and drops zeros; a shear instead accumulates into one copy of its
+input, with one add per source term and incident edge.
 """
 
 from __future__ import annotations
@@ -388,8 +389,20 @@ class SparseFun:
     def __init__(self, data=()):
         store = {}
         for v, val in (data.items() if isinstance(data, dict) else data):
-            store[v] = store.get(v, _ZERO) + val
+            old = store.get(v)
+            if old is not None:
+                store[v] = old + val
+            else:
+                # ints and Fractions lift; anything else raises TypeError
+                store[v] = val if type(val) is QuadNum else _ZERO + val
         self._data = {v: c for v, c in store.items() if c}
+
+    @classmethod
+    def _of(cls, data: dict) -> 'SparseFun':
+        """Wrap a dict of nonzero QuadNums as it is, without copying."""
+        out = object.__new__(cls)
+        out._data = data
+        return out
 
     @classmethod
     def basis(cls, v) -> 'SparseFun':
@@ -473,11 +486,24 @@ def _shear(graph: RibbonGraph, letter: Letter, x: SparseFun) -> SparseFun:
     A-vertices (h) or the B-vertices (v).
 
     Every edge joins the two classes, so those sums read only the other
-    class of x.
+    class of x: each of its terms, times the exponent, is added into one
+    copy of x at every neighbour, with multiplicity, and zeros are dropped
+    once at the end.  x itself is left as it was.  Words hold exponents
+    +-1, but a Letter built directly may carry any integer.
     """
-    bump = adjacency(graph, project_class(
-        graph, x, 'b' if letter.gen == 'h' else 'a'))
-    return x + letter.exp * bump
+    source = 'b' if letter.gen == 'h' else 'a'
+    exp = letter.exp
+    vertex_class, neighbors = graph.vertex_class, graph.neighbors
+    out = dict(x._data)
+    for v, c in x._data.items():
+        if vertex_class(v) != source:
+            continue
+        if exp != 1:
+            c = -c if exp == -1 else exp * c
+        for w in neighbors(v):
+            old = out.get(w)
+            out[w] = c if old is None else old + c
+    return SparseFun._of({v: c for v, c in out.items() if c})
 
 
 def upsilon(graph: RibbonGraph, word: Word, x: SparseFun) -> SparseFun:

@@ -73,9 +73,9 @@ def _renormalized(graph: RibbonGraph, f, data, depth: int, vertices):
     x = SparseFun((u, f(u)) for ring in rings for u in ring)
     for n in range(depth + 1):
         if n:
-            x = _shear(graph, data.increments[n - 1], x)
-            x = SparseFun((u, x(u)) for ring in rings[:depth + 1 - n]
-                          for u in ring)
+            shorn = _shear(graph, data.increments[n - 1], x)._data
+            x = SparseFun._of({u: shorn[u] for ring in rings[:depth + 1 - n]
+                               for u in ring if u in shorn})
         s = data.signs[n]
         for v in vertices:
             value = x(v)

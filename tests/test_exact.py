@@ -82,6 +82,23 @@ def test_mod():
     root2 = QuadNum(0, 1, 2)
     assert root2 % 1 == root2 - 1
     assert (3 * root2) % root2 == QuadNum(0)
+    for m in (0, -1, QuadNum(1, -1, 2)):
+        with pytest.raises(ValueError, match='modulus must be positive'):
+            _ = root2 % m
+
+
+@given(quads(), st.one_of(rationals, quads()))
+def test_mod_is_floored_remainder(x, m):
+    m = QuadNum(m)
+    if x.field_disc and m.field_disc not in (0, x.field_disc):
+        m = QuadNum(m.rational_part, m.radical_part, x.field_disc)
+    m = abs(m)
+    if not m:
+        return
+    r = x % m
+    expect = x - math.floor(x / m) * m
+    assert same(r, expect)
+    assert 0 <= r < m
 
 
 def test_division_exact():
@@ -138,14 +155,23 @@ def same(x, y):
     return x == y and hash(x) == hash(y)
 
 
-@given(quads(), quads(), rationals)
-def test_routes_to_one_value_agree(x, y, r):
+@given(quads(), quads(), rationals, st.integers(-10 ** 6, 10 ** 6),
+       st.integers(-10 ** 6, 10 ** 6))
+def test_routes_to_one_value_agree(x, y, r, n, k):
     # __eq__ compares the stored components, so a result left unreduced
     # would differ from the same value built another way
     if y.field_disc not in (0, x.field_disc):
         y = QuadNum(y.rational_part, y.radical_part, x.field_disc)
     assert same((x + y) - y, x)
     assert same((x - y) + y, x)
+    # sums with an integral summand (q == 1) skip the gcd
+    a, b, d = x.rational_part, x.radical_part, x.field_disc
+    assert same(x + n, QuadNum(a + n, b, d))
+    assert same(x - n, QuadNum(a - n, b, d))
+    assert same(n - x, QuadNum(n - a, -b, d))
+    m = QuadNum(n, k, d)
+    assert same(x + m, QuadNum(a + n, b + k, d))
+    assert same(m - x, QuadNum(n - a, k - b, d))
     assert same(-(-x), x)
     assert same(x + r - r, x)
     assert same(QuadNum(x.rational_part, x.radical_part, x.field_disc), x)

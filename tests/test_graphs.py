@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ribbonflow.exact import QuadNum
-from ribbonflow.freegrp import (H, H_INV, IDENTITY, LETTERS, V, V_INV, Word,
-                                bar, gamma)
+from ribbonflow.freegrp import (H, H_INV, IDENTITY, LETTERS, V, V_INV, Letter,
+                                Word, bar, gamma)
 from ribbonflow.graphs import (Cyclic, FreeGroup, Heisenberg, IntegerLattice,
                                IntegersZ, OracleFun, PathGraph, RegularTree,
                                SkewGraph, SparseFun, TripodGraph, adjacency,
-                               _rings, chi, make_group, pairing,
+                               _rings, _shear, chi, make_group, pairing,
                                project_class, upsilon, upsilon_eval,
                                vertices_in_ball)
 
@@ -242,6 +242,13 @@ def test_sparse_drops_zeros():
     assert SparseFun({5: r2}) - SparseFun([(5, r2)]) == SparseFun.zero()
     assert SparseFun([(6, 1)]) + SparseFun([(6, r2)]) == \
         SparseFun([(6, 1 + r2)])
+    # a single int or Fraction term reads back as a QuadNum; a float raises
+    for val in (3, Fraction(-2, 5)):
+        got = SparseFun([(7, val)])(7)
+        assert type(got) is QuadNum and got == val
+    for data in ([(0, 1.5)], {0: 1.5}):
+        with pytest.raises(TypeError):
+            SparseFun(data)
 
 
 def test_oracle_coerces_values():
@@ -280,6 +287,33 @@ def test_shear_basis_values():
     assert upsilon(g, Word([V]), e0) == SparseFun([(0, 1), (-1, 1), (1, 1)])
     assert upsilon(g, Word([V]), e1) == e1
     assert upsilon(g, Word([H]), e1) == SparseFun([(1, 1), (0, 1), (2, 1)])
+
+
+def test_shear_drops_cancelled_terms():
+    # h adds x(-1) + x(1) = 1 at 0, where x was -1
+    got = _shear(PathGraph(), H, SparseFun({0: -1, 1: 1}))
+    assert got == SparseFun({1: 1, 2: 1})
+    assert got.support() == frozenset([1, 2])
+
+
+quads2 = st.tuples(rationals, rationals).map(lambda ab: QuadNum(*ab, 2))
+
+
+@pytest.mark.parametrize('name,graph,root', RING_GRAPHS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_shear_matches_operator_route(name, graph, root, data):
+    # the heisenberg skew graph joins b at g to a at g by two edges
+    near = sorted(vertices_in_ball(graph, root, 2), key=repr)
+    x = SparseFun(data.draw(st.lists(
+        st.tuples(st.sampled_from(near), st.one_of(rationals, quads2)),
+        max_size=8)))
+    before = dict(x.items())
+    for letter in LETTERS + (Letter('h', 3), Letter('v', -2)):
+        other = 'b' if letter.gen == 'h' else 'a'
+        assert _shear(graph, letter, x) == x + letter.exp * adjacency(
+            graph, project_class(graph, x, other))
+    assert dict(x.items()) == before
 
 
 @given(sparse_funs(), st.integers(min_value=-3, max_value=3))
