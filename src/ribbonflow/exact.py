@@ -376,6 +376,34 @@ def _lift(value) -> 'QuadNum | None':
     return None
 
 
+def _lift_common(values) -> tuple[list, list, int, int]:
+    """(A, B, q, d) with values[i] == (A[i] + B[i]*sqrt(d))/q: the values
+    (QuadNums, ints and Fractions) over one common denominator q > 0 and
+    one field d, which integral shears keep.
+
+    Irrational values from two fields raise FieldMixError; values of any
+    other type (floats among them) raise TypeError.
+    """
+    nums = []
+    q = 1
+    d = 0
+    for value in values:
+        x = _lift(value)
+        if x is None:
+            raise TypeError('not an exact number: %r' % (value,))
+        if x._d and x._d != d:
+            if d:
+                raise FieldMixError(
+                    'cannot combine sqrt(%d) with sqrt(%d)' % (d, x._d))
+            d = x._d
+        if q % x._q:
+            q = math.lcm(q, x._q)
+        nums.append(x)
+    scales = [q // x._q for x in nums]
+    return ([x._a * s for x, s in zip(nums, scales)],
+            [x._b * s for x, s in zip(nums, scales)], q, d)
+
+
 _ONE = QuadNum(1)
 
 

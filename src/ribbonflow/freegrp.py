@@ -21,7 +21,7 @@ class Letter(NamedTuple):
         return Letter(self.gen, -self.exp)
 
     def __str__(self) -> str:
-        return self.gen if self.exp == 1 else '%s^-1' % self.gen
+        return self.gen if self.exp == 1 else '%s^%d' % (self.gen, self.exp)
 
 
 H = Letter('h', 1)

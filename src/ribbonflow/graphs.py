@@ -91,15 +91,24 @@ class RibbonGraph(ABC):
         return len(self.edges_at(v))
 
 
-def _rings(graph: RibbonGraph, sources, radius: int) -> list:
-    """Distinct vertices at distance 0..radius from the sources, by ring."""
+def _rings(graph: RibbonGraph, sources, radius: int, neighbours=None
+           ) -> list:
+    """Distinct vertices at distance 0..radius from the sources, by ring.
+
+    A list passed as neighbours receives the neighbours the walk fetched,
+    with multiplicity: one tuple per vertex of rings 0..radius-1, in ring
+    order.
+    """
     if radius < 0:
         raise ValueError('radius must be >= 0, got %r' % radius)
     rings = [tuple(dict.fromkeys(sources))]
     seen = set(rings[0])
     for _ in range(radius):
-        ring = tuple(dict.fromkeys(w for u in rings[-1]
-                                   for w in graph.neighbors(u)
+        fetched = map(graph.neighbors, rings[-1])
+        if neighbours is not None:
+            fetched = tuple(fetched)
+            neighbours += fetched
+        ring = tuple(dict.fromkeys(w for ws in fetched for w in ws
                                    if w not in seen))
         seen.update(ring)
         rings.append(ring)

@@ -9,11 +9,15 @@ horizontal segments by refining the symbolic coding, and exposes the
 finite-depth boundary map that conjugates the flows of two weightings
 of the same graph.
 
-Renormalized values come from the increments' shears, applied in turn
-to f cut to the shrinking neighbourhood of the window: one letter reads
-only neighbours, so after n letters the values within depth - n of the
-window are exact.  The survivor check and the decay profiles of a whole
-window both read one such pass.
+Renormalized values come from an integer shear kernel.  f is lifted
+once to ints over one common denominator on the vertices within depth of
+the window, and each increment adds its exponent times the neighbour
+sums to its target class, in place; one letter reads only neighbours, so
+after n letters the values within depth - n of the window are exact.
+The survivor check and the decay profiles of a whole window both read
+one such pass.  The word action in `graphs` (`upsilon_eval`) computes the
+same values by the adjoint identity, and the tests hold the two routes
+equal.
 
 Measures of segments come from chains joining vertices: an initial
 piece of a top-edge interval followed by a flow segment.  The chain's
@@ -32,9 +36,8 @@ from dataclasses import dataclass
 
 from .dynamics import (HPoint, _theta_parts, from_edge, hpoint, iet_step,
                        resolve, walk)
-from .exact import QuadNum, QVec2, _xy
-from .graphs import (OracleFun, RibbonGraph, SparseFun, _rings, _shear,
-                     pairing)
+from .exact import QuadNum, QVec2, _lift_common, _reduced, _xy
+from .graphs import OracleFun, RibbonGraph, SparseFun, _rings, pairing
 from .renorm import critical_times
 from .surface import Surface
 
@@ -62,26 +65,55 @@ def _renormalized(graph: RibbonGraph, f, data, depth: int, vertices):
     action of g_n on f at v, and whether it vanishes or has the sign the
     n-th quadrant gives the class of v (any sign on an axis).
 
-    g_n = w_n ... w_1 acts one increment at a time, and one letter reads
-    only neighbours, so f cut to the vertices within depth of the window
-    gives exact values within depth - n of it after n shears.
+    g_n = w_n ... w_1 acts one increment at a time, as an integral shear:
+    the letter adds its exponent times the neighbour sums at the A-vertices
+    (h) or the B-vertices (v), and those sums read only the other class.
+    So f is lifted once to ints, (A + B*sqrt(d))/q over the vertices within
+    depth of the window, and each increment is one gather in place over
+    its target class; q never changes.  The vertices are numbered ring by
+    ring, and after n shears the prefix within depth - n of the window
+    holds exact values.  QuadNums are built only for the rows yielded.
     """
     if depth >= len(data.signs):
         raise ValueError('shrinking data shorter than requested depth')
     vertices = tuple(vertices)
-    rings = _rings(graph, vertices, depth)
-    x = SparseFun((u, f(u)) for ring in rings for u in ring)
+    neighbours = []
+    rings = _rings(graph, vertices, depth, neighbours)
+    order = [u for ring in rings for u in ring]
+    index = {u: i for i, u in enumerate(order)}
+    A, B, q, d = _lift_common(map(f, order))
+    classes = list(map(graph.vertex_class, order))
+    # gathers[c]: (i, neighbour indices) for each class-c vertex of the
+    # inner rings, in order; cuts[c][k]: how many lie in rings 0..k
+    gathers = {'a': [], 'b': []}
+    cuts = {'a': [], 'b': []}
+    start = 0
+    for ring in rings[:depth]:
+        for i in range(start, start + len(ring)):
+            gathers[classes[i]].append(
+                (i, [index[w] for w in neighbours[i]]))
+        start += len(ring)
+        for c, todo in gathers.items():
+            cuts[c].append(len(todo))
+    rows = [(v, index[v], classes[index[v]] == 'a') for v in vertices]
     for n in range(depth + 1):
         if n:
-            shorn = _shear(graph, data.increments[n - 1], x)._data
-            x = SparseFun._of({u: shorn[u] for ring in rings[:depth + 1 - n]
-                               for u in ring if u in shorn})
+            letter = data.increments[n - 1]
+            e = letter.exp
+            c = 'a' if letter.gen == 'h' else 'b'
+            todo = gathers[c][:cuts[c][depth - n]]
+            for xs in ((A, B) if d else (A,)):
+                for w, nbrs in todo:
+                    total = 0
+                    for j in nbrs:
+                        total += xs[j]
+                    xs[w] += e * total
         s = data.signs[n]
-        for v in vertices:
-            value = x(v)
+        for v, i, on_a in rows:
+            value = _reduced(A[i], B[i], q, d)
             sign = value.sign()
             yield n, v, value, not sign or s is None or sign == (
-                s.sx if graph.vertex_class(v) == 'a' else s.sy)
+                s.sx if on_a else s.sy)
 
 
 def survivor_check(graph: RibbonGraph, f, data, depth: int, window):

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .exact import QuadNum, QVec2, SignPair, _xy, quad_sqrt
@@ -106,6 +107,21 @@ class ShrinkData:
 
     def __len__(self) -> int:
         return len(self.increments)
+
+    @cached_property
+    def _critical_times(self) -> tuple[int, ...]:
+        """The body of critical_times, run once per prefix."""
+        signs = sign_sequence(self)
+        from_signs = tuple(n for n in range(1, len(signs))
+                           if signs[n - 1] == signs[n])
+        limit = len(self.increments)
+        from_words = tuple(
+            n for n in range(1, limit)
+            if self.increments[n].exp == self.increments[n - 1].exp)
+        if tuple(t for t in from_signs if t < limit) != from_words:
+            raise ArithmeticError(
+                'critical times disagree between sign and word routes')
+        return from_signs
 
 
 def _canonical_projective(v: QVec2):
@@ -228,19 +244,11 @@ def critical_times(data: ShrinkData) -> tuple[int, ...]:
     """Times n >= 1 with signs[n-1] == signs[n].
 
     Cross-checked against the word characterization: n is critical exactly
-    when the n-th and (n+1)-th increments share an exponent sign.
+    when the n-th and (n+1)-th increments share an exponent sign.  The
+    check runs on the first call for each ShrinkData, which keeps the
+    result; a disagreement raises on every call.
     """
-    signs = sign_sequence(data)
-    from_signs = tuple(n for n in range(1, len(signs))
-                       if signs[n - 1] == signs[n])
-    limit = len(data.increments)
-    from_words = tuple(
-        n for n in range(1, limit)
-        if data.increments[n].exp == data.increments[n - 1].exp)
-    if tuple(t for t in from_signs if t < limit) != from_words:
-        raise ArithmeticError(
-            'critical times disagree between sign and word routes')
-    return from_signs
+    return data._critical_times
 
 
 class Verdict(Enum):

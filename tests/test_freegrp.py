@@ -9,6 +9,7 @@ from ribbonflow.freegrp import (
     H_INV,
     IDENTITY,
     LETTERS,
+    Letter,
     V,
     V_INV,
     Word,
@@ -40,6 +41,13 @@ def test_str_round_trip():
     assert str(IDENTITY) == 'e'
     assert Word.from_str('e') == IDENTITY
     assert Word.from_str('h^3 v^-2') == Word([H, H, H, V_INV, V_INV])
+
+
+def test_letters_print_their_exponent():
+    for text, letter in (('h', H), ('v^-1', V_INV), ('h^-1', H_INV),
+                         ('h^-3', Letter('h', -3)), ('v^4', Letter('v', 4))):
+        assert str(letter) == text
+        assert repr(Word([letter])) == "Word.from_str('%s')" % text
 
 
 def test_from_str_rejects_garbage():

@@ -1,18 +1,20 @@
 """Survivor checks, decay, transversal measures, boundary conjugacy."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ribbonflow import renorm
 from ribbonflow.dynamics import from_edge, iet_step, resolve
 from ribbonflow.eigen import (character, character_eigen, gz_constant,
                               gz_exponential, ntree_constant, tripod_family)
-from ribbonflow.exact import QVec2, QuadNum, sqrt_rational
-from ribbonflow.freegrp import Word, rho
-from ribbonflow.graphs import (Heisenberg, IntegersZ, OracleFun,
-                               upsilon_eval, vertices_in_ball)
+from ribbonflow.exact import FieldMixError, QVec2, QuadNum, sqrt_rational
+from ribbonflow.freegrp import H, V, V_INV, Letter, Word, rho
+from ribbonflow.graphs import (Heisenberg, IntegersZ, OracleFun, PathGraph,
+                               TripodGraph, upsilon_eval, vertices_in_ball)
 from ribbonflow.measures import (DecayProfile, Witness, _renormalized,
                                  conjugate_boundary_point, decay_profile,
                                  decay_profiles, maharam_check, plane_point,
@@ -125,6 +127,112 @@ def test_renormalized_matches_the_plane_reduction_at_depth_64(pair):
     assert len(rows) == 65 * len(window)
     for n, v, value, _ in rows:
         assert value == moved[n](v), (n, v)
+
+
+def adjoint_rows(graph, f, increments, depth, window):
+    """The (n, v, value) rows of _renormalized through upsilon_eval, with
+    each increment spelled out as |exp| unit letters."""
+    rows = []
+    for n in range(depth + 1):
+        units = [Letter(l.gen, 1 if l.exp > 0 else -1)
+                 for l in increments[:n] for _ in range(abs(l.exp))]
+        word = Word(reversed(units))
+        rows += [(n, v, upsilon_eval(graph, word, f, v)) for v in window]
+    return rows
+
+
+def kernel_rows(graph, f, data, depth, window):
+    return [(n, v, value) for n, v, value, _ in
+            _renormalized(graph, f, data, depth, window)]
+
+
+def mixed_values(v):
+    """ints, Fractions over 3 and 14, and sqrt(2) values, in turn."""
+    return (v, Fraction(v, 3), Fraction(1 - v, 14),
+            QuadNum(Fraction(1, 5), v, 2))[v % 4]
+
+
+def mixed_values_tripod(v):
+    return mixed_values(0 if v == ('c',) else 3 * v[1] + v[2])
+
+
+def test_kernel_lifts_ints_fractions_and_roots():
+    graph = PathGraph()
+    data = shrinking_sequence(QuadNum(2), THETA2)
+    window = ball_window(graph, 4)
+    rows = kernel_rows(graph, mixed_values, data, 7, window)
+    expected = adjoint_rows(graph, mixed_values, data.increments, 7, window)
+    assert rows == expected
+    assert [hash(value) for _, _, value in rows] == [
+        hash(value) for _, _, value in expected]
+    assert {value.field_disc for _, _, value in rows} == {0, 2}
+
+
+def test_kernel_keeps_duplicate_window_vertices():
+    w1, w2, data, theta2 = tripod_pair()
+    f = plane_point(w1.graph, w2.weight, theta2)
+    window = [('r', 1, 2), ('c',), ('r', 1, 2), ('r', 0, 1), ('c',)]
+    rows = kernel_rows(w1.graph, f, data, 6, window)
+    assert rows == adjoint_rows(w1.graph, f, data.increments, 6, window)
+    assert [v for _, v, _ in rows[:len(window)]] == window
+
+
+def test_kernel_at_depth_zero_reads_f():
+    w1, w2, data, theta2 = gz_pair()
+    f = plane_point(w1.graph, w2.weight, theta2)
+    window = [3, -1, 0, 3]
+    rows = list(_renormalized(w1.graph, f, data, 0, window))
+    assert [(n, v, value) for n, v, value, _ in rows] == [
+        (0, v, f(v)) for v in window]
+    assert all(ok for _, _, _, ok in rows)
+
+
+def test_kernel_applies_any_integer_exponent():
+    # a hand-built prefix: signs of None accept any value
+    graph = TripodGraph()
+    increments = (H, Letter('v', 3), H, V_INV, Letter('h', -2), V)
+    data = SimpleNamespace(increments=increments,
+                           signs=(None,) * (len(increments) + 1))
+    window = ball_window(graph, 2)
+    rows = kernel_rows(graph, mixed_values_tripod, data, 6, window)
+    assert rows == adjoint_rows(graph, mixed_values_tripod, increments, 6,
+                                window)
+
+
+def test_kernel_rejects_two_fields_and_floats():
+    graph = PathGraph()
+    data = shrinking_sequence(QuadNum(2), THETA2)
+    roots = OracleFun(lambda v: sqrt_rational(2 if v < 3 else 3))
+    with pytest.raises(FieldMixError):
+        next(_renormalized(graph, roots, data, 4, (0,)))
+    # the two fields meet only outside the neighbourhood
+    next(_renormalized(graph, roots, data, 2, (0,)))
+    with pytest.raises(TypeError):
+        next(_renormalized(graph, lambda v: 0.5, data, 2, (0,)))
+
+
+def test_kernel_rejects_negative_depth():
+    w1, w2, data, theta2 = gz_pair()
+    f = plane_point(w1.graph, w2.weight, theta2)
+    with pytest.raises(ValueError):
+        next(_renormalized(w1.graph, f, data, -1, (0,)))
+
+
+def test_decay_profiles_check_critical_times_once(monkeypatch):
+    w1, w2, data, theta2 = gz_pair()
+    f = plane_point(w1.graph, w2.weight, theta2)
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return sign_sequence(d)
+
+    sign_sequence = renorm.sign_sequence
+    monkeypatch.setattr(renorm, 'sign_sequence', counted)
+    first = decay_profiles(w1.graph, f, data, 6, (0, 1))
+    assert decay_profiles(w1.graph, f, data, 6, (0, 1)) == first
+    assert [decay_profile(w1.graph, f, v, data, 6) for v in (0, 1)] == first
+    assert calls == [data]
 
 
 def test_matched_pairs_share_sign_data():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ribbonflow import renorm
 from ribbonflow.exact import QuadNum, QVec2, SignPair
 from ribbonflow.freegrp import H, H_INV, LETTERS, V, V_INV, Word, rho
 from ribbonflow.renorm import (
@@ -99,6 +100,19 @@ def test_critical_times_prefix_example():
     data = shrinking_sequence(2, QVec2(5, -11), 3)
     assert data.increments == (V, H, H)
     assert 2 in critical_times(data)
+
+
+def test_critical_times_raise_on_every_call_when_routes_disagree(
+        monkeypatch):
+    # keep the quadrants, flip the exponents of the v-letters: the sign
+    # route still finds (1, 2, 3, 4) and the word route finds none
+    data = shrinking_sequence(2, GOLDEN_DIR, 4)
+    bad = replace(data, increments=(H_INV, V, H_INV, V))
+    monkeypatch.setattr(renorm, 'sign_sequence', lambda d: tuple(d.signs))
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match='critical times disagree'):
+            critical_times(bad)
+    assert critical_times(data) == (1, 2, 3, 4)
 
 
 def test_alternating_tail_has_no_critical_times():
