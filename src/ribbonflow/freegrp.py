@@ -29,30 +29,39 @@ H_INV = Letter('h', -1)
 V = Letter('v', 1)
 V_INV = Letter('v', -1)
 LETTERS = (H, H_INV, V, V_INV)
+_UNITS = {l: (l,) for l in LETTERS}
+_INVERSE = {H: H_INV, H_INV: H, V: V_INV, V_INV: V}
 
 
-def _as_letter(item) -> Letter:
-    if isinstance(item, Letter):
-        return item
+def _units(item) -> tuple:
+    """The unit letters that spell item, a Letter or a (gen, exp) pair:
+    exponent k stands for |k| letters of exponent +-1, as in from_str."""
+    units = _UNITS.get(item)
+    if units is not None:
+        return units
     gen, exp = item
-    if gen not in ('h', 'v') or exp not in (1, -1):
+    if gen not in ('h', 'v') or not isinstance(exp, int):
         raise ValueError('bad letter %r' % (item,))
-    return Letter(gen, exp)
+    return (Letter(gen, 1 if exp > 0 else -1),) * abs(exp)
 
 
 class Word:
-    """An immutable, always-reduced word in the free group on h and v."""
+    """An immutable, always-reduced word in the free group on h and v.
+
+    Its letters have exponent +-1: a letter of exponent k is spelled as
+    |k| of them.
+    """
 
     __slots__ = ('_letters',)
 
     def __init__(self, letters: Iterable[Letter] = ()):
         stack: list[Letter] = []
         for item in letters:
-            letter = _as_letter(item)
-            if stack and stack[-1] == letter.inverse():
-                stack.pop()
-            else:
-                stack.append(letter)
+            for letter in _units(item):
+                if stack and stack[-1] == _INVERSE[letter]:
+                    stack.pop()
+                else:
+                    stack.append(letter)
         self._letters = tuple(stack)
 
     @classmethod
@@ -69,11 +78,7 @@ class Word:
             gen, _, exp_s = chunk.partition('^')
             if gen not in ('h', 'v'):
                 raise ValueError('bad generator in %r' % chunk)
-            exp = int(exp_s) if exp_s else 1
-            if exp == 0:
-                continue
-            unit = Letter(gen, 1 if exp > 0 else -1)
-            letters.extend([unit] * abs(exp))
+            letters.append(Letter(gen, int(exp_s) if exp_s else 1))
         return cls(letters)
 
     def __len__(self) -> int:
@@ -115,9 +120,10 @@ IDENTITY = Word()
 
 
 def rho_letter(lam, letter: Letter) -> QMat2:
-    """The elementary shear representing one generator at parameter lam."""
+    """The elementary shear representing one letter at parameter lam."""
     lam = lam if isinstance(lam, QuadNum) else QuadNum(lam)
-    off = lam if letter.exp == 1 else -lam
+    k = letter.exp
+    off = lam if k == 1 else -lam if k == -1 else k * lam
     if letter.gen == 'h':
         return QMat2(1, off, 0, 1)
     return QMat2(1, 0, off, 1)
@@ -181,4 +187,6 @@ _SIGMA = {
 
 
 def sign_act_letter(letter: Letter, s: SignPair) -> SignPair:
-    return _SIGMA[_as_letter(letter)][s]
+    for unit in _units(letter):
+        s = _SIGMA[unit][s]
+    return s

@@ -23,9 +23,12 @@ Measures of segments come from chains joining vertices: an initial
 piece of a top-edge interval followed by a flow segment.  The chain's
 value against f is a signed count of core-circle crossings, and the
 flow part contributes nothing transverse, so the absolute value is the
-measure.  Every cut point of the coding refinement gets an exact value
-this way; arbitrary segment ends are bracketed between cuts, with the
-straddling gap as the error bound.
+measure.  That value is exact at the cut points of the coding
+refinement.  The measure of [0, t] descends the refinement one return
+step at a time, following only the cell that holds t, and flows at most
+the two chains of that cell's ends: t on an end reads that end's value
+with error 0, any other t the lower end's value with the gap to the
+upper end as the error bound.
 """
 
 from __future__ import annotations
@@ -173,38 +176,84 @@ def decay_profile(graph: RibbonGraph, f, vertex, data, depth: int
     return decay_profiles(graph, f, data, depth, (vertex,))[0]
 
 
+def _split(surface: Surface, theta, q, ln, a, t):
+    """One return step of the cell of top-interval offsets [q, q + ln)
+    that sits at t on the circle of a.
+
+    Returns the circle a2 of the image, its length, and the starts of the
+    sub-cells that the interval endpoints inside the image cut it into,
+    in order: (offset, position past the image start on a2), the first
+    being (q, image start) and the others the cut offsets of this step.
+    """
+    img = iet_step(surface, theta, HPoint(a, t))
+    a2, t2 = img.a, img.t
+    length = surface.circle_length(a2)
+    ladder = surface.section(a2).cuts
+    # cuts inside the image [t2, t2 + ln), which may run past the circle's
+    # end; there the last cut is the first one again, so the wrapped list
+    # skips cuts[0]
+    end = t2 + ln
+    ends = list(ladder[bisect_right(ladder, t2):bisect_left(ladder, end)])
+    ends += [length + c for c in ladder[1:bisect_left(ladder, end - length)]]
+    return a2, length, [(q, t2)] + [(q + (c - t2), c) for c in ends]
+
+
+def _start_cell(surface: Surface, e):
+    """The whole top interval of e as a cell (q, ln, a, t)."""
+    a = surface.graph.alpha(e)
+    return _ZERO, surface.width(e), a, surface.section(a).offset(e)
+
+
 def _coding_grid(surface: Surface, theta, e, depth: int) -> dict:
     """Offsets in the top interval of e whose forward orbit meets an
     interval endpoint within the given number of steps, mapped to the
     step count of the first hit."""
-    w = surface.width(e)
-    a0 = surface.graph.alpha(e)
-    cells = [(_ZERO, w, a0, surface.section(a0).offset(e))]
+    cells = [_start_cell(surface, e)]
+    w = cells[0][1]
     grid = {_ZERO: 0, w: 0}
     for step in range(1, depth + 1):
         refined = []
         for q, ln, a, t in cells:
-            img = iet_step(surface, theta, HPoint(a, t))
-            a2, t2 = img.a, img.t
-            length = surface.circle_length(a2)
-            ladder = surface.section(a2).cuts
-            # cuts inside the image [t2, t2 + ln), which may run past the
-            # circle's end; there the last cut is the first one again, so
-            # the wrapped list skips cuts[0]
-            end = t2 + ln
-            cuts = list(ladder[bisect_right(ladder, t2):
-                               bisect_left(ladder, end)])
-            cuts += [length + c for c in
-                     ladder[1:bisect_left(ladder, end - length)]]
-            prev_q, prev_t = q, t2
-            for c in cuts:
-                off = q + (c - t2)
+            a2, length, starts = _split(surface, theta, q, ln, a, t)
+            offs = [off for off, _ in starts]
+            for off in offs[1:]:
                 grid.setdefault(off, step)
-                refined.append((prev_q, off - prev_q, a2, prev_t % length))
-                prev_q, prev_t = off, c
-            refined.append((prev_q, q + ln - prev_q, a2, prev_t % length))
+            for (off, c), end in zip(starts, offs[1:] + [q + ln]):
+                refined.append((off, end - off, a2, c % length))
         cells = refined
     return grid
+
+
+def _cell(surface: Surface, theta, e, t, depth: int):
+    """The ends of the cell of the coding refinement through `depth`
+    return steps that holds the offset t, as (offset, step) pairs: the
+    step is the first that cut there, as in `_coding_grid`.
+
+    Only the sub-cell holding t is followed, one return step per level.
+    Cuts fall strictly inside the cell they split, so an end keeps the
+    step it was first cut at.  Once t is an end the descent stops and
+    that end is returned twice.
+    """
+    q, ln, a, pos = _start_cell(surface, e)
+    lo, hi = (q, 0), (ln, 0)
+    step = 0
+    while step < depth and lo[0] != t != hi[0]:
+        step += 1
+        a2, length, starts = _split(surface, theta, q, ln, a, pos)
+        i = 0
+        while i + 1 < len(starts) and starts[i + 1][0] <= t:
+            i += 1
+        q, c = starts[i]
+        if i:
+            lo = (q, step)
+        if i + 1 < len(starts):
+            hi = (starts[i + 1][0], step)
+        ln, a, pos = hi[0] - q, a2, c % length
+    if t == lo[0]:
+        return lo, lo
+    if t == hi[0]:
+        return hi, hi
+    return lo, hi
 
 
 def _chain_crossings(surface: Surface, theta, e, q, steps: int) -> SparseFun:
@@ -236,13 +285,18 @@ def _chain_crossings(surface: Surface, theta, e, q, steps: int) -> SparseFun:
     return SparseFun(terms)
 
 
+def _cut_measure(surface: Surface, f, theta, e, q, steps: int) -> QuadNum:
+    """Exact measure of [0, q] inside the top interval of e for a cut q
+    of the coding refinement first made at the given return step."""
+    return abs(pairing(f, _chain_crossings(surface, theta, e, q, steps)))
+
+
 @dataclass(frozen=True)
 class TransMeasure:
     """Measure of an initial segment, with the straddling-cell error."""
 
     value: QuadNum
     error: QuadNum
-    cuts: tuple
 
 
 def transversal_measure(surface: Surface, f, theta, e, t, depth: int
@@ -250,30 +304,19 @@ def transversal_measure(surface: Surface, f, theta, e, t, depth: int
     """Measure of [0, t] inside the top interval of e for the measure
     encoded by f, refined through `depth` return steps.
 
-    Every cut point of the coding refinement gets an exact value; a t
-    between cuts is bracketed and the gap reported as the error.
+    A t on a cut of the coding refinement gets an exact value; otherwise
+    the value is that of the cut below t and the error the gap to the
+    cut above.  Only the cell holding t is refined, and at most two
+    chains are flowed.
     """
     t = QuadNum(t)
-    w = surface.width(e)
-    if not (_ZERO <= t <= w):
+    if not (_ZERO <= t <= surface.width(e)):
         raise ValueError('segment end outside the edge')
-    grid = _coding_grid(surface, theta, e, depth)
-    cuts = []
-    for q in sorted(grid):
-        chain = _chain_crossings(surface, theta, e, q, grid[q])
-        cuts.append((q, abs(pairing(f, chain))))
-    value = _ZERO
-    error = _ZERO
-    for i, (q, m) in enumerate(cuts):
-        if q == t:
-            value, error = m, _ZERO
-            break
-        if q < t:
-            value = m
-        else:
-            error = m - value
-            break
-    return TransMeasure(value, error, tuple(cuts))
+    lo, hi = _cell(surface, theta, e, t, depth)
+    value = _cut_measure(surface, f, theta, e, *lo)
+    if hi == lo:
+        return TransMeasure(value, _ZERO)
+    return TransMeasure(value, _cut_measure(surface, f, theta, e, *hi) - value)
 
 
 class _Transposed(RibbonGraph):

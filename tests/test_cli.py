@@ -1,5 +1,7 @@
 """Exit codes, output discipline, and the documented invocations."""
 
+import argparse
+import hashlib
 import json
 import os
 import re
@@ -11,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from ribbonflow import __version__
+from ribbonflow import __version__, cli
 from ribbonflow.cli import (EXIT_BUDGET, EXIT_NOT_RENORM, EXIT_OK,
-                            EXIT_PARSE, main)
+                            EXIT_PARSE, build_parser, main)
 from ribbonflow.exact import QuadNum, parse_quad
 
 GZ_PAIR = ['--family', 'gz_constant', '--family2', 'gz_exponential:t=2',
@@ -160,6 +162,23 @@ def test_conjugate_full_bottom_edge(capsys):
     full = [r for r in rows if r[0] == 'bottom'][-1]
     assert parse_quad(full[2]) == QuadNum('1/2')
     assert parse_quad(full[4]) == 0
+
+
+@pytest.mark.parametrize('argv,digest', [
+    (['--family', 'gz_constant', '--family2', 'gz_exponential:t=2',
+      '--theta', '1, -1+sqrt(2)', '--theta2', '4, -5+sqrt(41)',
+      '--depth', '12'],
+     '85f2ee46fbce96d29037919ef4bdace32f16287f06c2c6b3a360c1946e496cb2'),
+    (['--family', 'tripod:t=2', '--family2', 'tripod:t=3',
+      '--theta', '4, -5+sqrt(41)', '--theta2', '3, -5+sqrt(34)',
+      '--depth', '8'],
+     '6bdc41c5c604c83a6d08462979eb2334916be612a57c5c051a46d7965804681e'),
+], ids=['gz-12', 'tripod-8'])
+def test_conjugate_output_is_pinned(capsys, argv, digest):
+    # digests of the output of the full-grid measure this one replaced
+    code, out = run(capsys, ['conjugate', *argv])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_simulate_surface_exact_cells(capsys):
@@ -356,6 +375,45 @@ def test_bad_budget_env_exits_two(capsys, monkeypatch):
 def test_missing_subcommand_exits_two(capsys):
     assert main([]) == EXIT_PARSE
     capsys.readouterr()
+
+
+def subcommands():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_help_matches_a_fresh_parser(capsys):
+    names = list(subcommands())
+    assert len(names) == 9
+    for argv in [['--help'], ['--version']] + [[n, '--help'] for n in names]:
+        assert main(argv) == EXIT_OK
+        kept = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == kept != ''
+
+
+def test_back_to_back_calls_match_separate_calls(capsys):
+    argvs = [
+        ['shrink', '--lambda', '2', '--theta', '1, -1+sqrt(2)',
+         '--depth', '4'],
+        ['omega', '--alpha', 'abc', '--n', '2'],
+        ['conjugate', *GZ_PAIR, '--depth', '4', '--format', 'json'],
+        ['simulate', '--group', 'Z', '--generators', '[1, -1]', '--alpha',
+         '1/2*sqrt(2)', '--steps', '20', '--budget', '3'],
+        ['growth', '--family', 'tripod:t=2', '--depth', '4'],
+        ['shrink', '--lambda', '5/2', '--theta', '4, -5+sqrt(41)'],
+        ['eigen', '--family', 'tripod', '--t', 'sqrt(2)', '--window', '2'],
+        ['shrink'],
+    ]
+    together = [(main(argv), *capsys.readouterr()) for argv in argvs]
+    assert [code for code, _, _ in together] == [
+        EXIT_OK, EXIT_PARSE, EXIT_OK, EXIT_BUDGET, EXIT_OK, EXIT_OK,
+        EXIT_OK, EXIT_PARSE]
+    for argv, expected in zip(argvs, together):
+        cli._parser.cache_clear()
+        assert (main(argv), *capsys.readouterr()) == expected, argv
 
 
 def test_render_surface_svg(tmp_path, capsys):

@@ -17,6 +17,7 @@ from ribbonflow.freegrp import (
     delta,
     gamma,
     rho,
+    rho_letter,
     sign_act_letter,
 )
 
@@ -47,7 +48,42 @@ def test_letters_print_their_exponent():
     for text, letter in (('h', H), ('v^-1', V_INV), ('h^-1', H_INV),
                          ('h^-3', Letter('h', -3)), ('v^4', Letter('v', 4))):
         assert str(letter) == text
-        assert repr(Word([letter])) == "Word.from_str('%s')" % text
+        assert Word([letter]) == Word.from_str(text)
+    for letter in LETTERS:
+        assert repr(Word([letter])) == "Word.from_str('%s')" % (letter,)
+
+
+@pytest.mark.parametrize('gen,k', [('h', 3), ('h', -2), ('v', 4), ('v', -1),
+                                   ('h', 0)])
+def test_letter_exponents_spell_unit_letters(gen, k):
+    # a Letter of exponent k is |k| unit letters, as from_str reads h^k
+    unit = Letter(gen, 1 if k > 0 else -1)
+    spelled = Word([unit] * abs(k))
+    forms = (Word([Letter(gen, k)]), Word([(gen, k)]),
+             Word.from_str('%s^%d' % (gen, k)))
+    for word in forms:
+        assert word == spelled
+        assert all(l in LETTERS for l in word)
+        for lam in (2, Fraction(5, 2)):
+            assert rho(lam, word) == rho(lam, spelled)
+        assert gamma(word) == gamma(spelled)
+        assert bar(word) == bar(spelled)
+    assert rho_letter(2, Letter(gen, k)) == rho(2, spelled)
+    for s in SignPair:
+        expected = s
+        for l in spelled:
+            expected = sign_act_letter(l, expected)
+        assert sign_act_letter(Letter(gen, k), s) is expected
+
+
+def test_letter_exponents_reduce_against_neighbours():
+    assert Word([H, Letter('h', -3), V]) == Word([H_INV, H_INV, V])
+    assert Word([Letter('v', 2), Letter('v', -2)]) == IDENTITY
+    assert rho(2, Word([Letter('h', 3)])) == QMat2(1, 6, 0, 1)
+    with pytest.raises(ValueError):
+        Word([Letter('x', 2)])
+    with pytest.raises(ValueError):
+        Word([('h', Fraction(1, 2))])
 
 
 def test_from_str_rejects_garbage():

@@ -1,5 +1,8 @@
 """Survivor checks, decay, transversal measures, boundary conjugacy."""
 
+import contextlib
+import io
+from bisect import bisect_left
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ribbonflow import renorm
+from ribbonflow import cli, measures, renorm
 from ribbonflow.dynamics import from_edge, iet_step, resolve
 from ribbonflow.eigen import (character, character_eigen, gz_constant,
                               gz_exponential, ntree_constant, tripod_family)
@@ -15,7 +18,8 @@ from ribbonflow.exact import FieldMixError, QVec2, QuadNum, sqrt_rational
 from ribbonflow.freegrp import H, V, V_INV, Letter, Word, rho
 from ribbonflow.graphs import (Heisenberg, IntegersZ, OracleFun, PathGraph,
                                TripodGraph, upsilon_eval, vertices_in_ball)
-from ribbonflow.measures import (DecayProfile, Witness, _renormalized,
+from ribbonflow.measures import (DecayProfile, Witness, _coding_grid,
+                                 _cut_measure, _renormalized,
                                  conjugate_boundary_point, decay_profile,
                                  decay_profiles, maharam_check, plane_point,
                                  survivor_check, transposed_surface,
@@ -369,10 +373,10 @@ def test_transversal_full_edge_is_exact():
 def test_transversal_matches_length_on_grid():
     s, f = lebesgue_staircase()
     y = THETA2[1]
-    tm = transversal_measure(s, f, THETA2, 0, s.width(0), 10)
-    assert len(tm.cuts) >= 10
-    for q, m in tm.cuts:
-        assert m == q * y
+    grid = _coding_grid(s, THETA2, 0, 10)
+    assert len(grid) >= 10
+    for q, steps in grid.items():
+        assert _cut_measure(s, f, THETA2, 0, q, steps) == q * y
 
 
 def test_transversal_adds_up_around_circle():
@@ -422,6 +426,87 @@ def test_transversal_monotone_in_endpoint(p, q):
     b = transversal_measure(s, f, THETA2, 0, w * QuadNum(hi), 6)
     assert a.value <= b.value
     assert a.value + a.error <= b.value + b.error
+
+
+THETA1 = {gz_pair: THETA2, tripod_pair: THETA41}
+
+
+def pair_sides(pair):
+    """(surface, f, theta, edge) for the bottom and the left side of the
+    root's base edge, as conjugate_boundary_point measures them."""
+    w1, w2, _, theta2 = pair()
+    s1 = Surface.from_family(w1)
+    f = plane_point(w1.graph, w2.weight, theta2)
+    x1, y1 = THETA1[pair]
+    e = w1.graph.base_edge(w1.root)
+    assert x1 > 0
+    return [(s1, f, (x1, y1), s1.south(e)),
+            (transposed_surface(s1), f, (y1, x1), s1.west(e))]
+
+
+def grid_bracket(surface, f, theta, e, depth):
+    """The sorted cuts of the full coding grid, and the (value, error)
+    that bracketing t between them gives."""
+    grid = _coding_grid(surface, theta, e, depth)
+    cuts = sorted(grid)
+    ms = [_cut_measure(surface, f, theta, e, q, grid[q]) for q in cuts]
+
+    def bracket(t):
+        i = bisect_left(cuts, t)
+        if cuts[i] == t:
+            return ms[i], 0
+        return ms[i - 1], ms[i] - ms[i - 1]
+
+    return cuts, bracket
+
+
+@pytest.mark.parametrize('pair', [gz_pair, tripod_pair])
+def test_descent_matches_the_full_grid(pair):
+    for surface, f, theta, e in pair_sides(pair):
+        w = surface.width(e)
+        for depth in (0, 2, 5, 8):
+            cuts, bracket = grid_bracket(surface, f, theta, e, depth)
+            ts = set(cuts) | {w * QuadNum(Fraction(k, 60))
+                              for k in range(61)}
+            for t in sorted(ts):
+                tm = transversal_measure(surface, f, theta, e, t, depth)
+                assert (tm.value, tm.error) == bracket(t), (depth, t)
+
+
+README_CONJUGATE = [
+    'conjugate', '--family', 'gz_constant', '--family2',
+    'gz_exponential:t=2', '--theta', '1, -1+sqrt(2)', '--theta2',
+    '4, -5+sqrt(41)', '--depth', '12']
+
+
+def test_measure_flows_at_most_two_chains(monkeypatch):
+    chains, steps = [], []
+
+    def counted_chain(*args):
+        chains.append(args)
+        return chain(*args)
+
+    def counted_step(*args):
+        steps.append(args)
+        return step(*args)
+
+    chain, step = measures._chain_crossings, measures.iet_step
+    monkeypatch.setattr(measures, '_chain_crossings', counted_chain)
+    monkeypatch.setattr(measures, 'iet_step', counted_step)
+    for pair in (gz_pair, tripod_pair):
+        for surface, f, theta, e in pair_sides(pair):
+            w = surface.width(e)
+            for depth in (4, 12):
+                for k in (0, 1, 30, 59, 60):
+                    del chains[:], steps[:]
+                    transversal_measure(surface, f, theta, e,
+                                        w * QuadNum(Fraction(k, 60)), depth)
+                    assert 1 <= len(chains) <= 2
+                    assert len(steps) <= depth
+    del chains[:]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(README_CONJUGATE) == 0
+    assert len(chains) <= 12
 
 
 def test_transposed_surface_swaps_roles():
@@ -496,8 +581,7 @@ def test_boundary_map_intertwines_return_maps():
         return from_edge(s2, e, tm.value / y2), tm.error
 
     checked = 0
-    for q, j in sorted(transversal_measure(
-            s1, f, THETA2, 0, s1.width(0), 6).cuts):
+    for q in sorted(_coding_grid(s1, THETA2, 0, 6)):
         if q == 0 or q == s1.width(0):
             continue
         p1 = from_edge(s1, 0, q)
