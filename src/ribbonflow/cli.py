@@ -9,7 +9,8 @@ configurations produce byte-identical output.
 
 Exit codes: 0 on success, 2 for unusable arguments, 3 when an orbit or
 search budget runs out, 4 when an input direction fails to be
-renormalizable where the subcommand requires it.
+renormalizable where the subcommand requires it.  Any other exception is
+an internal error: it keeps its traceback and exits 1.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ def _theta(text: str) -> tuple:
 
 
 def _literal(text: str):
-    """Generator tuples and character values, e.g. "(1,-1)" or "4"."""
+    """Generator tuples and character values, e.g. "(1,-1)" or "4":
+    numbers and strings, in tuples (lists are read as tuples)."""
     try:
         value = ast.literal_eval(text)
     except SyntaxError:
@@ -65,6 +67,14 @@ def _literal(text: str):
         value = tuple(value)
     if isinstance(value, tuple):
         value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
+    leaves = [value]
+    while leaves:
+        leaf = leaves.pop()
+        if isinstance(leaf, tuple):
+            leaves.extend(leaf)
+        elif not isinstance(leaf, (int, float, str)):
+            raise ValueError('not a literal of numbers and tuples: %r'
+                             % text)
     return value
 
 
@@ -248,6 +258,8 @@ def cmd_simulate(args) -> int:
     if args.group:
         generators = args.generators
         group = make_group(args.group, **_flags(args, _GROUP_FLAGS))
+        for gen in generators:
+            group.check(gen)
         state = (QuadNum(0), group.identity)
         n = len(generators)
         alpha = parse_quad(args.alpha)
@@ -557,7 +569,7 @@ def main(argv=None) -> int:
     except NotRenormalizableInput as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NOT_RENORM
-    except (ValueError, KeyError, TypeError, FieldMixError) as exc:
+    except (ValueError, FieldMixError) as exc:
         print('error: %s' % exc, file=sys.stderr)
         return EXIT_PARSE
 

@@ -186,6 +186,10 @@ def character_eigen(group, generators, values) -> EigenFamily:
     """
     if isinstance(group, str):
         group = make_group(group)
+    elif not isinstance(group, Group):
+        raise ValueError('group takes a name or a Group, got %r' % (group,))
+    if not isinstance(generators, (tuple, list)):
+        raise ValueError('generators take a tuple, got %r' % (generators,))
     graph = SkewGraph(group, generators)
     chi = character(group, values)
     if _product(chi(g) for g in graph.generators) != 1:
@@ -231,7 +235,13 @@ _FAMILIES = {
 def family_eigen(name: str, **params) -> EigenFamily:
     """Build a named family: gz_constant, gz_exponential, tripod,
     ntree_constant, ntree_horo, or character.  Parameters a family does
-    not take are ignored; a missing one is a ValueError naming it."""
+    not take are ignored; a missing one, or a tuple where a number is
+    taken, is a ValueError naming it."""
+    taken = _FAMILIES[name][1] if name in _FAMILIES else ()
+    for key in ('t', 'n', 's'):
+        if key in taken and isinstance(params.get(key), tuple):
+            raise ValueError('family %s takes a number for %r, got %r'
+                             % (name, key, params[key]))
     return _build_named('family', _FAMILIES, name, params)
 
 

@@ -210,6 +210,13 @@ class RegularTree(RibbonGraph):
         return child if len(child) % 2 == 1 else child[:-1]
 
 
+def _positive_int(value, what: str) -> int:
+    if type(value) is not int or value < 1:
+        raise ValueError('%s must be a positive integer, got %r'
+                         % (what, value))
+    return value
+
+
 class Group(ABC):
     """A countable group with hashable canonical element encodings.
 
@@ -224,6 +231,10 @@ class Group(ABC):
     def __hash__(self):
         return hash((type(self), tuple(sorted(vars(self).items()))))
 
+    def __repr__(self):
+        return '%s(%s)' % (type(self).__name__, ', '.join(
+            '%s=%r' % kv for kv in sorted(vars(self).items())))
+
     @property
     @abstractmethod
     def identity(self): ...
@@ -233,6 +244,24 @@ class Group(ABC):
 
     @abstractmethod
     def inv(self, a): ...
+
+    @abstractmethod
+    def __contains__(self, a) -> bool:
+        """Whether a encodes an element of the group."""
+
+    def check(self, a) -> None:
+        """Raise a ValueError naming a when it encodes no element.
+
+        op and inv take encodings on trust, so inputs are checked once,
+        where they enter: a generator tuple, not every orbit step.
+        """
+        if a not in self:
+            raise ValueError('%r is not an element of %r' % (a, self))
+
+
+def _int_tuple(a, length: int) -> bool:
+    return (type(a) is tuple and len(a) == length
+            and all(type(x) is int for x in a))
 
 
 class IntegersZ(Group):
@@ -244,12 +273,13 @@ class IntegersZ(Group):
     def inv(self, a):
         return -a
 
+    def __contains__(self, a) -> bool:
+        return type(a) is int
+
 
 class Cyclic(Group):
     def __init__(self, m: int):
-        if m < 1:
-            raise ValueError('order must be positive')
-        self.m = m
+        self.m = _positive_int(m, 'order')
 
     identity = 0
 
@@ -259,14 +289,16 @@ class Cyclic(Group):
     def inv(self, a):
         return (-a) % self.m
 
+    def __contains__(self, a) -> bool:
+        # any int names its residue class: op and inv reduce mod m
+        return type(a) is int
+
 
 class IntegerLattice(Group):
     """Z^d with componentwise addition on d-tuples."""
 
     def __init__(self, d: int):
-        if d < 1:
-            raise ValueError('rank must be positive')
-        self.d = d
+        self.d = _positive_int(d, 'rank')
 
     @property
     def identity(self):
@@ -277,6 +309,9 @@ class IntegerLattice(Group):
 
     def inv(self, a):
         return tuple(-x for x in a)
+
+    def __contains__(self, a) -> bool:
+        return _int_tuple(a, self.d)
 
 
 class Heisenberg(Group):
@@ -290,15 +325,16 @@ class Heisenberg(Group):
     def inv(self, a):
         return (-a[0], -a[1], -a[2] + a[0] * a[1])
 
+    def __contains__(self, a) -> bool:
+        return _int_tuple(a, 3)
+
 
 class FreeGroup(Group):
     """Free group on k letters; elements are reduced tuples of nonzero
     signed indices in {-k..-1, 1..k}."""
 
     def __init__(self, k: int):
-        if k < 1:
-            raise ValueError('rank must be positive')
-        self.k = k
+        self.k = _positive_int(k, 'rank')
 
     identity = ()
 
@@ -313,6 +349,11 @@ class FreeGroup(Group):
 
     def inv(self, a):
         return tuple(-s for s in reversed(a))
+
+    def __contains__(self, a) -> bool:
+        return (type(a) is tuple
+                and all(type(s) is int and 0 < abs(s) <= self.k for s in a)
+                and all(s != -t for s, t in zip(a, a[1:])))
 
 
 class SkewGraph(RibbonGraph):
@@ -331,6 +372,8 @@ class SkewGraph(RibbonGraph):
         n = len(self.generators)
         if n < 1:
             raise ValueError('need at least one generator')
+        for gen in self.generators:
+            group.check(gen)
         acc = group.identity
         etas = []
         for gen in self.generators:

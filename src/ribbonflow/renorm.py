@@ -6,6 +6,12 @@ quadrant (sign) sequence and its critical times.  Rays whose tails are
 constant, or alternate between h and v^-1 (or between h^-1 and v), do not
 renormalize; everything here classifies directions and sequences against
 those exclusions in exact arithmetic.
+
+No shear matrix is built to decide which generator shrinks: h^k sends
+(x, y) to (x + k*lam*y, y), so the squared norm changes by
+k*lam*y * (2x + k*lam*y), and v^k likewise with x and y swapped.  The
+letter strictly shrinks the vector exactly when those two factors have
+opposite signs.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Sequence
 
 from .exact import QuadNum, QVec2, SignPair, _xy, quad_sqrt
 from .freegrp import (H, H_INV, LETTERS, V, V_INV, Letter, Word, rho,
-                      rho_letter, sign_act_letter)
+                      sign_act_letter)
 
 
 def _as_quad(value) -> QuadNum:
@@ -27,12 +33,25 @@ def _as_quad(value) -> QuadNum:
 
 
 def shrink_membership(lam, letter: Letter, theta) -> bool:
-    """Whether the generator strictly shrinks the vector (norm route)."""
+    """Whether the generator strictly shrinks the vector (norm route).
+
+    The letter h^k changes the squared norm of (x, y) by
+    k*lam*y * (2x + k*lam*y), and v^k by k*lam*x * (2y + k*lam*x); it
+    shrinks when the two factors have opposite signs.  The sign of
+    k*lam is read with the rest, so any exponent and any lam are taken.
+    """
     theta = QVec2(*_xy(theta))
     if not (theta.x or theta.y):
         raise ValueError('zero vector has no direction')
-    image = rho_letter(lam, letter).apply(theta)
-    return (image.norm_sq() - theta.norm_sq()).sign() < 0
+    step = _as_quad(lam) * letter.exp
+    x, y = theta.x, theta.y
+    if letter.gen == 'h':
+        shift = step * y
+        s = shift.sign()
+        return s != 0 and (x + x + shift).sign() == -s
+    shift = step * x
+    s = shift.sign()
+    return s != 0 and (shift + y + y).sign() == -s
 
 
 def shrink_membership_slope(lam, letter: Letter, theta) -> bool:
@@ -144,6 +163,35 @@ def _cyclic_excluded_id(period_letters: Sequence[Letter]) -> str | None:
     return None
 
 
+def _shrinkers(lam: QuadNum, x: QuadNum, y: QuadNum):
+    """(letters, lam*x, lam*y): the letters of LETTERS that strictly
+    shrink (x, y), and the two products, which the step then reuses.
+
+    h^+-1 changes the squared norm by +-lam*y * (2x +- lam*y) and v^+-1 by
+    +-lam*x * (2y +- lam*x), so four sums and the signs of lam*x and
+    lam*y decide all four letters.  x is the left operand of the h sums,
+    as in x + lam*y, so a field mix is reported as the shear reports it.
+    """
+    out = []
+    ly = lam * y
+    s = ly.sign()
+    if s:
+        x2 = x + x
+        if (x2 + ly).sign() == -s:
+            out.append(H)
+        if (x2 - ly).sign() == s:
+            out.append(H_INV)
+    lx = lam * x
+    s = lx.sign()
+    if s:
+        y2 = y + y
+        if (lx + y2).sign() == -s:
+            out.append(V)
+        if (y2 - lx).sign() == s:
+            out.append(V_INV)
+    return out, lx, ly
+
+
 def shrinking_sequence(lam, theta, max_steps: int = 64) -> ShrinkData:
     """Greedily shrink a direction, stopping on a terminal configuration.
 
@@ -168,17 +216,21 @@ def shrinking_sequence(lam, theta, max_steps: int = 64) -> ShrinkData:
     status = TailStatus.CONTINUES
     period = None
     excluded_id = None
-    current = theta
+    x, y = theta.x, theta.y
     for n in range(max_steps):
-        shrinkers = [l for l in LETTERS if shrink_membership(lam, l, current)]
+        shrinkers, lx, ly = _shrinkers(lam, x, y)
         if not shrinkers:
             status = TailStatus.NO_STRICT_SHRINKER
             break
         if len(shrinkers) > 1:
             raise ArithmeticError(
-                'two generators shrink %s at once' % current)
+                'two generators shrink %s at once' % QVec2(x, y))
         letter = shrinkers[0]
-        current = rho_letter(lam, letter).apply(current)
+        if letter.gen == 'h':
+            x = x + ly if letter.exp == 1 else x - ly
+        else:
+            y = y + lx if letter.exp == 1 else y - lx
+        current = QVec2(x, y)
         increments.append(letter)
         vectors.append(current)
         signs.append(current.quadrant())

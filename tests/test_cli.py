@@ -181,6 +181,26 @@ def test_conjugate_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize('argv, code, digest', [
+    (['omega', '--n', '2', '--alpha', '1/2*sqrt(2)'], EXIT_OK,
+     'd107a3f96165a6ac34f16889e7c76ebaf4faced1629fb781566225ab9f4f65c4'),
+    (['omega', '--n', '3', '--alpha', '5/6+1/6*sqrt(5)'], EXIT_NOT_RENORM,
+     '686293817addea0529d599e170c35af46dfcc820ebc90d99aa2d96b089482686'),
+    (['shrink', '--lambda', '2', '--theta', '1, -1+sqrt(2)', '--depth', '6'],
+     EXIT_OK,
+     '7be0d3bfee1caa4a9e2872d17799125d40416dfef667fd3b5d97e75640bbe2f8'),
+    (['survivor', *GZ_PAIR], EXIT_OK,
+     'f07ca6fd53a291076869964b20426e169832bc24b7f74b999187179e4e07c09e'),
+    (['decay', *GZ_PAIR], EXIT_OK,
+     '59dd6a7412b84d0cc48b09033cde3a325e6eefca6d794841545ebe0b69911ca1'),
+], ids=['omega-2', 'omega-3', 'shrink', 'survivor', 'decay'])
+def test_shrink_readme_outputs_are_pinned(capsys, argv, code, digest):
+    # digests of the output of the matrix route to the shrinking sequence
+    got, out = run(capsys, argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_simulate_surface_exact_cells(capsys):
     code, out = run(capsys, ['simulate', '--family', 'gz_constant',
                              '--theta', '1, -1+sqrt(2)', '--steps', '5'])
@@ -527,6 +547,73 @@ def test_generators_must_be_a_tuple(capsys, argv):
     err = capsys.readouterr().err
     assert code == EXIT_PARSE
     assert 'argument --generators' in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize('argv, element', [
+    (['--group', 'Z^d', '--d', '2', '--generators', '[(1,0,5), (-1,0,-5)]'],
+     '(1, 0, 5) is not an element of IntegerLattice(d=2)'),
+    (['--group', 'heisenberg', '--generators', '[1, -1]'],
+     '1 is not an element of Heisenberg()'),
+    (['--group', 'free', '--k', '1', '--generators', '[(2,), (-2,)]'],
+     '(2,) is not an element of FreeGroup(k=1)'),
+], ids=['lattice-rank', 'heisenberg-int', 'free-letter'])
+@pytest.mark.parametrize('mode', ['exact', 'float'])
+def test_generators_outside_the_group_exit_two(capsys, argv, element, mode):
+    # the lattice orbit used to be truncated by zip and exit 0; the
+    # heisenberg one exited 2 naming no element
+    code = main(['simulate', *argv, '--alpha', '1/2*sqrt(2)', '--steps', '3',
+                 '--mode', mode])
+    out, err = capsys.readouterr()
+    assert code == EXIT_PARSE and out == ''
+    assert err == 'error: %s\n' % element
+
+
+def test_character_generators_outside_the_group_exit_two(capsys):
+    code = main(['eigen', '--family', 'character', '--group', 'Z^d', '--d',
+                 '2', '--generators', '((1,0,5),(-1,0,-5))', '--chi',
+                 '(1,1)'])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == \
+        'error: (1, 0, 5) is not an element of IntegerLattice(d=2)\n'
+
+
+@pytest.mark.parametrize('argv, code', [
+    (['omega', '--n', '2', '--alpha', '1/2*sqrt(2)'], EXIT_OK),
+    (['omega', '--n', '2', '--alpha', 'sqrt(-2)'], EXIT_PARSE),
+    (['simulate', '--group', 'Z', '--generators', '(1,1)', '--alpha',
+      '1/2*sqrt(2)', '--steps', '50', '--budget', '3'], EXIT_BUDGET),
+    (['survivor', '--family', 'gz_constant', '--family2',
+      'gz_exponential:t=2', '--theta', '1, 1', '--theta2', '1, 2'],
+     EXIT_NOT_RENORM),
+], ids=['0', '2', '3', '4'])
+def test_each_documented_exit_code(capsys, argv, code):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        assert err == '' and out
+    else:
+        assert err.count('\n') == 1 and 'Traceback' not in err
+
+
+def test_internal_errors_keep_their_traceback(monkeypatch):
+    # only domain errors map to exit 2; a bug in a handler propagates
+    def broken(args):
+        raise KeyError('not a domain error')
+
+    monkeypatch.setattr(cli, 'cmd_omega', broken)
+    cli._parser.cache_clear()
+    try:
+        with pytest.raises(KeyError, match='not a domain error'):
+            main(['omega', '--n', '2', '--alpha', '1/2*sqrt(2)'])
+    finally:
+        cli._parser.cache_clear()
+    proc = run_module(['-c', 'import sys; from ribbonflow import cli; '
+                       'cli.cmd_omega = lambda args: {}["x"]; '
+                       "sys.exit(cli.main(['omega', '--n', '2', "
+                       "'--alpha', '1/2*sqrt(2)']))"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith('Traceback')
+    assert proc.stderr.splitlines()[-1] == "KeyError: 'x'"
 
 
 def readme_commands():

@@ -126,6 +126,38 @@ def test_skew_requires_cyclically_trivial_generators():
         SkewGraph(IntegersZ(), ())
 
 
+@pytest.mark.parametrize('group, members, strangers', [
+    (IntegersZ(), (0, -3, 7), (1.5, '1', (1,), True)),
+    (Cyclic(3), (0, 2, -1), (1.5, (1,))),
+    (IntegerLattice(2), ((0, 0), (1, -5)), ((1, 0, 5), (1,), [1, 0], 1,
+                                            (1.0, 0))),
+    (Heisenberg(), ((0, 0, 0), (1, -1, 2)), (1, (1, 0), [1, 0, 0])),
+    (FreeGroup(2), ((), (1, -2, -2), (2,)), ((3,), (0,), (1, -1), 1,
+                                            [1])),
+], ids=repr)
+def test_group_membership(group, members, strangers):
+    for a in members:
+        assert a in group
+        group.check(a)
+    for a in strangers:
+        assert a not in group
+        with pytest.raises(ValueError, match='is not an element of %s'
+                           % type(group).__name__):
+            group.check(a)
+
+
+def test_skew_graph_checks_its_generators():
+    # IntegerLattice.op zips, so a 3-tuple in Z^2 used to pass silently
+    with pytest.raises(ValueError, match=r'^\(1, 0, 5\) is not an element '
+                       r'of IntegerLattice\(d=2\)$'):
+        SkewGraph(IntegerLattice(2), ((1, 0, 5), (-1, 0, -5)))
+    with pytest.raises(ValueError, match='^1 is not an element'):
+        SkewGraph(Heisenberg(), (1, -1))
+    for bad in (0, 'x', 1.5):
+        with pytest.raises(ValueError, match='must be a positive integer'):
+            Cyclic(bad)
+
+
 def test_staircase_skew_is_the_integer_path():
     skew = SkewGraph(IntegersZ(), (1, -1))
     path = PathGraph()

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ribbonflow import renorm
-from ribbonflow.exact import QuadNum, QVec2, SignPair
-from ribbonflow.freegrp import H, H_INV, LETTERS, V, V_INV, Word, rho
+from ribbonflow.exact import QMat2, QuadNum, QVec2, SignPair
+from ribbonflow.freegrp import (H, H_INV, LETTERS, V, V_INV, Letter, Word,
+                                rho, rho_letter)
 from ribbonflow.renorm import (
     OmegaKind,
     ShrinkData,
@@ -254,3 +255,119 @@ def test_sign_tables_cover_every_transition():
         critical_times(data)
         seen.update(zip(signs, data.increments))
     assert len(seen) == 8
+
+
+# --- the matrix route, kept here as the reference for the factored norm
+# change that shrink_membership and shrinking_sequence read ---
+
+def _matrix_shrinks(lam, letter, theta):
+    """Whether rho(letter) strictly shrinks theta: one shear matrix
+    applied, two squared norms compared."""
+    if not isinstance(theta, QVec2):
+        theta = QVec2(*theta)
+    image = rho_letter(lam, letter).apply(theta)
+    return (image.norm_sq() - theta.norm_sq()).sign() < 0
+
+
+def _matrix_sequence(lam, theta, max_steps):
+    """shrinking_sequence with every letter tested, and the chosen one
+    applied, through its shear matrix."""
+    lam = QuadNum(lam)
+    if lam < 2:
+        raise ValueError('lambda must be at least 2, got %s' % lam)
+    theta = QVec2(*theta)
+    if not (theta.x or theta.y):
+        raise ValueError('zero vector has no direction')
+    increments, vectors, signs = [], [theta], [theta.quadrant()]
+    seen = {renorm._canonical_projective(theta): 0}
+    status, period, excluded_id = TailStatus.CONTINUES, None, None
+    current = theta
+    for n in range(max_steps):
+        shrinkers = [l for l in LETTERS if _matrix_shrinks(lam, l, current)]
+        if not shrinkers:
+            status = TailStatus.NO_STRICT_SHRINKER
+            break
+        if len(shrinkers) > 1:
+            raise ArithmeticError(
+                'two generators shrink %s at once' % current)
+        current = rho_letter(lam, shrinkers[0]).apply(current)
+        increments.append(shrinkers[0])
+        vectors.append(current)
+        signs.append(current.quadrant())
+        if period is None:
+            key = renorm._canonical_projective(current)
+            if key in seen:
+                start = seen[key]
+                period = (start, n + 1 - start)
+                excluded_id = renorm._cyclic_excluded_id(increments[start:])
+            else:
+                seen[key] = n + 1
+    if status is TailStatus.CONTINUES and period is not None:
+        status = (TailStatus.EXCLUDED_TAIL if excluded_id
+                  else TailStatus.PERIODIC)
+    return ShrinkData(lam=lam, theta=theta, increments=tuple(increments),
+                      vectors=tuple(vectors), signs=tuple(signs),
+                      status=status, period=period, excluded_id=excluded_id)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+ROOT5 = QuadNum(0, 1, 5)
+GRID_LAMS = (QuadNum(2), QuadNum('5/2'), QuadNum(3), QuadNum('10/3'),
+             QuadNum(7), ROOT5, QuadNum(0, Fraction(3, 2), 2))
+# rationals, Q(sqrt 2), Q(sqrt 5) and Q(sqrt 3) entries: every pair of
+# them, axes included, so that directions mix fields with each other and
+# with lambda
+GRID_ENTRIES = (QuadNum(0), QuadNum(1), QuadNum(-2), QuadNum('1/3'),
+                QuadNum('-7/5'), ROOT2 - 1, 1 - ROOT2, ROOT2, (ROOT5 + 1) / 2,
+                QuadNum(-2, 1, 3))
+GRID_DIRS = [(x, y) for x in GRID_ENTRIES for y in GRID_ENTRIES
+             if x or y]
+
+
+@pytest.mark.parametrize('lam', GRID_LAMS, ids=str)
+def test_shrinking_sequence_matches_the_matrix_route(lam):
+    for theta in GRID_DIRS:
+        for steps in (1, 8, 64):
+            assert _outcome(shrinking_sequence, lam, theta, steps) == \
+                _outcome(_matrix_sequence, lam, theta, steps), (theta, steps)
+
+
+def test_shrinking_sequence_errors_match_the_matrix_route():
+    for lam, theta in ((QuadNum('3/2'), (1, ROOT2)), (2, (0, 0)),
+                       (ROOT5, (ROOT2, 1)), (ROOT5, (1, ROOT2)),
+                       (ROOT5, (ROOT2, 0)), (2, (ROOT2, QuadNum(0, 1, 3)))):
+        got = _outcome(shrinking_sequence, lam, theta, 8)
+        assert isinstance(got, tuple)
+        assert got == _outcome(_matrix_sequence, lam, theta, 8)
+
+
+@pytest.mark.parametrize('letter', LETTERS + (Letter('h', 3),
+                                              Letter('v', -2)), ids=str)
+def test_membership_matches_the_matrix_route(letter):
+    for lam in (QuadNum(2), QuadNum('5/2'), QuadNum(-3), -ROOT5,
+                QuadNum('-1/2'), QuadNum(0, Fraction(3, 2), 2)):
+        for theta in GRID_DIRS:
+            assert _outcome(shrink_membership, lam, letter, theta) == \
+                _outcome(_matrix_shrinks, lam, letter, theta), (lam, theta)
+
+
+def test_greedy_shrink_builds_no_matrix_and_no_norm(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError('matrix route used')
+
+    want = shrinking_sequence(2, GOLDEN_DIR, 64)
+    monkeypatch.setattr(QMat2, 'apply', forbidden)
+    monkeypatch.setattr(QVec2, 'norm_sq', forbidden)
+    got = shrinking_sequence(2, GOLDEN_DIR, 64)
+    assert got == want and len(got) == 64
+    assert omega_test(2, QuadNum(0, Fraction(1, 2), 2)).kind is \
+        OmegaKind.IN_OMEGA
+    assert omega_test(3, QuadNum('5/6+1/6*sqrt(5)')).kind is \
+        OmegaKind.NOT_IN_OMEGA
