@@ -58,10 +58,12 @@ def _theta(text: str) -> tuple:
 
 def _literal(text: str):
     """Generator tuples and character values, e.g. "(1,-1)" or "4":
-    numbers and strings, in tuples (lists are read as tuples)."""
+    integers and strings, in tuples (lists are read as tuples).  A float
+    is refused, since its binary value is not the decimal written."""
     try:
         value = ast.literal_eval(text)
-    except SyntaxError:
+    except (SyntaxError, ValueError):
+        # literal_eval's ValueError prints the address of an AST node
         raise ValueError('not a literal: %r' % text) from None
     if isinstance(value, list):
         value = tuple(value)
@@ -71,15 +73,28 @@ def _literal(text: str):
     while leaves:
         leaf = leaves.pop()
         if isinstance(leaf, tuple):
-            leaves.extend(leaf)
-        elif not isinstance(leaf, (int, float, str)):
+            leaves.extend(reversed(leaf))
+        elif isinstance(leaf, float):
+            raise ValueError("float %r in literal %r: write a rational or "
+                             "a sqrt form as a string, e.g. '41/10' or "
+                             "'1+sqrt(2)'" % (leaf, text))
+        elif not isinstance(leaf, (int, str)):
             raise ValueError('not a literal of numbers and tuples: %r'
                              % text)
     return value
 
 
+def _literal_arg(text: str):
+    """_literal as an argparse type: argparse shows the message only of
+    an ArgumentTypeError."""
+    try:
+        return _literal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _generators(text: str) -> tuple:
-    value = _literal(text)
+    value = _literal_arg(text)
     if not isinstance(value, tuple) or not value:
         raise argparse.ArgumentTypeError(
             'takes a non-empty tuple of generators such as "(1,-1)", '
@@ -463,7 +478,7 @@ def _add_family_knobs(sub):
     sub.add_argument('--k', type=int)
     sub.add_argument('--group')
     sub.add_argument('--generators', type=_generators)
-    sub.add_argument('--chi', type=_literal)
+    sub.add_argument('--chi', type=_literal_arg)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,21 +1,25 @@
 """Closed-form positive eigenfunctions of the adjacency operator.
 
 Each family packages a graph, an eigenvalue, and a value oracle that
-satisfies A(w) = lam * w exactly at every vertex.  verify_eigen walks a
-ball and reports the residuals, which must be identically zero; nothing
-here is approximate.
+satisfies A(w) = lam * w exactly at every vertex.  verify_eigen reports
+the residuals over a ball, which must be identically zero; nothing here
+is approximate.  It reads the same numbered neighbourhood
+(`graphs._numbered_ball`) and int lift as the shear kernel behind the
+renormalized values in `measures`, and lists residuals in ring order.
+Regular trees are instead streamed depth-first by verify_eigen_tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
-from .exact import QuadNum, quad_sqrt
+from .exact import QuadNum, _lift_common, _reduced, quad_sqrt
 from .graphs import (Cyclic, FreeGroup, Group, Heisenberg, IntegerLattice,
                      IntegersZ, OracleFun, PathGraph, RegularTree,
                      RibbonGraph, SkewGraph, TripodGraph, _build_named,
-                     make_group, vertices_in_ball)
+                     _numbered_ball, make_group)
 
 _ONE = QuadNum(1)
 _ZERO = QuadNum(0)
@@ -310,31 +314,31 @@ def _tally(radius: int, residuals) -> ResidualReport:
 
 def verify_eigen(graph: RibbonGraph, fn, lam, radius: int,
                  root=None) -> ResidualReport:
-    """Residual A f - lam f at every vertex within the radius.
+    """Residual A f - lam f at every vertex within the radius, in ring
+    order.
 
-    Walks the ball breadth-first and memoizes oracle values, so each
-    vertex is evaluated once.
+    Reads the same numbered neighbourhood and int lift as the shear
+    kernel of `measures`: the ball is numbered out to radius + 1, so each
+    vertex is evaluated once, and f and lam are lifted together to ints
+    (A + B*sqrt(d))/q.  A residual is then int sums over q^2, and a
+    QuadNum is built only for a nonzero one.  Values that are not exact
+    numbers raise TypeError, and two fields raise FieldMixError.
     """
-    lam = QuadNum(lam)
+    if radius < 0:
+        raise ValueError('radius must be >= 0, got %r' % radius)
     if root is None:
         root = graph.root()
-    cache = {}
-
-    def val(v):
-        got = cache.get(v)
-        if got is None:
-            got = fn(v)
-            if not isinstance(got, QuadNum):
-                got = QuadNum(got)
-            cache[v] = got
-        return got
+    _, order, _, nbrs = _numbered_ball(graph, (root,), radius + 1)
+    A, B, q, d = _lift_common(chain(map(fn, order), (QuadNum(lam),)))
+    la, lb = A.pop(), B.pop()
+    qq = q * q
 
     def residuals():
-        for v in vertices_in_ball(graph, root, radius):
-            total = _ZERO
-            for w in graph.neighbors(v):
-                total = total + val(w)
-            yield v, total - lam * val(v)
+        for i, js in enumerate(nbrs):
+            a, b = A[i], B[i]
+            ra = q * sum(map(A.__getitem__, js)) - la * a - lb * b * d
+            rb = q * sum(map(B.__getitem__, js)) - la * b - lb * a if d else 0
+            yield order[i], _reduced(ra, rb, qq, d) if ra or rb else _ZERO
 
     return _tally(radius, residuals())
 

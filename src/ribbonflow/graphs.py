@@ -115,6 +115,24 @@ def _rings(graph: RibbonGraph, sources, radius: int, neighbours=None
     return rings
 
 
+def _numbered_ball(graph: RibbonGraph, sources, radius: int) -> tuple:
+    """(rings, order, index, nbrs): the vertices within the radius of the
+    sources numbered ring by ring, for the integer kernels.
+
+    order lists the vertices of rings 0..radius in turn and index maps
+    each one to its number.  nbrs[i] holds the numbers of the neighbours
+    of order[i], with multiplicity and in cyclic order, for each vertex of
+    rings 0..radius-1: those are the vertices whose neighbours all lie in
+    the ball.
+    """
+    neighbours = []
+    rings = _rings(graph, sources, radius, neighbours)
+    order = [u for ring in rings for u in ring]
+    index = {u: i for i, u in enumerate(order)}
+    nbrs = [[index[w] for w in ws] for ws in neighbours]
+    return rings, order, index, nbrs
+
+
 def vertices_in_ball(graph: RibbonGraph, root, radius: int) -> set:
     """All vertices within the given graph distance of the root."""
     return set(chain.from_iterable(_rings(graph, (root,), radius)))

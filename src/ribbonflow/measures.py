@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from .dynamics import (HPoint, _theta_parts, from_edge, hpoint, iet_step,
                        resolve, walk)
 from .exact import QuadNum, QVec2, _lift_common, _reduced, _xy
-from .graphs import OracleFun, RibbonGraph, SparseFun, _rings, pairing
+from .graphs import (OracleFun, RibbonGraph, SparseFun, _numbered_ball,
+                     pairing)
 from .renorm import critical_times
 from .surface import Surface
 
@@ -80,10 +81,7 @@ def _renormalized(graph: RibbonGraph, f, data, depth: int, vertices):
     if depth >= len(data.signs):
         raise ValueError('shrinking data shorter than requested depth')
     vertices = tuple(vertices)
-    neighbours = []
-    rings = _rings(graph, vertices, depth, neighbours)
-    order = [u for ring in rings for u in ring]
-    index = {u: i for i, u in enumerate(order)}
+    rings, order, index, nbrs = _numbered_ball(graph, vertices, depth)
     A, B, q, d = _lift_common(map(f, order))
     classes = list(map(graph.vertex_class, order))
     # gathers[c]: (i, neighbour indices) for each class-c vertex of the
@@ -93,8 +91,7 @@ def _renormalized(graph: RibbonGraph, f, data, depth: int, vertices):
     start = 0
     for ring in rings[:depth]:
         for i in range(start, start + len(ring)):
-            gathers[classes[i]].append(
-                (i, [index[w] for w in neighbours[i]]))
+            gathers[classes[i]].append((i, nbrs[i]))
         start += len(ring)
         for c, todo in gathers.items():
             cuts[c].append(len(todo))

@@ -338,10 +338,29 @@ def test_missing_family_and_malformed_literal_exit_two(capsys):
     assert main(['eigen', '--family', 'character', '--group', 'Z',
                  '--generators', '(1,', '--chi', '4']) == EXIT_PARSE
     capsys.readouterr()
+    # a literal_eval ValueError would print the address of an AST node
+    assert main(['growth', '--family', 'character:group=Z,generators=(1,-1),'
+                 'chi=(41/10)']) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: not a literal: '(41/10)'\n"
 
 
 CHARACTER_Z = ['--family', 'character', '--group', 'Z', '--generators',
                '(1,-1)', '--chi', '4']
+
+
+@pytest.mark.parametrize('flag,literal,leaf', [
+    ('--chi', '4.0', '4.0'), ('--chi', '4.1', '4.1'),
+    ('--generators', '(1.0,-1.0)', '1.0')])
+def test_float_literals_exit_two_asking_for_exact_forms(capsys, flag,
+                                                         literal, leaf):
+    argv = ['growth', *CHARACTER_Z, flag, literal, '--depth', '2']
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    errors = [line for line in captured.err.splitlines() if 'error:' in line]
+    assert len(errors) == 1
+    assert repr(literal) in errors[0] and 'float %s' % leaf in errors[0]
+    assert 'rational' in errors[0] and 'sqrt' in errors[0]
 
 
 def test_character_family_reaches_growth_and_render(tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Eigenfunction families, exact residual checks, spoke profiles."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -176,15 +180,57 @@ def test_perturbed_constant_residuals_are_local():
 
 
 def test_tree_walk_matches_generic_walk():
+    # the streamed walk adds QuadNums, so it checks the int lift of the
+    # values and lam together in verify_eigen
     tree = RegularTree(3)
-    fam = ntree_horofunction(3, HALF)
-    bumped = OracleFun(lambda v: fam(v) + (1 if v == (0, 1) else 0))
-    slow = verify_eigen(tree, bumped, fam.lam, 5, root=())
-    fast = verify_eigen_tree(tree, bumped, fam.lam, 5)
-    assert slow.vertex_count == fast.vertex_count
-    assert slow.nonzero_count == fast.nonzero_count == 4
-    assert sorted(slow.nonzero) == sorted(fast.nonzero)
-    assert slow.max_abs == fast.max_abs
+    horo = ntree_horofunction(3, HALF)
+    root_horo = ntree_horofunction(3, ROOT2 / 2)
+
+    def bumped(fam):
+        return OracleFun(lambda v: fam(v) + (1 if v == (0, 1) else 0))
+
+    # (values, lam, radius, nonzero count); an irrational lam against
+    # rational values leaves every residual nonzero, all 22 of radius 3
+    cases = ((bumped(horo), horo.lam, 5, 4),
+             (bumped(root_horo), root_horo.lam, 5, 4),
+             (horo.weight, horo.lam + ROOT2, 3, 22))
+    for fn, lam, radius, count in cases:
+        slow = verify_eigen(tree, fn, lam, radius, root=())
+        fast = verify_eigen_tree(tree, fn, lam, radius)
+        assert slow.vertex_count == fast.vertex_count
+        assert slow.nonzero_count == fast.nonzero_count == count
+        assert sorted(slow.nonzero) == sorted(fast.nonzero)
+        assert slow.max_abs == fast.max_abs
+    with pytest.raises(TypeError):
+        verify_eigen(tree, lambda v: 0.5, 1, 2, root=())
+    with pytest.raises(FieldMixError):
+        verify_eigen(tree, root_horo.weight, QuadNum(0, 1, 3), 2, root=())
+
+
+_RESIDUAL_ORDER = """
+from ribbonflow.eigen import tripod_family, verify_eigen
+from ribbonflow.graphs import OracleFun
+fam = tripod_family(2)
+bumps = (('r', 0, 5), ('r', 2, 3))
+fn = OracleFun(lambda v: fam(v) + (1 if v in bumps else 0))
+print([v for v, _ in verify_eigen(fam.graph, fn, fam.lam, 8).nonzero])
+"""
+
+
+def test_residuals_come_in_ring_order_under_any_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / 'src')
+    path = os.pathsep.join(filter(None, [src, os.environ.get('PYTHONPATH')]))
+    outs = {subprocess.run([sys.executable, '-c', _RESIDUAL_ORDER],
+                           env=dict(os.environ, PYTHONPATH=path,
+                                    PYTHONHASHSEED=seed),
+                           capture_output=True, text=True, timeout=60,
+                           check=True).stdout
+            for seed in ('0', '1', '2')}
+    assert len(outs) == 1
+    # ring k of the tripod holds position k of rays 0, 1 and 2 in turn
+    want = [('r', 2, 2), ('r', 2, 3), ('r', 0, 4), ('r', 2, 4), ('r', 0, 5),
+            ('r', 0, 6)]
+    assert outs.pop() == '%r\n' % want
 
 
 @pytest.mark.parametrize('fam', [ntree_constant(3),
