@@ -7,10 +7,14 @@ literals, never floats.  Runs are deterministic; every artifact records
 the package version and the seed it was invoked with, and identical
 configurations produce byte-identical output.
 
-Exit codes: 0 on success, 2 for unusable arguments, 3 when an orbit or
-search budget runs out, 4 when an input direction fails to be
-renormalizable where the subcommand requires it.  Any other exception is
-an internal error: it keeps its traceback and exits 1.
+A family flag value reads as its inline key=value does ("--chi 41/10"
+is "chi=41/10"), and a float is refused in both.
+
+Exit codes: 0 on success, 2 for unusable arguments, each refused in one
+"error:" line (only --help prints the usage), 3 when an orbit or search
+budget runs out, 4 when an input direction fails to be renormalizable
+where the subcommand requires it.  Any other exception is an internal
+error: it keeps its traceback and exits 1.
 """
 
 from __future__ import annotations
@@ -57,14 +61,14 @@ def _theta(text: str) -> tuple:
 
 
 def _literal(text: str):
-    """Generator tuples and character values, e.g. "(1,-1)" or "4":
-    integers and strings, in tuples (lists are read as tuples).  A float
-    is refused, since its binary value is not the decimal written."""
+    """The literal written in text, such as "(1,-1)" or "'41/10'": ints
+    and strings, in tuples (lists are read as tuples), or text itself
+    when it is no literal.  A float is refused, since its binary value
+    is not the decimal written."""
     try:
         value = ast.literal_eval(text)
     except (SyntaxError, ValueError):
-        # literal_eval's ValueError prints the address of an AST node
-        raise ValueError('not a literal: %r' % text) from None
+        return text
     if isinstance(value, list):
         value = tuple(value)
     if isinstance(value, tuple):
@@ -84,22 +88,29 @@ def _literal(text: str):
     return value
 
 
-def _literal_arg(text: str):
-    """_literal as an argparse type: argparse shows the message only of
-    an ArgumentTypeError."""
-    try:
-        return _literal(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _generators(text: str) -> tuple:
-    value = _literal_arg(text)
-    if not isinstance(value, tuple) or not value:
-        raise argparse.ArgumentTypeError(
-            'takes a non-empty tuple of generators such as "(1,-1)", '
-            'got %r' % text)
-    return value
+def _param(key: str, text: str):
+    """A family or group value, read the same from a flag or inline: an
+    int, an exact number, a literal, or else text itself, such as a
+    group name.  A bracketed value must be a literal, and generators a
+    non-empty tuple."""
+    bracketed = text.startswith(('(', '['))
+    if bracketed or key == 'generators':
+        value = _literal(text)
+        if bracketed and value is text:
+            # literal_eval's message prints the address of an AST node
+            raise ValueError('not a literal: %r' % text)
+        if key == 'generators' and not (isinstance(value, tuple) and value):
+            raise ValueError('argument --generators: takes a non-empty '
+                             'tuple of generators such as "(1,-1)", got %r'
+                             % text)
+        return value
+    for read in (int, parse_quad):
+        try:
+            return read(text)
+        except ValueError:
+            pass
+    # a name needs no literal parse
+    return text if text[:1].isalpha() else _literal(text)
 
 
 def _size(text: str) -> int:
@@ -110,24 +121,12 @@ def _size(text: str) -> int:
     return int(text)
 
 
-def _scalar(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return parse_quad(text)
-    except ValueError:
-        return text
+_FAMILY_FLAGS = ('t', 's', 'n', 'm', 'd', 'k', 'group', 'generators', 'chi')
 
 
-_GROUP_FLAGS = ('m', 'd', 'k')
-_FAMILY_FLAGS = ('t', 's', 'n', 'group', 'generators', 'chi') + _GROUP_FLAGS
-
-
-def _flags(args, keys) -> dict:
-    """The given flags of args that were set on the command line."""
-    return {k: getattr(args, k) for k in keys
+def _flags(args) -> dict:
+    """The family and group flags set in args, each read by _param."""
+    return {k: _param(k, getattr(args, k)) for k in _FAMILY_FLAGS
             if getattr(args, k, None) is not None}
 
 
@@ -147,10 +146,9 @@ def _top_level_parts(text: str) -> list:
 
 def _family(spec: str, args=None) -> EigenFamily:
     """Resolve "name" or "name:key=value,key=value", with every family
-    flag set in args overriding the inline value.
-
-    A bracketed inline value is a literal, as for --generators and
-    --chi: "character:group=Z,generators=(1,-1),chi=4".
+    flag set in args overriding the inline value.  Both are read by
+    _param: "character:group=Z,generators=(1,-1),chi=41/10" is the
+    family of "character --group Z --generators (1,-1) --chi 41/10".
     """
     if not spec:
         raise ValueError('--family is required')
@@ -161,16 +159,11 @@ def _family(spec: str, args=None) -> EigenFamily:
             key, eq, raw = part.partition('=')
             if not eq:
                 raise ValueError('bad family parameter %r' % part)
-            raw = raw.strip()
-            params[key.strip()] = (_literal(raw) if raw.startswith(('(', '['))
-                                   else _scalar(raw))
-    params.update(_flags(args, _FAMILY_FLAGS))
-    if name == 'character':
-        group_params = {k: params.pop(k) for k in _GROUP_FLAGS
-                        if k in params}
-        group = params.get('group')
-        if isinstance(group, str):
-            params['group'] = make_group(group, **group_params)
+            key = key.strip()
+            params[key] = _param(key, raw.strip())
+    params.update(_flags(args))
+    if name == 'character' and isinstance(params.get('group'), str):
+        params['group'] = make_group(params['group'], **params)
     return family_eigen(name, **params)
 
 
@@ -271,11 +264,9 @@ def cmd_simulate(args) -> int:
         if getattr(args, key) is None:
             raise ValueError('%s needs --%s' % (mode, key))
     if args.group:
-        generators = args.generators
-        group = make_group(args.group, **_flags(args, _GROUP_FLAGS))
-        for gen in generators:
-            group.check(gen)
-        state = (QuadNum(0), group.identity)
+        params = _flags(args)
+        generators = params['generators']
+        group = make_group(params['group'], **params)
         n = len(generators)
         alpha = parse_quad(args.alpha)
         if args.mode == 'float':
@@ -284,8 +275,9 @@ def cmd_simulate(args) -> int:
             rows = [[k + 1, repr(x), repr(g)]
                     for k, (x, g) in enumerate(states)]
         else:
-            states = skew_orbit(n, alpha, group, generators, state,
-                                args.steps, budget=budget)
+            states = skew_orbit(n, alpha, group, generators,
+                                (QuadNum(0), group.identity), args.steps,
+                                budget=budget)
             rows = [[k + 1, str(x), repr(g)]
                     for k, (x, g) in enumerate(states)]
         meta = {'group': args.group, 'alpha': args.alpha, 'steps': args.steps}
@@ -470,19 +462,18 @@ def _add_common(sub, formats=('csv', 'json')):
 
 def _add_family_knobs(sub):
     sub.add_argument('--family')
-    sub.add_argument('--t')
-    sub.add_argument('--s')
-    sub.add_argument('--n', type=int)
-    sub.add_argument('--m', type=int)
-    sub.add_argument('--d', type=int)
-    sub.add_argument('--k', type=int)
-    sub.add_argument('--group')
-    sub.add_argument('--generators', type=_generators)
-    sub.add_argument('--chi', type=_literal_arg)
+    for key in _FAMILY_FLAGS:
+        sub.add_argument('--' + key)   # a string, read by _flags
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A ValueError, which main prints as one line, not the usage."""
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog='ribbonflow',
         description='renormalization toolkit for graph-built interval '
                     'exchanges')
@@ -573,10 +564,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
-    try:
         return args.handler(args)
+    except SystemExit as exc:
+        # only --help and --version exit: refusals raise ValueError
+        return exc.code
     except OrbitEscapedBudget as exc:
         print('budget exhausted after %d steps' % exc.steps_done,
               file=sys.stderr)

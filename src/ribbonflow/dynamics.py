@@ -222,18 +222,26 @@ def code_orbit(surface: Surface, theta, p: HPoint, steps: int,
     return symbols, points
 
 
+def _check_skew(n: int, group, generators, x) -> None:
+    """The input of a skew orbit, checked once per orbit: n generators,
+    each an element of the group, and a circle coordinate in [0, 1)."""
+    if not generators or n != len(generators):
+        raise ValueError('need at least one generator and n of them, got '
+                         'n=%d and %d' % (n, len(generators)))
+    if not (0 <= x < 1):
+        raise ValueError('circle coordinate must lie in [0, 1)')
+    for gen in generators:
+        group.check(gen)
+
+
 def skew_step(n: int, alpha, group, generators, state):
     """One step of the skew rotation: rotate the circle coordinate and
     multiply the group coordinate by the generator of the subinterval
     the point was in."""
     x, g = state
     x = QuadNum(x)
-    if not generators:
-        raise ValueError('need at least one generator')
-    if n != len(generators):
-        raise ValueError('generator count does not match n')
-    if not (0 <= x < 1):
-        raise ValueError('circle coordinate must lie in [0, 1)')
+    if not (generators and n == len(generators) and 0 <= x < 1):
+        _check_skew(n, group, generators, x)   # raises, naming the fault
     mult = generators[math.floor(n * x)]
     return ((x + QuadNum(alpha)) % 1, group.op(mult, g))
 
@@ -242,6 +250,7 @@ def skew_orbit(n: int, alpha, group, generators, state, steps: int,
                budget=None):
     """Exact skew-rotation orbit; yields successive states after the
     initial one."""
+    _check_skew(n, group, generators, state[0])
     out = []
     visited = {state[1]}
     for k in range(steps):
@@ -258,8 +267,7 @@ def skew_orbit_float(n: int, alpha: float, group, generators, state,
                      steps: int):
     """Float skew orbit with compensated circle summation, for long
     statistical runs; the exact path stays authoritative."""
-    if not generators:
-        raise ValueError('need at least one generator')
+    _check_skew(n, group, generators, state[0])
     x, g = state
     x = float(x)
     alpha = float(alpha)

@@ -236,7 +236,7 @@ _FAMILIES = {
 }
 
 
-def family_eigen(name: str, **params) -> EigenFamily:
+def family_eigen(name: str, /, **params) -> EigenFamily:
     """Build a named family: gz_constant, gz_exponential, tripod,
     ntree_constant, ntree_horo, or character.  Parameters a family does
     not take are ignored; a missing one, or a tuple where a number is

@@ -446,7 +446,7 @@ def _build_named(kind: str, table: dict, name: str, params: dict):
     return build(*(params[key] for key in keys))
 
 
-def make_group(name: str, **params) -> Group:
+def make_group(name: str, /, **params) -> Group:
     """Build a named group: Z, Z^d, cyclic, free or heisenberg."""
     return _build_named('group', _GROUPS, name, params)
 

@@ -138,18 +138,17 @@ def _svg_escape(s: str) -> str:
     return (s.replace('&', '&amp;').replace('<', '&lt;').replace('>', '&gt;'))
 
 
-def svg_truncation(surface: Surface, center=None, radius: int = 3,
-                   scale: float = 48.0) -> str:
+def svg_truncation(surface: Surface, radius: int = 3) -> str:
     """A staircase-style SVG of the rectangles within a few east/north
-    steps of a center edge.
+    steps of the root's base edge, 48 pixels to a unit of length.
 
     Rectangles are laid out so east neighbors sit to the right and north
     neighbors above.  Side pairs glued in the surface but not adjacent
     in the drawing get matching labels.
     """
     graph = surface.graph
-    if center is None:
-        center = graph.base_edge(graph.root())
+    center = graph.base_edge(graph.root())
+    scale = 48.0
     placed = {center: (_ZERO, _ZERO)}
 
     def collides(x2, y2, e2):

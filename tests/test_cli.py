@@ -384,6 +384,36 @@ def test_character_family_inline_matches_flags(capsys):
     assert inline == by_flag
 
 
+@pytest.mark.parametrize('family, flags', [
+    ('tripod', [('t', 'sqrt(2)')]),
+    ('ntree_horo:n=3', [('s', '1/2')]),
+    ('ntree_constant', [('n', '3')]),
+    ('character:group=Z,generators=(1,-1)', [('chi', '4')]),
+    ('character:group=Z,generators=(1,-1)', [('chi', '41/10')]),
+    ('character:group=Z,chi=4', [('generators', '(1,-1)')]),
+    ('character:generators=((1,0),(-1,0),(0,1),(0,-1)),chi=(1,1)',
+     [('group', 'Z^d'), ('d', '2')]),
+], ids=['t', 's', 'n', 'chi-int', 'chi-rational', 'generators', 'group-d'])
+def test_family_flags_read_as_inline_values(capsys, family, flags):
+    by_flag = ['--family', family]
+    for key, value in flags:
+        by_flag += ['--' + key, value]
+    inline = family + (',' if ':' in family else ':') + ','.join(
+        '%s=%s' % pair for pair in flags)
+    runs = [run(capsys, ['eigen', *argv, '--window', '2'])
+            for argv in (by_flag, ['--family', inline])]
+    assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
+
+
+@pytest.mark.parametrize('family', [
+    'tripod:t=2', 'character:group=Z,generators=(1,-1),chi=4'])
+def test_family_ignores_an_inline_name_key(capsys, family):
+    # name= used to collide with the builders' own name: a TypeError
+    plain, named = (run(capsys, ['growth', '--family', spec, '--depth', '3'])
+                    for spec in (family, family + ',name=Z'))
+    assert plain == named and plain[0] == EXIT_OK
+
+
 def test_character_family_can_be_the_second_family(capsys):
     code, out = run(capsys, [
         'conjugate', *CHARACTER_Z, '--family2',
@@ -414,6 +444,20 @@ def test_bad_budget_env_exits_two(capsys, monkeypatch):
 def test_missing_subcommand_exits_two(capsys):
     assert main([]) == EXIT_PARSE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize('argv', [
+    ['shrink', '--lambda', '2', '--theta', '1, -1+sqrt(2)', '--depth', '-1'],
+    ['omega', '--n', 'x', '--alpha', '1/2*sqrt(2)'],
+    ['omega', '--n', '2', '--alpha', '1/2*sqrt(2)', '--bogus'],
+    ['render', '--style', 'nope', '--family', 'gz_constant'],
+    [],
+], ids=['negative-depth', 'non-int-n', 'unknown-flag', 'bad-style',
+        'no-subcommand'])
+def test_parser_refusals_are_one_line(capsys, argv):
+    assert main(argv) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == '' and err.count('\n') == 1 and err.startswith('error: ')
 
 
 def subcommands():

@@ -159,6 +159,22 @@ def test_skew_rejects_bad_input():
         skew_orbit_float(0, 0.5, group, (), (0.0, 0), 3)
 
 
+@pytest.mark.parametrize('n, generators, x, message', [
+    (3, (1, -1), 0.9, 'n=3 and 2'),
+    (2, (1, -1), 1.7, r'\[0, 1\)'),
+    (2, (1, 0.5), 0.2, 'not an element'),
+], ids=['count', 'start', 'element'])
+def test_skew_orbits_check_their_input(n, generators, x, message):
+    # the float orbit used to raise IndexError on the count and to return
+    # points outside [0, 1) from the start
+    group = IntegersZ()
+    with pytest.raises(ValueError, match=message):
+        skew_orbit_float(n, 0.3, group, generators, (x, 0), 3)
+    with pytest.raises(ValueError, match=message):
+        skew_orbit(n, Fraction(3, 10), group, generators, (Fraction(x), 0),
+                   3)
+
+
 def test_code_orbit_rational_slope_periodic():
     s = staircase()
     syms, _ = code_orbit(s, (1, 2), hpoint(s, ('a', 0),

@@ -1,5 +1,6 @@
 """Rectangle geometry, the homology calculus, and growth sequences."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -198,8 +199,8 @@ def test_growth_ratio_dichotomy():
 
 def test_svg_truncation_deterministic():
     s = Surface.from_family(gz_constant())
-    one = svg_truncation(s, center=0, radius=3)
-    two = svg_truncation(s, center=0, radius=3)
+    one = svg_truncation(s, radius=3)
+    two = svg_truncation(s, radius=3)
     assert one == two
     assert one.startswith('<svg ')
     assert one.count('<rect') >= 5
@@ -207,7 +208,11 @@ def test_svg_truncation_deterministic():
 
 def test_svg_truncation_weights_scale():
     s = Surface.from_family(gz_exponential(2))
-    art = svg_truncation(s, center=0, radius=1, scale=10.0)
+    art = svg_truncation(s, radius=1)
     assert '<svg' in art and '</svg>' in art
-    # the rectangle over edge 1 is 2 wide and 4 tall at scale 10
-    assert 'width="20.00" height="40.00"' in art
+    # edges -1 (1/2 by 1), -2 (1/2 by 1/4) and 0 (2 by 1): the base
+    # edge and its north and east neighbours, in repr order, 48 pixels to
+    # a unit of length
+    sizes = re.findall(r'<rect [^>]*width="([^"]*)" height="([^"]*)"', art)
+    assert sizes == [('24.00', '48.00'), ('24.00', '12.00'),
+                     ('96.00', '48.00')]
