@@ -8,7 +8,8 @@ the package version and the seed it was invoked with, and identical
 configurations produce byte-identical output.
 
 A family flag value reads as its inline key=value does ("--chi 41/10"
-is "chi=41/10"), and a float is refused in both.
+is "chi=41/10"), and a float is refused in both.  A value may start
+with "-": "--alpha -1/2+sqrt(2)" is "--alpha=-1/2+sqrt(2)".
 
 Exit codes: 0 on success, 2 for unusable arguments, each refused in one
 "error:" line (only --help prints the usage), 3 when an orbit or search
@@ -291,8 +292,10 @@ def cmd_simulate(args) -> int:
     symbols, points = code_orbit(surface, theta, start, args.steps,
                                  branch=args.branch, budget=budget)
     rows = []
-    for k, p in enumerate(points):
-        e, o = resolve(surface, p)
+    for k, (e, p) in enumerate(zip(symbols, points)):
+        right, o = resolve(surface, p)
+        # a left-branch symbol on a cut is the west edge at its full width
+        o = o if e == right else surface.width(e)
         rows.append([k, repr(p.a), str(p.t), repr(e), str(o)])
     meta = {'family': fam.name, 'theta': args.theta, 'steps': args.steps}
     _emit_table(args, meta, ['step', 'circle', 't', 'edge', 'offset'], rows)
@@ -398,9 +401,10 @@ def cmd_conjugate(args) -> int:
 
 def _limit_set_svg(lam: QuadNum, depth: int, seed: int) -> str:
     gap = lam * lam - 4
-    if not gap.is_rational or gap <= 0:
-        raise ValueError('limit-set render needs rational lambda > 2')
-    root = sqrt_rational(gap.as_fraction())
+    if lam <= 2 or not gap.is_rational:
+        raise ValueError('limit-set render needs lambda > 2 with '
+                         'lambda^2 - 4 rational')
+    root = sqrt_rational(gap)
     ends = (QVec2(QuadNum(2), lam - root), QVec2(QuadNum(2), lam + root))
 
     def chart(v: QVec2) -> float:
@@ -554,6 +558,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined(argv: list) -> list:
+    """argv with each token that starts with one '-' joined to the flag
+    before it, as in "--alpha=-1/2+sqrt(2)": argparse reads such a token
+    as a flag.  Every option but --help and --version takes a value."""
+    out = []
+    for tok in argv:
+        flag = out[-1] if out else ''
+        if (tok[:1] == '-' and tok[:2] != '--' and flag[:2] == '--'
+                and '=' not in flag and not '--help'.startswith(flag)
+                and not '--version'.startswith(flag)):
+            out[-1] = flag + '=' + tok
+        else:
+            out.append(tok)
+    return out
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first main call of a process and kept:
@@ -563,7 +583,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(
+            _joined(sys.argv[1:] if argv is None else argv))
         return args.handler(args)
     except SystemExit as exc:
         # only --help and --version exit: refusals raise ValueError

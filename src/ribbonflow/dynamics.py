@@ -15,7 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .exact import QuadNum, QVec2, _xy
+from .exact import QuadNum, QVec2, _xy, as_quad
 from .surface import Surface
 
 _ZERO = QuadNum(0)
@@ -79,7 +79,7 @@ def hpoint(surface: Surface, a, t) -> HPoint:
     """Wrap a circle coordinate, reducing it modulo the circle length."""
     if surface.graph.vertex_class(a) != 'a':
         raise ValueError('section circles sit at A-vertices')
-    return HPoint(a, QuadNum(t) % surface.circle_length(a))
+    return HPoint(a, as_quad(t) % surface.circle_length(a))
 
 
 def resolve(surface: Surface, p: HPoint):
@@ -96,10 +96,8 @@ def resolve(surface: Surface, p: HPoint):
 
 def from_edge(surface: Surface, e, offset) -> HPoint:
     """The circle point at a given offset inside the top interval of e."""
-    if not isinstance(offset, QuadNum):
-        offset = QuadNum(offset)
     a = surface.graph.alpha(e)
-    return HPoint(a, surface.section(a).offset(e) + offset)
+    return HPoint(a, surface.section(a).offset(e) + as_quad(offset))
 
 
 def _jump(surface: Surface, e, o, u) -> HPoint:
@@ -165,8 +163,8 @@ def flow_to_next_edge(surface: Surface, theta, p: SurfacePoint):
     runs exactly into a rectangle corner.
     """
     x, y = _theta_parts(theta)
-    e, _, _, _, x_top, _ = walk(surface, x / y, p.edge, QuadNum(p.x),
-                                QuadNum(p.y))[-1]
+    e, _, _, _, x_top, _ = walk(surface, x / y, p.edge, as_quad(p.x),
+                                as_quad(p.y))[-1]
     point = from_edge(surface, e, x_top)
     if x_top:
         return point
@@ -239,11 +237,12 @@ def skew_step(n: int, alpha, group, generators, state):
     multiply the group coordinate by the generator of the subinterval
     the point was in."""
     x, g = state
-    x = QuadNum(x)
+    x = x if type(x) is QuadNum else as_quad(x)
+    alpha = alpha if type(alpha) is QuadNum else as_quad(alpha)
     if not (generators and n == len(generators) and 0 <= x < 1):
         _check_skew(n, group, generators, x)   # raises, naming the fault
     mult = generators[math.floor(n * x)]
-    return ((x + QuadNum(alpha)) % 1, group.op(mult, g))
+    return ((x + alpha) % 1, group.op(mult, g))
 
 
 def skew_orbit(n: int, alpha, group, generators, state, steps: int,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
 
-from .exact import QuadNum, _lift_common, _reduced, quad_sqrt
+from .exact import QuadNum, _lift_common, _reduced, as_quad, quad_sqrt
 from .graphs import (Cyclic, FreeGroup, Group, Heisenberg, IntegerLattice,
                      IntegersZ, OracleFun, PathGraph, RegularTree,
                      RibbonGraph, SkewGraph, TripodGraph, _build_named,
@@ -70,7 +70,7 @@ def gz_constant() -> EigenFamily:
 
 def gz_exponential(t) -> EigenFamily:
     """f(n) = t^n on the integer path, eigenvalue t + 1/t."""
-    t = QuadNum(t)
+    t = as_quad(t)
     if not t > 0:
         raise ValueError('growth rate must be positive')
     power = _power_cache(t)
@@ -85,7 +85,7 @@ def tripod_family(t) -> EigenFamily:
     with a, b pinned by the recurrence and the matching condition.  Both
     coefficients stay nonnegative only for t^2 >= 2.
     """
-    t = QuadNum(t)
+    t = as_quad(t)
     if not t > 0:
         raise ValueError('decay rate must be positive')
     tt = t * t
@@ -106,7 +106,7 @@ def tripod_family(t) -> EigenFamily:
 
 
 def ntree_constant(n: int) -> EigenFamily:
-    return EigenFamily('ntree_constant', RegularTree(n), QuadNum(n),
+    return EigenFamily('ntree_constant', RegularTree(n), as_quad(n),
                        OracleFun(lambda v: _ONE), (), (('n', n),))
 
 
@@ -127,7 +127,7 @@ def ntree_horofunction(n: int, s) -> EigenFamily:
     Every vertex sees exactly one neighbor one step nearer the end and
     n - 1 neighbors one step farther, so the eigenvalue is 1/s + (n-1)s.
     """
-    s = QuadNum(s)
+    s = as_quad(s)
     if not s > 0:
         raise ValueError('ratio must be positive')
     lam = _ONE / s + (n - 1) * s
@@ -146,7 +146,7 @@ def character(group: Group, values) -> Callable:
     a torsion group values other than 1 fail the relation check done by
     character_eigen rather than here.
     """
-    vals = [QuadNum(v) for v in
+    vals = [as_quad(v) for v in
             (values if isinstance(values, (list, tuple)) else [values])]
     for v in vals:
         if not v > 0:
@@ -219,7 +219,7 @@ def character_eigen(group, generators, values) -> EigenFamily:
             total = total + _ONE / chi(a[1])
         return inv_lam * total
 
-    vals = tuple(QuadNum(v) for v in
+    vals = tuple(as_quad(v) for v in
                  (values if isinstance(values, (list, tuple)) else [values]))
     shown = ','.join(str(v) for v in vals)
     return EigenFamily('character', graph, lam, OracleFun(weight),
@@ -329,7 +329,7 @@ def verify_eigen(graph: RibbonGraph, fn, lam, radius: int,
     if root is None:
         root = graph.root()
     _, order, _, nbrs = _numbered_ball(graph, (root,), radius + 1)
-    A, B, q, d = _lift_common(chain(map(fn, order), (QuadNum(lam),)))
+    A, B, q, d = _lift_common(chain(map(fn, order), (as_quad(lam),)))
     la, lb = A.pop(), B.pop()
     qq = q * q
 
@@ -351,12 +351,12 @@ def verify_eigen_tree(tree: RegularTree, fn, lam,
     a radius-20 ball of the 3-tree has millions of vertices.  Each
     oracle value is computed once and handed down the stack.
     """
-    lam = QuadNum(lam)
+    lam = as_quad(lam)
     n = tree.n
     root = ()
 
     def residuals():
-        stack = [(root, QuadNum(fn(root)), None, 0)]
+        stack = [(root, as_quad(fn(root)), None, 0)]
         while stack:
             v, fv, f_parent, d = stack.pop()
             kids = [v + (j,) for j in range(n if v == root else n - 1)]
@@ -391,7 +391,7 @@ def spoke_profile(lam, k: int) -> tuple:
     At lam = 2 this is 1, 2, 3, ...; above 2 it grows like the larger
     root of z^2 - lam z + 1.
     """
-    lam = QuadNum(lam)
+    lam = as_quad(lam)
     if lam < 2:
         raise ValueError('profile needs an eigenvalue of at least 2')
     if k < 1:
@@ -410,7 +410,7 @@ def spoke_threshold(lam) -> QuadNum:
     Away from hanging paths, no neighbor ratio of a positive
     eigenfunction drops below this value.
     """
-    lam = QuadNum(lam)
+    lam = as_quad(lam)
     if lam < 2:
         raise ValueError('threshold needs an eigenvalue of at least 2')
     return (lam - quad_sqrt(lam * lam - 4)) / 2

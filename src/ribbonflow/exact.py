@@ -9,6 +9,11 @@ parsed or printed.  All operations are exact: no floats enter any
 computation unless the caller explicitly asks for one.  Mixing two
 scalars from genuinely different fields raises :class:`FieldMixError`;
 rational scalars (b == 0) are compatible with every field.
+
+Every number a caller hands the library is read by :func:`as_quad`.  A
+float raises TypeError there, since its binary value is not the decimal
+written; only the float twins of the orbit routines in `dynamics` take
+floats.
 """
 
 from __future__ import annotations
@@ -75,62 +80,20 @@ class QuadNum:
 
     Four ints are stored, and the representation is canonical: q > 0,
     gcd(a, b, q) == 1, d is squarefree, and d == 0 exactly when b == 0.
-    Equal values therefore have equal components.  Construction accepts
-    ints, Fractions and textual forms like ``"3-2*sqrt(2)"`` (see
-    :func:`parse_quad`); the rational and radical parts read back as
+    Equal values therefore have equal components.  One argument is read
+    by :func:`as_quad`; three build a + b*sqrt(d) from ints or Fractions
+    a and b and an int d.  The rational and radical parts read back as
     Fractions.
     """
 
     __slots__ = ('_a', '_b', '_q', '_d')
 
     def __init__(self, a=0, b=0, d: int = 0):
-        if not b and not d:
-            if type(a) is int:
-                self._a = a
-                self._b = self._d = 0
-                self._q = 1
-                return
-            if type(a) is Fraction:
-                self._a = a.numerator
-                self._b = self._d = 0
-                self._q = a.denominator
-                return
-        if isinstance(a, QuadNum):
-            if b != 0 or d != 0:
-                raise ValueError('copy construction takes no extra arguments')
-            self._a, self._b, self._q, self._d = a._a, a._b, a._q, a._d
-            return
-        if isinstance(a, str):
-            if b != 0 or d != 0:
-                raise ValueError('textual form takes no extra arguments')
-            a, b, d = _parse_components(a)
-        a = Fraction(a)
-        b = Fraction(b)
-        d = int(d)
-        if d < 0:
-            raise ValueError('imaginary fields are not supported')
-        if d in (0, 1):
-            a += b * d
-            b = Fraction(0)
-            d = 0
-        elif b == 0:
-            d = 0
+        if type(b) is int and type(d) is int and not (b or d):
+            x = as_quad(a)
         else:
-            s, sf = _square_split(d)
-            if sf == 1:
-                a += b * s
-                b = Fraction(0)
-                d = 0
-            else:
-                b *= s
-                d = sf
-        # over q = lcm of the reduced denominators no prime divides a, b
-        # and q at once, so gcd(a, b, q) == 1 already
-        q = math.lcm(a.denominator, b.denominator)
-        self._a = a.numerator * (q // a.denominator)
-        self._b = b.numerator * (q // b.denominator)
-        self._q = q
-        self._d = d
+            x = _from_parts(a, b, d)
+        self._a, self._b, self._q, self._d = x._a, x._b, x._q, x._d
 
     @property
     def rational_part(self) -> Fraction:
@@ -376,21 +339,64 @@ def _lift(value) -> 'QuadNum | None':
     return None
 
 
-def _lift_common(values) -> tuple[list, list, int, int]:
-    """(A, B, q, d) with values[i] == (A[i] + B[i]*sqrt(d))/q: the values
-    (QuadNums, ints and Fractions) over one common denominator q > 0 and
-    one field d, which integral shears keep.
+def _from_parts(a, b, d) -> QuadNum:
+    """The canonical a + b*sqrt(d), for ints or Fractions a and b and an
+    int d >= 0."""
+    if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))
+            and isinstance(d, int)):
+        raise TypeError('components take ints or Fractions and an int d, '
+                        'got %r' % ((a, b, d),))
+    if d < 0:
+        raise ValueError('imaginary fields are not supported')
+    a = Fraction(a)
+    b = Fraction(b)
+    if d in (0, 1):
+        a += b * d
+        b = Fraction(0)
+        d = 0
+    elif b == 0:
+        d = 0
+    else:
+        s, sf = _square_split(d)
+        if sf == 1:
+            a += b * s
+            b = Fraction(0)
+            d = 0
+        else:
+            b *= s
+            d = sf
+    # over q = lcm of the reduced denominators no prime divides a, b
+    # and q at once, so gcd(a, b, q) == 1 already
+    q = math.lcm(a.denominator, b.denominator)
+    return _canonical(a.numerator * (q // a.denominator),
+                      b.numerator * (q // b.denominator), q, d)
 
-    Irrational values from two fields raise FieldMixError; values of any
-    other type (floats among them) raise TypeError.
+
+def as_quad(value) -> QuadNum:
+    """value as a QuadNum: a QuadNum as it is, an int or a Fraction
+    lifted, a textual form parsed (see :func:`parse_quad`).  Anything
+    else, a float included, raises TypeError naming the value."""
+    x = _lift(value)
+    if x is not None:
+        return x
+    if isinstance(value, str):
+        return _from_parts(*_parse_components(value))
+    raise TypeError('not an exact number: %r' % (value,))
+
+
+def _lift_common(values) -> tuple[list, list, int, int]:
+    """(A, B, q, d) with values[i] == (A[i] + B[i]*sqrt(d))/q: the values,
+    each read by as_quad, over one common denominator q > 0 and one field
+    d, which integral shears keep.
+
+    Irrational values from two fields raise FieldMixError; values as_quad
+    refuses (floats among them) raise TypeError.
     """
     nums = []
     q = 1
     d = 0
     for value in values:
-        x = _lift(value)
-        if x is None:
-            raise TypeError('not an exact number: %r' % (value,))
+        x = value if type(value) is QuadNum else as_quad(value)
         if x._d and x._d != d:
             if d:
                 raise FieldMixError(
@@ -448,7 +454,7 @@ def parse_quad(text: str) -> QuadNum:
 
 def sqrt_rational(q) -> QuadNum:
     """Exact square root of a nonnegative rational, as a QuadNum."""
-    q = Fraction(q)
+    q = as_quad(q).as_fraction()
     if q < 0:
         raise ValueError('square root of a negative number')
     if q == 0:
@@ -468,7 +474,7 @@ def quad_sqrt(x: QuadNum) -> QuadNum:
     square inside Q(sqrt(d)); otherwise the root would generate a degree-4
     extension and ValueError is raised.
     """
-    x = QuadNum(x) if not isinstance(x, QuadNum) else x
+    x = as_quad(x)
     if x.sign() < 0:
         raise ValueError('square root of a negative number')
     if x.is_rational:
@@ -534,8 +540,8 @@ class QVec2:
     __slots__ = ('x', 'y')
 
     def __init__(self, x, y):
-        self.x = x if isinstance(x, QuadNum) else QuadNum(x)
-        self.y = y if isinstance(y, QuadNum) else QuadNum(y)
+        self.x = x if type(x) is QuadNum else as_quad(x)
+        self.y = y if type(y) is QuadNum else as_quad(y)
 
     def __add__(self, other: 'QVec2') -> 'QVec2':
         return QVec2(self.x + other.x, self.y + other.y)
@@ -593,10 +599,10 @@ class QMat2:
     __slots__ = ('a', 'b', 'c', 'd')
 
     def __init__(self, a, b, c, d):
-        self.a = a if isinstance(a, QuadNum) else QuadNum(a)
-        self.b = b if isinstance(b, QuadNum) else QuadNum(b)
-        self.c = c if isinstance(c, QuadNum) else QuadNum(c)
-        self.d = d if isinstance(d, QuadNum) else QuadNum(d)
+        self.a = a if type(a) is QuadNum else as_quad(a)
+        self.b = b if type(b) is QuadNum else as_quad(b)
+        self.c = c if type(c) is QuadNum else as_quad(c)
+        self.d = d if type(d) is QuadNum else as_quad(d)
 
     @classmethod
     def identity(cls) -> 'QMat2':

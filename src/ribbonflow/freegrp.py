@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .exact import QMat2, QuadNum, SignPair
+from .exact import QMat2, QuadNum, SignPair, as_quad
 
 
 class Letter(NamedTuple):
@@ -121,7 +121,7 @@ IDENTITY = Word()
 
 def rho_letter(lam, letter: Letter) -> QMat2:
     """The elementary shear representing one letter at parameter lam."""
-    lam = lam if isinstance(lam, QuadNum) else QuadNum(lam)
+    lam = as_quad(lam)
     k = letter.exp
     off = lam if k == 1 else -lam if k == -1 else k * lam
     if letter.gen == 'h':
@@ -136,7 +136,7 @@ def rho(lam, word: Word) -> QMat2:
     column operation: h adds +-lam times the first column to the second,
     and v the second to the first.
     """
-    lam = lam if isinstance(lam, QuadNum) else QuadNum(lam)
+    lam = as_quad(lam)
     neg = -lam
     a, d = QuadNum(1), QuadNum(1)
     b, c = QuadNum(0), QuadNum(0)

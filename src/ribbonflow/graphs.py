@@ -21,7 +21,7 @@ from abc import ABC, abstractmethod
 from itertools import chain
 from typing import Callable
 
-from .exact import QuadNum
+from .exact import QuadNum, as_quad
 from .freegrp import Letter, Word, gamma
 
 _ZERO = QuadNum(0)
@@ -463,8 +463,7 @@ class SparseFun:
             if old is not None:
                 store[v] = old + val
             else:
-                # ints and Fractions lift; anything else raises TypeError
-                store[v] = val if type(val) is QuadNum else _ZERO + val
+                store[v] = val if type(val) is QuadNum else as_quad(val)
         self._data = {v: c for v, c in store.items() if c}
 
     @classmethod
@@ -528,7 +527,7 @@ class OracleFun:
 
     def __call__(self, v) -> QuadNum:
         out = self._fn(v)
-        return out if isinstance(out, QuadNum) else QuadNum(out)
+        return out if type(out) is QuadNum else as_quad(out)
 
 
 def project_class(graph: RibbonGraph, x: SparseFun, cls: str) -> SparseFun:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .dynamics import (HPoint, _theta_parts, from_edge, hpoint, iet_step,
                        resolve, walk)
-from .exact import QuadNum, QVec2, _lift_common, _reduced, _xy
+from .exact import QuadNum, QVec2, _lift_common, _reduced, _xy, as_quad
 from .graphs import (OracleFun, RibbonGraph, SparseFun, _numbered_ball,
                      pairing)
 from .renorm import critical_times
@@ -306,7 +306,7 @@ def transversal_measure(surface: Surface, f, theta, e, t, depth: int
     cut above.  Only the cell holding t is refined, and at most two
     chains are flowed.
     """
-    t = QuadNum(t)
+    t = as_quad(t)
     if not (_ZERO <= t <= surface.width(e)):
         raise ValueError('segment end outside the edge')
     lo, hi = _cell(surface, theta, e, t, depth)

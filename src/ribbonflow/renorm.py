@@ -23,13 +23,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exact import QuadNum, QVec2, SignPair, _xy, quad_sqrt
+from .exact import QuadNum, QVec2, SignPair, _xy, as_quad, quad_sqrt
 from .freegrp import (H, H_INV, LETTERS, V, V_INV, Letter, Word, rho,
                       sign_act_letter)
-
-
-def _as_quad(value) -> QuadNum:
-    return value if isinstance(value, QuadNum) else QuadNum(value)
 
 
 def shrink_membership(lam, letter: Letter, theta) -> bool:
@@ -43,7 +39,7 @@ def shrink_membership(lam, letter: Letter, theta) -> bool:
     theta = QVec2(*_xy(theta))
     if not (theta.x or theta.y):
         raise ValueError('zero vector has no direction')
-    step = _as_quad(lam) * letter.exp
+    step = as_quad(lam) * letter.exp
     x, y = theta.x, theta.y
     if letter.gen == 'h':
         shift = step * y
@@ -63,7 +59,7 @@ def shrink_membership_slope(lam, letter: Letter, theta) -> bool:
     theta = QVec2(*_xy(theta))
     if not (theta.x or theta.y):
         raise ValueError('zero vector has no direction')
-    lam = _as_quad(lam)
+    lam = as_quad(lam)
     if theta.x.sign() == 0:
         return False
     slope = theta.y / theta.x
@@ -85,7 +81,7 @@ def shrink_cone(lam, letter: Letter) -> tuple[QVec2, QVec2]:
     Returned as (lo, hi) with the open cone between them (modulo the
     antipodal map) equal to the shrinking set of the generator.
     """
-    lam = _as_quad(lam)
+    lam = as_quad(lam)
     if letter == H:
         return QVec2(lam, -2), QVec2(1, 0)
     if letter == H_INV:
@@ -203,7 +199,7 @@ def shrinking_sequence(lam, theta, max_steps: int = 64) -> ShrinkData:
     returned prefix is usable at full length.  Below lam = 2 two shrink
     cones overlap, so the greedy choice is undefined there.
     """
-    lam = _as_quad(lam)
+    lam = as_quad(lam)
     if lam < 2:
         raise ValueError('lambda must be at least 2, got %s' % lam)
     theta = QVec2(*_xy(theta))
@@ -385,7 +381,7 @@ def direction_from_sequence(lam, prefix: Sequence[Letter] = (),
     degree <= 2 field or ValueError is raised.  Without a period: the cone
     of directions consistent with the prefix, as a :class:`DirectionCone`.
     """
-    lam = _as_quad(lam)
+    lam = as_quad(lam)
     prefix = tuple(prefix)
     verdict = is_renormalizing(prefix, period)
     if verdict.verdict is Verdict.NO:
@@ -436,11 +432,11 @@ def omega_test(n: int, alpha, max_steps: int = 64) -> OmegaResult:
     """
     if n < 2:
         raise ValueError('level must be at least 2')
-    alpha = _as_quad(alpha)
+    alpha = as_quad(alpha)
     if alpha.is_rational:
         return OmegaResult(OmegaKind.NOT_IN_OMEGA, 'alpha is rational')
     theta = QVec2(alpha - Fraction(1, n), Fraction(1, n))
-    data = shrinking_sequence(QuadNum(n), theta, max_steps)
+    data = shrinking_sequence(n, theta, max_steps)
     if data.status is TailStatus.PERIODIC:
         return OmegaResult(OmegaKind.IN_OMEGA, 'periodic renormalizing tail',
                            data)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple
 
-from .exact import QuadNum
+from .exact import QuadNum, as_quad
 from .freegrp import Letter, Word
 from .graphs import RibbonGraph, SparseFun
 
@@ -52,7 +52,7 @@ class Surface:
     def __init__(self, graph: RibbonGraph, weight, lam):
         self.graph = graph
         self.weight = weight
-        self.lam = QuadNum(lam)
+        self.lam = as_quad(lam)
         self._sections = {}
 
     @classmethod
@@ -266,7 +266,7 @@ def ball_growth(graph: RibbonGraph, weight, lam, root, n_max: int):
     """
     if graph.vertex_class(root) != 'a':
         raise ValueError('growth layers start from an A-vertex')
-    lam = QuadNum(lam)
+    lam = as_quad(lam)
     lengths = []
     max_sides = []
     layer = {root}
@@ -279,8 +279,8 @@ def ball_growth(graph: RibbonGraph, weight, lam, root, n_max: int):
         boundary = _ZERO
         widest = _ZERO
         for e in rect:
-            width = QuadNum(weight(graph.beta(e)))
-            height = QuadNum(weight(graph.alpha(e)))
+            width = as_quad(weight(graph.beta(e)))
+            height = as_quad(weight(graph.alpha(e)))
             if graph.next_at_b(e) not in rect:
                 boundary = boundary + width
             if graph.prev_at_b(e) not in rect:

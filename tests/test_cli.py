@@ -211,6 +211,21 @@ def test_simulate_surface_exact_cells(capsys):
         parse_quad(r[2])
 
 
+def test_simulate_left_branch_prints_its_own_symbol(capsys):
+    # rows 1 and 3 land on cuts; the left branch codes them as the west
+    # edge at its full width
+    argv = ['simulate', '--family', 'gz_constant', '--theta', '1, 2',
+            '--steps', '4']
+    code, out = run(capsys, argv + ['--branch', 'left'])
+    assert code == EXIT_OK
+    assert [','.join(r) for r in csv_body(out)[1]] == [
+        '0,0,1/2,-1,1/2', '1,-2,0,-2,1', '2,0,3/2,0,1/2', '3,2,1,1,1']
+    code, out = run(capsys, argv)
+    assert code == EXIT_OK
+    assert [','.join(r) for r in csv_body(out)[1]] == [
+        '0,0,1/2,-1,1/2', '1,-2,0,-3,0', '2,-4,3/2,-4,1/2', '3,-2,1,-2,0']
+
+
 def test_simulate_skew_budget_exit(capsys, monkeypatch):
     monkeypatch.setenv('RIBBONFLOW_BUDGET', '3')
     code, _ = run(capsys, ['simulate', '--group', 'Z', '--generators',
@@ -523,9 +538,32 @@ def test_render_limit_set_svg(tmp_path, capsys):
 
 
 def test_render_limit_set_needs_hyperbolic_lambda(capsys):
-    assert main(['render', '--style', 'limitset', '--lambda', '2',
-                 '--depth', '2']) == EXIT_PARSE
-    capsys.readouterr()
+    for lam in ('2', '-3', '1+sqrt(2)'):
+        assert main(['render', '--style', 'limitset', '--lambda', lam,
+                     '--depth', '2']) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            'error: limit-set render needs lambda > 2 with lambda^2 - 4 '
+            'rational\n')
+    # sqrt(5) is irrational, but lambda^2 - 4 = 1 is not
+    assert main(['render', '--style', 'limitset', '--lambda', 'sqrt(5)',
+                 '--depth', '2']) == EXIT_OK
+    assert '<svg' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize('argv', [
+    ['omega', '--n', '2', '--alpha', '-1/2+sqrt(2)'],
+    ['shrink', '--lambda', '2', '--theta', '-1,1+sqrt(2)', '--depth', '4'],
+    ['render', '--style', 'limitset', '--lambda', '-sqrt(5)'],
+    ['simulate', '--group', 'Z', '--generators', '(1,-1)', '--alpha',
+     '-1/2*sqrt(2)', '--steps', '4'],
+], ids=['omega', 'shrink', 'render', 'simulate'])
+def test_negative_literals_read_as_flag_values(capsys, argv):
+    i = next(i for i, tok in enumerate(argv) if tok.startswith('-')
+             and not tok.startswith('--'))
+    joined = argv[:i - 1] + [argv[i - 1] + '=' + argv[i]] + argv[i + 1:]
+    spaced = (main(argv), *capsys.readouterr())
+    assert spaced == (main(joined), *capsys.readouterr())
+    assert 'expected one argument' not in spaced[2]
 
 
 def run_module(argv):

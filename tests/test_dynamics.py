@@ -114,10 +114,9 @@ def test_directions_read_as_vectors_or_pairs():
     assert flow_to_next_edge(s, vec, start) == \
         flow_to_next_edge(s, THETA41, start)
     pair_f = (float(THETA41[0]), float(THETA41[1]))
-    vec_f = QVec2(*pair_f)
     st_f = FloatState(p.a, float(p.t))
-    assert iet_step_float(s, vec_f, st_f) == iet_step_float(s, pair_f, st_f)
-    assert flow_to_next_edge_float(s, vec_f, s.north(e), float(o), 0.0) == \
+    assert iet_step_float(s, vec, st_f) == iet_step_float(s, pair_f, st_f)
+    assert flow_to_next_edge_float(s, vec, s.north(e), float(o), 0.0) == \
         flow_to_next_edge_float(s, pair_f, s.north(e), float(o), 0.0)
 
 

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ribbonflow.exact import FieldMixError, QuadNum
-from ribbonflow.graphs import (Cyclic, Heisenberg, IntegersZ, OracleFun,
-                               RegularTree, vertices_in_ball)
+from ribbonflow.exact import FieldMixError, QuadNum, sqrt_rational
+from ribbonflow.graphs import (Cyclic, FreeGroup, Heisenberg, IntegerLattice,
+                               IntegersZ, OracleFun, RegularTree,
+                               vertices_in_ball)
 from ribbonflow.eigen import (EigenFamily, builtin_families, character,
                               character_eigen, family_eigen, gz_constant,
                               gz_exponential, ntree_constant,
@@ -115,6 +116,24 @@ def test_character_on_staircase_skew():
     fam = character_eigen(IntegersZ(), (1, -1), 2)
     assert fam.lam == QuadNum(0, Fraction(3, 2), 2)
     assert character_eigen(IntegersZ(), (1, -1), 1).lam == 2
+
+
+@pytest.mark.parametrize('group, generators, lam, elements', [
+    (IntegerLattice(2), ((1, 0), (0, 1), (-1, 0), (0, -1)),
+     2 * sqrt_rational(6), [(0, 0), (1, 0), (-2, 3), (5, -1), (-4, -4)]),
+    (FreeGroup(2), ((1,), (2,), (-2,), (-1,)), sqrt_rational(858) / 6,
+     [(), (1,), (-2,), (1, 2, -1), (2, 2, -1, 2), (-1, -2, 1)]),
+], ids=['Z^2', 'free'])
+def test_character_on_lattice_and_free_group(group, generators, lam,
+                                             elements):
+    fam = character_eigen(group, generators, (2, 3))
+    assert fam.lam == lam
+    report = verify_family(fam, 4)
+    assert report.ok and report.vertex_count > 40
+    chi = character(group, (2, 3))
+    for a in elements:
+        for b in elements:
+            assert chi(group.op(a, b)) == chi(a) * chi(b)
 
 
 def test_character_trivial_gives_valence():

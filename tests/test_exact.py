@@ -1,19 +1,28 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ribbonflow.dynamics import hpoint, skew_step
+from ribbonflow.eigen import gz_constant, gz_exponential, verify_eigen
 from ribbonflow.exact import (
     FieldMixError,
     QMat2,
     QuadNum,
     QVec2,
     SignPair,
+    as_quad,
     parse_quad,
     quad_sqrt,
     sqrt_rational,
 )
+from ribbonflow.freegrp import Word, rho
+from ribbonflow.graphs import IntegersZ, OracleFun, PathGraph
+from ribbonflow.measures import plane_point, transversal_measure
+from ribbonflow.renorm import shrinking_sequence
+from ribbonflow.surface import Surface
 
 SQUAREFREE = [0, 2, 3, 5, 7, 13, 34, 41]
 
@@ -306,3 +315,54 @@ def test_dot_is_wedge_with_quarter_turn(ux, uy, vx, vy):
     v = QVec2(vx, vy)
     quarter = QMat2(0, -1, 1, 0)
     assert u.dot(v) == u.wedge(quarter.apply(v))
+
+
+def test_as_quad_reads_exact_values_only():
+    x = QuadNum('1+sqrt(2)')
+    assert as_quad(x) is x
+    assert as_quad(3) == QuadNum(3) and as_quad(True) == 1
+    assert as_quad(Fraction(-2, 6)) == QuadNum(Fraction(-1, 3))
+    assert as_quad(' 3 - 2*sqrt(8) ') == QuadNum(3, -4, 2)
+    for value in (0.1, None, (1, 2), [1], 1j):
+        with pytest.raises(TypeError, match='not an exact number: %s'
+                           % re.escape(repr(value))):
+            as_quad(value)
+    with pytest.raises(ValueError):
+        as_quad('sqrt(-2)')
+
+
+def _gz_measure_args():
+    fam = gz_constant()
+    theta = (QuadNum(1), QuadNum('-1+sqrt(2)'))
+    return (Surface.from_family(fam), plane_point(fam.graph, fam.weight,
+                                                  theta), theta, 0)
+
+
+# exact entry points, each given one float where it takes a number
+FLOAT_INPUTS = {
+    'QuadNum': lambda: QuadNum(0.5),
+    'QuadNum-b': lambda: QuadNum(1, 0.5, 2),
+    'QuadNum-d': lambda: QuadNum(1, 1, 2.7),
+    'QVec2': lambda: QVec2(0.5, 1),
+    'rho': lambda: rho(2.5, Word.from_str('h')),
+    'shrinking_sequence-lam': lambda: shrinking_sequence(
+        2.0, (1, QuadNum('-1+sqrt(2)'))),
+    'shrinking_sequence-theta': lambda: shrinking_sequence(
+        2, (1, 0.41421356)),
+    'Surface': lambda: Surface(PathGraph(), lambda v: 1, 2.5),
+    'gz_exponential': lambda: gz_exponential(1.5),
+    'verify_eigen': lambda: verify_eigen(
+        PathGraph(), OracleFun(lambda v: 1.0), 2, 3),
+    'skew_step': lambda: skew_step(2, 0.3, IntegersZ(), (1, -1),
+                                   (QuadNum(0), 0)),
+    'hpoint': lambda: hpoint(Surface.from_family(gz_constant()), 0, 0.25),
+    'transversal_measure': lambda: transversal_measure(
+        *_gz_measure_args(), 0.5, 2),
+    'sqrt_rational': lambda: sqrt_rational(0.25),
+}
+
+
+@pytest.mark.parametrize('build', FLOAT_INPUTS.values(), ids=FLOAT_INPUTS)
+def test_entry_points_refuse_floats(build):
+    with pytest.raises(TypeError):
+        build()
