@@ -7,9 +7,13 @@ literals, never floats.  Runs are deterministic; every artifact records
 the package version and the seed it was invoked with, and identical
 configurations produce byte-identical output.
 
+Family, group and direction values share one grammar: an int, an exact
+number, a name such as Z^d, or a tuple of values in (...) or [...],
+with quotes optional ("(1/2,1)" is "('1/2',1)").  A float is refused,
+and Python-only spellings such as 0x3 or string escapes are not read.
 A family flag value reads as its inline key=value does ("--chi 41/10"
-is "chi=41/10"), and a float is refused in both.  A value may start
-with "-": "--alpha -1/2+sqrt(2)" is "--alpha=-1/2+sqrt(2)".
+is "chi=41/10"), and "--theta x, y" is the tuple (x, y).  A value may
+start with "-": "--alpha -1/2+sqrt(2)" is "--alpha=-1/2+sqrt(2)".
 
 Exit codes: 0 on success, 2 for unusable arguments, each refused in one
 "error:" line (only --help prints the usage), 3 when an orbit or search
@@ -21,20 +25,21 @@ error: it keeps its traceback and exits 1.
 from __future__ import annotations
 
 import argparse
-import ast
 import csv
 import functools
 import io
 import json
 import math
 import os
+import re
 import sys
 
 from . import __version__
 from .dynamics import (OrbitEscapedBudget, code_orbit, from_edge, resolve,
                        skew_orbit, skew_orbit_float)
 from .eigen import EigenFamily, family_eigen, verify_family
-from .exact import FieldMixError, QuadNum, QVec2, parse_quad, sqrt_rational
+from .exact import (FieldMixError, QuadNum, QVec2, as_quad, parse_quad,
+                    sqrt_rational)
 from .freegrp import H, H_INV, V, V_INV, Word, rho
 from .graphs import make_group, vertices_in_ball
 from .measures import (conjugate_boundary_point, decay_profiles, plane_point,
@@ -55,63 +60,62 @@ class NotRenormalizableInput(Exception):
 
 
 def _theta(text: str) -> tuple:
-    parts = text.split(',')
-    if len(parts) != 2:
-        raise ValueError('direction needs two comma-separated entries')
-    return (parse_quad(parts[0]), parse_quad(parts[1]))
+    """A direction "x, y", with or without its brackets: two numbers."""
+    value = _value('(%s)' % text, text)
+    if not (isinstance(value, tuple) and len(value) == 2
+            and all(isinstance(v, (int, QuadNum)) for v in value)):
+        raise ValueError('direction needs two numbers "x, y", got %r' % text)
+    return tuple(map(as_quad, value))
 
 
-def _literal(text: str):
-    """The literal written in text, such as "(1,-1)" or "'41/10'": ints
-    and strings, in tuples (lists are read as tuples), or text itself
-    when it is no literal.  A float is refused, since its binary value
-    is not the decimal written."""
+_NAME = re.compile(r'[A-Za-z][A-Za-z0-9_^]*')
+_CLOSE = {'(': ')', '[': ']'}
+_MAX_NESTING = 16   # so a value costs at most this many scans of its text
+
+
+def _value(text: str, whole: str | None = None, depth: int = 0):
+    """The value written in text: an int, an exact number, a name such as
+    Z^d, or a tuple of values in (...) or [...], split on the top-level
+    commas with one trailing comma allowed; as in Python, (4) is 4 and
+    (4,) a tuple.  One pair of quotes around any value is dropped.  Bad
+    brackets and empty entries are refused naming the whole value, and a
+    float, whose binary value is not the decimal written, naming itself."""
+    whole = text if whole is None else whole
+    text = text.strip()
+    if len(text) > 1 and text[0] == text[-1] and text[0] in '\'"':
+        text = text[1:-1].strip()
+    close = _CLOSE.get(text[:1])
+    if not text or close and (text[-1] != close or depth == _MAX_NESTING):
+        raise ValueError('not a literal: %r' % whole)
+    if close:
+        parts = _top_level_parts(text[1:-1])
+        if not parts[-1].strip():
+            parts.pop()   # a trailing comma, or the empty tuple
+        elif len(parts) == 1 and close == ')':
+            return _value(parts[0], whole, depth + 1)
+        return tuple(_value(part, whole, depth + 1) for part in parts)
     try:
-        value = ast.literal_eval(text)
-    except (SyntaxError, ValueError):
+        return int(text)
+    except ValueError:
+        pass
+    if _NAME.fullmatch(text):
         return text
-    if isinstance(value, list):
-        value = tuple(value)
-    if isinstance(value, tuple):
-        value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-    leaves = [value]
-    while leaves:
-        leaf = leaves.pop()
-        if isinstance(leaf, tuple):
-            leaves.extend(reversed(leaf))
-        elif isinstance(leaf, float):
-            raise ValueError("float %r in literal %r: write a rational or "
-                             "a sqrt form as a string, e.g. '41/10' or "
-                             "'1+sqrt(2)'" % (leaf, text))
-        elif not isinstance(leaf, (int, str)):
-            raise ValueError('not a literal of numbers and tuples: %r'
-                             % text)
-    return value
+    try:
+        float(text)
+    except ValueError:
+        return parse_quad(text)
+    raise ValueError("float %s in literal %r: write a rational or a sqrt "
+                     "form, e.g. 41/10 or 1+sqrt(2)" % (text, whole))
 
 
 def _param(key: str, text: str):
-    """A family or group value, read the same from a flag or inline: an
-    int, an exact number, a literal, or else text itself, such as a
-    group name.  A bracketed value must be a literal, and generators a
-    non-empty tuple."""
-    bracketed = text.startswith(('(', '['))
-    if bracketed or key == 'generators':
-        value = _literal(text)
-        if bracketed and value is text:
-            # literal_eval's message prints the address of an AST node
-            raise ValueError('not a literal: %r' % text)
-        if key == 'generators' and not (isinstance(value, tuple) and value):
-            raise ValueError('argument --generators: takes a non-empty '
-                             'tuple of generators such as "(1,-1)", got %r'
-                             % text)
-        return value
-    for read in (int, parse_quad):
-        try:
-            return read(text)
-        except ValueError:
-            pass
-    # a name needs no literal parse
-    return text if text[:1].isalpha() else _literal(text)
+    """A family or group value, read by _value the same from a flag or
+    inline; generators must be a non-empty tuple."""
+    value = _value(text)
+    if key == 'generators' and not (isinstance(value, tuple) and value):
+        raise ValueError('argument --generators: takes a non-empty tuple '
+                         'of generators such as "(1,-1)", got %r' % text)
+    return value
 
 
 def _size(text: str) -> int:
@@ -170,8 +174,12 @@ def _family(spec: str, args=None) -> EigenFamily:
 
 def _emit_text(args, text: str) -> None:
     if args.out:
-        with open(args.out, 'w') as handle:
-            handle.write(text)
+        try:
+            with open(args.out, 'w') as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError('cannot write --out %s: %s'
+                             % (args.out, exc.strerror or exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -235,7 +243,10 @@ def cmd_omega(args) -> int:
     if result.kind is OmegaKind.IN_OMEGA:
         return EXIT_OK
     if result.kind is OmegaKind.UNDETERMINED:
+        print('undetermined: %s at --depth %d' % (result.reason, args.depth),
+              file=sys.stderr)
         return EXIT_BUDGET
+    print('%s: %s' % (result.kind.value, result.reason), file=sys.stderr)
     return EXIT_NOT_RENORM
 
 
@@ -260,11 +271,19 @@ def cmd_simulate(args) -> int:
         raise ValueError('--budget and %s take an integer >= 0, got %r'
                          % (BUDGET_ENV, raw))
     budget = int(raw) or None  # 0 means unbounded
-    mode = '--group' if args.group else '--family'
-    for key in ('generators', 'alpha') if args.group else ('theta',):
+    skew = args.group is not None
+    if skew and args.family is not None:
+        raise ValueError("--group runs the skew rotation and reads no "
+                         "--family; name a character family's group "
+                         "inline, as in --family 'character:group=Z,...'")
+    mode = '--group' if skew else '--family'
+    for key in ('generators', 'alpha') if skew else ('theta',):
         if getattr(args, key) is None:
             raise ValueError('%s needs --%s' % (mode, key))
-    if args.group:
+    for key in ('theta', 'branch') if skew else ('alpha', 'mode'):
+        if getattr(args, key) is not None:
+            raise ValueError('%s reads no --%s' % (mode, key))
+    if skew:
         params = _flags(args)
         generators = params['generators']
         group = make_group(params['group'], **params)
@@ -290,7 +309,8 @@ def cmd_simulate(args) -> int:
     edge = fam.graph.base_edge(fam.root)
     start = from_edge(surface, edge, surface.width(edge) / 2)
     symbols, points = code_orbit(surface, theta, start, args.steps,
-                                 branch=args.branch, budget=budget)
+                                 branch=args.branch or 'right',
+                                 budget=budget)
     rows = []
     for k, (e, p) in enumerate(zip(symbols, points)):
         right, o = resolve(surface, p)
@@ -511,8 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--theta')
     p.add_argument('--alpha')
     p.add_argument('--steps', type=_size, default=100)
-    p.add_argument('--mode', choices=('exact', 'float'), default='exact')
-    p.add_argument('--branch', choices=('left', 'right'), default='right')
+    # exact and right by default; each is read only in its own mode
+    p.add_argument('--mode', choices=('exact', 'float'))
+    p.add_argument('--branch', choices=('left', 'right'))
     # default from BUDGET_ENV, read in cmd_simulate where a bad value
     # exits 2
     p.add_argument('--budget')

@@ -240,12 +240,19 @@ def family_eigen(name: str, /, **params) -> EigenFamily:
     """Build a named family: gz_constant, gz_exponential, tripod,
     ntree_constant, ntree_horo, or character.  Parameters a family does
     not take are ignored; a missing one, or a tuple where a number is
-    taken, is a ValueError naming it."""
+    taken, is a ValueError naming it.  chi takes a number or a flat tuple
+    of numbers."""
     taken = _FAMILIES[name][1] if name in _FAMILIES else ()
-    for key in ('t', 'n', 's'):
-        if key in taken and isinstance(params.get(key), tuple):
+    for key in ('t', 'n', 's', 'chi'):
+        value = params.get(key)
+        if key not in taken or not isinstance(value, tuple):
+            continue
+        if key != 'chi':
             raise ValueError('family %s takes a number for %r, got %r'
-                             % (name, key, params[key]))
+                             % (name, key, value))
+        if any(isinstance(v, tuple) for v in value):
+            raise ValueError('family %s takes a number or a flat tuple of '
+                             'numbers for %r, got %r' % (name, key, value))
     return _build_named('family', _FAMILIES, name, params)
 
 

@@ -187,6 +187,11 @@ _SIGMA = {
 
 
 def sign_act_letter(letter: Letter, s: SignPair) -> SignPair:
-    for unit in _units(letter):
+    """s transported along letter.  Each _SIGMA table is idempotent, so a
+    letter of exponent k acts as the unit letter of sign(k) once."""
+    gen, exp = letter
+    if isinstance(exp, int) and exp:
+        exp = 1 if exp > 0 else -1
+    for unit in _units((gen, exp)):
         s = _SIGMA[unit][s]
     return s

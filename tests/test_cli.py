@@ -1,7 +1,9 @@
 """Exit codes, output discipline, and the documented invocations."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -12,6 +14,7 @@ import xml.dom.minidom
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ribbonflow import __version__, cli
 from ribbonflow.cli import (EXIT_BUDGET, EXIT_NOT_RENORM, EXIT_OK,
@@ -353,10 +356,9 @@ def test_missing_family_and_malformed_literal_exit_two(capsys):
     assert main(['eigen', '--family', 'character', '--group', 'Z',
                  '--generators', '(1,', '--chi', '4']) == EXIT_PARSE
     capsys.readouterr()
-    # a literal_eval ValueError would print the address of an AST node
     assert main(['growth', '--family', 'character:group=Z,generators=(1,-1),'
-                 'chi=(41/10)']) == EXIT_PARSE
-    assert capsys.readouterr().err == "error: not a literal: '(41/10)'\n"
+                 'chi=(41/10,']) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: not a literal: '(41/10,'\n"
 
 
 CHARACTER_Z = ['--family', 'character', '--group', 'Z', '--generators',
@@ -376,6 +378,121 @@ def test_float_literals_exit_two_asking_for_exact_forms(capsys, flag,
     assert len(errors) == 1
     assert repr(literal) in errors[0] and 'float %s' % leaf in errors[0]
     assert 'rational' in errors[0] and 'sqrt' in errors[0]
+
+
+HEISENBERG = ['growth', '--family', 'character', '--group', 'heisenberg',
+              '--generators', '((1,0,0),(-1,0,0),(0,1,0),(0,-1,0))']
+
+
+@pytest.mark.parametrize('plain, quoted', [
+    (HEISENBERG + ['--chi', '(1/2,1)'], HEISENBERG + ['--chi', "('1/2',1)"]),
+    (['shrink', '--lambda', '2', '--theta', '(1, -1+sqrt(2))', '--depth',
+      '6'],
+     ['shrink', '--lambda', '2', '--theta', '1, -1+sqrt(2)', '--depth',
+      '6']),
+], ids=['tuple-of-rationals', 'bracketed-direction'])
+def test_tuples_take_exact_numbers_as_scalars_do(capsys, plain, quoted):
+    # the first spelling of each pair used to exit 2
+    first, second = (run(capsys, argv) for argv in (plain, quoted))
+    assert first == second and first[0] == EXIT_OK
+
+
+@pytest.mark.parametrize('argv', [
+    ['--group', 'Z', '--generators', '(1,-1)', '--chi', '((1,2),)'],
+    ['--group', 'free', '--k', '2', '--generators',
+     '((1,),(2,),(-2,),(-1,))', '--chi', '[(),]'],
+], ids=['Z', 'free'])
+def test_nested_chi_exits_two(capsys, argv):
+    # a tuple inside chi used to reach as_quad: a TypeError traceback
+    code = main(['growth', '--family', 'character', *argv, '--depth', '2'])
+    out, err = capsys.readouterr()
+    assert code == EXIT_PARSE and out == ''
+    assert err.count('\n') == 1 and err.startswith('error: ')
+    assert "'chi'" in err
+
+
+def spell(value, opener='(', quote=''):
+    """value in the CLI grammar, tuples in opener's brackets and each
+    leaf in quote."""
+    if not isinstance(value, tuple):
+        return quote + str(value) + quote
+    inner = ', '.join(spell(v, opener, quote) for v in value)
+    close = {'(': ')', '[': ']'}[opener]
+    return opener + inner + ',' * (len(value) == 1) + close
+
+
+NAMES = st.from_regex(r'[A-Za-z][A-Za-z0-9_^]{0,4}', fullmatch=True)
+QUADS = st.builds(QuadNum, st.fractions(-20, 20, max_denominator=9),
+                  st.fractions(-20, 20, max_denominator=9),
+                  st.sampled_from([2, 3, 5, 41]))
+
+
+def nested(leaves, depth=3):
+    """leaves, and tuples of them nested up to depth."""
+    if not depth:
+        return leaves
+    return st.one_of(leaves, st.lists(nested(leaves, depth - 1),
+                                      max_size=3).map(tuple))
+
+
+VALUES = nested(st.one_of(st.integers(-10 ** 20, 10 ** 20), QUADS, NAMES))
+
+
+@given(VALUES, st.sampled_from('(['), st.sampled_from(['', "'", '"']))
+def test_values_read_back_as_spelled(value, opener, quote):
+    assert cli._value(spell(value, opener, quote)) == value
+
+
+@given(VALUES.filter(lambda v: isinstance(v, tuple)), st.sampled_from('(['),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_off_grammar_values_raise_value_error(value, opener, x):
+    text = spell(value, opener)
+    flawed = [text[:-1], '(' + text, '%s, %r)' % (text[:-1], x), repr(x),
+              text.replace(',', ',,', 1) if ',' in text else '(,)',
+              '', "''", '(' * 20 + ')' * 20]
+    for bad in flawed:
+        with pytest.raises(ValueError):
+            cli._value(bad)
+
+
+# (group flags, generators, chi) of a valid character family per group
+FUZZ_GROUPS = [
+    (['--group', 'Z'], '(1,-1)', '4'),
+    (['--group', 'Z^d', '--d', '2'], '((1,0),(-1,0),(0,1),(0,-1))',
+     '(2,3)'),
+    (['--group', 'heisenberg'], '((1,0,0),(-1,0,0),(0,1,0),(0,-1,0))',
+     '(1/2,1)'),
+    (['--group', 'free', '--k', '2'], '((1,),(2,),(-2,),(-1,))', '(2,3)'),
+    (['--group', 'cyclic', '--m', '3'], '(1,-1)', '1'),
+]
+# grammar values with small ints, so no family grows a large ball, and
+# junk whose longest number is 22222
+FUZZ_TEXT = st.one_of(
+    st.builds(spell, nested(st.one_of(st.integers(-3, 6), QUADS, NAMES)),
+              st.sampled_from('([')),
+    st.text(alphabet='012-+/*.,()[]\' sqrtZx^', max_size=12).filter(
+        lambda t: not re.search(r'\d{6}', t)),
+    st.sampled_from([gens for _, gens, _ in FUZZ_GROUPS]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.sampled_from(FUZZ_GROUPS).flatmap(lambda group: st.builds(
+        lambda gens, chi: ['growth', '--family', 'character', *group[0],
+                           '--generators', gens, '--chi', chi, '--depth',
+                           '1'],
+        st.one_of(st.just(group[1]), FUZZ_TEXT),
+        st.one_of(st.just(group[2]), FUZZ_TEXT))),
+    st.builds(lambda family, value: ['eigen', '--family', family[0],
+                                     family[1], value, '--window', '1'],
+              st.sampled_from([('tripod', '--t'), ('ntree_constant', '--n'),
+                               ('ntree_horo:n=3', '--s')]), FUZZ_TEXT)))
+def test_fuzzed_family_values_end_in_zero_or_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_PARSE), argv
+    assert err.getvalue().count('\n') == (code == EXIT_PARSE), argv
 
 
 def test_character_family_reaches_growth_and_render(tmp_path, capsys):
@@ -694,6 +811,60 @@ def test_each_documented_exit_code(capsys, argv, code):
         assert err == '' and out
     else:
         assert err.count('\n') == 1 and 'Traceback' not in err
+
+
+@pytest.mark.parametrize('argv, code, line', [
+    (['--n', '2', '--alpha', '1/3+sqrt(2)', '--depth', '4'], EXIT_BUDGET,
+     'undetermined: budget exhausted at --depth 4'),
+    (['--n', '3', '--alpha', '5/6+1/6*sqrt(5)'], EXIT_NOT_RENORM,
+     'not-in-omega: excluded tail h^-1 v'),
+    (['--n', '2', '--alpha', '1/3'], EXIT_NOT_RENORM,
+     'not-in-omega: alpha is rational'),
+], ids=['undetermined', 'excluded-tail', 'rational'])
+def test_omega_verdicts_give_their_reason_on_stderr(capsys, argv, code,
+                                                    line):
+    # stderr used to be empty; the reason is also the table's reason cell
+    assert main(['omega', *argv]) == code
+    out, err = capsys.readouterr()
+    assert err == line + '\n'
+    kind, reason = csv_body(out)[1][0][:2]
+    assert line.startswith('%s: %s' % (kind, reason))
+
+
+@pytest.mark.parametrize('argv', [
+    ['omega', '--n', '2', '--alpha', '1/2*sqrt(2)'],
+    ['render', '--style', 'limitset', '--lambda', '3', '--depth', '1'],
+], ids=['table', 'svg'])
+def test_unwritable_out_exits_two(tmp_path, capsys, argv):
+    # the OSError of --out used to end in a traceback with exit 1
+    for out, reason in ((tmp_path / 'missing' / 'x.csv',
+                         'No such file or directory'),
+                        (tmp_path, 'Is a directory')):
+        assert main(argv + ['--out', str(out)]) == EXIT_PARSE
+        assert capsys.readouterr() == ('', 'error: cannot write --out %s: '
+                                       '%s\n' % (out, reason))
+
+
+SURFACE_ORBIT = ['simulate', '--family', 'gz_constant', '--theta',
+                 '1, -1+sqrt(2)', '--steps', '3']
+
+
+@pytest.mark.parametrize('argv, flag', [
+    (SURFACE_ORBIT + ['--mode', 'float'], '--family reads no --mode'),
+    (SURFACE_ORBIT + ['--alpha', '1/2*sqrt(2)'], '--family reads no --alpha'),
+    (SKEW_Z + ['--family', 'gz_constant'], "character family's group "
+                                           "inline"),
+    (SKEW_Z + ['--theta', '1, 2'], '--group reads no --theta'),
+    (SKEW_Z + ['--branch', 'left'], '--group reads no --branch'),
+    (['simulate', '--group', '', '--generators', '(1,-1)', '--alpha',
+      '1/2*sqrt(2)'], "not a literal: ''"),
+], ids=['family-mode', 'family-alpha', 'group-family', 'group-theta',
+        'group-branch', 'empty-group'])
+def test_simulate_refuses_flags_its_mode_does_not_read(capsys, argv, flag):
+    # each of these used to exit 0, the flag ignored
+    assert main(argv) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == '' and err.count('\n') == 1 and flag in err
 
 
 def test_internal_errors_keep_their_traceback(monkeypatch):

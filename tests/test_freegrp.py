@@ -76,6 +76,19 @@ def test_letter_exponents_spell_unit_letters(gen, k):
         assert sign_act_letter(Letter(gen, k), s) is expected
 
 
+@pytest.mark.parametrize('k', [1, -1, 3, -3, 10 ** 12, -10 ** 12])
+@pytest.mark.parametrize('gen', ['h', 'v'])
+def test_sign_act_letter_reads_the_sign_of_the_exponent(gen, k):
+    # each quadrant table is idempotent, so h^k acts as h^sign(k) once;
+    # spelling 10^12 unit letters would not finish
+    unit = Letter(gen, 1 if k > 0 else -1)
+    for s in SignPair:
+        once = sign_act_letter(unit, s)
+        assert sign_act_letter(unit, once) is once
+        assert sign_act_letter(Letter(gen, k), s) is once
+        assert sign_act_letter(Letter(gen, 0), s) is s
+
+
 def test_letter_exponents_reduce_against_neighbours():
     assert Word([H, Letter('h', -3), V]) == Word([H_INV, H_INV, V])
     assert Word([Letter('v', 2), Letter('v', -2)]) == IDENTITY
