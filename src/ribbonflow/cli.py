@@ -167,8 +167,6 @@ def _family(spec: str, args=None) -> EigenFamily:
             key = key.strip()
             params[key] = _param(key, raw.strip())
     params.update(_flags(args))
-    if name == 'character' and isinstance(params.get('group'), str):
-        params['group'] = make_group(params['group'], **params)
     return family_eigen(name, **params)
 
 
@@ -285,21 +283,16 @@ def cmd_simulate(args) -> int:
             raise ValueError('%s reads no --%s' % (mode, key))
     if skew:
         params = _flags(args)
-        generators = params['generators']
-        group = make_group(params['group'], **params)
-        n = len(generators)
-        alpha = parse_quad(args.alpha)
-        if args.mode == 'float':
-            states = skew_orbit_float(n, float(alpha), group, generators,
-                                      (0.0, group.identity), args.steps)
-            rows = [[k + 1, repr(x), repr(g)]
-                    for k, (x, g) in enumerate(states)]
-        else:
-            states = skew_orbit(n, alpha, group, generators,
-                                (QuadNum(0), group.identity), args.steps,
-                                budget=budget)
-            rows = [[k + 1, str(x), repr(g)]
-                    for k, (x, g) in enumerate(states)]
+        generators = params.pop('generators')
+        group = make_group(params.pop('group'), **params)
+        for key in sorted(params.keys() - vars(group)):
+            raise ValueError('--group %s reads no --%s' % (args.group, key))
+        orbit, cell = ((skew_orbit_float, repr) if args.mode == 'float'
+                       else (skew_orbit, str))
+        states = orbit(len(generators), parse_quad(args.alpha), group,
+                       generators, (QuadNum(0), group.identity), args.steps,
+                       budget=budget)
+        rows = [[k + 1, cell(x), repr(g)] for k, (x, g) in enumerate(states)]
         meta = {'group': args.group, 'alpha': args.alpha, 'steps': args.steps}
         _emit_table(args, meta, ['step', 'x', 'g'], rows)
         return EXIT_OK

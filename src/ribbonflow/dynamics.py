@@ -245,31 +245,44 @@ def skew_step(n: int, alpha, group, generators, state):
     return ((x + alpha) % 1, group.op(mult, g))
 
 
+def _budgeted(states, start, budget: int):
+    """The skew states, raising OrbitEscapedBudget at the first one whose
+    group element makes more than budget distinct ones, start included."""
+    visited = {start}
+    for k, state in enumerate(states, 1):
+        if state[1] not in visited:
+            visited.add(state[1])
+            if len(visited) > budget:
+                raise OrbitEscapedBudget(k, len(visited))
+        yield state
+
+
 def skew_orbit(n: int, alpha, group, generators, state, steps: int,
                budget=None):
     """Exact skew-rotation orbit; yields successive states after the
     initial one."""
     _check_skew(n, group, generators, state[0])
-    out = []
-    visited = {state[1]}
-    for k in range(steps):
-        state = skew_step(n, alpha, group, generators, state)
-        out.append(state)
-        if budget is not None and state[1] not in visited:
-            visited.add(state[1])
-            if len(visited) > budget:
-                raise OrbitEscapedBudget(k + 1, len(visited))
-    return out
+
+    def walk(state):
+        for _ in range(steps):
+            state = skew_step(n, alpha, group, generators, state)
+            yield state
+
+    states = walk(state)
+    return list(states if budget is None
+                else _budgeted(states, state[1], budget))
 
 
 def skew_orbit_float(n: int, alpha: float, group, generators, state,
-                     steps: int):
+                     steps: int, budget=None):
     """Float skew orbit with compensated circle summation, for long
-    statistical runs; the exact path stays authoritative."""
+    statistical runs; the exact path stays authoritative.  The budget
+    is counted as the exact orbit counts it, on the finished orbit, so
+    the loop itself does no budget work."""
     _check_skew(n, group, generators, state[0])
     x, g = state
     x = float(x)
-    alpha = float(alpha)
+    alpha = float(alpha) % 1.0   # the exact step reduces x + alpha mod 1
     comp = 0.0
     out = []
     for _ in range(steps):
@@ -282,6 +295,9 @@ def skew_orbit_float(n: int, alpha: float, group, generators, state,
         if x >= 1.0:
             x -= 1.0
         out.append((x, g))
+    if budget is not None:
+        for _ in _budgeted(out, state[1], budget):
+            pass
     return out
 
 

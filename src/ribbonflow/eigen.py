@@ -1,7 +1,9 @@
 """Closed-form positive eigenfunctions of the adjacency operator.
 
 Each family packages a graph, an eigenvalue, and a value oracle that
-satisfies A(w) = lam * w exactly at every vertex.  verify_eigen reports
+satisfies A(w) = lam * w exactly at every vertex.  Every oracle is a
+closed form that reads no graph, the character family's on both vertex
+classes of its skew graph.  verify_eigen reports
 the residuals over a ball, which must be identically zero; nothing here
 is approximate.  It reads the same numbered neighbourhood
 (`graphs._numbered_ball`) and int lift as the shear kernel behind the
@@ -137,93 +139,86 @@ def ntree_horofunction(n: int, s) -> EigenFamily:
                        (('n', n), ('s', s)))
 
 
+def _chi_values(values) -> tuple:
+    """A character's values on the standard generators, read once: one
+    number or a flat tuple of numbers, as exact numbers."""
+    vals = values if isinstance(values, (list, tuple)) else (values,)
+    if any(isinstance(v, (list, tuple)) for v in vals):
+        raise ValueError("family character takes a number or a flat tuple "
+                         "of numbers for 'chi', got %r" % (values,))
+    return tuple(map(as_quad, vals))
+
+
 def character(group: Group, values) -> Callable:
     """The multiplicative extension of positive values on the standard
     generators: one value for Z or a cyclic group, d for Z^d, k for the
     free group, and two (the x and y shifts) for Heisenberg.
 
-    The extension uses the canonical coordinates of each encoding, so on
-    a torsion group values other than 1 fail the relation check done by
-    character_eigen rather than here.
+    The extension uses the canonical coordinates of each encoding.  On a
+    cyclic group chi(1)^m = chi(0) = 1, so its one positive character is
+    trivial and any other value is refused.
     """
-    vals = [as_quad(v) for v in
-            (values if isinstance(values, (list, tuple)) else [values])]
-    for v in vals:
-        if not v > 0:
-            raise ValueError('character values must be positive')
-    if isinstance(group, (IntegersZ, Cyclic)):
-        need = 1
+    vals = _chi_values(values)
+    if not all(v > 0 for v in vals):
+        raise ValueError('character values must be positive')
+    powers = [_power_cache(v) for v in vals]
+    if isinstance(group, IntegersZ):
+        need, chi = 1, lambda g: powers[0](g)
+    elif isinstance(group, Cyclic):
+        if any(v != 1 for v in vals):
+            raise ValueError('a positive character of a cyclic group is '
+                             'trivial: chi takes 1')
+        need, chi = 1, lambda g: _ONE
     elif isinstance(group, IntegerLattice):
         need = group.d
+        chi = lambda g: _product(p(x) for p, x in zip(powers, g))
     elif isinstance(group, Heisenberg):
-        need = 2
+        need, chi = 2, lambda g: powers[0](g[0]) * powers[1](g[1])
     elif isinstance(group, FreeGroup):
         need = group.k
+        chi = lambda g: _product(powers[abs(j) - 1](1 if j > 0 else -1)
+                                 for j in g)
     else:
         raise ValueError('no character encoding for %s'
                          % type(group).__name__)
     if len(vals) != need:
         raise ValueError('expected %d character values, got %d'
                          % (need, len(vals)))
-    powers = [_power_cache(v) for v in vals]
-    if isinstance(group, (IntegersZ, Cyclic)):
-        return lambda g: powers[0](g)
-    if isinstance(group, IntegerLattice):
-        return lambda g: _product(p(x) for p, x in zip(powers, g))
-    if isinstance(group, Heisenberg):
-        return lambda g: powers[0](g[0]) * powers[1](g[1])
-
-    def on_word(g):
-        return _product(powers[abs(j) - 1](1 if j > 0 else -1) for j in g)
-
-    return on_word
+    return chi
 
 
-def character_eigen(group, generators, values) -> EigenFamily:
-    """The eigenfunction chi(g)^-1 on the A-vertices of a skew graph,
-    lifted to the B-side by averaging neighbors against the eigenvalue.
+def character_eigen(group: Group, generators, values) -> EigenFamily:
+    """The eigenfunction of a character chi on a skew graph, in closed
+    form on both vertex classes: 1/chi(g) at a_g and (delta/lam)/chi(g)
+    at b_g.
 
-    With delta and eps the sums of chi over the partial products and
-    their inverses, the eigenvalue is sqrt(delta * eps).  The square
-    root may widen a rational field by one radical; it must not leave a
-    quadratic one.
+    With delta and eps the sums of 1/chi and chi over the partial
+    products eta_i, the eigenvalue is sqrt(delta * eps).  b_g neighbours
+    the a_(eta_i g), and chi is multiplicative, so the average of 1/chi
+    over them against lam is (delta/lam)/chi(g); f(b_g) * chi(g) is then
+    constant, the Maharam property.  The square root may widen a rational
+    field by one radical; it must not leave a quadratic one.
     """
-    if isinstance(group, str):
-        group = make_group(group)
-    elif not isinstance(group, Group):
-        raise ValueError('group takes a name or a Group, got %r' % (group,))
+    if not isinstance(group, Group):
+        raise ValueError('group takes a Group, got %r' % (group,))
     if not isinstance(generators, (tuple, list)):
         raise ValueError('generators take a tuple, got %r' % (generators,))
     graph = SkewGraph(group, generators)
-    chi = character(group, values)
+    vals = _chi_values(values)
+    chi = character(group, vals)
     if _product(chi(g) for g in graph.generators) != 1:
         raise ValueError('character does not respect the defining relation')
     eta_vals = [chi(g) for g in graph.etas]
-    eps = _ZERO
-    delta = _ZERO
-    for val in eta_vals:
-        eps = eps + val
-        delta = delta + _ONE / val
+    eps = sum(eta_vals, _ZERO)
+    delta = sum((_ONE / val for val in eta_vals), _ZERO)
     lam = quad_sqrt(delta * eps)
     discs = {x.field_disc for x in eta_vals + [lam] if x.field_disc}
     if len(discs) > 1:
         raise ValueError('eigenvalue leaves the quadratic coefficient field')
-    inv_lam = _ONE / lam
-
-    def weight(v):
-        kind, g = v
-        if kind == 'a':
-            return _ONE / chi(g)
-        total = _ZERO
-        for a in graph.neighbors(v):
-            total = total + _ONE / chi(a[1])
-        return inv_lam * total
-
-    vals = tuple(as_quad(v) for v in
-                 (values if isinstance(values, (list, tuple)) else [values]))
-    shown = ','.join(str(v) for v in vals)
-    return EigenFamily('character', graph, lam, OracleFun(weight),
-                       graph.root(), (('chi', shown),))
+    scale = {'a': _ONE, 'b': delta / lam}
+    return EigenFamily('character', graph, lam,
+                       OracleFun(lambda v: scale[v[0]] / chi(v[1])),
+                       graph.root(), (('chi', ','.join(map(str, vals))),))
 
 
 _FAMILIES = {
@@ -238,21 +233,24 @@ _FAMILIES = {
 
 def family_eigen(name: str, /, **params) -> EigenFamily:
     """Build a named family: gz_constant, gz_exponential, tripod,
-    ntree_constant, ntree_horo, or character.  Parameters a family does
-    not take are ignored; a missing one, or a tuple where a number is
-    taken, is a ValueError naming it.  chi takes a number or a flat tuple
-    of numbers."""
-    taken = _FAMILIES[name][1] if name in _FAMILIES else ()
-    for key in ('t', 'n', 's', 'chi'):
-        value = params.get(key)
-        if key not in taken or not isinstance(value, tuple):
-            continue
-        if key != 'chi':
+    ntree_constant, ntree_horo, or character.  The character family's
+    group may be named, as by make_group, with its size key beside it.
+    A parameter that neither the family nor its group reads, a missing
+    one, or a tuple where a number is taken, is a ValueError naming it.
+    chi takes a number or a flat tuple of numbers."""
+    if name not in _FAMILIES:
+        raise ValueError('unknown family %r' % name)
+    taken = _FAMILIES[name][1]
+    group = params.get('group')
+    if 'group' in taken and isinstance(group, str):
+        group = params['group'] = make_group(group, **params)
+    reads = taken + tuple(vars(group)) if isinstance(group, Group) else taken
+    for key, value in params.items():
+        if key not in reads:
+            raise ValueError('family %s takes no parameter %r' % (name, key))
+        if key in ('t', 'n', 's') and isinstance(value, tuple):
             raise ValueError('family %s takes a number for %r, got %r'
                              % (name, key, value))
-        if any(isinstance(v, tuple) for v in value):
-            raise ValueError('family %s takes a number or a flat tuple of '
-                             'numbers for %r, got %r' % (name, key, value))
     return _build_named('family', _FAMILIES, name, params)
 
 

@@ -241,6 +241,21 @@ SKEW_Z = ['simulate', '--group', 'Z', '--generators', '(1,1)', '--alpha',
           '1/2*sqrt(2)', '--steps', '5']
 
 
+@pytest.mark.parametrize('spelling', ['flag', 'env'])
+def test_float_skew_orbit_obeys_the_budget(capsys, monkeypatch, spelling):
+    # the float mode used to print all 50 rows with exit 0
+    argv = SKEW_Z[:-1] + ['50']
+    budget = ['--budget', '3']
+    if spelling == 'env':
+        monkeypatch.setenv('RIBBONFLOW_BUDGET', '3')
+        budget = []
+    assert main(argv + budget) == EXIT_BUDGET
+    exact = capsys.readouterr()
+    assert main(argv + budget + ['--mode', 'float']) == EXIT_BUDGET
+    assert capsys.readouterr() == exact == ('', 'budget exhausted after 3 '
+                                            'steps\n')
+
+
 def test_budget_zero_is_unbounded_for_flag_and_env(capsys, monkeypatch):
     code, by_flag = run(capsys, SKEW_Z + ['--budget', '0'])
     assert code == EXIT_OK
@@ -495,6 +510,62 @@ def test_fuzzed_family_values_end_in_zero_or_one_error_line(argv):
     assert err.getvalue().count('\n') == (code == EXIT_PARSE), argv
 
 
+def with_keys(spec, extra):
+    """spec with the inline keys extra appended."""
+    return spec + (',' if ':' in spec else ':') + extra if extra else spec
+
+
+FUZZ_SPECS = st.builds(with_keys, st.sampled_from([
+    'gz_constant', 'gz_exponential:t=2', 'tripod:t=2', 'tripod:t=sqrt(2)',
+    'ntree_horo:n=3,s=1/2', 'character:group=Z,generators=(1,-1),chi=4',
+    'character:group=free,k=2,generators=((1,),(2,),(-2,),(-1,)),chi=2']),
+    st.sampled_from(['', 'chi=4', 'name=Z', 'd=2', 'k=2', 't=3', 'x=(1,)']))
+FUZZ_THETAS = st.one_of(st.sampled_from([
+    '1, -1+sqrt(2)', '4, -5+sqrt(41)', '3, -5+sqrt(34)', '1, 1/3', '0, 1',
+    '1, 0']), FUZZ_TEXT)
+FUZZ_NUMBERS = st.one_of(st.sampled_from([
+    '1/2*sqrt(2)', '5/6+1/6*sqrt(5)', '1/3+sqrt(2)', '3', '2', '-1']),
+    FUZZ_TEXT)
+# depths, windows and steps of 2 to 4, so that each case takes milliseconds
+FUZZ_SIZES = st.sampled_from(['2', '3', '4'])
+
+
+def fuzz_argv(*parts):
+    """Commands built from parts: fixed tokens and token strategies."""
+    return st.tuples(*(st.just(p) if isinstance(p, str) else p
+                       for p in parts)).map(list)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    fuzz_argv('shrink', '--lambda', FUZZ_NUMBERS, '--theta', FUZZ_THETAS,
+              '--depth', FUZZ_SIZES),
+    fuzz_argv('omega', '--n', st.sampled_from(['2', '3', '4']), '--alpha',
+              FUZZ_NUMBERS, '--depth', FUZZ_SIZES),
+    fuzz_argv('simulate', '--group', 'Z', '--generators', '(1,-1)',
+              '--alpha', FUZZ_NUMBERS, '--steps', FUZZ_SIZES, '--mode',
+              st.sampled_from(['exact', 'float']), '--budget',
+              st.sampled_from(['0', '1', '2'])),
+    fuzz_argv('simulate', '--family', FUZZ_SPECS, '--theta', FUZZ_THETAS,
+              '--steps', FUZZ_SIZES),
+    fuzz_argv(st.sampled_from(['survivor', 'decay']), '--family', FUZZ_SPECS,
+              '--family2', FUZZ_SPECS, '--theta', FUZZ_THETAS, '--theta2',
+              FUZZ_THETAS, '--depth', FUZZ_SIZES, '--window', FUZZ_SIZES),
+    fuzz_argv('conjugate', '--family', FUZZ_SPECS, '--family2', FUZZ_SPECS,
+              '--theta', FUZZ_THETAS, '--theta2', FUZZ_THETAS, '--depth',
+              FUZZ_SIZES),
+    fuzz_argv('render', '--style', 'surface', '--family', FUZZ_SPECS,
+              '--depth', FUZZ_SIZES),
+    fuzz_argv('render', '--style', 'limitset', '--lambda', FUZZ_NUMBERS,
+              '--depth', FUZZ_SIZES)))
+def test_fuzzed_subcommands_end_in_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_BUDGET, EXIT_NOT_RENORM), argv
+    assert err.getvalue().count('\n') == (code != EXIT_OK), argv
+
+
 def test_character_family_reaches_growth_and_render(tmp_path, capsys):
     code, out = run(capsys, ['growth', *CHARACTER_Z, '--depth', '4'])
     assert code == EXIT_OK
@@ -537,13 +608,51 @@ def test_family_flags_read_as_inline_values(capsys, family, flags):
     assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
 
 
-@pytest.mark.parametrize('family', [
-    'tripod:t=2', 'character:group=Z,generators=(1,-1),chi=4'])
-def test_family_ignores_an_inline_name_key(capsys, family):
-    # name= used to collide with the builders' own name: a TypeError
-    plain, named = (run(capsys, ['growth', '--family', spec, '--depth', '3'])
-                    for spec in (family, family + ',name=Z'))
-    assert plain == named and plain[0] == EXIT_OK
+FREE_CHI = ('character:group=free,k=2,generators=((1,),(2,),(-2,),(-1,)),'
+            'chi=(2,3)')
+LATTICE_CHI = ['--family', 'character', '--group', 'Z^d', '--d', '2',
+               '--generators', '((1,0),(-1,0),(0,1),(0,-1))', '--chi',
+               '(2,3)']
+SKEW_STAIRCASE = ['simulate', '--group', 'Z', '--generators', '(1,-1)',
+                  '--alpha', '1/2*sqrt(2)', '--steps', '3']
+SKEW_LATTICE = ['simulate', '--group', 'Z^d', '--d', '2', '--generators',
+                '((1,0),(-1,0))', '--alpha', '1/2*sqrt(2)', '--steps', '3']
+
+
+# (a command that runs, the same with keys that nothing reads, the
+# refusal's words); each refused one used to exit 0, the keys dropped
+@pytest.mark.parametrize('runs, refused, words', [
+    (['growth', '--family', 'tripod:t=2'],
+     ['growth', '--family', 'tripod:t=2,name=Z'],
+     "family tripod takes no parameter 'name'"),
+    (['growth', *CHARACTER_Z],
+     ['growth', '--family', 'character:name=Z', *CHARACTER_Z[2:]],
+     "family character takes no parameter 'name'"),
+    (['growth', '--family', 'tripod', '--t', '2', '--depth', '2'],
+     ['growth', '--family', 'tripod', '--t', '2', '--chi', '4', '--depth',
+      '2'], "family tripod takes no parameter 'chi'"),
+    (['growth', '--family', 'tripod:t=2', '--depth', '2'],
+     ['growth', '--family', 'tripod:t=2,chi=4', '--depth', '2'],
+     "family tripod takes no parameter 'chi'"),
+    (SKEW_STAIRCASE, SKEW_STAIRCASE + ['--chi', '4', '--t', '2'],
+     '--group Z reads no --chi'),
+    (SKEW_LATTICE, SKEW_LATTICE + ['--k', '2'], '--group Z^d reads no --k'),
+    (['eigen', '--family', FREE_CHI, '--window', '2'],
+     ['eigen', '--family', FREE_CHI + ',d=2', '--window', '2'],
+     "family character takes no parameter 'd'"),
+    (['growth', *LATTICE_CHI, '--depth', '2'],
+     ['growth', *LATTICE_CHI, '--m', '3', '--depth', '2'],
+     "family character takes no parameter 'm'"),
+], ids=['name-inline', 'character-name', 'chi-flag', 'chi-inline',
+        'skew-chi-t', 'skew-lattice-k', 'free-d', 'lattice-m'])
+def test_family_refuses_keys_nothing_reads(capsys, runs, refused, words):
+    # name= once collided with the builders' own name: a TypeError
+    assert main(runs) == EXIT_OK
+    capsys.readouterr()
+    assert main(refused) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == '' and err.count('\n') == 1
+    assert err.startswith('error: ') and words in err
 
 
 def test_character_family_can_be_the_second_family(capsys):

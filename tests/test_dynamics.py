@@ -318,6 +318,33 @@ def test_skew_orbit_float_tracks_exact():
         assert min(d, 1.0 - d) < 1e-9
 
 
+@pytest.mark.parametrize('shift', [-1, 2, 'negated'])
+def test_skew_orbit_float_reads_alpha_mod_one(shift):
+    # the float loop wrapped x once, upward: alpha outside [0, 1) left the
+    # circle, and a negative one raised IndexError
+    alpha = -ALPHA if shift == 'negated' else ALPHA + shift
+    exact = skew_orbit(2, alpha, IntegersZ(), (1, -1), (QuadNum(0), 0), 200)
+    approx = skew_orbit_float(2, float(alpha), IntegersZ(), (1, -1),
+                              (0.0, 0), 200)
+    assert [g for _, g in approx] == [g for _, g in exact]
+    assert all(0.0 <= x < 1.0 for x, _ in approx)
+
+
+@pytest.mark.parametrize('budget', [1, 2, 3, 5])
+def test_skew_orbit_float_counts_the_budget_as_exact_does(budget):
+    # the float orbit used to take no budget
+    run = (QuadNum(0), 0), (0.0, 0)
+    caught = []
+    for orbit, alpha, start in zip((skew_orbit, skew_orbit_float),
+                                   (ALPHA, float(ALPHA)), run):
+        with pytest.raises(OrbitEscapedBudget) as info:
+            orbit(2, alpha, IntegersZ(), (1, 1), start, 50, budget=budget)
+        caught.append((info.value.steps_done, info.value.visited))
+    assert caught[0] == caught[1] == (budget, budget + 1)
+    assert len(skew_orbit_float(2, float(ALPHA), IntegersZ(), (1, 1),
+                                (0.0, 0), 50, budget=51)) == 50
+
+
 @given(num=st.integers(0, 34))
 @settings(max_examples=40, deadline=None)
 def test_orbits_reproducible_bitwise(num):

@@ -1,5 +1,6 @@
 """Eigenfunction families, exact residual checks, spoke profiles."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -11,8 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ribbonflow.exact import FieldMixError, QuadNum, sqrt_rational
+from ribbonflow import cli
 from ribbonflow.graphs import (Cyclic, FreeGroup, Heisenberg, IntegerLattice,
-                               IntegersZ, OracleFun, RegularTree,
+                               IntegersZ, OracleFun, RegularTree, SkewGraph,
                                vertices_in_ball)
 from ribbonflow.eigen import (EigenFamily, builtin_families, character,
                               character_eigen, family_eigen, gz_constant,
@@ -20,6 +22,7 @@ from ribbonflow.eigen import (EigenFamily, builtin_families, character,
                               ntree_horofunction, spoke_profile,
                               spoke_threshold, tripod_family, verify_eigen,
                               verify_eigen_tree, verify_family)
+from ribbonflow.measures import maharam_check
 
 ROOT2 = QuadNum(0, 1, 2)
 HALF = Fraction(1, 2)
@@ -149,6 +152,81 @@ def test_character_trivial_gives_valence():
 def test_character_must_respect_relations():
     with pytest.raises(ValueError):
         character_eigen(Cyclic(3), (1, 1, 1), 2)
+
+
+HEIS_GENS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+LATTICE_GENS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+# (group, generators, chi) of one character family per group
+CHARACTERS = [
+    (IntegersZ(), (1, -1), 4),
+    (IntegerLattice(2), LATTICE_GENS, (2, 3)),
+    (Cyclic(3), (1, 1, 1), 1),
+    (FreeGroup(2), ((1,), (2,), (-2,), (-1,)), (2, 3)),
+    (Heisenberg(), HEIS_GENS, (HALF, 1)),
+]
+
+
+@pytest.mark.parametrize('group, generators, values', CHARACTERS,
+                         ids=['Z', 'Z^d', 'cyclic', 'free', 'heisenberg'])
+def test_character_b_values_are_the_neighbour_average(group, generators,
+                                                      values):
+    # the closed form (delta/lam)/chi(g) at b_g against the route it
+    # replaced: the average of the A-neighbours' values against lam
+    fam = character_eigen(group, generators, values)
+    b_side = [v for v in vertices_in_ball(fam.graph, fam.root, 4)
+              if v[0] == 'b']
+    assert len(b_side) > 1
+    for b in b_side:
+        total = sum(map(fam, fam.graph.neighbors(b)), QuadNum(0))
+        assert fam(b) == total / fam.lam, b
+    chi = character(group, values)
+    assert maharam_check(fam.graph, chi, fam.weight,
+                         [g for _, g in b_side]) is None
+
+
+def test_character_weight_calls_no_graph_method(monkeypatch):
+    fam = character_eigen(Heisenberg(), HEIS_GENS, (2, 1))
+    ball = vertices_in_ball(fam.graph, fam.root, 3)
+    calls = []
+    neighbors = SkewGraph.neighbors
+
+    def counted(graph, v):
+        calls.append(v)
+        return neighbors(graph, v)
+
+    monkeypatch.setattr(SkewGraph, 'neighbors', counted)
+    for v in ball:
+        fam(v)
+    assert calls == []
+    # so a residual check fetches the neighbours of each vertex once
+    report = verify_family(fam, 3)
+    assert report.ok and len(calls) == report.vertex_count
+
+
+def test_family_eigen_resolves_a_group_name_with_its_size():
+    # the character family once resolved a name only on the CLI, so this
+    # route raised for want of d
+    by_name = family_eigen('character', group='Z^d', d=2,
+                           generators=LATTICE_GENS, chi=(2, 3))
+    args = argparse.Namespace(group='Z^d', d='2', chi='(2,3)',
+                              generators=repr(LATTICE_GENS))
+    by_flags = cli._family('character', args)
+    assert by_name.graph.group == by_flags.graph.group == IntegerLattice(2)
+    direct = character_eigen(IntegerLattice(2), LATTICE_GENS, (2, 3))
+    assert by_name.lam == by_flags.lam == direct.lam
+    assert by_name.params == by_flags.params
+    for v in vertices_in_ball(by_name.graph, by_name.root, 3):
+        assert by_name(v) == by_flags(v)
+    with pytest.raises(ValueError, match='Group'):
+        character_eigen('Z', (1, -1), 4)
+
+
+def test_cyclic_character_is_trivial():
+    # chi(1)^3 = chi(0) = 1: the value 4 passed the relation check of
+    # (1, -1) and gave values that are not an eigenfunction
+    with pytest.raises(ValueError, match='trivial'):
+        character_eigen(Cyclic(3), (1, -1), 4)
+    assert verify_family(character_eigen(Cyclic(3), (1, -1), 1), 4).ok
 
 
 def test_character_rejects_bad_values():
