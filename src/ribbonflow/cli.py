@@ -377,7 +377,7 @@ def cmd_decay(args) -> int:
 
 def cmd_growth(args) -> int:
     fam = _family(args.family, args)
-    lengths, sides = ball_growth(fam.graph, fam.weight, fam.lam, fam.root,
+    lengths, sides = ball_growth(Surface.from_family(fam), fam.root,
                                  args.depth)
     lam = fam.lam
     rows = []

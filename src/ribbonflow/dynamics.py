@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 from .exact import QuadNum, QVec2, _xy, as_quad
 from .surface import Surface
@@ -273,32 +274,46 @@ def skew_orbit(n: int, alpha, group, generators, state, steps: int,
                 else _budgeted(states, state[1], budget))
 
 
-def skew_orbit_float(n: int, alpha: float, group, generators, state,
-                     steps: int, budget=None):
-    """Float skew orbit with compensated circle summation, for long
-    statistical runs; the exact path stays authoritative.  The budget
-    is counted as the exact orbit counts it, on the finished orbit, so
-    the loop itself does no budget work."""
-    _check_skew(n, group, generators, state[0])
+# steps a budgeted float orbit runs past an escape at most
+_FLOAT_CHUNK = 1024
+
+
+def _float_chunks(n: int, alpha: float, group, generators, state,
+                  steps: int, chunk: int):
+    """The float skew orbit in lists of at most chunk states."""
     x, g = state
     x = float(x)
     alpha = float(alpha) % 1.0   # the exact step reduces x + alpha mod 1
     comp = 0.0
-    out = []
-    for _ in range(steps):
-        i = min(int(x * n), n - 1)
-        g = group.op(generators[i], g)
-        add = alpha - comp
-        nxt = x + add
-        comp = (nxt - x) - add
-        x = nxt
-        if x >= 1.0:
-            x -= 1.0
-        out.append((x, g))
-    if budget is not None:
-        for _ in _budgeted(out, state[1], budget):
-            pass
-    return out
+    while steps > 0:
+        out = []
+        for _ in range(min(chunk, steps)):
+            i = min(int(x * n), n - 1)
+            g = group.op(generators[i], g)
+            add = alpha - comp
+            nxt = x + add
+            comp = (nxt - x) - add
+            x = nxt
+            if x >= 1.0:
+                x -= 1.0
+            out.append((x, g))
+        steps -= len(out)
+        yield out
+
+
+def skew_orbit_float(n: int, alpha: float, group, generators, state,
+                     steps: int, budget=None):
+    """Float skew orbit with compensated circle summation, for long
+    statistical runs; the exact path stays authoritative.  Unbudgeted,
+    the orbit runs as one list; with a budget it runs in chunks that
+    _budgeted counts as the exact orbit counts its states, so an escape
+    stops the run within one chunk."""
+    _check_skew(n, group, generators, state[0])
+    chunks = _float_chunks(n, alpha, group, generators, state, steps,
+                           steps if budget is None else _FLOAT_CHUNK)
+    if budget is None:
+        return next(chunks, [])
+    return list(_budgeted(chain.from_iterable(chunks), state[1], budget))
 
 
 @dataclass

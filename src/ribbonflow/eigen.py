@@ -129,12 +129,13 @@ def ntree_horofunction(n: int, s) -> EigenFamily:
     Every vertex sees exactly one neighbor one step nearer the end and
     n - 1 neighbors one step farther, so the eigenvalue is 1/s + (n-1)s.
     """
+    tree = RegularTree(n)   # validates n before (n - 1) * s reads it
     s = as_quad(s)
     if not s > 0:
         raise ValueError('ratio must be positive')
     lam = _ONE / s + (n - 1) * s
     power = _power_cache(s)
-    return EigenFamily('ntree_horo', RegularTree(n), lam,
+    return EigenFamily('ntree_horo', tree, lam,
                        OracleFun(lambda v: power(_toward_end(v))), (),
                        (('n', n), ('s', s)))
 

@@ -28,6 +28,14 @@ from .freegrp import (H, H_INV, LETTERS, V, V_INV, Letter, Word, rho,
                       sign_act_letter)
 
 
+def _direction(theta) -> QVec2:
+    """theta as an exact vector, refusing the zero vector."""
+    theta = QVec2(*_xy(theta))
+    if not (theta.x or theta.y):
+        raise ValueError('zero vector has no direction')
+    return theta
+
+
 def shrink_membership(lam, letter: Letter, theta) -> bool:
     """Whether the generator strictly shrinks the vector (norm route).
 
@@ -36,9 +44,7 @@ def shrink_membership(lam, letter: Letter, theta) -> bool:
     shrinks when the two factors have opposite signs.  The sign of
     k*lam is read with the rest, so any exponent and any lam are taken.
     """
-    theta = QVec2(*_xy(theta))
-    if not (theta.x or theta.y):
-        raise ValueError('zero vector has no direction')
+    theta = _direction(theta)
     step = as_quad(lam) * letter.exp
     x, y = theta.x, theta.y
     if letter.gen == 'h':
@@ -56,9 +62,7 @@ def shrink_membership_slope(lam, letter: Letter, theta) -> bool:
     Independent route kept alongside :func:`shrink_membership`; the two must
     agree everywhere (axes belong to no shrinking interval).
     """
-    theta = QVec2(*_xy(theta))
-    if not (theta.x or theta.y):
-        raise ValueError('zero vector has no direction')
+    theta = _direction(theta)
     lam = as_quad(lam)
     if theta.x.sign() == 0:
         return False
@@ -202,9 +206,7 @@ def shrinking_sequence(lam, theta, max_steps: int = 64) -> ShrinkData:
     lam = as_quad(lam)
     if lam < 2:
         raise ValueError('lambda must be at least 2, got %s' % lam)
-    theta = QVec2(*_xy(theta))
-    if not (theta.x or theta.y):
-        raise ValueError('zero vector has no direction')
+    theta = _direction(theta)
     increments: list[Letter] = []
     vectors = [theta]
     signs = [theta.quadrant()]

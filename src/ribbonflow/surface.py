@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .exact import QuadNum, as_quad
 from .freegrp import Letter, Word
-from .graphs import RibbonGraph, SparseFun
+from .graphs import RibbonGraph, SparseFun, _rings
 
 _ZERO = QuadNum(0)
 
@@ -138,13 +138,26 @@ def _svg_escape(s: str) -> str:
     return (s.replace('&', '&amp;').replace('<', '&lt;').replace('>', '&gt;'))
 
 
+def _glued(surface: Surface, e, x, y) -> tuple:
+    """The rectangles glued to the right, left, top and bottom sides of e,
+    each with the lower-left corner it takes when drawn against e's
+    corner (x, y)."""
+    west, south = surface.west(e), surface.south(e)
+    return ((surface.east(e), x + surface.width(e), y),
+            (west, x - surface.width(west), y),
+            (surface.north(e), x, y + surface.height(e)),
+            (south, x, y - surface.height(south)))
+
+
 def svg_truncation(surface: Surface, radius: int = 3) -> str:
     """A staircase-style SVG of the rectangles within a few east/north
     steps of the root's base edge, 48 pixels to a unit of length.
 
     Rectangles are laid out so east neighbors sit to the right and north
     neighbors above.  Side pairs glued in the surface but not adjacent
-    in the drawing get matching labels.
+    in the drawing get matching labels.  The layout and the labels read
+    the gluings from one table, _glued: a neighbor is adjacent in the
+    drawing exactly when it sits at the corner that table gives it.
     """
     graph = surface.graph
     center = graph.base_edge(graph.root())
@@ -163,62 +176,36 @@ def svg_truncation(surface: Surface, radius: int = 3) -> str:
     for _ in range(radius):
         nxt = []
         for e in frontier:
-            x, y = placed[e]
-            moves = (
-                (surface.east(e), x + surface.width(e), y),
-                (surface.north(e), x, y + surface.height(e)),
-                (surface.west(e), x - surface.width(surface.west(e)), y),
-                (surface.south(e), x, y - surface.height(surface.south(e))),
-            )
-            for e2, x2, y2 in moves:
+            east, west, north, south = _glued(surface, e, *placed[e])
+            for e2, x2, y2 in (east, north, west, south):
                 if e2 not in placed and not collides(x2, y2, e2):
                     placed[e2] = (x2, y2)
                     nxt.append(e2)
         frontier = nxt
 
-    order = sorted(placed, key=repr)
-    # sides whose glued partner is drawn elsewhere get matching labels
+    # a side whose glued partner is drawn elsewhere gets a label, numbered
+    # in order of first use and keyed by the rectangle whose right ('r')
+    # or top ('t') side it is
     labels = {}
-    counter = [0]
-
-    def label_for(e, side, partner, pside):
-        key = (e, side)
-        if key in labels:
-            return labels[key]
-        counter[0] += 1
-        name = str(counter[0])
-        labels[key] = name
-        labels[(partner, pside)] = name
-        return name
-
     rects = []
     texts = []
-    for e in order:
+    for e in sorted(placed, key=repr):
         x, y = placed[e]
-        w, h = surface.width(e), surface.height(e)
-        rects.append((float(x), float(y), float(w), float(h)))
-        texts.append((float(x) + float(w) / 2, float(y) + float(h) / 2,
-                      _svg_escape(str(e)), 'middle'))
-        east = surface.east(e)
-        if east in placed and placed[east] != (x + w, y):
-            name = label_for(e, 'r', east, 'l')
-            texts.append((float(x + w), float(y) + float(h) / 2,
-                          name, 'end'))
-        west = surface.west(e)
-        if west in placed and placed[west] != (x - surface.width(west), y):
-            name = label_for(west, 'r', e, 'l')
-            texts.append((float(x), float(y) + float(h) / 2,
-                          name, 'start'))
-        north = surface.north(e)
-        if north in placed and placed[north] != (x, y + h):
-            name = label_for(e, 't', north, 'b')
-            texts.append((float(x) + float(w) / 2, float(y + h),
-                          name, 'middle'))
-        south = surface.south(e)
-        if south in placed and placed[south] != (x, y - surface.height(south)):
-            name = label_for(south, 't', e, 'b')
-            texts.append((float(x) + float(w) / 2, float(y),
-                          name, 'middle'))
+        fx, fy = float(x), float(y)
+        fw, fh = float(surface.width(e)), float(surface.height(e))
+        rects.append((fx, fy, fw, fh))
+        texts.append((fx + fw / 2, fy + fh / 2, _svg_escape(str(e)),
+                      'middle'))
+        glued = _glued(surface, e, x, y)
+        (_, right, _), (west, _, _), (_, _, top), (south, _, _) = glued
+        seams = (((e, 'r'), float(right), fy + fh / 2, 'end'),
+                 ((west, 'r'), fx, fy + fh / 2, 'start'),
+                 ((e, 't'), fx + fw / 2, float(top), 'middle'),
+                 ((south, 't'), fx + fw / 2, fy, 'middle'))
+        for (e2, x2, y2), (key, tx, ty, anchor) in zip(glued, seams):
+            if e2 in placed and placed[e2] != (x2, y2):
+                name = labels.setdefault(key, str(len(labels) + 1))
+                texts.append((tx, ty, name, anchor))
 
     xs = [r[0] for r in rects] + [r[0] + r[2] for r in rects]
     ys = [r[1] for r in rects] + [r[1] + r[3] for r in rects]
@@ -253,45 +240,45 @@ def svg_truncation(surface: Surface, radius: int = 3) -> str:
     return '\n'.join(out)
 
 
-def ball_growth(graph: RibbonGraph, weight, lam, root, n_max: int):
+def ball_growth(surface: Surface, root, n_max: int):
     """Boundary lengths and largest rectangle sides of the nested
     cylinder unions grown from one A-vertex.
 
     Layer 0 is the root's horizontal cylinder; layer n collects the
     cylinders of all neighbors of layer n-1, alternating between
-    vertical and horizontal.  Returns (lengths, max_sides), each a tuple
-    of n_max + 1 exact values; lengths obey
-    length[n+1] <= lam * length[n] - length[n-1], with equality on
-    trees.
+    vertical and horizontal.  The graph is bipartite and connected, so
+    the neighbors of the neighbors of a layer include the layer itself:
+    layer n is rings n, n-2, ... of one ball walk from the root, and
+    each parity keeps one rectangle set grown by the edges of its new
+    ring.  A layer holds vertices of one class, so the gluings about its
+    own end (east and west about an A-vertex, north and south about a
+    B-vertex) stay inside the union; only the other two can cross the
+    boundary, adding widths to an A-layer and heights to a B-layer.
+
+    Returns (lengths, max_sides), each a tuple of n_max + 1 exact
+    values; lengths obey length[n+1] <= lam * length[n] - length[n-1],
+    with equality on trees.
     """
+    graph = surface.graph
     if graph.vertex_class(root) != 'a':
         raise ValueError('growth layers start from an A-vertex')
-    lam = as_quad(lam)
+    unions = (set(), set())
     lengths = []
     max_sides = []
-    layer = {root}
-    for n in range(n_max + 1):
-        if n:
-            layer = {w for v in layer for w in graph.neighbors(v)}
-        rect = set()
-        for v in layer:
-            rect.update(graph.edges_at(v))
-        boundary = _ZERO
-        widest = _ZERO
+    for n, ring in enumerate(_rings(graph, (root,), n_max)):
+        rect = unions[n % 2]
+        rect.update(chain.from_iterable(map(graph.edges_at, ring)))
+        out, back = ((surface.east, surface.west) if n % 2 else
+                     (surface.north, surface.south))
+        boundary = widest = _ZERO
         for e in rect:
-            width = as_quad(weight(graph.beta(e)))
-            height = as_quad(weight(graph.alpha(e)))
-            if graph.next_at_b(e) not in rect:
-                boundary = boundary + width
-            if graph.prev_at_b(e) not in rect:
-                boundary = boundary + width
-            if graph.next_at_a(e) not in rect:
-                boundary = boundary + height
-            if graph.prev_at_a(e) not in rect:
-                boundary = boundary + height
-            side = width if width > height else height
-            if side > widest:
-                widest = side
+            w, h = surface.width(e), surface.height(e)
+            side = h if n % 2 else w
+            if out(e) not in rect:
+                boundary = boundary + side
+            if back(e) not in rect:
+                boundary = boundary + side
+            widest = max(widest, w, h)
         lengths.append(boundary)
         max_sides.append(widest)
     return tuple(lengths), tuple(max_sides)

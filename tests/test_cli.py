@@ -480,28 +480,62 @@ FUZZ_GROUPS = [
     (['--group', 'free', '--k', '2'], '((1,),(2,),(-2,),(-1,))', '(2,3)'),
     (['--group', 'cyclic', '--m', '3'], '(1,-1)', '1'),
 ]
-# grammar values with small ints, so no family grows a large ball, and
 # junk whose longest number is 22222
+FUZZ_JUNK = st.text(alphabet='012-+/*.,()[]\' sqrtZx^', max_size=12).filter(
+    lambda t: not re.search(r'\d{6}', t))
+# grammar values with small ints, so no family grows a large ball, and junk
 FUZZ_TEXT = st.one_of(
     st.builds(spell, nested(st.one_of(st.integers(-3, 6), QUADS, NAMES)),
               st.sampled_from('([')),
-    st.text(alphabet='012-+/*.,()[]\' sqrtZx^', max_size=12).filter(
-        lambda t: not re.search(r'\d{6}', t)),
-    st.sampled_from([gens for _, gens, _ in FUZZ_GROUPS]))
+    FUZZ_JUNK, st.sampled_from([gens for _, gens, _ in FUZZ_GROUPS]))
+
+
+def small_size(text):
+    """Whether text reads as no int above 8."""
+    try:
+        value = cli._value(text)
+    except ValueError:
+        return True
+    return not (type(value) is int and value > 8)
+
+
+# tree valences and group sizes: the window-1 ball of the n-tree has
+# about n^2 vertices, so only ints in -3..8 and junk that reads as no
+# larger int
+FUZZ_SIZE = st.one_of(st.integers(-3, 8).map(str),
+                      FUZZ_JUNK.filter(small_size))
+
+
+def group_flags(flags):
+    """The group flags, with the size of a group such as Z^d kept or
+    drawn from FUZZ_SIZE."""
+    if len(flags) == 2:
+        return st.just(flags)
+    return st.builds(lambda size: flags[:3] + [size],
+                     st.one_of(st.just(flags[3]), FUZZ_SIZE))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
     st.sampled_from(FUZZ_GROUPS).flatmap(lambda group: st.builds(
-        lambda gens, chi: ['growth', '--family', 'character', *group[0],
-                           '--generators', gens, '--chi', chi, '--depth',
-                           '1'],
+        lambda flags, gens, chi: ['growth', '--family', 'character', *flags,
+                                  '--generators', gens, '--chi', chi,
+                                  '--depth', '1'],
+        group_flags(group[0]),
         st.one_of(st.just(group[1]), FUZZ_TEXT),
         st.one_of(st.just(group[2]), FUZZ_TEXT))),
+    st.sampled_from(FUZZ_GROUPS).flatmap(lambda group: st.builds(
+        lambda flags: ['simulate', *flags, '--generators', group[1],
+                       '--alpha', '1/2*sqrt(2)', '--steps', '2'],
+        group_flags(group[0]))),
     st.builds(lambda family, value: ['eigen', '--family', family[0],
                                      family[1], value, '--window', '1'],
-              st.sampled_from([('tripod', '--t'), ('ntree_constant', '--n'),
-                               ('ntree_horo:n=3', '--s')]), FUZZ_TEXT)))
+              st.sampled_from([('tripod', '--t'), ('ntree_horo:n=3', '--s')]),
+              FUZZ_TEXT),
+    st.builds(lambda family, value: ['eigen', '--family', family, '--n',
+                                     value, '--window', '1'],
+              st.sampled_from(['ntree_constant', 'ntree_horo:s=1/2']),
+              FUZZ_SIZE)))
 def test_fuzzed_family_values_end_in_zero_or_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -863,6 +897,16 @@ def test_non_integer_valence_exits_two(capsys):
     err = capsys.readouterr().err
     assert code == EXIT_PARSE
     assert err.count('\n') == 1 and 'valence' in err and '5/2' in err
+
+
+@pytest.mark.parametrize('spec', [
+    ['ntree_horo:s=1/2', '--n', 'x'], ['ntree_horo:n=x,s=1/2']])
+def test_horofunction_valence_is_checked_before_use(capsys, spec):
+    # a junk valence used to end in a TypeError traceback with exit 1
+    code = main(['eigen', '--family', *spec, '--window', '1'])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == ('error: valence must be an integer '
+                                       '>= 2, got x\n')
 
 
 @pytest.mark.parametrize('argv', [

@@ -345,6 +345,37 @@ def test_skew_orbit_float_counts_the_budget_as_exact_does(budget):
                                 (0.0, 0), 50, budget=51)) == 50
 
 
+def counting_z():
+    """The group Z with a count of the calls to its op."""
+    group = IntegersZ()
+    op, group.calls = group.op, 0
+
+    def counted(a, b):
+        group.calls += 1
+        return op(a, b)
+
+    group.op = counted
+    return group
+
+
+@pytest.mark.parametrize('budget', [3, 2000])
+def test_skew_orbit_float_stops_soon_after_the_escape(budget):
+    # the float orbit used to run every step before counting the budget
+    group = counting_z()
+    with pytest.raises(OrbitEscapedBudget) as info:
+        skew_orbit_float(2, float(ALPHA), group, (1, 1), (0.0, 0), 10 ** 5,
+                         budget=budget)
+    assert info.value.steps_done == budget
+    assert group.calls <= budget + 2048
+
+
+def test_skew_orbit_float_budget_leaves_the_orbit_unchanged():
+    args = 2, float(ALPHA), IntegersZ(), (1, -1), (0.0, 0), 5000
+    # the orbit visits 11 group elements, start included, so a budget of
+    # 12 is never hit
+    assert skew_orbit_float(*args, budget=12) == skew_orbit_float(*args)
+
+
 @given(num=st.integers(0, 34))
 @settings(max_examples=40, deadline=None)
 def test_orbits_reproducible_bitwise(num):

@@ -1,5 +1,6 @@
 """Rectangle geometry, the homology calculus, and growth sequences."""
 
+import hashlib
 import re
 from fractions import Fraction
 
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ribbonflow.eigen import (gz_constant, gz_exponential, character_eigen,
-                              ntree_constant, tripod_family)
-from ribbonflow.exact import QuadNum
+from ribbonflow.eigen import (builtin_families, character_eigen, gz_constant,
+                              gz_exponential, ntree_constant, tripod_family)
+from ribbonflow.exact import QuadNum, as_quad
 from ribbonflow.freegrp import Word, gamma
-from ribbonflow.graphs import (Heisenberg, OracleFun, SparseFun, pairing,
+from ribbonflow.graphs import (Heisenberg, IntegerLattice, IntegersZ,
+                               FreeGroup, OracleFun, SparseFun, pairing,
                                upsilon)
 from ribbonflow.surface import (Surface, ball_growth, phi_homology,
                                 svg_truncation, z_class)
@@ -132,15 +134,14 @@ def test_pullback_compatibility_tripod(g, h):
 
 def test_growth_constant_path():
     fam = gz_constant()
-    lengths, sides = ball_growth(fam.graph, fam.weight, fam.lam, 0, 8)
+    lengths, sides = ball_growth(Surface.from_family(fam), 0, 8)
     assert lengths == tuple(QuadNum(4) for _ in range(9))
     assert sides == tuple(QuadNum(1) for _ in range(9))
 
 
 def test_growth_tripod_frozen():
     fam = tripod_family(2)
-    lengths, sides = ball_growth(fam.graph, fam.weight, fam.lam,
-                                 ('c',), 2)
+    lengths, sides = ball_growth(Surface.from_family(fam), ('c',), 2)
     assert lengths[0] == 15
     assert lengths[1] == QuadNum('39/2')
     # three consecutive terms satisfy the tree recurrence exactly
@@ -151,7 +152,7 @@ def test_growth_tripod_frozen():
 def test_growth_rejects_b_root():
     fam = gz_constant()
     with pytest.raises(ValueError):
-        ball_growth(fam.graph, fam.weight, fam.lam, 1, 2)
+        ball_growth(Surface.from_family(fam), 1, 2)
 
 
 @pytest.mark.parametrize('fam,exact', [
@@ -166,7 +167,7 @@ def test_growth_rejects_b_root():
 ])
 def test_growth_recurrence(fam, exact):
     root = fam.graph.root()
-    lengths, _ = ball_growth(fam.graph, fam.weight, fam.lam, root, 8)
+    lengths, _ = ball_growth(Surface.from_family(fam), root, 8)
     slack_seen = False
     for n in range(1, 8):
         bound = fam.lam * lengths[n] - lengths[n - 1]
@@ -183,18 +184,93 @@ def test_growth_branching_frontier_frozen():
     # constant weight on the 3-valent tree doubles the frontier each
     # layer, while the recurrence bound compounds faster
     fam = ntree_constant(3)
-    lengths, _ = ball_growth(fam.graph, fam.weight, fam.lam, (), 3)
+    lengths, _ = ball_growth(Surface.from_family(fam), (), 3)
     assert list(lengths) == [6, 12, 24, 48]
     assert fam.lam * lengths[1] - lengths[0] == 30
 
 
 def test_growth_ratio_dichotomy():
     fam = tripod_family(2)
-    lengths, _ = ball_growth(fam.graph, fam.weight, fam.lam, ('c',), 26)
+    lengths, _ = ball_growth(Surface.from_family(fam), ('c',), 26)
     ratio = float(lengths[26]) / float(lengths[25])
     # eigenvalue 5/2 splits into rates 2 and 1/2; a growing union locks
     # onto the expanding one
     assert abs(ratio - 2.0) < 1e-6
+
+
+def _ball_growth_reference(graph, weight, root, n_max):
+    """The layered growth walked from scratch: layer n is the neighbours
+    of layer n-1, and every rectangle tests all four gluings."""
+    lengths = []
+    max_sides = []
+    layer = {root}
+    for n in range(n_max + 1):
+        if n:
+            layer = {w for v in layer for w in graph.neighbors(v)}
+        rect = set()
+        for v in layer:
+            rect.update(graph.edges_at(v))
+        boundary = QuadNum(0)
+        widest = QuadNum(0)
+        for e in rect:
+            width = as_quad(weight(graph.beta(e)))
+            height = as_quad(weight(graph.alpha(e)))
+            if graph.next_at_b(e) not in rect:
+                boundary = boundary + width
+            if graph.prev_at_b(e) not in rect:
+                boundary = boundary + width
+            if graph.next_at_a(e) not in rect:
+                boundary = boundary + height
+            if graph.prev_at_a(e) not in rect:
+                boundary = boundary + height
+            side = width if width > height else height
+            if side > widest:
+                widest = side
+        lengths.append(boundary)
+        max_sides.append(widest)
+    return tuple(lengths), tuple(max_sides)
+
+
+GROWTH_FAMILIES = builtin_families() + (
+    character_eigen(IntegerLattice(2), ((1, 0), (-1, 0), (0, 1), (0, -1)),
+                    (2, 3)),
+    character_eigen(FreeGroup(2), ((1,), (2,), (-2,), (-1,)), (2, 3)),
+)
+
+
+@pytest.mark.parametrize('fam', GROWTH_FAMILIES,
+                         ids=lambda fam: fam.describe())
+def test_growth_matches_the_rewalked_reference(fam):
+    surface = Surface.from_family(fam)
+    root = fam.root
+    for depth in range(9):
+        assert ball_growth(surface, root, depth) == _ball_growth_reference(
+            fam.graph, fam.weight, root, depth)
+
+
+def _heisenberg_character():
+    x, y = (1, 0, 0), (0, 1, 0)
+    return character_eigen(Heisenberg(), (x, (-1, 0, 0), y, (0, -1, 0)),
+                           (2, 1))
+
+
+@pytest.mark.parametrize('name,fam,radius,digest', [
+    ('tripod', tripod_family(2), 3,
+     'c416f57d993aaa1a76a4d9023d64d83c3c39c93539a0afadf65ddce6c93777a1'),
+    ('tripod', tripod_family(2), 5,
+     '303237dd00ff6ff7fd8711fc5efb0b11fa469950bc64ef887c6981c9cb946d01'),
+    ('Z', character_eigen(IntegersZ(), (1, -1), 4), 3,
+     '13aa752f7467f6c0be2e9bff13a151ce26b2ccbae18fccf9eeb0ae34d1ee1a1a'),
+    ('Z', character_eigen(IntegersZ(), (1, -1), 4), 5,
+     'f11c164557372cc5814d66de5143a1f16e35a5ef74bfa1bff13b8ddeab2153ba'),
+    ('heisenberg', _heisenberg_character(), 3,
+     '0c1d02dd444eefb6acdacf7dfbe88be802d17b0535f1f77a7c53271f8373d9b1'),
+    ('heisenberg', _heisenberg_character(), 5,
+     '9a81f382e30a368869b17e7f0123daeac1001a7c833cc23b47920ed834d31868'),
+])
+def test_svg_truncation_bytes_are_pinned(name, fam, radius, digest):
+    art = svg_truncation(Surface.from_family(fam), radius=radius)
+    assert hashlib.sha256(art.encode()).hexdigest() == digest
 
 
 def test_svg_truncation_deterministic():
