@@ -460,14 +460,19 @@ def cmd_render(args) -> int:
     if args.style == 'limitset':
         if not args.lam:
             raise ValueError('limit-set render needs --lambda')
-        _emit_text(args, _limit_set_svg(parse_quad(args.lam), args.depth,
-                                        args.seed))
-        return EXIT_OK
-    fam = _family(args.family, args)
-    surface = Surface.from_family(fam)
-    svg = svg_truncation(surface, radius=args.depth)
-    header = '<!-- ribbonflow %s seed %d -->\n' % (__version__, args.seed)
-    _emit_text(args, header + svg)
+        lam = parse_quad(args.lam)
+        draw = lambda: _limit_set_svg(lam, args.depth, args.seed)
+    else:
+        surface = Surface.from_family(_family(args.family, args))
+        draw = lambda: '<!-- ribbonflow %s seed %d -->\n%s' % (
+            __version__, args.seed, svg_truncation(surface, args.depth))
+    try:
+        svg = draw()
+    except OverflowError:
+        # a drawing rounds its exact coordinates, which can outgrow floats
+        raise ValueError('the drawing at --depth %d has coordinates beyond '
+                         'the float range' % args.depth) from None
+    _emit_text(args, svg)
     return EXIT_OK
 
 

@@ -181,8 +181,7 @@ def flow_to_next_edge_float(surface: Surface, theta, edge, x: float,
     e, _, _, _, x_top, _ = walk(surface, float(tx) / float(ty), edge,
                                 float(x), float(y), float)[-1]
     a = surface.graph.alpha(e)
-    sec = surface.section(a)
-    return a, sec.float_cuts[sec.index[e]] + x_top
+    return a, surface.float_cuts(a)[surface.section(a).index[e]] + x_top
 
 
 def code_orbit(surface: Surface, theta, p: HPoint, steps: int,
@@ -283,7 +282,9 @@ def _float_chunks(n: int, alpha: float, group, generators, state,
     """The float skew orbit in lists of at most chunk states."""
     x, g = state
     x = float(x)
-    alpha = float(alpha) % 1.0   # the exact step reduces x + alpha mod 1
+    # reduced before rounding, as the exact step reduces x + alpha mod 1:
+    # a large alpha would lose its fraction
+    alpha = float(alpha % 1)
     comp = 0.0
     while steps > 0:
         out = []
@@ -330,13 +331,13 @@ def iet_step_float(surface: Surface, theta, st: FloatState) -> FloatState:
     rotation error on each circle coordinate."""
     x, y = _xy(theta)
     u = float(x) / float(y)
-    sec = surface.section(st.a)
+    sec, cuts = surface.section(st.a), surface.float_cuts(st.a)
     # rounding can push t onto the circle's end: keep it in the last edge
-    i = min(bisect_right(sec.float_cuts, st.t), len(sec.edges)) - 1
+    i = min(bisect_right(cuts, st.t), len(sec.edges)) - 1
     e2 = surface.north(sec.edges[i])
     a2 = surface.graph.alpha(e2)
-    sec2 = surface.section(a2)
-    base = sec2.float_cuts[sec2.index[e2]] + (st.t - sec.float_cuts[i])
+    base = (surface.float_cuts(a2)[surface.section(a2).index[e2]]
+            + (st.t - cuts[i]))
     add = u * float(surface.weight(a2)) - st.comp
     t2 = base + add
     comp = (t2 - base) - add

@@ -54,8 +54,11 @@ class EigenFamily:
     graph: RibbonGraph
     lam: QuadNum
     weight: OracleFun
-    root: object
     params: tuple = ()
+
+    @property
+    def root(self):
+        return self.graph.root()
 
     def __call__(self, v) -> QuadNum:
         return self.weight(v)
@@ -67,7 +70,7 @@ class EigenFamily:
 
 def gz_constant() -> EigenFamily:
     return EigenFamily('gz_constant', PathGraph(), QuadNum(2),
-                       OracleFun(lambda v: _ONE), 0)
+                       OracleFun(lambda v: _ONE))
 
 
 def gz_exponential(t) -> EigenFamily:
@@ -77,7 +80,7 @@ def gz_exponential(t) -> EigenFamily:
         raise ValueError('growth rate must be positive')
     power = _power_cache(t)
     return EigenFamily('gz_exponential', PathGraph(), t + _ONE / t,
-                       OracleFun(power), 0, (('t', t),))
+                       OracleFun(power), (('t', t),))
 
 
 def tripod_family(t) -> EigenFamily:
@@ -104,12 +107,12 @@ def tripod_family(t) -> EigenFamily:
         return a * power(k) + b * power(-k)
 
     return EigenFamily('tripod', TripodGraph(), t + _ONE / t,
-                       OracleFun(value), ('c',), (('t', t),))
+                       OracleFun(value), (('t', t),))
 
 
 def ntree_constant(n: int) -> EigenFamily:
     return EigenFamily('ntree_constant', RegularTree(n), as_quad(n),
-                       OracleFun(lambda v: _ONE), (), (('n', n),))
+                       OracleFun(lambda v: _ONE), (('n', n),))
 
 
 def _toward_end(v) -> int:
@@ -136,7 +139,7 @@ def ntree_horofunction(n: int, s) -> EigenFamily:
     lam = _ONE / s + (n - 1) * s
     power = _power_cache(s)
     return EigenFamily('ntree_horo', tree, lam,
-                       OracleFun(lambda v: power(_toward_end(v))), (),
+                       OracleFun(lambda v: power(_toward_end(v))),
                        (('n', n), ('s', s)))
 
 
@@ -219,7 +222,7 @@ def character_eigen(group: Group, generators, values) -> EigenFamily:
     scale = {'a': _ONE, 'b': delta / lam}
     return EigenFamily('character', graph, lam,
                        OracleFun(lambda v: scale[v[0]] / chi(v[1])),
-                       graph.root(), (('chi', ','.join(map(str, vals))),))
+                       (('chi', ','.join(map(str, vals))),))
 
 
 _FAMILIES = {

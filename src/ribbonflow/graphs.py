@@ -1,11 +1,12 @@
 """Bipartite ribbon graphs and the operator calculus on vertex functions.
 
 Graphs are lazy and label-based: a vertex or edge is a small hashable tuple
-whose structure (class, incident edges, endpoints) is computed on demand, so
-infinite families cost nothing until walked.  Every edge joins an A-vertex
-to a B-vertex, and each vertex carries a cyclic order on its incident edges;
-the two rotations (about the A-end and about the B-end) are what the surface
-construction consumes.
+whose structure is computed on demand, so infinite families cost nothing
+until walked.  A graph is its structure maps: the class of a vertex, its
+incident edges in cyclic order, the two ends of an edge and a root.  Every
+edge joins an A-vertex to a B-vertex.  The rotations about the two ends of
+an edge, which glue the rectangles, are read from the cyclic orders by
+their one reader, `surface.Surface`.
 
 Vertex functions come in two flavors: exact sparse dictionaries with finite
 support, and closed-form oracles.  All operators here (adjacency, the shears
@@ -46,49 +47,21 @@ class RibbonGraph(ABC):
     def beta(self, e):
         """The B-endpoint of the edge."""
 
-    def endpoints(self, e) -> tuple:
-        return self.alpha(e), self.beta(e)
-
-    def other_end(self, e, v):
-        a, b = self.alpha(e), self.beta(e)
-        if v == a:
-            return b
-        if v == b:
-            return a
-        raise ValueError('%r is not an endpoint of %r' % (v, e))
-
-    def _rotate(self, e, v, step: int):
-        edges = self.edges_at(v)
-        i = edges.index(e)
-        return edges[(i + step) % len(edges)]
-
-    def next_at_a(self, e):
-        """One step counterclockwise about the A-end."""
-        return self._rotate(e, self.alpha(e), 1)
-
-    def prev_at_a(self, e):
-        return self._rotate(e, self.alpha(e), -1)
-
-    def next_at_b(self, e):
-        """One step counterclockwise about the B-end."""
-        return self._rotate(e, self.beta(e), 1)
-
-    def prev_at_b(self, e):
-        return self._rotate(e, self.beta(e), -1)
+    @abstractmethod
+    def root(self):
+        """A canonical starting vertex for walks and truncations."""
 
     def base_edge(self, v):
         return self.edges_at(v)[0]
 
-    def root(self):
-        """A canonical starting vertex for walks and truncations."""
-        raise NotImplementedError('family has no canonical root')
-
     def neighbors(self, v) -> tuple:
-        """Adjacent vertices in cyclic order, with multiplicity."""
-        return tuple(self.other_end(e, v) for e in self.edges_at(v))
+        """Adjacent vertices in cyclic order, with multiplicity.
 
-    def valence(self, v) -> int:
-        return len(self.edges_at(v))
+        Every edge joins the two classes, so the far end of each edge at
+        v is its B-end when v is an A-vertex and its A-end otherwise.
+        """
+        far = self.beta if self.vertex_class(v) == 'a' else self.alpha
+        return tuple(map(far, self.edges_at(v)))
 
 
 def _rings(graph: RibbonGraph, sources, radius: int, neighbours=None

@@ -32,13 +32,12 @@ _ZERO = QuadNum(0)
 class Section(NamedTuple):
     """The horizontal circle at an A-vertex, cut into the top intervals of
     its bottom edges: edges[i] covers [cuts[i], cuts[i+1]), so
-    0 = cuts[0] < ... < cuts[-1] and cuts[-1] is the sum of the widths.
-    float_cuts are the same cuts rounded once, for float-mode orbits, and
-    index maps each edge to its position."""
+    0 = cuts[0] < ... < cuts[-1] and cuts[-1] is the sum of the widths,
+    and index maps each edge to its position.  The cuts are exact; their
+    one float copy is Surface.float_cuts."""
 
     edges: tuple
     cuts: tuple
-    float_cuts: tuple
     index: dict
 
     def offset(self, e) -> QuadNum:
@@ -54,6 +53,7 @@ class Surface:
         self.weight = weight
         self.lam = as_quad(lam)
         self._sections = {}
+        self._float_cuts = {}
 
     @classmethod
     def from_family(cls, family) -> 'Surface':
@@ -65,17 +65,22 @@ class Surface:
     def height(self, e) -> QuadNum:
         return self.weight(self.graph.alpha(e))
 
+    def _turn(self, e, v, step: int):
+        """The edge step places after e in the cyclic order at v."""
+        edges = self.graph.edges_at(v)
+        return edges[(edges.index(e) + step) % len(edges)]
+
     def east(self, e):
-        return self.graph.next_at_a(e)
+        return self._turn(e, self.graph.alpha(e), 1)
 
     def west(self, e):
-        return self.graph.prev_at_a(e)
+        return self._turn(e, self.graph.alpha(e), -1)
 
     def north(self, e):
-        return self.graph.next_at_b(e)
+        return self._turn(e, self.graph.beta(e), 1)
 
     def south(self, e):
-        return self.graph.prev_at_b(e)
+        return self._turn(e, self.graph.beta(e), -1)
 
     def circle_length(self, v) -> QuadNum:
         return self.lam * self.weight(v)
@@ -89,9 +94,18 @@ class Surface:
             for e in edges:
                 cuts.append(cuts[-1] + self.width(e))
             sec = self._sections[a] = Section(
-                edges, tuple(cuts), tuple(map(float, cuts)),
-                {e: i for i, e in enumerate(edges)})
+                edges, tuple(cuts), {e: i for i, e in enumerate(edges)})
         return sec
+
+    def float_cuts(self, a) -> tuple:
+        """The section's cuts at an A-vertex rounded once, for float-mode
+        orbits, built on first use and kept.  Exact runs never round, so
+        a cut beyond the float range fails only a float run."""
+        cuts = self._float_cuts.get(a)
+        if cuts is None:
+            cuts = self._float_cuts[a] = tuple(
+                map(float, self.section(a).cuts))
+        return cuts
 
     def edge_offsets(self, a) -> dict:
         """Left-endpoint coordinate of each bottom edge along the

@@ -316,6 +316,42 @@ def test_simulate_skew_float_mode(capsys):
     assert abs(float(rows[0][1]) - 0.7071067811865476) == 0
 
 
+@pytest.mark.parametrize('alpha', [
+    'sqrt(2)', '10000000000000000+sqrt(2)', '%d+sqrt(2)' % 10 ** 400,
+    '-7/3+sqrt(2)'], ids=['1', '10^16', '10^400', '-7/3'])
+def test_float_skew_orbit_reduces_alpha_before_rounding(capsys, alpha):
+    # the float mode used to round alpha before reducing it mod 1, which
+    # lost its fraction (x = 0.0 on every row) or overflowed
+    argv = ['simulate', '--group', 'Z', '--generators', '(1,-1)',
+            '--alpha', alpha, '--steps', '2000', '--mode']
+    groups = []
+    for mode in ('exact', 'float'):
+        code, out = run(capsys, argv + [mode])
+        assert code == EXIT_OK
+        groups.append([row[2] for row in csv_body(out)[1]])
+    assert len(groups[0]) == 2000
+    assert groups[0] == groups[1]
+
+
+@pytest.mark.parametrize('argv', [
+    ['simulate', '--family', 'tripod:t=3', '--theta', '4, -5+sqrt(41)',
+     '--steps', '400'],
+    ['simulate', '--family', 'gz_exponential:t=3', '--theta',
+     '4, -5+sqrt(41)', '--steps', '400'],
+    ['simulate', '--family', 'ntree_horo:n=3,s=2', '--theta',
+     '1, -1+sqrt(2)', '--steps', '600'],
+    ['conjugate', '--family', 'tripod:t=3', '--family2', 'tripod:t=2',
+     '--theta', '4, -5+sqrt(41)', '--theta2', '4, -5+sqrt(41)',
+     '--depth', '400'],
+])
+def test_exact_runs_never_round(capsys, argv):
+    # a section used to round its cuts on first use, so an exact run
+    # that reached a cut beyond the float range raised OverflowError
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == '' and csv_body(out)[1]
+
+
 def test_parse_errors_exit_two(capsys):
     assert main(['shrink', '--lambda', '2', '--theta', 'nope']) == EXIT_PARSE
     assert main(['omega', '--n', '2', '--alpha', '0.707']) == EXIT_PARSE
@@ -808,6 +844,23 @@ def test_render_limit_set_needs_hyperbolic_lambda(capsys):
     assert main(['render', '--style', 'limitset', '--lambda', 'sqrt(5)',
                  '--depth', '2']) == EXIT_OK
     assert '<svg' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize('argv', [
+    ['render', '--style', 'surface', '--family',
+     'gz_exponential:t=1' + '0' * 200, '--depth', '2'],
+    # lambda = t + 1/t with t = 10^200, so lambda^2 - 4 is a square
+    ['render', '--style', 'limitset', '--lambda',
+     '%d/%d' % (10 ** 400 + 1, 10 ** 200), '--depth', '2'],
+])
+def test_render_refuses_coordinates_beyond_the_float_range(capsys, argv):
+    # the drawing rounds exact coordinates, and used to end in an
+    # OverflowError traceback with exit 1
+    assert main(argv) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ''
+    assert err == ('error: the drawing at --depth 2 has coordinates '
+                   'beyond the float range\n')
 
 
 @pytest.mark.parametrize('argv', [

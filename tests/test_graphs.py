@@ -15,6 +15,7 @@ from ribbonflow.graphs import (Cyclic, FreeGroup, Heisenberg, IntegerLattice,
                                _rings, _shear, chi, make_group, pairing,
                                project_class, upsilon, upsilon_eval,
                                vertices_in_ball)
+from ribbonflow.surface import Surface
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -48,21 +49,23 @@ def sparse_funs(draw):
 def test_edges_join_a_to_b(name, graph, root):
     for v in vertices_in_ball(graph, root, 4):
         for e in graph.edges_at(v):
-            a, b = graph.endpoints(e)
+            a, b = graph.alpha(e), graph.beta(e)
             assert graph.vertex_class(a) == 'a'
             assert graph.vertex_class(b) == 'b'
             assert e in graph.edges_at(a)
             assert e in graph.edges_at(b)
-            assert graph.other_end(e, a) == b
-            assert graph.other_end(e, b) == a
+            assert v in (a, b)
 
 
 @pytest.mark.parametrize('name,graph,root', GRAPHS)
 def test_rotations_cycle_through_star(name, graph, root):
+    # the gluings read no weight: east/west turn about the A-end of an
+    # edge, north/south about its B-end
+    surface = Surface(graph, None, 1)
     for v in vertices_in_ball(graph, root, 3):
         about_a = graph.vertex_class(v) == 'a'
-        step = graph.next_at_a if about_a else graph.next_at_b
-        back = graph.prev_at_a if about_a else graph.prev_at_b
+        step = surface.east if about_a else surface.north
+        back = surface.west if about_a else surface.south
         start = graph.base_edge(v)
         seen = []
         e = start
@@ -79,17 +82,35 @@ def test_rotations_cycle_through_star(name, graph, root):
 @pytest.mark.parametrize('name,graph,root', GRAPHS)
 def test_neighbors_match_edge_ends(name, graph, root):
     for v in vertices_in_ball(graph, root, 3):
-        assert graph.neighbors(v) == \
-            tuple(graph.other_end(e, v) for e in graph.edges_at(v))
-        assert graph.valence(v) == len(graph.edges_at(v))
+        ends = [(graph.alpha(e), graph.beta(e)) for e in graph.edges_at(v)]
+        assert graph.neighbors(v) == tuple(a if b == v else b
+                                           for a, b in ends)
+
+
+def _raises(*args):
+    raise AssertionError('neighbors read the near end of an edge')
+
+
+def test_neighbors_read_one_end(monkeypatch):
+    # an A-vertex's neighbours are the B-ends of its edges, and a
+    # B-vertex's the A-ends: the near end is never computed
+    graph = SkewGraph(Heisenberg(), (X, X_INV, Y, Y_INV))
+    a, b = ('a', (1, 2, 3)), ('b', (1, 2, 3))
+    want = graph.neighbors(a), graph.neighbors(b)
+    with monkeypatch.context() as patch:
+        patch.setattr(SkewGraph, 'alpha', _raises)
+        assert graph.neighbors(a) == want[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(SkewGraph, 'beta', _raises)
+        assert graph.neighbors(b) == want[1]
 
 
 def test_gz_layout():
     g = PathGraph()
     assert g.vertex_class(0) == 'a'
     assert g.vertex_class(1) == 'b'
-    assert g.endpoints(0) == (0, 1)
-    assert g.endpoints(1) == (2, 1)
+    assert (g.alpha(0), g.beta(0)) == (0, 1)
+    assert (g.alpha(1), g.beta(1)) == (2, 1)
     assert g.neighbors(0) == (-1, 1)
     assert g.neighbors(3) == (2, 4)
 
@@ -97,9 +118,11 @@ def test_gz_layout():
 def test_tripod_center_and_rays():
     g = TripodGraph()
     assert g.vertex_class(('c',)) == 'a'
-    assert g.valence(('c',)) == 3
-    assert g.endpoints(('e', 1, 1)) == (('c',), ('r', 1, 1))
-    assert g.endpoints(('e', 1, 2)) == (('r', 1, 2), ('r', 1, 1))
+    assert len(g.edges_at(('c',))) == 3
+    assert (g.alpha(('e', 1, 1)), g.beta(('e', 1, 1))) == \
+        (('c',), ('r', 1, 1))
+    assert (g.alpha(('e', 1, 2)), g.beta(('e', 1, 2))) == \
+        (('r', 1, 2), ('r', 1, 1))
     assert g.neighbors(('r', 0, 2)) == (('r', 0, 1), ('r', 0, 3))
     assert g.vertex_class(('r', 2, 5)) == 'b'
 
@@ -107,7 +130,7 @@ def test_tripod_center_and_rays():
 def test_ntree_valence_is_constant():
     g = RegularTree(3)
     for v in [(), (0,), (2, 1), (1, 0, 1)]:
-        assert g.valence(v) == 3
+        assert len(g.edges_at(v)) == 3
     assert g.neighbors((0,)) == ((), (0, 0), (0, 1))
     with pytest.raises(ValueError):
         RegularTree(1)

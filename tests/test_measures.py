@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from ribbonflow import cli, measures, renorm
 from ribbonflow.dynamics import from_edge, iet_step, resolve
-from ribbonflow.eigen import (character, character_eigen, gz_constant,
-                              gz_exponential, ntree_constant, tripod_family)
+from ribbonflow.eigen import (builtin_families, character, character_eigen,
+                              gz_constant, gz_exponential, ntree_constant,
+                              tripod_family)
 from ribbonflow.exact import FieldMixError, QVec2, QuadNum, sqrt_rational
 from ribbonflow.freegrp import H, V, V_INV, Letter, Word, rho
 from ribbonflow.graphs import (Heisenberg, IntegersZ, OracleFun, PathGraph,
@@ -517,6 +518,22 @@ def test_transposed_surface_swaps_roles():
         assert ts.height(e) == s.width(e)
         assert ts.north(e) == s.east(e)
         assert ts.east(e) == s.north(e)
+
+
+@pytest.mark.parametrize('fam', builtin_families(),
+                         ids=lambda fam: fam.describe())
+def test_transposed_surface_swaps_the_gluings(fam):
+    # the mirror swaps the two ends of every edge and the two classes, so
+    # turning about the A-end there is turning about the B-end here
+    s = Surface.from_family(fam)
+    ts = transposed_surface(s)
+    g = fam.graph
+    for v in vertices_in_ball(g, fam.root, 3):
+        for e in g.edges_at(v):
+            assert ts.east(e) == s.north(e)
+            assert ts.west(e) == s.south(e)
+            assert ts.north(e) == s.east(e)
+            assert ts.width(e) == s.height(e)
 
 
 def test_conjugacy_full_bottom_edge_exact():

@@ -198,9 +198,15 @@ def test_growth_ratio_dichotomy():
     assert abs(ratio - 2.0) < 1e-6
 
 
+def _turn(graph, e, v, step):
+    edges = graph.edges_at(v)
+    return edges[(edges.index(e) + step) % len(edges)]
+
+
 def _ball_growth_reference(graph, weight, root, n_max):
     """The layered growth walked from scratch: layer n is the neighbours
-    of layer n-1, and every rectangle tests all four gluings."""
+    of layer n-1, and every rectangle tests all four gluings, read from
+    the cyclic orders at its two ends."""
     lengths = []
     max_sides = []
     layer = {root}
@@ -215,14 +221,12 @@ def _ball_growth_reference(graph, weight, root, n_max):
         for e in rect:
             width = as_quad(weight(graph.beta(e)))
             height = as_quad(weight(graph.alpha(e)))
-            if graph.next_at_b(e) not in rect:
-                boundary = boundary + width
-            if graph.prev_at_b(e) not in rect:
-                boundary = boundary + width
-            if graph.next_at_a(e) not in rect:
-                boundary = boundary + height
-            if graph.prev_at_a(e) not in rect:
-                boundary = boundary + height
+            a, b = graph.alpha(e), graph.beta(e)
+            for step in (1, -1):
+                if _turn(graph, e, b, step) not in rect:
+                    boundary = boundary + width
+                if _turn(graph, e, a, step) not in rect:
+                    boundary = boundary + height
             side = width if width > height else height
             if side > widest:
                 widest = side
