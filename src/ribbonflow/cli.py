@@ -377,8 +377,7 @@ def cmd_decay(args) -> int:
 
 def cmd_growth(args) -> int:
     fam = _family(args.family, args)
-    lengths, sides = ball_growth(Surface.from_family(fam), fam.root,
-                                 args.depth)
+    lengths, sides = ball_growth(Surface.from_family(fam), args.depth)
     lam = fam.lam
     rows = []
     for n, (ln, side) in enumerate(zip(lengths, sides)):
@@ -412,7 +411,7 @@ def cmd_conjugate(args) -> int:
     return EXIT_OK
 
 
-def _limit_set_svg(lam: QuadNum, depth: int, seed: int) -> str:
+def _limit_set_svg(lam: QuadNum, depth: int) -> str:
     gap = lam * lam - 4
     if lam <= 2 or not gap.is_rational:
         raise ValueError('limit-set render needs lambda > 2 with '
@@ -437,8 +436,7 @@ def _limit_set_svg(lam: QuadNum, depth: int, seed: int) -> str:
         words.extend(nxt)
         frontier = nxt
     width, height, pad = 800, 120, 10
-    parts = ['<!-- ribbonflow %s seed %d -->' % (__version__, seed),
-             '<svg xmlns="http://www.w3.org/2000/svg" '
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" '
              'width="%d" height="%d">' % (width, height),
              '<line x1="%d" y1="60" x2="%d" y2="60" '
              'stroke="black" stroke-width="1"/>' % (pad, width - pad)]
@@ -461,13 +459,13 @@ def cmd_render(args) -> int:
         if not args.lam:
             raise ValueError('limit-set render needs --lambda')
         lam = parse_quad(args.lam)
-        draw = lambda: _limit_set_svg(lam, args.depth, args.seed)
+        draw = lambda: _limit_set_svg(lam, args.depth)
     else:
         surface = Surface.from_family(_family(args.family, args))
-        draw = lambda: '<!-- ribbonflow %s seed %d -->\n%s' % (
-            __version__, args.seed, svg_truncation(surface, args.depth))
+        draw = lambda: svg_truncation(surface, args.depth)
     try:
-        svg = draw()
+        svg = '<!-- ribbonflow %s seed %d -->\n%s' % (__version__, args.seed,
+                                                      draw())
     except OverflowError:
         # a drawing rounds its exact coordinates, which can outgrow floats
         raise ValueError('the drawing at --depth %d has coordinates beyond '

@@ -7,6 +7,8 @@ edge to the next one counterclockwise around its B-vertex) followed by a
 rotation R^u of each circle by u times its cylinder height, u = x/y.
 Exact quadratic arithmetic reproduces orbits bit for bit; the float mode
 exists for long statistical runs and is checked against the exact one.
+The exact skew rotation is one loop, whose one-step case is skew_step,
+and every orbit counts its budget in _budgeted.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 
 from .exact import QuadNum, QVec2, _xy, as_quad
 from .surface import Surface
@@ -184,6 +187,24 @@ def flow_to_next_edge_float(surface: Surface, theta, edge, x: float,
     return a, surface.float_cuts(a)[surface.section(a).index[e]] + x_top
 
 
+def _budgeted(states, start, budget, key=itemgetter(1)):
+    """An orbit's states; with a budget, OrbitEscapedBudget at the first
+    whose key (a skew state's group element, a landing's A-vertex) makes
+    more than budget distinct keys, start included."""
+    if budget is None:
+        return states
+
+    def counted():
+        seen = {start}
+        for k, state in enumerate(states, 1):
+            seen.add(key(state))
+            if len(seen) > budget:
+                raise OrbitEscapedBudget(k, len(seen))
+            yield state
+
+    return counted()
+
+
 def code_orbit(surface: Surface, theta, p: HPoint, steps: int,
                branch=None, budget=None):
     """The itinerary of top-edge symbols along an orbit of the return
@@ -198,26 +219,22 @@ def code_orbit(surface: Surface, theta, p: HPoint, steps: int,
         raise ValueError("branch must be None, 'left' or 'right'")
     x, y = _theta_parts(theta)
     u = x / y
-    symbols = []
-    points = []
-    visited = {p.a}
-    for k in range(steps):
-        e, o = resolve(surface, p)
-        if not o:
-            if branch is None:
-                raise SingularHitError(
-                    'orbit hit an interval endpoint at step %d' % k)
-            if branch == 'left':
-                e = surface.west(e)
-                o = surface.width(e)
-        symbols.append(e)
-        points.append(p)
-        p = _jump(surface, e, o, u)
-        if budget is not None and p.a not in visited:
-            visited.add(p.a)
-            if len(visited) > budget:
-                raise OrbitEscapedBudget(k + 1, len(visited))
-    return symbols, points
+
+    def legs(p):
+        for k in range(steps):
+            e, o = resolve(surface, p)
+            if not o:
+                if branch is None:
+                    raise SingularHitError(
+                        'orbit hit an interval endpoint at step %d' % k)
+                if branch == 'left':
+                    e = surface.west(e)
+                    o = surface.width(e)
+            p = _jump(surface, e, o, u)
+            yield e, p   # the symbol and the landing point
+
+    done = list(_budgeted(legs(p), p.a, budget, lambda leg: leg[1].a))
+    return [e for e, _ in done], [p, *(q for _, q in done)][:-1]
 
 
 def _check_skew(n: int, group, generators, x) -> None:
@@ -232,45 +249,36 @@ def _check_skew(n: int, group, generators, x) -> None:
         group.check(gen)
 
 
+def _skew_states(n: int, alpha, group, generators, state, steps: int):
+    """The exact skew orbit after the initial state.  i = floor(n*x)
+    picks the generator, and 0 <= i < n is the check that x lies in
+    [0, 1); one floor takes the integer part off x + alpha, any alpha."""
+    x, g, alpha = as_quad(state[0]), state[1], as_quad(alpha)
+    for _ in range(steps):
+        i = math.floor(n * x)
+        if not 0 <= i < n:
+            raise ValueError('circle coordinate must lie in [0, 1)')
+        g = group.op(generators[i], g)
+        x = x + alpha
+        x = x - math.floor(x)
+        yield x, g
+
+
 def skew_step(n: int, alpha, group, generators, state):
-    """One step of the skew rotation: rotate the circle coordinate and
-    multiply the group coordinate by the generator of the subinterval
-    the point was in."""
-    x, g = state
-    x = x if type(x) is QuadNum else as_quad(x)
-    alpha = alpha if type(alpha) is QuadNum else as_quad(alpha)
-    if not (generators and n == len(generators) and 0 <= x < 1):
-        _check_skew(n, group, generators, x)   # raises, naming the fault
-    mult = generators[math.floor(n * x)]
-    return ((x + alpha) % 1, group.op(mult, g))
-
-
-def _budgeted(states, start, budget: int):
-    """The skew states, raising OrbitEscapedBudget at the first one whose
-    group element makes more than budget distinct ones, start included."""
-    visited = {start}
-    for k, state in enumerate(states, 1):
-        if state[1] not in visited:
-            visited.add(state[1])
-            if len(visited) > budget:
-                raise OrbitEscapedBudget(k, len(visited))
-        yield state
+    """One step of the skew rotation, the exact orbit's one-step case
+    without its group check: rotate the circle coordinate, multiply the
+    group coordinate by the generator of the point's subinterval."""
+    if not (generators and n == len(generators)):
+        _check_skew(n, group, generators, state[0])   # raises, naming it
+    return next(_skew_states(n, alpha, group, generators, state, 1))
 
 
 def skew_orbit(n: int, alpha, group, generators, state, steps: int,
                budget=None):
-    """Exact skew-rotation orbit; yields successive states after the
-    initial one."""
+    """Exact skew-rotation orbit: the states after the initial one."""
     _check_skew(n, group, generators, state[0])
-
-    def walk(state):
-        for _ in range(steps):
-            state = skew_step(n, alpha, group, generators, state)
-            yield state
-
-    states = walk(state)
-    return list(states if budget is None
-                else _budgeted(states, state[1], budget))
+    states = _skew_states(n, alpha, group, generators, state, steps)
+    return list(_budgeted(states, state[1], budget))
 
 
 # steps a budgeted float orbit runs past an escape at most
@@ -278,17 +286,16 @@ _FLOAT_CHUNK = 1024
 
 
 def _float_chunks(n: int, alpha: float, group, generators, state,
-                  steps: int, chunk: int):
-    """The float skew orbit in lists of at most chunk states."""
-    x, g = state
-    x = float(x)
+                  steps: int):
+    """The float skew orbit in lists of at most _FLOAT_CHUNK states."""
+    x, g = float(state[0]), state[1]
     # reduced before rounding, as the exact step reduces x + alpha mod 1:
     # a large alpha would lose its fraction
     alpha = float(alpha % 1)
     comp = 0.0
     while steps > 0:
         out = []
-        for _ in range(min(chunk, steps)):
+        for _ in range(min(_FLOAT_CHUNK, steps)):
             i = min(int(x * n), n - 1)
             g = group.op(generators[i], g)
             add = alpha - comp
@@ -305,16 +312,12 @@ def _float_chunks(n: int, alpha: float, group, generators, state,
 def skew_orbit_float(n: int, alpha: float, group, generators, state,
                      steps: int, budget=None):
     """Float skew orbit with compensated circle summation, for long
-    statistical runs; the exact path stays authoritative.  Unbudgeted,
-    the orbit runs as one list; with a budget it runs in chunks that
-    _budgeted counts as the exact orbit counts its states, so an escape
-    stops the run within one chunk."""
+    statistical runs; the exact path stays authoritative.  _budgeted counts
+    its chunked states, so a budget escape stops it within one chunk."""
     _check_skew(n, group, generators, state[0])
-    chunks = _float_chunks(n, alpha, group, generators, state, steps,
-                           steps if budget is None else _FLOAT_CHUNK)
-    if budget is None:
-        return next(chunks, [])
-    return list(_budgeted(chain.from_iterable(chunks), state[1], budget))
+    states = chain.from_iterable(
+        _float_chunks(n, alpha, group, generators, state, steps))
+    return list(_budgeted(states, state[1], budget))
 
 
 @dataclass

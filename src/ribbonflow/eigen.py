@@ -321,10 +321,9 @@ def _tally(radius: int, residuals) -> ResidualReport:
     return ResidualReport(radius, visited, tuple(nonzero), count, max_abs)
 
 
-def verify_eigen(graph: RibbonGraph, fn, lam, radius: int,
-                 root=None) -> ResidualReport:
-    """Residual A f - lam f at every vertex within the radius, in ring
-    order.
+def verify_eigen(graph: RibbonGraph, fn, lam, radius: int) -> ResidualReport:
+    """Residual A f - lam f at every vertex within the radius of the
+    graph's root, in ring order.
 
     Reads the same numbered neighbourhood and int lift as the shear
     kernel of `measures`: the ball is numbered out to radius + 1, so each
@@ -335,9 +334,7 @@ def verify_eigen(graph: RibbonGraph, fn, lam, radius: int,
     """
     if radius < 0:
         raise ValueError('radius must be >= 0, got %r' % radius)
-    if root is None:
-        root = graph.root()
-    _, order, _, nbrs = _numbered_ball(graph, (root,), radius + 1)
+    _, order, _, nbrs = _numbered_ball(graph, (graph.root(),), radius + 1)
     A, B, q, d = _lift_common(chain(map(fn, order), (as_quad(lam),)))
     la, lb = A.pop(), B.pop()
     qq = q * q
@@ -389,8 +386,7 @@ def verify_family(family: EigenFamily, radius: int) -> ResidualReport:
     if isinstance(family.graph, RegularTree):
         return verify_eigen_tree(family.graph, family.weight, family.lam,
                                  radius)
-    return verify_eigen(family.graph, family.weight, family.lam, radius,
-                        family.root)
+    return verify_eigen(family.graph, family.weight, family.lam, radius)
 
 
 def spoke_profile(lam, k: int) -> tuple:

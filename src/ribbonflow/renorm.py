@@ -428,7 +428,9 @@ class OmegaResult:
 def omega_test(n: int, alpha, max_steps: int = 64) -> OmegaResult:
     """Membership of alpha in the renormalizable parameter set at level n.
 
-    The direction (alpha - 1/n, 1/n) is shrunk greedily at parameter n.
+    The direction (alpha mod 1 - 1/n, 1/n) is shrunk greedily at parameter
+    n: h^1 at lambda = n sends alpha to alpha + 1, and the skew rotation
+    reads alpha mod 1.
     Rationals never belong; an exact periodic non-excluded tail certifies
     membership; a dead end or excluded tail certifies exclusion.
     """
@@ -437,7 +439,7 @@ def omega_test(n: int, alpha, max_steps: int = 64) -> OmegaResult:
     alpha = as_quad(alpha)
     if alpha.is_rational:
         return OmegaResult(OmegaKind.NOT_IN_OMEGA, 'alpha is rational')
-    theta = QVec2(alpha - Fraction(1, n), Fraction(1, n))
+    theta = QVec2(alpha % 1 - Fraction(1, n), Fraction(1, n))
     data = shrinking_sequence(n, theta, max_steps)
     if data.status is TailStatus.PERIODIC:
         return OmegaResult(OmegaKind.IN_OMEGA, 'periodic renormalizing tail',

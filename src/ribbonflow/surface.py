@@ -254,9 +254,9 @@ def svg_truncation(surface: Surface, radius: int = 3) -> str:
     return '\n'.join(out)
 
 
-def ball_growth(surface: Surface, root, n_max: int):
+def ball_growth(surface: Surface, n_max: int):
     """Boundary lengths and largest rectangle sides of the nested
-    cylinder unions grown from one A-vertex.
+    cylinder unions grown from the graph's root, an A-vertex.
 
     Layer 0 is the root's horizontal cylinder; layer n collects the
     cylinders of all neighbors of layer n-1, alternating between
@@ -274,6 +274,7 @@ def ball_growth(surface: Surface, root, n_max: int):
     with equality on trees.
     """
     graph = surface.graph
+    root = graph.root()
     if graph.vertex_class(root) != 'a':
         raise ValueError('growth layers start from an A-vertex')
     unions = (set(), set())

@@ -238,7 +238,7 @@ def test_c09_growth_recurrence_with_tree_equalities():
     )
     for fam, expect_equality in cases:
         lam = QuadNum(fam.lam)
-        lengths, sides = ball_growth(Surface.from_family(fam), fam.root, 10)
+        lengths, sides = ball_growth(Surface.from_family(fam), 10)
         defects = [lam * lengths[n] - lengths[n - 1] - lengths[n + 1]
                    for n in range(1, 10)]
         assert all(d >= QuadNum(0) for d in defects)

@@ -486,7 +486,8 @@ def nested(leaves, depth=3):
                                       max_size=3).map(tuple))
 
 
-VALUES = nested(st.one_of(st.integers(-10 ** 20, 10 ** 20), QUADS, NAMES))
+LEAVES = st.one_of(st.integers(-10 ** 20, 10 ** 20), QUADS, NAMES)
+VALUES = nested(LEAVES)
 
 
 @given(VALUES, st.sampled_from('(['), st.sampled_from(['', "'", '"']))
@@ -494,8 +495,10 @@ def test_values_read_back_as_spelled(value, opener, quote):
     assert cli._value(spell(value, opener, quote)) == value
 
 
-@given(VALUES.filter(lambda v: isinstance(v, tuple)), st.sampled_from('(['),
-       st.floats(allow_nan=False, allow_infinity=False))
+# the tuple branch of VALUES, drawn directly: filtering VALUES for tuples
+# failed the filter_too_much health check on some seeds
+@given(st.lists(nested(LEAVES, 2), max_size=3).map(tuple),
+       st.sampled_from('(['), st.floats(allow_nan=False, allow_infinity=False))
 def test_off_grammar_values_raise_value_error(value, opener, x):
     text = spell(value, opener)
     flawed = [text[:-1], '(' + text, '%s, %r)' % (text[:-1], x), repr(x),

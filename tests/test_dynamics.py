@@ -1,11 +1,13 @@
 """Return map, geometric flow oracle, skew rotations, coding."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ribbonflow import dynamics
 from ribbonflow.dynamics import (FloatState, HPoint, OrbitEscapedBudget,
                                  SingularHit, SingularHitError, SurfacePoint,
                                  code_orbit, flow_to_next_edge,
@@ -158,6 +160,38 @@ def test_skew_rejects_bad_input():
         skew_orbit_float(0, 0.5, group, (), (0.0, 0), 3)
 
 
+def test_skew_step_checks_the_circle_by_its_index(monkeypatch):
+    # a valid call runs no _check_skew: floor(n*x) out of range is the
+    # [0, 1) check
+    def forbidden(*args):
+        raise AssertionError('_check_skew ran')
+
+    monkeypatch.setattr(dynamics, '_check_skew', forbidden)
+    for x in (QuadNum(1), -ALPHA):
+        with pytest.raises(ValueError, match=r'\[0, 1\)'):
+            skew_step(2, ALPHA, IntegersZ(), (1, -1), (x, 0))
+
+
+def _skew_reference(n, alpha, group, generators, state, steps):
+    """The skew orbit stepped one QuadNum at a time as (x + alpha) % 1."""
+    x, g = state
+    out = []
+    for _ in range(steps):
+        g = group.op(generators[math.floor(n * x)], g)
+        x = (x + alpha) % 1
+        out.append((x, g))
+    return out
+
+
+@pytest.mark.parametrize('alpha', [ALPHA, ALPHA + 5, ALPHA - 7, -ALPHA,
+                                   ALPHA + 10 ** 6],
+                         ids=['alpha', 'plus-5', 'minus-7', 'negated',
+                              'plus-10^6'])
+def test_skew_orbit_matches_the_modular_reference(alpha):
+    args = 2, alpha, IntegersZ(), (1, -1), (QuadNum(Fraction(1, 7)), 0), 3000
+    assert skew_orbit(*args) == _skew_reference(*args)
+
+
 @pytest.mark.parametrize('n, generators, x, message', [
     (3, (1, -1), 0.9, 'n=3 and 2'),
     (2, (1, -1), 1.7, r'\[0, 1\)'),
@@ -240,15 +274,18 @@ def test_cut_points_and_their_left_branch(make, a, theta):
 def test_code_orbit_budget_escape():
     s = staircase()
     theta = stair_theta(ALPHA)
-    with pytest.raises(OrbitEscapedBudget):
+    with pytest.raises(OrbitEscapedBudget) as info:
         code_orbit(s, theta, hpoint(s, ('a', 0), QuadNum(Fraction(1, 7))),
                    10000, budget=4)
+    # the 13th landing reaches a fifth A-vertex, the start's included
+    assert (info.value.steps_done, info.value.visited) == (13, 5)
 
 
 def test_skew_orbit_budget_escape():
-    with pytest.raises(OrbitEscapedBudget):
+    with pytest.raises(OrbitEscapedBudget) as info:
         skew_orbit(2, ALPHA, IntegersZ(), (1, -1), (QuadNum(0), 0), 10000,
                    budget=4)
+    assert (info.value.steps_done, info.value.visited) == (21, 5)
 
 
 @pytest.mark.parametrize('fam', [gz_exponential(2), tripod_family(2)])
@@ -365,8 +402,32 @@ def test_skew_orbit_float_stops_soon_after_the_escape(budget):
     with pytest.raises(OrbitEscapedBudget) as info:
         skew_orbit_float(2, float(ALPHA), group, (1, 1), (0.0, 0), 10 ** 5,
                          budget=budget)
-    assert info.value.steps_done == budget
+    assert (info.value.steps_done, info.value.visited) == (budget,
+                                                           budget + 1)
     assert group.calls <= budget + 2048
+
+
+def _float_reference(n, alpha, group, generators, state, steps):
+    """The float skew orbit as one compensated loop, unchunked."""
+    x, g = state
+    alpha, comp, out = float(alpha % 1), 0.0, []
+    for _ in range(steps):
+        g = group.op(generators[min(int(x * n), n - 1)], g)
+        add = alpha - comp
+        nxt = x + add
+        comp = (nxt - x) - add
+        x = nxt - 1.0 if nxt >= 1.0 else nxt
+        out.append((x, g))
+    return out
+
+
+@pytest.mark.parametrize('steps', [5000, 50000])
+def test_skew_orbit_float_chunks_leave_the_orbit_unchanged(steps):
+    args = 2, float(ALPHA), IntegersZ(), (1, -1), (0.0, 0), steps
+    orbit = skew_orbit_float(*args)
+    assert orbit == _float_reference(*args)
+    assert orbit[-1] == {5000: (0.5339059327378637, 0),
+                         50000: (0.33905932737863687, 0)}[steps]
 
 
 def test_skew_orbit_float_budget_leaves_the_orbit_unchanged():

@@ -268,7 +268,7 @@ def test_family_eigen_names_missing_parameter(name, params, missing):
 def test_perturbed_constant_residuals_are_local():
     fam = gz_constant()
     bumped = OracleFun(lambda v: 2 if v == 0 else 1)
-    report = verify_eigen(fam.graph, bumped, fam.lam, 5, root=0)
+    report = verify_eigen(fam.graph, bumped, fam.lam, 5)
     assert not report.ok
     got = {v: r for v, r in report.nonzero}
     assert got == {0: QuadNum(-2), -1: QuadNum(1), 1: QuadNum(1)}
@@ -292,16 +292,16 @@ def test_tree_walk_matches_generic_walk():
              (bumped(root_horo), root_horo.lam, 5, 4),
              (horo.weight, horo.lam + ROOT2, 3, 22))
     for fn, lam, radius, count in cases:
-        slow = verify_eigen(tree, fn, lam, radius, root=())
+        slow = verify_eigen(tree, fn, lam, radius)
         fast = verify_eigen_tree(tree, fn, lam, radius)
         assert slow.vertex_count == fast.vertex_count
         assert slow.nonzero_count == fast.nonzero_count == count
         assert sorted(slow.nonzero) == sorted(fast.nonzero)
         assert slow.max_abs == fast.max_abs
     with pytest.raises(TypeError):
-        verify_eigen(tree, lambda v: 0.5, 1, 2, root=())
+        verify_eigen(tree, lambda v: 0.5, 1, 2)
     with pytest.raises(FieldMixError):
-        verify_eigen(tree, root_horo.weight, QuadNum(0, 1, 3), 2, root=())
+        verify_eigen(tree, root_horo.weight, QuadNum(0, 1, 3), 2)
 
 
 _RESIDUAL_ORDER = """
@@ -334,7 +334,7 @@ def test_residuals_come_in_ring_order_under_any_hash_seed():
                                  ntree_horofunction(3, HALF)])
 def test_streamed_tree_family_matches_ball_walk(fam):
     streamed = verify_family(fam, 6)
-    walked = verify_eigen(fam.graph, fam.weight, fam.lam, 6, fam.root)
+    walked = verify_eigen(fam.graph, fam.weight, fam.lam, 6)
     assert streamed.vertex_count == walked.vertex_count == 1 + 3 * (2**6 - 1)
     assert streamed.nonzero == walked.nonzero == ()
     assert streamed.nonzero_count == walked.nonzero_count == 0

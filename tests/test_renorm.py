@@ -202,9 +202,21 @@ def test_omega_rejects_interval_endpoint():
     res = omega_test(3, alpha, 32)
     assert res.kind is OmegaKind.NOT_IN_OMEGA
     assert res.data.excluded_id == 'h^-1 v'
-    assert res.data.increments[:2] == (H_INV, V)
-    # the tested direction is parallel to (2, 3 - sqrt(5))
-    assert res.data.theta.wedge(QVec2(2, QuadNum(3, -1, 5))) == QuadNum(0)
+    # alpha is read mod 1, so the run is that of the unreduced alpha
+    # without its first letter h^-1
+    assert res.data.increments[:2] == (V, H_INV)
+    # the tested direction is parallel to (-7 + 3 sqrt(5), 3 - sqrt(5))
+    assert res.data.theta.wedge(
+        QVec2(QuadNum(-7, 3, 5), QuadNum(3, -1, 5))) == QuadNum(0)
+
+
+@pytest.mark.parametrize('k', [-3, 0, 2, 60, 200, 10 ** 6])
+def test_omega_reads_alpha_mod_one(k):
+    # h^1 at lambda = n is alpha -> alpha + 1; the unreduced alpha ran a
+    # run of h^-1 letters as long as k and exhausted the budget from k = 60
+    res = omega_test(2, QuadNum(Fraction(1, 3) + k, 1, 2))
+    assert res.kind is OmegaKind.IN_OMEGA
+    assert res.data.period == (0, 38)
 
 
 def test_omega_undetermined_on_tiny_budget():

@@ -15,6 +15,7 @@ from ribbonflow.freegrp import Word, gamma
 from ribbonflow.graphs import (Heisenberg, IntegerLattice, IntegersZ,
                                FreeGroup, OracleFun, SparseFun, pairing,
                                upsilon)
+from ribbonflow.measures import transposed_surface
 from ribbonflow.surface import (Surface, ball_growth, phi_homology,
                                 svg_truncation, z_class)
 
@@ -134,14 +135,14 @@ def test_pullback_compatibility_tripod(g, h):
 
 def test_growth_constant_path():
     fam = gz_constant()
-    lengths, sides = ball_growth(Surface.from_family(fam), 0, 8)
+    lengths, sides = ball_growth(Surface.from_family(fam), 8)
     assert lengths == tuple(QuadNum(4) for _ in range(9))
     assert sides == tuple(QuadNum(1) for _ in range(9))
 
 
 def test_growth_tripod_frozen():
     fam = tripod_family(2)
-    lengths, sides = ball_growth(Surface.from_family(fam), ('c',), 2)
+    lengths, sides = ball_growth(Surface.from_family(fam), 2)
     assert lengths[0] == 15
     assert lengths[1] == QuadNum('39/2')
     # three consecutive terms satisfy the tree recurrence exactly
@@ -150,9 +151,12 @@ def test_growth_tripod_frozen():
 
 
 def test_growth_rejects_b_root():
-    fam = gz_constant()
-    with pytest.raises(ValueError):
-        ball_growth(Surface.from_family(fam), 1, 2)
+    # the mirror surface swaps the vertex classes, so its root is a
+    # B-vertex
+    mirror = transposed_surface(Surface.from_family(gz_constant()))
+    assert mirror.graph.vertex_class(mirror.graph.root()) == 'b'
+    with pytest.raises(ValueError, match='A-vertex'):
+        ball_growth(mirror, 2)
 
 
 @pytest.mark.parametrize('fam,exact', [
@@ -166,8 +170,7 @@ def test_growth_rejects_b_root():
     (heisenberg_constant(), False),
 ])
 def test_growth_recurrence(fam, exact):
-    root = fam.graph.root()
-    lengths, _ = ball_growth(Surface.from_family(fam), root, 8)
+    lengths, _ = ball_growth(Surface.from_family(fam), 8)
     slack_seen = False
     for n in range(1, 8):
         bound = fam.lam * lengths[n] - lengths[n - 1]
@@ -184,14 +187,14 @@ def test_growth_branching_frontier_frozen():
     # constant weight on the 3-valent tree doubles the frontier each
     # layer, while the recurrence bound compounds faster
     fam = ntree_constant(3)
-    lengths, _ = ball_growth(Surface.from_family(fam), (), 3)
+    lengths, _ = ball_growth(Surface.from_family(fam), 3)
     assert list(lengths) == [6, 12, 24, 48]
     assert fam.lam * lengths[1] - lengths[0] == 30
 
 
 def test_growth_ratio_dichotomy():
     fam = tripod_family(2)
-    lengths, _ = ball_growth(Surface.from_family(fam), ('c',), 26)
+    lengths, _ = ball_growth(Surface.from_family(fam), 26)
     ratio = float(lengths[26]) / float(lengths[25])
     # eigenvalue 5/2 splits into rates 2 and 1/2; a growing union locks
     # onto the expanding one
@@ -246,10 +249,9 @@ GROWTH_FAMILIES = builtin_families() + (
                          ids=lambda fam: fam.describe())
 def test_growth_matches_the_rewalked_reference(fam):
     surface = Surface.from_family(fam)
-    root = fam.root
     for depth in range(9):
-        assert ball_growth(surface, root, depth) == _ball_growth_reference(
-            fam.graph, fam.weight, root, depth)
+        assert ball_growth(surface, depth) == _ball_growth_reference(
+            fam.graph, fam.weight, fam.root, depth)
 
 
 def _heisenberg_character():
