@@ -8,16 +8,19 @@ the residuals over a ball, which must be identically zero; nothing here
 is approximate.  It reads the same numbered neighbourhood
 (`graphs._numbered_ball`) and int lift as the shear kernel behind the
 renormalized values in `measures`, and lists residuals in ring order.
-Regular trees are instead streamed depth-first by verify_eigen_tree.
+Regular trees are walked by verify_eigen_tree in blocks, each one
+numbering template placed at its top, and list residuals in block
+order.  Both walks form residuals with one int kernel, `_int_residuals`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable
 
-from .exact import QuadNum, _lift_common, _reduced, as_quad, quad_sqrt
+from .exact import (FieldMixError, QuadNum, _lift_common, _reduced, as_quad,
+                    quad_sqrt)
 from .graphs import (Cyclic, FreeGroup, Group, Heisenberg, IntegerLattice,
                      IntegersZ, OracleFun, PathGraph, RegularTree,
                      RibbonGraph, SkewGraph, TripodGraph, _build_named,
@@ -304,14 +307,21 @@ class ResidualReport:
 _KEEP = 64
 
 
-def _tally(radius: int, residuals) -> ResidualReport:
-    """Fold the (vertex, residual) pairs of one walk into a report."""
+def _check_radius(radius: int) -> None:
+    if radius < 0:
+        raise ValueError('radius must be >= 0, got %r' % radius)
+
+
+def _tally(radius: int, parts) -> ResidualReport:
+    """Fold the parts of one walk into a report: each part is a count of
+    checked vertices and the (vertex, residual) pairs of its nonzero
+    residuals."""
     nonzero = []
     visited = count = 0
     max_abs = _ZERO
-    for v, res in residuals:
-        visited += 1
-        if res:
+    for size, pairs in parts:
+        visited += size
+        for v, res in pairs:
             count += 1
             mag = abs(res)
             if mag > max_abs:
@@ -321,6 +331,25 @@ def _tally(radius: int, residuals) -> ResidualReport:
     return ResidualReport(radius, visited, tuple(nonzero), count, max_abs)
 
 
+def _int_residuals(order, nbrs, lifted):
+    """The nonzero residuals A f - lam f at order[i], for i < len(nbrs),
+    as (vertex, residual) pairs in index order.
+
+    nbrs[i] holds the indices of the neighbours of order[i], and lifted
+    is `_lift_common` of the values at all indices followed by lam: ints
+    (A + B*sqrt(d))/q.  A residual is then int sums over q^2, and a
+    QuadNum is built only for a nonzero one.
+    """
+    A, B, q, d = lifted
+    la, lb = A[-1], B[-1]
+    for i, js in enumerate(nbrs):
+        a, b = A[i], B[i]
+        ra = q * sum(map(A.__getitem__, js)) - la * a - lb * b * d
+        rb = q * sum(map(B.__getitem__, js)) - la * b - lb * a if d else 0
+        if ra or rb:
+            yield order[i], _reduced(ra, rb, q * q, d)
+
+
 def verify_eigen(graph: RibbonGraph, fn, lam, radius: int) -> ResidualReport:
     """Residual A f - lam f at every vertex within the radius of the
     graph's root, in ring order.
@@ -328,61 +357,121 @@ def verify_eigen(graph: RibbonGraph, fn, lam, radius: int) -> ResidualReport:
     Reads the same numbered neighbourhood and int lift as the shear
     kernel of `measures`: the ball is numbered out to radius + 1, so each
     vertex is evaluated once, and f and lam are lifted together to ints
-    (A + B*sqrt(d))/q.  A residual is then int sums over q^2, and a
-    QuadNum is built only for a nonzero one.  Values that are not exact
+    over one denominator for `_int_residuals`.  Values that are not exact
     numbers raise TypeError, and two fields raise FieldMixError.
     """
-    if radius < 0:
-        raise ValueError('radius must be >= 0, got %r' % radius)
+    _check_radius(radius)
     _, order, _, nbrs = _numbered_ball(graph, (graph.root(),), radius + 1)
-    A, B, q, d = _lift_common(chain(map(fn, order), (as_quad(lam),)))
-    la, lb = A.pop(), B.pop()
-    qq = q * q
+    lifted = _lift_common(chain(map(fn, order), (as_quad(lam),)))
+    return _tally(radius, [(len(nbrs), _int_residuals(order, nbrs, lifted))])
 
-    def residuals():
-        for i, js in enumerate(nbrs):
-            a, b = A[i], B[i]
-            ra = q * sum(map(A.__getitem__, js)) - la * a - lb * b * d
-            rb = q * sum(map(B.__getitem__, js)) - la * b - lb * a if d else 0
-            yield order[i], _reduced(ra, rb, qq, d) if ra or rb else _ZERO
 
-    return _tally(radius, residuals())
+# the most vertices one block of the tree walk holds; the blocks are the
+# deepest that fit, 6 deep on the 3-tree
+_BLOCK_VERTICES = 128
+
+
+def _block_depth(n: int) -> int:
+    """The depth of the tree walk's blocks below a non-root vertex of the
+    regular n-tree: the deepest block of at most _BLOCK_VERTICES
+    vertices, and at least 1."""
+    depth, size, ring = 1, n, n - 1
+    while size + ring * (n - 1) <= _BLOCK_VERTICES:
+        ring *= n - 1
+        size += ring
+        depth += 1
+    return depth
+
+
+def _template(n: int, depth: int, root: bool) -> tuple:
+    """(paths, nbrs, leaves): the numbering shared by every block of one
+    shape.
+
+    paths lists the paths from the block's top to its vertices, ring by
+    ring out to the depth and in child order, so the top is 0.  nbrs[i]
+    holds the indices of the neighbours of vertex i, for the vertices
+    above the last ring; the top's parent, outside the block, has the
+    index len(paths).  leaves pairs each vertex of the last ring, the top
+    of a block below, with its parent.  A root block's top is the tree's
+    root, which has n children and no parent.
+    """
+    paths, up, nbrs = [()], [None], []
+    start = 0
+    for _ in range(depth):
+        end = len(paths)
+        for i in range(start, end):
+            first = len(paths)
+            for j in range(n if root and not i else n - 1):
+                paths.append(paths[i] + (j,))
+                up.append(i)
+            nbrs.append((up[i], *range(first, len(paths))))
+        start = end
+    nbrs[0] = nbrs[0][1:] if root else (len(paths), *nbrs[0][1:])
+    leaves = [(i, up[i]) for i in range(start, len(paths))]
+    return paths, nbrs, leaves
+
+
+def _tree_blocks(n: int, fn, lam: QuadNum, radius: int):
+    """The parts of the tree walk, one per block, in block order.
+
+    The root block's depth is what is left of radius + 1 over whole
+    blocks, so every block below it is _block_depth(n) deep and none is
+    left thin at the bottom.  Each shape is numbered once per walk; a
+    cache kept across walks raised the eigen benchmark's peak RSS.  Blocks
+    are taken depth first, those below one block in the order of their
+    tops.  Each oracle value is read once: a block's last ring hands its
+    values, with those of its parents, down to the blocks below.
+    """
+    depth = _block_depth(n)
+    first = radius % depth + 1
+    crown = _template(n, first, True)
+    below = _template(n, depth, False) if first <= radius else None
+    field = 0
+    stack = [((), fn(()), ())]
+    while stack:
+        top, f_top, up = stack.pop()
+        span = depth if top else first
+        paths, nbrs, leaves = below if top else crown
+        order = [top + p for p in paths]
+        values = [f_top]
+        values += map(fn, islice(order, 1, None))
+        lifted = _lift_common(chain(values, up, (lam,)))
+        d = lifted[3]
+        if d != field and d:
+            if field:
+                raise FieldMixError('cannot combine sqrt(%d) with sqrt(%d)'
+                                    % (field, d))
+            field = d
+        yield len(nbrs), _int_residuals(order, nbrs, lifted)
+        if len(top) + span <= radius:
+            stack.extend((order[i], values[i], (values[j],))
+                         for i, j in reversed(leaves))
 
 
 def verify_eigen_tree(tree: RegularTree, fn, lam,
-                      depth: int) -> ResidualReport:
-    """verify_eigen specialized to the regular tree rooted at ().
+                      radius: int) -> ResidualReport:
+    """verify_eigen specialized to the regular tree rooted at (), walked
+    by blocks instead of over a materialized ball, since a radius-20 ball
+    of the 3-tree has millions of vertices.
 
-    Streams a depth-first walk instead of materializing the ball, since
-    a radius-20 ball of the 3-tree has millions of vertices.  Each
-    oracle value is computed once and handed down the stack.
+    Below a non-root vertex every subtree of one depth has one shape, so
+    a block is one numbering template (`_template`) placed at its top.  A
+    block reads the oracle once per vertex, lifts its values and lam with
+    one `_lift_common`, and hands them to `_int_residuals`, as
+    verify_eigen does; memory is one block and the stack of pending tops.
+    Nonzero residuals come in block order: the root's block first, then
+    the blocks below each block in turn, depth first in child order, and
+    within a block ring by ring in child order.  Errors are those of
+    verify_eigen.
     """
-    lam = as_quad(lam)
-    n = tree.n
-    root = ()
-
-    def residuals():
-        stack = [(root, as_quad(fn(root)), None, 0)]
-        while stack:
-            v, fv, f_parent, d = stack.pop()
-            kids = [v + (j,) for j in range(n if v == root else n - 1)]
-            total = _ZERO if f_parent is None else f_parent
-            kid_vals = []
-            for w in kids:
-                fw = fn(w)
-                kid_vals.append(fw)
-                total = total + fw
-            yield v, total - lam * fv
-            if d < depth:
-                for w, fw in zip(kids, kid_vals):
-                    stack.append((w, fw, fv, d + 1))
-
-    return _tally(depth, residuals())
+    _check_radius(radius)
+    return _tally(radius, _tree_blocks(tree.n, fn, as_quad(lam), radius))
 
 
 def verify_family(family: EigenFamily, radius: int) -> ResidualReport:
     """Residual check with the traversal suited to the family's graph:
-    regular trees are streamed, other graphs walk a materialized ball."""
+    regular trees are walked by blocks, other graphs over a materialized
+    ball; both form residuals with the one int kernel `_int_residuals`."""
     if isinstance(family.graph, RegularTree):
         return verify_eigen_tree(family.graph, family.weight, family.lam,
                                  radius)

@@ -4,6 +4,7 @@ import argparse
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from ribbonflow.eigen import (EigenFamily, builtin_families, character,
                               ntree_horofunction, spoke_profile,
                               spoke_threshold, tripod_family, verify_eigen,
                               verify_eigen_tree, verify_family)
+from ribbonflow.eigen import _KEEP, _block_depth
 from ribbonflow.measures import maharam_check
 
 ROOT2 = QuadNum(0, 1, 2)
@@ -277,8 +279,8 @@ def test_perturbed_constant_residuals_are_local():
 
 
 def test_tree_walk_matches_generic_walk():
-    # the streamed walk adds QuadNums, so it checks the int lift of the
-    # values and lam together in verify_eigen
+    # the block walk lifts each block apart, so it checks the one lift of
+    # the whole ball's values and lam together in verify_eigen
     tree = RegularTree(3)
     horo = ntree_horofunction(3, HALF)
     root_horo = ntree_horofunction(3, ROOT2 / 2)
@@ -298,10 +300,96 @@ def test_tree_walk_matches_generic_walk():
         assert slow.nonzero_count == fast.nonzero_count == count
         assert sorted(slow.nonzero) == sorted(fast.nonzero)
         assert slow.max_abs == fast.max_abs
-    with pytest.raises(TypeError):
-        verify_eigen(tree, lambda v: 0.5, 1, 2)
-    with pytest.raises(FieldMixError):
-        verify_eigen(tree, root_horo.weight, QuadNum(0, 1, 3), 2)
+    for walk in (verify_eigen, verify_eigen_tree):
+        with pytest.raises(TypeError):
+            walk(tree, lambda v: 0.5, 1, 2)
+        with pytest.raises(FieldMixError):
+            walk(tree, root_horo.weight, QuadNum(0, 1, 3), 2)
+
+
+@pytest.mark.parametrize('walk', [verify_eigen, verify_eigen_tree])
+def test_negative_radius_is_refused_on_both_routes(walk):
+    with pytest.raises(ValueError, match='radius must be >= 0, got -1'):
+        walk(RegularTree(3), ntree_constant(3).weight, 3, -1)
+
+
+def test_negative_radius_is_refused_for_every_family():
+    for fam in (ntree_constant(3), gz_constant()):
+        with pytest.raises(ValueError, match='radius must be >= 0'):
+            verify_family(fam, -1)
+
+
+def _tree_oracles(n):
+    """(oracle, lam) pairs on the n-tree whose residuals the two walks
+    must agree on: bumps at depths 0, 1, k - 1, k and k + 1 of two
+    branches, on a rational and an irrational horofunction, and an
+    irrational lam against rational values, which leaves every residual
+    nonzero."""
+    k = _block_depth(n)
+    horo = ntree_horofunction(n, HALF)
+    root_horo = ntree_horofunction(n, ROOT2 / 2)
+    bumps = {()} | {(j,) + (n - 2,) * (depth - 1)
+                    for j in (0, n - 1) for depth in (1, k - 1, k, k + 1)}
+
+    def bumped(fam):
+        return OracleFun(lambda v: fam(v) + (1 if v in bumps else 0))
+
+    return ((bumped(horo), horo.lam), (bumped(root_horo), root_horo.lam),
+            (horo.weight, horo.lam + ROOT2))
+
+
+@pytest.mark.parametrize('n', [2, 3, 4])
+def test_block_walk_matches_the_ball_walk(n):
+    k = _block_depth(n)
+    tree = RegularTree(n)
+    for radius in sorted({0, 1, k - 1, k, k + 1, 2 * k + 1}):
+        for fn, lam in _tree_oracles(n):
+            ball = verify_eigen(tree, fn, lam, radius)
+            blocks = verify_eigen_tree(tree, fn, lam, radius)
+            assert blocks.vertex_count == ball.vertex_count
+            assert blocks.nonzero_count == ball.nonzero_count > 0
+            assert blocks.max_abs == ball.max_abs
+            if ball.nonzero_count <= _KEEP:
+                assert sorted(blocks.nonzero) == sorted(ball.nonzero)
+            else:
+                assert len(blocks.nonzero) == len(ball.nonzero) == _KEEP
+
+
+def test_block_walk_sees_fields_mix_across_blocks():
+    # two sibling pairs just past the radius carry 1 +- sqrt(2) and
+    # 1 +- sqrt(3): every residual stays 0, no one block holds both
+    # fields, and the ball route's one lift sees them together
+    tree = RegularTree(3)
+    radius = _block_depth(3) + 1
+
+    def pair(branch, root):
+        path = (branch,) + (1,) * (radius - 1)
+        return {path + (0,): 1 + root, path + (1,): 1 - root}
+
+    one = pair(0, ROOT2)
+    both = {**one, **pair(2, QuadNum(0, 1, 3))}
+    assert verify_eigen_tree(tree, OracleFun(lambda v: one.get(v, 1)), 3,
+                             radius).ok
+    fn = OracleFun(lambda v: both.get(v, 1))
+    for walk in (verify_eigen, verify_eigen_tree):
+        with pytest.raises(FieldMixError):
+            walk(tree, fn, 3, radius)
+
+
+@pytest.mark.parametrize('radius', [0, 1, 7, 9])
+def test_block_walk_reads_each_vertex_once(radius):
+    fam = ntree_horofunction(3, HALF)
+    seen = []
+
+    def value(v):
+        seen.append(v)
+        return fam(v)
+
+    report = verify_eigen_tree(fam.graph, OracleFun(value), fam.lam, radius)
+    assert report.ok
+    ball = vertices_in_ball(fam.graph, fam.root, radius + 1)
+    assert len(seen) == len(ball)
+    assert set(seen) == ball
 
 
 _RESIDUAL_ORDER = """
@@ -328,6 +416,50 @@ def test_residuals_come_in_ring_order_under_any_hash_seed():
     want = [('r', 2, 2), ('r', 2, 3), ('r', 0, 4), ('r', 2, 4), ('r', 0, 5),
             ('r', 0, 6)]
     assert outs.pop() == '%r\n' % want
+
+
+_BLOCK_ORDER = """
+from ribbonflow.eigen import ntree_constant, verify_eigen_tree
+from ribbonflow.graphs import OracleFun
+fam = ntree_constant(3)
+bumps = ((2, 0), (0, 1, 1), (0, 0, 0, 0))
+fn = OracleFun(lambda v: 1 + (v in bumps))
+print([v for v, _ in verify_eigen_tree(fam.graph, fn, fam.lam, 7).nonzero])
+"""
+
+
+def test_tree_residuals_come_in_block_order_under_any_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / 'src')
+    path = os.pathsep.join(filter(None, [src, os.environ.get('PYTHONPATH')]))
+    outs = {subprocess.run([sys.executable, '-c', _BLOCK_ORDER],
+                           env=dict(os.environ, PYTHONPATH=path,
+                                    PYTHONHASHSEED=seed),
+                           capture_output=True, text=True, timeout=60,
+                           check=True).stdout
+            for seed in ('0', '1', '2')}
+    assert len(outs) == 1
+    # radius 7 on the 3-tree: the root's block covers depths 0 and 1, and
+    # 6-deep blocks hang from the depth-2 vertices; blocks come depth
+    # first in child order, and each lists its vertices ring by ring
+    want = [(2,),
+            (0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0, 1),
+            (0, 1), (0, 1, 1), (0, 1, 1, 0), (0, 1, 1, 1),
+            (2, 0), (2, 0, 0), (2, 0, 1)]
+    assert outs.pop() == '%r\n' % want
+
+
+def test_block_walk_memory_stays_far_below_the_ball():
+    fam = ntree_horofunction(3, HALF)
+    peaks = []
+    for walk in (verify_eigen, verify_eigen_tree):
+        tracemalloc.start()
+        try:
+            assert walk(fam.graph, fam.weight, fam.lam, 12).ok
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    ball, blocks = peaks
+    assert blocks * 20 < ball, peaks
 
 
 @pytest.mark.parametrize('fam', [ntree_constant(3),
