@@ -15,38 +15,27 @@ order.  Both walks form residuals with one int kernel, `_int_residuals`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import chain, islice
 from typing import Callable
 
-from .exact import (FieldMixError, QuadNum, _lift_common, _reduced, as_quad,
-                    quad_sqrt)
+from .exact import QuadNum, _lift_common, _reduced, as_quad, quad_sqrt
 from .graphs import (Cyclic, FreeGroup, Group, Heisenberg, IntegerLattice,
                      IntegersZ, OracleFun, PathGraph, RegularTree,
                      RibbonGraph, SkewGraph, TripodGraph, _build_named,
-                     _numbered_ball, make_group)
+                     _check_radius, _numbered_ball, make_group)
 
 _ONE = QuadNum(1)
 _ZERO = QuadNum(0)
 
 
 def _power_cache(base: QuadNum) -> Callable[[int], QuadNum]:
-    table = {0: _ONE, 1: base}
-
-    def power(k: int) -> QuadNum:
-        got = table.get(k)
-        if got is None:
-            got = table[k] = base ** k
-        return got
-
-    return power
-
-
-def _product(values) -> QuadNum:
-    out = _ONE
-    for v in values:
-        out = out * v
-    return out
+    """k -> base ** k, cached.  pow, not base.__pow__, so an exponent
+    that is no int raises pow's TypeError instead of being answered, and
+    cached, as NotImplemented."""
+    return cache(partial(pow, base))
 
 
 @dataclass(frozen=True)
@@ -178,13 +167,14 @@ def character(group: Group, values) -> Callable:
         need, chi = 1, lambda g: _ONE
     elif isinstance(group, IntegerLattice):
         need = group.d
-        chi = lambda g: _product(p(x) for p, x in zip(powers, g))
+        chi = lambda g: math.prod((p(x) for p, x in zip(powers, g)),
+                                  start=_ONE)
     elif isinstance(group, Heisenberg):
         need, chi = 2, lambda g: powers[0](g[0]) * powers[1](g[1])
     elif isinstance(group, FreeGroup):
         need = group.k
-        chi = lambda g: _product(powers[abs(j) - 1](1 if j > 0 else -1)
-                                 for j in g)
+        chi = lambda g: math.prod((powers[abs(j) - 1](1 if j > 0 else -1)
+                                   for j in g), start=_ONE)
     else:
         raise ValueError('no character encoding for %s'
                          % type(group).__name__)
@@ -205,6 +195,12 @@ def character_eigen(group: Group, generators, values) -> EigenFamily:
     over them against lam is (delta/lam)/chi(g); f(b_g) * chi(g) is then
     constant, the Maharam property.  The square root may widen a rational
     field by one radical; it must not leave a quadratic one.
+
+    No relation is checked here: SkewGraph refuses generators whose
+    product g_n...g_1 is not e, and each chi multiplies the exponents the
+    group operation adds, so the product of the chi(g_i) is chi(e) = 1.
+    The one character that could break that, a nontrivial one of a
+    cyclic group, is refused by :func:`character`.
     """
     if not isinstance(group, Group):
         raise ValueError('group takes a Group, got %r' % (group,))
@@ -213,8 +209,6 @@ def character_eigen(group: Group, generators, values) -> EigenFamily:
     graph = SkewGraph(group, generators)
     vals = _chi_values(values)
     chi = character(group, vals)
-    if _product(chi(g) for g in graph.generators) != 1:
-        raise ValueError('character does not respect the defining relation')
     eta_vals = [chi(g) for g in graph.etas]
     eps = sum(eta_vals, _ZERO)
     delta = sum((_ONE / val for val in eta_vals), _ZERO)
@@ -305,11 +299,6 @@ class ResidualReport:
 
 # nonzero residuals a report lists; its count and max cover all of them
 _KEEP = 64
-
-
-def _check_radius(radius: int) -> None:
-    if radius < 0:
-        raise ValueError('radius must be >= 0, got %r' % radius)
 
 
 def _tally(radius: int, parts) -> ResidualReport:
@@ -420,7 +409,9 @@ def _tree_blocks(n: int, fn, lam: QuadNum, radius: int):
     cache kept across walks raised the eigen benchmark's peak RSS.  Blocks
     are taken depth first, those below one block in the order of their
     tops.  Each oracle value is read once: a block's last ring hands its
-    values, with those of its parents, down to the blocks below.
+    values, with those of its parents, down to the blocks below.  Each
+    lift starts from the field the walk has seen, so a second field in a
+    later block raises FieldMixError naming the earlier one first.
     """
     depth = _block_depth(n)
     first = radius % depth + 1
@@ -435,13 +426,8 @@ def _tree_blocks(n: int, fn, lam: QuadNum, radius: int):
         order = [top + p for p in paths]
         values = [f_top]
         values += map(fn, islice(order, 1, None))
-        lifted = _lift_common(chain(values, up, (lam,)))
-        d = lifted[3]
-        if d != field and d:
-            if field:
-                raise FieldMixError('cannot combine sqrt(%d) with sqrt(%d)'
-                                    % (field, d))
-            field = d
+        lifted = _lift_common(chain(values, up, (lam,)), field)
+        field = lifted[3]
         yield len(nbrs), _int_residuals(order, nbrs, lifted)
         if len(top) + span <= radius:
             stack.extend((order[i], values[i], (values[j],))

@@ -29,6 +29,16 @@ class FieldMixError(ArithmeticError):
     """Arithmetic attempted between scalars of two different quadratic fields."""
 
 
+def _join(d: int, e: int) -> int:
+    """The field of two numbers, one in Q(sqrt(d)) (d == 0 for a
+    rational) and one irrational in Q(sqrt(e)), e != d: e when d is 0,
+    else FieldMixError naming d first.  Called only on that mismatch, so
+    the common path makes no call."""
+    if d:
+        raise FieldMixError('cannot combine sqrt(%d) with sqrt(%d)' % (d, e))
+    return e
+
+
 def _power(base, n: int, one):
     """base ** n for an integer n >= 0, by repeated squaring."""
     out = one
@@ -117,20 +127,13 @@ class QuadNum:
             raise ValueError('%s is irrational' % self)
         return self.rational_part
 
-    def _field_with(self, other: 'QuadNum') -> int:
-        """The field of self and an irrational other outside self's field."""
-        if self._d:
-            raise FieldMixError(
-                'cannot combine sqrt(%d) with sqrt(%d)' % (self._d, other._d))
-        return other._d
-
     def __add__(self, other):
         o = _lift(other)
         if o is None:
             return NotImplemented
         d = self._d
         if o._d and o._d != d:
-            d = self._field_with(o)
+            d = _join(d, o._d)
         q, oq = self._q, o._q
         if q == oq:
             return _reduced(self._a + o._a, self._b + o._b, q, d)
@@ -152,7 +155,7 @@ class QuadNum:
             return NotImplemented
         d = self._d
         if o._d and o._d != d:
-            d = self._field_with(o)
+            d = _join(d, o._d)
         q, oq = self._q, o._q
         if q == oq:
             return _reduced(self._a - o._a, self._b - o._b, q, d)
@@ -174,7 +177,7 @@ class QuadNum:
             return NotImplemented
         d = self._d
         if o._d and o._d != d:
-            d = self._field_with(o)
+            d = _join(d, o._d)
         a, b, oa, ob = self._a, self._b, o._a, o._b
         return _reduced(a * oa + b * ob * d, a * ob + b * oa,
                         self._q * o._q, d)
@@ -263,7 +266,7 @@ class QuadNum:
             raise ValueError('modulus must be positive')
         d = self._d
         if o._d and o._d != d:
-            d = self._field_with(o)
+            d = _join(d, o._d)
         a, b, q, oa, ob, oq = self._a, self._b, self._q, o._a, o._b, o._q
         # self/o = oq*(a + b*sqrt(d))*(oa - ob*sqrt(d)) / (q*n)
         n = oa * oa - ob * ob * d
@@ -384,24 +387,23 @@ def as_quad(value) -> QuadNum:
     raise TypeError('not an exact number: %r' % (value,))
 
 
-def _lift_common(values) -> tuple[list, list, int, int]:
+def _lift_common(values, field: int = 0) -> tuple[list, list, int, int]:
     """(A, B, q, d) with values[i] == (A[i] + B[i]*sqrt(d))/q: the values,
     each read by as_quad, over one common denominator q > 0 and one field
     d, which integral shears keep.
 
-    Irrational values from two fields raise FieldMixError; values as_quad
-    refuses (floats among them) raise TypeError.
+    A nonzero field is one the values must share, such as that of values
+    lifted before, and d is then field.  Irrational values from two
+    fields raise FieldMixError naming the one met first, field if set;
+    values as_quad refuses (floats among them) raise TypeError.
     """
     nums = []
     q = 1
-    d = 0
+    d = field
     for value in values:
         x = value if type(value) is QuadNum else as_quad(value)
         if x._d and x._d != d:
-            if d:
-                raise FieldMixError(
-                    'cannot combine sqrt(%d) with sqrt(%d)' % (d, x._d))
-            d = x._d
+            d = _join(d, x._d)
         if q % x._q:
             q = math.lcm(q, x._q)
         nums.append(x)

@@ -64,6 +64,12 @@ class RibbonGraph(ABC):
         return tuple(map(far, self.edges_at(v)))
 
 
+def _check_radius(radius: int) -> None:
+    """Refuse a negative radius, for every walk over a ball."""
+    if radius < 0:
+        raise ValueError('radius must be >= 0, got %r' % radius)
+
+
 def _rings(graph: RibbonGraph, sources, radius: int, neighbours=None
            ) -> list:
     """Distinct vertices at distance 0..radius from the sources, by ring.
@@ -72,8 +78,7 @@ def _rings(graph: RibbonGraph, sources, radius: int, neighbours=None
     with multiplicity: one tuple per vertex of rings 0..radius-1, in ring
     order.
     """
-    if radius < 0:
-        raise ValueError('radius must be >= 0, got %r' % radius)
+    _check_radius(radius)
     rings = [tuple(dict.fromkeys(sources))]
     seen = set(rings[0])
     for _ in range(radius):

@@ -57,26 +57,20 @@ def shrink_membership(lam, letter: Letter, theta) -> bool:
 
 
 def shrink_membership_slope(lam, letter: Letter, theta) -> bool:
-    """Whether the vector's slope lies in the generator's shrinking interval.
+    """Whether the generator strictly shrinks the vector (slope route).
 
-    Independent route kept alongside :func:`shrink_membership`; the two must
-    agree everywhere (axes belong to no shrinking interval).
+    h^k at lam is the unit letter h^sign(k*lam) at |k*lam|, so this tests
+    the open cone :func:`shrink_cone` gives that letter there; a zero
+    shear shrinks nothing.  Kept beside :func:`shrink_membership`, which
+    reads the norm change instead, as a cross-check for any lam and exponent.
     """
     theta = _direction(theta)
-    lam = as_quad(lam)
-    if theta.x.sign() == 0:
+    step = as_quad(lam) * letter.exp
+    s = step.sign()
+    if not s:
         return False
-    slope = theta.y / theta.x
-    zero = QuadNum(0)
-    if letter == H:
-        return -2 / lam < slope < zero
-    if letter == H_INV:
-        return zero < slope < 2 / lam
-    if letter == V:
-        return slope < -lam / 2
-    if letter == V_INV:
-        return slope > lam / 2
-    raise ValueError('bad letter %r' % (letter,))
+    return DirectionCone(*shrink_cone(abs(step), Letter(letter.gen, s))
+                         ).contains(theta)
 
 
 def shrink_cone(lam, letter: Letter) -> tuple[QVec2, QVec2]:
@@ -171,6 +165,10 @@ def _shrinkers(lam: QuadNum, x: QuadNum, y: QuadNum):
     +-lam*x * (2y +- lam*x), so four sums and the signs of lam*x and
     lam*y decide all four letters.  x is the left operand of the h sums,
     as in x + lam*y, so a field mix is reported as the shear reports it.
+
+    :func:`shrink_membership` does not call it: both products are formed
+    here, so one the letter does not read can raise a field mix that the
+    letter's own shear never meets (lam = -sqrt(5), v^-2, (0, -1+sqrt(2))).
     """
     out = []
     ly = lam * y

@@ -46,6 +46,14 @@ def test_pow_is_multiplicative(t, a, b):
     assert t ** (a + b) == t ** a * t ** b
 
 
+def test_power_oracle_refuses_a_vertex_that_is_no_int():
+    fam = gz_exponential(2)
+    with pytest.raises(TypeError,
+                       match=r"pow\(\): 'QuadNum' and 'float'$"):
+        fam(3.0)
+    assert fam(3) == 8
+
+
 def test_every_builtin_family_has_zero_residuals():
     for fam in builtin_families():
         report = verify_family(fam, 6)
@@ -123,22 +131,16 @@ def test_character_on_staircase_skew():
     assert character_eigen(IntegersZ(), (1, -1), 1).lam == 2
 
 
-@pytest.mark.parametrize('group, generators, lam, elements', [
+@pytest.mark.parametrize('group, generators, lam', [
     (IntegerLattice(2), ((1, 0), (0, 1), (-1, 0), (0, -1)),
-     2 * sqrt_rational(6), [(0, 0), (1, 0), (-2, 3), (5, -1), (-4, -4)]),
-    (FreeGroup(2), ((1,), (2,), (-2,), (-1,)), sqrt_rational(858) / 6,
-     [(), (1,), (-2,), (1, 2, -1), (2, 2, -1, 2), (-1, -2, 1)]),
+     2 * sqrt_rational(6)),
+    (FreeGroup(2), ((1,), (2,), (-2,), (-1,)), sqrt_rational(858) / 6),
 ], ids=['Z^2', 'free'])
-def test_character_on_lattice_and_free_group(group, generators, lam,
-                                             elements):
+def test_character_on_lattice_and_free_group(group, generators, lam):
     fam = character_eigen(group, generators, (2, 3))
     assert fam.lam == lam
     report = verify_family(fam, 4)
     assert report.ok and report.vertex_count > 40
-    chi = character(group, (2, 3))
-    for a in elements:
-        for b in elements:
-            assert chi(group.op(a, b)) == chi(a) * chi(b)
 
 
 def test_character_trivial_gives_valence():
@@ -154,6 +156,35 @@ def test_character_trivial_gives_valence():
 def test_character_must_respect_relations():
     with pytest.raises(ValueError):
         character_eigen(Cyclic(3), (1, 1, 1), 2)
+
+
+_FREE2 = FreeGroup(2)
+# (group, random elements, number of character values) per encoding
+_HOMOMORPHISM_CASES = [
+    (IntegersZ(), st.integers(-12, 12), 1),
+    (IntegerLattice(2), st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+     2),
+    (Cyclic(3), st.integers(-12, 12), 1),
+    (_FREE2, st.lists(st.sampled_from((1, -1, 2, -2)), max_size=8).map(
+        lambda word: _FREE2.op((), tuple(word))), 2),
+    (Heisenberg(), st.tuples(*[st.integers(-6, 6)] * 3), 2),
+]
+
+
+@pytest.mark.parametrize('group, elements, need', _HOMOMORPHISM_CASES,
+                         ids=['Z', 'Z^2', 'cyclic', 'free', 'heisenberg'])
+@given(data=st.data())
+def test_character_is_a_homomorphism(group, elements, need, data):
+    # chi(g_n) ... chi(g_1) = chi(e) = 1 on every skew graph's relation,
+    # which is why character_eigen checks no relation itself
+    positive = st.fractions(min_value=Fraction(1, 9), max_value=9,
+                            max_denominator=9)
+    values = (1,) if isinstance(group, Cyclic) else tuple(
+        data.draw(st.lists(positive, min_size=need, max_size=need)))
+    chi = character(group, values)
+    a, b = data.draw(elements), data.draw(elements)
+    assert chi(group.op(a, b)) == chi(a) * chi(b)
+    assert chi(group.identity) == 1
 
 
 HEIS_GENS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
@@ -371,9 +402,17 @@ def test_block_walk_sees_fields_mix_across_blocks():
     assert verify_eigen_tree(tree, OracleFun(lambda v: one.get(v, 1)), 3,
                              radius).ok
     fn = OracleFun(lambda v: both.get(v, 1))
+    mix = r'^cannot combine sqrt\(%d\) with sqrt\(%d\)$'
     for walk in (verify_eigen, verify_eigen_tree):
-        with pytest.raises(FieldMixError):
+        with pytest.raises(FieldMixError, match=mix % (2, 3)):
             walk(tree, fn, 3, radius)
+    # the block walk names the field its earlier blocks saw first, here
+    # lam's; the ball walk's one lift meets lam last
+    three = pair(2, QuadNum(0, 1, 3))
+    fn = OracleFun(lambda v: three.get(v, 1))
+    for walk, fields in ((verify_eigen, (3, 2)), (verify_eigen_tree, (2, 3))):
+        with pytest.raises(FieldMixError, match=mix % fields):
+            walk(tree, fn, ROOT2, radius)
 
 
 @pytest.mark.parametrize('radius', [0, 1, 7, 9])

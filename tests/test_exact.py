@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from ribbonflow.exact import (
     QuadNum,
     QVec2,
     SignPair,
+    _lift_common,
     as_quad,
     parse_quad,
     quad_sqrt,
@@ -212,11 +214,31 @@ def test_quadnums_have_no_dict():
 
 
 def test_field_mix_raises_in_every_operator():
+    # the message names the left operand's field first
     x, y = QuadNum(0, 1, 2), QuadNum(1, 1, 3)
-    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y,
-               lambda: x < y):
-        with pytest.raises(FieldMixError):
-            op()
+    for a, b in ((x, y), (y, x)):
+        want = '^cannot combine sqrt\\(%d\\) with sqrt\\(%d\\)$' % (
+            a.field_disc, b.field_disc)
+        for op in (operator.add, operator.sub, operator.mul,
+                   operator.truediv, operator.mod, operator.lt):
+            with pytest.raises(FieldMixError, match=want):
+                op(a, b)
+
+
+def test_lift_common_names_the_field_seen_first():
+    r2, r3 = QuadNum(0, 1, 2), QuadNum(0, 1, 3)
+    assert _lift_common([Fraction(1, 2), r2 / 3]) == ([3, 0], [0, 2], 6, 2)
+    # a start field is kept by rational values and shared by the rest
+    assert _lift_common([1], 3) == ([1], [0], 1, 3)
+    assert _lift_common([r3, 1], 3)[3] == 3
+    for values, field, first, second in (([r2, 1, r3], 0, 2, 3),
+                                         ([r3, r2], 0, 3, 2),
+                                         ([r2], 3, 3, 2),
+                                         ([1, r3, r2], 3, 3, 2)):
+        want = '^cannot combine sqrt\\(%d\\) with sqrt\\(%d\\)$' % (
+            first, second)
+        with pytest.raises(FieldMixError, match=want):
+            _lift_common(values, field)
 
 
 def test_float_of_huge_operands():
