@@ -373,6 +373,13 @@ def test_membership_routes_agree():
                     (lam, letter, theta)
 
 
+def test_membership_routes_agree_on_quadratics():
+    for letter in LETTERS:
+        for theta in (GOLDEN_DIR, QVec2(1, 1 - ROOT2), QVec2(ROOT2 - 1, 1)):
+            assert shrink_membership(2, letter, theta) == \
+                shrink_membership_slope(2, letter, theta)
+
+
 # the directions the tests above shrink, with their lam and step budget
 GREEDY_FIXTURES = (
     (2, GOLDEN_DIR, 16), (2, QVec2(1, 1 - ROOT2), 8),
