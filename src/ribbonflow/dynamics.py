@@ -4,9 +4,15 @@ skew rotations.
 Points of the section live on the circles of top edges of horizontal
 cylinders.  The return map factors as a combinatorial jump S (each top
 edge to the next one counterclockwise around its B-vertex) followed by a
-rotation R^u of each circle by u times its cylinder height, u = x/y.
-Exact quadratic arithmetic reproduces orbits bit for bit; the float mode
-exists for long statistical runs and is checked against the exact one.
+rotation R^u of each circle by u times its cylinder height, u = x/y.  A
+circle of height w has length lam*w, so R^u turns it by w*r with
+r = u mod lam: one residue serves every circle, and the surface keeps it
+for the last direction, as it keeps each edge's landing (the target
+circle, the cut there, its height and length).  An exact step is then
+one bisection, the sum cut + offset + w*r and one comparison against the
+circle's length, with at most one subtraction.  Exact quadratic
+arithmetic reproduces orbits bit for bit; the float mode exists for long
+statistical runs and is checked against the exact one.
 The exact skew rotation is one loop, whose one-step case is skew_step,
 and every orbit counts its budget in _budgeted.
 """
@@ -19,8 +25,8 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .exact import QuadNum, QVec2, _xy, as_quad
-from .surface import Surface
+from .exact import QuadNum, _xy, as_quad
+from .surface import Surface, _theta_parts
 
 _ZERO = QuadNum(0)
 
@@ -72,13 +78,6 @@ class SingularHit:
     right: tuple
 
 
-def _theta_parts(theta):
-    v = QVec2(*_xy(theta))
-    if not v.y.sign() > 0:
-        raise ValueError('direction must point upward')
-    return v.x, v.y
-
-
 def hpoint(surface: Surface, a, t) -> HPoint:
     """Wrap a circle coordinate, reducing it modulo the circle length."""
     if surface.graph.vertex_class(a) != 'a':
@@ -104,21 +103,29 @@ def from_edge(surface: Surface, e, offset) -> HPoint:
     return HPoint(a, surface.section(a).offset(e) + as_quad(offset))
 
 
-def _jump(surface: Surface, e, o, u) -> HPoint:
-    # S then R^u: across the top of e into the cylinder above, then round
-    # that cylinder's circle by u times its height
-    e2 = surface.north(e)
-    a2 = surface.graph.alpha(e2)
-    t2 = surface.section(a2).offset(e2) + o + u * surface.weight(a2)
-    return HPoint(a2, t2 % surface.circle_length(a2))
+def _jump(surface: Surface, e, o, r) -> HPoint:
+    """S then R^u from offset o in [0, width(e)] of e's top interval,
+    for r = u mod lam: across the top of e into the cylinder above, then
+    round that cylinder's circle by r times its height.
+
+    The sum lies in [0, 2 * length) when the cuts fill the circle (see
+    Surface.landing), so one subtraction reduces it; other weights take
+    the modulus.  Either way the value is that of (cut + o + u*w) % length.
+    """
+    a2, cut, w, length = surface.landing(e)
+    t2 = cut + o + r * w
+    if t2 < length:
+        return HPoint(a2, t2)
+    t2 = t2 - length
+    return HPoint(a2, t2 if t2 < length else t2 % length)
 
 
 def iet_step(surface: Surface, theta, p: HPoint) -> HPoint:
     """One step of the return map: jump to the next interval around the
     B-vertex, then rotate the target circle by (x/y) times its height."""
-    x, y = _theta_parts(theta)
+    r = surface.rotation(theta)
     e, o = resolve(surface, p)
-    return _jump(surface, e, o, x / y)
+    return _jump(surface, e, o, r)
 
 
 def _exact(x):
@@ -217,8 +224,7 @@ def code_orbit(surface: Surface, theta, p: HPoint, steps: int,
     """
     if branch not in (None, 'left', 'right'):
         raise ValueError("branch must be None, 'left' or 'right'")
-    x, y = _theta_parts(theta)
-    u = x / y
+    r = surface.rotation(theta)
 
     def legs(p):
         for k in range(steps):
@@ -230,7 +236,7 @@ def code_orbit(surface: Surface, theta, p: HPoint, steps: int,
                 if branch == 'left':
                     e = surface.west(e)
                     o = surface.width(e)
-            p = _jump(surface, e, o, u)
+            p = _jump(surface, e, o, r)
             yield e, p   # the symbol and the landing point
 
     done = list(_budgeted(legs(p), p.a, budget, lambda leg: leg[1].a))

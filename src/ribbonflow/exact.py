@@ -215,17 +215,7 @@ class QuadNum:
         return _power(self, n, _ONE)
 
     def sign(self) -> int:
-        a, b = self._a, self._b
-        if not b:
-            return (a > 0) - (a < 0)
-        if not a:
-            return 1 if b > 0 else -1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        # opposite signs: |a| vs |b|*sqrt(d) decided by squaring; they
-        # differ, since sqrt(d) is irrational
-        winner = a if a * a > b * b * self._d else b
-        return 1 if winner > 0 else -1
+        return _sign(self._a, self._b, self._d)
 
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
@@ -238,10 +228,19 @@ class QuadNum:
                 and self._d == o._d)
 
     def __lt__(self, other):
+        # the sign of q*oq*(self - other), as __sub__ and sign() would
+        # find it, on ints: no number is built
         o = _lift(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() < 0
+        d = self._d
+        if o._d and o._d != d:
+            d = _join(d, o._d)
+        q, oq = self._q, o._q
+        if q == oq:
+            return _sign(self._a - o._a, self._b - o._b, d) < 0
+        return _sign(self._a * oq - o._a * q, self._b * oq - o._b * q,
+                     d) < 0
 
     def __hash__(self):
         if not self._b:
@@ -316,6 +315,20 @@ def _canonical(a: int, b: int, q: int, d: int) -> QuadNum:
     out._q = q
     out._d = d if b else 0
     return out
+
+
+def _sign(a: int, b: int, d: int) -> int:
+    """The sign of a + b*sqrt(d), for squarefree d (any d if b == 0)."""
+    if not b:
+        return (a > 0) - (a < 0)
+    if not a:
+        return 1 if b > 0 else -1
+    if (a > 0) == (b > 0):
+        return 1 if a > 0 else -1
+    # opposite signs: |a| vs |b|*sqrt(d) decided by squaring; they
+    # differ, since sqrt(d) is irrational
+    winner = a if a * a > b * b * d else b
+    return 1 if winner > 0 else -1
 
 
 def _floor(a: int, b: int, q: int, d: int) -> int:

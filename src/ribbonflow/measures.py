@@ -37,13 +37,12 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .dynamics import (HPoint, _theta_parts, from_edge, hpoint, iet_step,
-                       resolve, walk)
+from .dynamics import HPoint, from_edge, hpoint, iet_step, resolve, walk
 from .exact import QuadNum, QVec2, _lift_common, _reduced, _xy, as_quad
 from .graphs import (OracleFun, RibbonGraph, SparseFun, _numbered_ball,
                      pairing)
 from .renorm import critical_times
-from .surface import Surface
+from .surface import Surface, _theta_parts
 
 _ZERO = QuadNum(0)
 _ONE = QuadNum(1)

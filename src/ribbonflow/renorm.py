@@ -36,6 +36,12 @@ def _direction(theta) -> QVec2:
     return theta
 
 
+def _check_gen(letter: Letter) -> None:
+    """Refuse a letter of any generator but h and v, at every lam."""
+    if letter.gen not in ('h', 'v'):
+        raise ValueError('bad letter %r' % (letter,))
+
+
 def shrink_membership(lam, letter: Letter, theta) -> bool:
     """Whether the generator strictly shrinks the vector (norm route).
 
@@ -44,6 +50,7 @@ def shrink_membership(lam, letter: Letter, theta) -> bool:
     shrinks when the two factors have opposite signs.  The sign of
     k*lam is read with the rest, so any exponent and any lam are taken.
     """
+    _check_gen(letter)
     theta = _direction(theta)
     step = as_quad(lam) * letter.exp
     x, y = theta.x, theta.y
@@ -64,6 +71,7 @@ def shrink_membership_slope(lam, letter: Letter, theta) -> bool:
     shear shrinks nothing.  Kept beside :func:`shrink_membership`, which
     reads the norm change instead, as a cross-check for any lam and exponent.
     """
+    _check_gen(letter)
     theta = _direction(theta)
     step = as_quad(lam) * letter.exp
     s = step.sign()

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple
 
-from .exact import QuadNum, as_quad
+from .exact import QuadNum, QVec2, _xy, as_quad
 from .freegrp import Letter, Word
 from .graphs import RibbonGraph, SparseFun, _rings
 
@@ -45,6 +45,25 @@ class Section(NamedTuple):
         return self.cuts[self.index[e]]
 
 
+class Landing(NamedTuple):
+    """Where S takes the top interval of an edge e: the circle a of the
+    A-vertex of north(e), the cut of north(e) on it, the weight of a and
+    the circle's length lam * weight."""
+
+    a: object
+    cut: QuadNum
+    weight: QuadNum
+    length: QuadNum
+
+
+def _theta_parts(theta):
+    """The entries (x, y) of a flow direction as QuadNums; y > 0."""
+    v = QVec2(*_xy(theta))
+    if not v.y.sign() > 0:
+        raise ValueError('direction must point upward')
+    return v.x, v.y
+
+
 class Surface:
     """Rectangles over the edges of a graph, glued by the ribbon structure."""
 
@@ -54,6 +73,8 @@ class Surface:
         self.lam = as_quad(lam)
         self._sections = {}
         self._float_cuts = {}
+        self._landings = {}
+        self._rotation = None
 
     @classmethod
     def from_family(cls, family) -> 'Surface':
@@ -96,6 +117,51 @@ class Surface:
             sec = self._sections[a] = Section(
                 edges, tuple(cuts), {e: i for i, e in enumerate(edges)})
         return sec
+
+    def landing(self, e) -> Landing:
+        """Where S takes the top interval of e, built on first use and
+        kept.
+
+        The width of e, the cut and the weight are checked here, once,
+        so that a point at offset o in [0, width(e)] turned by w*r, for
+        0 <= r < lam, lands at cut + o + w*r >= 0; that sum is below
+        2 * length when the cuts fill the circle, as eigen weights make
+        them do.
+        """
+        land = self._landings.get(e)
+        if land is None:
+            e2 = self.north(e)
+            a2 = self.graph.alpha(e2)
+            cut = self.section(a2).offset(e2)
+            w = self.weight(a2)
+            if not (cut >= 0 and w > 0 and self.width(e) > 0):
+                raise ValueError('rectangle sides must be positive where '
+                                 'the top of edge %r lands' % (e,))
+            land = self._landings[e] = Landing(a2, cut, w,
+                                               self.circle_length(a2))
+        return land
+
+    def rotation(self, theta) -> QuadNum:
+        """u mod lam for the upward direction theta = (x, y), u = x/y.
+
+        R^u turns the circle of weight w by u*w mod lam*w, which is
+        w * (u mod lam) for w > 0 and lam > 0 (the modulus refuses any
+        other lam): one value serves every circle.  The last direction's
+        value is kept, matched by value equality of (x, y) before any
+        check, as a direction that failed one never becomes the last; a
+        QuadNum hash would build Fractions.
+        """
+        x, y = _xy(theta)
+        last = self._rotation
+        if (last is not None and (x is last[0] or x == last[0])
+                and (y is last[1] or y == last[1])):
+            return last[2]
+        x, y = _theta_parts(theta)
+        lam = self.lam
+        # lam + u names the surface's field first in a FieldMixError
+        r = (lam + x / y) % lam
+        self._rotation = (x, y, r)
+        return r
 
     def float_cuts(self, a) -> tuple:
         """The section's cuts at an A-vertex rounded once, for float-mode

@@ -369,6 +369,14 @@ def test_mixed_fields_exit_two(capsys):
     assert err == 'error: cannot combine sqrt(2) with sqrt(3)\n'
 
 
+def test_mixed_fields_in_the_return_map_name_the_surface_first(capsys):
+    code = main(['simulate', '--family', 'tripod:t=sqrt(2)', '--theta',
+                 '1, sqrt(3)', '--steps', '5'])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err == 'error: cannot combine sqrt(2) with sqrt(3)\n'
+
+
 def test_lambda_below_two_exits_two(capsys):
     code = main(['shrink', '--lambda', '1', '--theta', '1, -1+sqrt(2)',
                  '--depth', '3'])

@@ -15,8 +15,9 @@ from ribbonflow.dynamics import (FloatState, HPoint, OrbitEscapedBudget,
                                  iet_step, iet_step_float, resolve,
                                  skew_orbit, skew_orbit_float, skew_step)
 from ribbonflow.eigen import gz_constant, gz_exponential, tripod_family
-from ribbonflow.exact import QuadNum, QVec2, sqrt_rational
-from ribbonflow.graphs import Cyclic, IntegersZ, SkewGraph
+from ribbonflow.exact import QuadNum, QVec2, as_quad, sqrt_rational
+from ribbonflow.graphs import (Cyclic, Heisenberg, IntegersZ, PathGraph,
+                               SkewGraph)
 from ribbonflow.surface import Surface
 
 
@@ -446,3 +447,164 @@ def test_orbits_reproducible_bitwise(num):
     first = code_orbit(s, theta, p0, 40, branch='right')
     second = code_orbit(s, theta, p0, 40, branch='right')
     assert first == second
+
+
+def heisenberg_surface():
+    gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+    w = QuadNum(Fraction(1, 4))
+    return Surface(SkewGraph(Heisenberg(), gens), lambda v: w, 4)
+
+
+# (surface maker, field of its directions): one surface with an
+# irrational lam, the rest rational; on the last the cuts overrun its
+# circles, whose length lam * 1 is below the sum 2 of the widths
+ORACLE_SURFACES = {
+    'tripod': (lambda: Surface.from_family(tripod_family(2)), 41),
+    'tripod-sqrt2': (lambda: Surface.from_family(
+        tripod_family(sqrt_rational(2))), 2),
+    'gz_constant': (lambda: Surface.from_family(gz_constant()), 2),
+    'staircase': (staircase, 2),
+    'heisenberg': (heisenberg_surface, 5),
+    'path-not-eigen': (lambda: Surface(PathGraph(), lambda v: QuadNum(1),
+                                       Fraction(1, 3)), 3),
+}
+
+
+def _modular_jump(s, theta, e, o):
+    """The parent form of S then R^u:
+    (offset(north(e)) + o + (x/y)*w(a2)) % circle_length(a2)."""
+    x, y = map(as_quad, theta)
+    e2 = s.north(e)
+    a2 = s.graph.alpha(e2)
+    t2 = s.section(a2).offset(e2) + o + (x / y) * s.weight(a2)
+    return HPoint(a2, t2 % s.circle_length(a2))
+
+
+def _modular_code(s, theta, p, steps, branch):
+    """code_orbit stepped by _modular_jump."""
+    symbols, points = [], []
+    for _ in range(steps):
+        e, o = resolve(s, p)
+        if not o and branch == 'left':
+            e = s.west(e)
+            o = s.width(e)
+        symbols.append(e)
+        points.append(p)
+        p = _modular_jump(s, theta, e, o)
+    return symbols, points
+
+
+@st.composite
+def oracle_runs(draw):
+    """A surface, a direction in its field whose u = x/y takes either
+    sign and runs past lam, and a start on the root's circle, on a cut
+    half the time."""
+    name = draw(st.sampled_from(sorted(ORACLE_SURFACES)))
+    make, field = ORACLE_SURFACES[name]
+    s = make()
+    small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    x = QuadNum(draw(small), draw(small), field)
+    y = QuadNum(draw(st.fractions(min_value=Fraction(1, 3), max_value=3,
+                                  max_denominator=12)))
+    if draw(st.booleans()):
+        x = x.rational_part   # a rational direction hits cuts often
+    a = s.graph.root()
+    sec = s.section(a)
+    if draw(st.booleans()):
+        t = draw(st.sampled_from(sec.cuts[:-1]))
+    else:
+        t = s.circle_length(a) * draw(st.fractions(0, 1, max_denominator=50))
+    return s, (x, y), hpoint(s, a, t)
+
+
+@given(run=oracle_runs())
+@settings(max_examples=80, deadline=None)
+def test_step_matches_the_modular_form(run):
+    s, theta, p = run
+    q = p
+    for _ in range(25):
+        e, o = resolve(s, q)
+        want = _modular_jump(s, theta, e, o)
+        q = iet_step(s, theta, q)
+        assert q == want
+    for branch in ('left', 'right'):
+        assert code_orbit(s, theta, p, 25, branch=branch) == \
+            _modular_code(s, theta, p, 25, branch)
+
+
+@pytest.mark.parametrize('name', sorted(set(ORACLE_SURFACES)
+                                         - {'path-not-eigen'}))
+def test_left_branch_onto_the_circle_end_wraps_to_zero(name):
+    # from the cut left of e the left branch jumps from the right end of
+    # west(e); when north(west(e)) is the last interval of its circle and
+    # u is a multiple of lam, the sum is the circle's length exactly
+    s = ORACLE_SURFACES[name][0]()
+    root = s.graph.root()
+    wraps = 0
+    for a in [root, *(s.landing(e).a for e in s.graph.edges_at(root))]:
+        sec = s.section(a)
+        for e, cut in zip(sec.edges, sec.cuts):
+            left = s.west(e)
+            e2 = s.north(left)
+            a2 = s.graph.alpha(e2)
+            for u in (0, s.lam, -3 * s.lam):
+                theta = (u, 1)
+                _, points = code_orbit(s, theta, HPoint(a, cut), 2,
+                                       branch='left')
+                assert points[1] == _modular_jump(s, theta, left,
+                                                  s.width(left))
+                if s.section(a2).edges[-1] == e2:
+                    assert points[1] == HPoint(a2, QuadNum(0))
+                    wraps += 1
+    assert wraps
+
+
+@pytest.mark.parametrize('name', sorted(ORACLE_SURFACES))
+def test_alternating_directions_keep_no_stale_rotation(name):
+    # one surface steps three directions in turn, each pair of them
+    # sharing x or y, and follows three fresh surfaces step for step
+    make, field = ORACLE_SURFACES[name]
+    shared = make()
+    x = QuadNum(1, 1, field)
+    thetas = ((x, 2), (x, 1), (QuadNum(-7, 3, field), 1))
+    fresh = [make() for _ in thetas]
+    start = hpoint(shared, shared.graph.root(), 0)
+    p, q = [start] * 3, [start] * 3
+    for k in range(60):
+        i = k % 3
+        p[i] = iet_step(shared, thetas[i], p[i])
+        q[i] = iet_step(fresh[i], thetas[i], q[i])
+        assert p[i] == q[i]
+    for theta, alone in zip(thetas, fresh):
+        assert (code_orbit(shared, theta, start, 30, branch='left')
+                == code_orbit(alone, theta, start, 30, branch='left'))
+
+
+def test_a_bad_direction_after_a_good_one_still_raises():
+    s = Surface.from_family(tripod_family(2))
+    p = hpoint(s, ('c',), QuadNum(Fraction(3, 11)))
+    iet_step(s, THETA41, p)
+    for theta in ((4.0, THETA41[1]), (QuadNum(4), float(THETA41[1])),
+                  (0.5, Fraction(1, 2))):
+        with pytest.raises(TypeError, match='not an exact number'):
+            iet_step(s, theta, p)
+    # Fraction(1, 2) == 0.5, so no float may match a kept direction
+    s.rotation((Fraction(1, 2), 1))
+    with pytest.raises(TypeError, match='not an exact number'):
+        iet_step(s, (0.5, 1), p)
+    for theta in ((THETA41[0], -THETA41[1]), (THETA41[0], 0)):
+        with pytest.raises(ValueError, match='upward'):
+            iet_step(s, theta, p)
+        with pytest.raises(ValueError, match='upward'):
+            code_orbit(s, theta, p, 3)
+    # an equal direction given another way is the same direction
+    assert iet_step(s, (4, THETA41[1]), p) == iet_step(s, THETA41, p)
+
+
+def test_landings_refuse_sides_that_are_not_positive():
+    g = SkewGraph(IntegersZ(), (1, -1))
+    s = Surface(g, lambda v: QuadNum(-1) if v == ('a', 1) else QuadNum(1), 2)
+    p = hpoint(s, ('a', 0), QuadNum(Fraction(1, 3)))
+    with pytest.raises(ValueError, match='positive'):
+        for _ in range(10):
+            p = iet_step(s, (QuadNum(0, 1, 2), 1), p)

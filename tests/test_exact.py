@@ -81,6 +81,40 @@ def test_order_against_rational():
     assert not (lhs < Fraction(1, 3))
 
 
+@st.composite
+def compared_pairs(draw):
+    """Two numbers of one test field, each rational or not, with 2- or
+    40-digit components; the second is sometimes the first, as an int or
+    a Fraction when it is rational."""
+    d = draw(st.sampled_from(SQUAREFREE))
+    digits = 10 ** draw(st.sampled_from([2, 40]))
+    ints = st.integers(-digits, digits)
+    dens = st.integers(1, digits)
+
+    def operand():
+        b = Fraction(draw(ints), draw(dens)) if draw(st.booleans()) else 0
+        return QuadNum(Fraction(draw(ints), draw(dens)), b, d)
+
+    x = operand()
+    y = x if draw(st.integers(0, 4)) == 0 else operand()
+    if y.is_rational and draw(st.booleans()):
+        y = y.as_fraction()
+        if y.denominator == 1 and draw(st.booleans()):
+            y = y.numerator
+    return x, y
+
+
+@given(pair=compared_pairs())
+def test_comparisons_agree_with_the_sign_of_the_difference(pair):
+    x, y = pair
+    s = (x - y).sign()
+    assert ((x < y), (x <= y), (x > y), (x >= y)) == \
+        (s < 0, s <= 0, s > 0, s >= 0)
+    # swapped, which puts an int or a Fraction on the left at times
+    assert ((y < x), (y <= x), (y > x), (y >= x)) == \
+        (s > 0, s >= 0, s < 0, s <= 0)
+
+
 def test_floor():
     root2 = QuadNum(0, 1, 2)
     assert math.floor(root2) == 1
@@ -220,7 +254,8 @@ def test_field_mix_raises_in_every_operator():
         want = '^cannot combine sqrt\\(%d\\) with sqrt\\(%d\\)$' % (
             a.field_disc, b.field_disc)
         for op in (operator.add, operator.sub, operator.mul,
-                   operator.truediv, operator.mod, operator.lt):
+                   operator.truediv, operator.mod, operator.lt,
+                   operator.le, operator.gt, operator.ge):
             with pytest.raises(FieldMixError, match=want):
                 op(a, b)
 

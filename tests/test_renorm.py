@@ -380,6 +380,17 @@ def test_membership_routes_agree_on_quadratics():
                 shrink_membership_slope(2, letter, theta)
 
 
+@pytest.mark.parametrize('letter', [Letter('x', 1), Letter('x', -3),
+                                    Letter('H', 1)])
+def test_membership_routes_refuse_a_bad_letter(letter):
+    # the norm route read every generator but 'h' as 'v', and at a zero
+    # shear both routes answered False
+    for route in (shrink_membership, shrink_membership_slope):
+        for lam in (2, 0):
+            with pytest.raises(ValueError, match='bad letter'):
+                route(lam, letter, (1, -2))
+
+
 # the directions the tests above shrink, with their lam and step budget
 GREEDY_FIXTURES = (
     (2, GOLDEN_DIR, 16), (2, QVec2(1, 1 - ROOT2), 8),
