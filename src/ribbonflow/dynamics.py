@@ -11,10 +11,10 @@ for the last direction, as it keeps each edge's landing (the target
 circle, the cut there, its height and length).  An exact step is then
 one bisection, the sum cut + offset + w*r and one comparison against the
 circle's length, with at most one subtraction.  Exact quadratic
-arithmetic reproduces orbits bit for bit; the float mode exists for long
-statistical runs and is checked against the exact one.
-The exact skew rotation is one loop, whose one-step case is skew_step,
-and every orbit counts its budget in _budgeted.
+arithmetic reproduces orbits bit for bit; the float mode, for long
+statistical runs, reads the landings rounded and refuses what the exact
+routes refuse.  The exact skew rotation is one loop, whose one-step case
+is skew_step, and every orbit counts its budget in _budgeted.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .exact import QuadNum, _xy, as_quad
-from .surface import Surface, _theta_parts
+from .surface import Surface, _theta_parts, _upward
 
 _ZERO = QuadNum(0)
 
@@ -188,10 +188,10 @@ def flow_to_next_edge_float(surface: Surface, theta, edge, x: float,
     """Float version of the geometric flow; returns (A-vertex, circle
     coordinate).  Corner hits are not detected in float mode."""
     tx, ty = _xy(theta)
-    e, _, _, _, x_top, _ = walk(surface, float(tx) / float(ty), edge,
-                                float(x), float(y), float)[-1]
+    e, _, _, _, x_top, _ = walk(surface, float(tx) / float(_upward(ty)),
+                                edge, float(x), float(y), float)[-1]
     a = surface.graph.alpha(e)
-    return a, surface.float_cuts(a)[surface.section(a).index[e]] + x_top
+    return a, float(surface.section(a).offset(e)) + x_top
 
 
 def _budgeted(states, start, budget, key=itemgetter(1)):
@@ -336,18 +336,16 @@ class FloatState:
 
 
 def iet_step_float(surface: Surface, theta, st: FloatState) -> FloatState:
-    """Float version of the return map, compensating the accumulated
-    rotation error on each circle coordinate."""
+    """Float version of the return map through the rounded landings,
+    compensating the accumulated rotation error on each circle coordinate."""
     x, y = _xy(theta)
-    u = float(x) / float(y)
+    u = float(x) / float(_upward(y))
     sec, cuts = surface.section(st.a), surface.float_cuts(st.a)
     # rounding can push t onto the circle's end: keep it in the last edge
     i = min(bisect_right(cuts, st.t), len(sec.edges)) - 1
-    e2 = surface.north(sec.edges[i])
-    a2 = surface.graph.alpha(e2)
-    base = (surface.float_cuts(a2)[surface.section(a2).index[e2]]
-            + (st.t - cuts[i]))
-    add = u * float(surface.weight(a2)) - st.comp
+    a2, cut, w, length = surface.landing(sec.edges[i])
+    base = float(cut) + (st.t - cuts[i])
+    add = u * float(w) - st.comp
     t2 = base + add
     comp = (t2 - base) - add
-    return FloatState(a2, t2 % float(surface.circle_length(a2)), comp)
+    return FloatState(a2, t2 % float(length), comp)

@@ -30,19 +30,17 @@ _ZERO = QuadNum(0)
 
 
 class Section(NamedTuple):
-    """The horizontal circle at an A-vertex, cut into the top intervals of
-    its bottom edges: edges[i] covers [cuts[i], cuts[i+1]), so
-    0 = cuts[0] < ... < cuts[-1] and cuts[-1] is the sum of the widths,
-    and index maps each edge to its position.  The cuts are exact; their
-    one float copy is Surface.float_cuts."""
+    """The horizontal circle at an A-vertex, just its bottom edges and
+    their exact cuts: edges[i] covers the top interval [cuts[i],
+    cuts[i+1]), so 0 = cuts[0] < ... < cuts[-1], the sum of the widths;
+    Surface.float_cuts rounds the cuts for the float step's bisection."""
 
     edges: tuple
     cuts: tuple
-    index: dict
 
     def offset(self, e) -> QuadNum:
         """Circle coordinate of the left end of e's interval."""
-        return self.cuts[self.index[e]]
+        return self.cuts[self.edges.index(e)]
 
 
 class Landing(NamedTuple):
@@ -56,12 +54,17 @@ class Landing(NamedTuple):
     length: QuadNum
 
 
+def _upward(y):
+    """y, a flow direction's vertical entry, if it is positive."""
+    if not y > 0:
+        raise ValueError('direction must point upward')
+    return y
+
+
 def _theta_parts(theta):
     """The entries (x, y) of a flow direction as QuadNums; y > 0."""
     v = QVec2(*_xy(theta))
-    if not v.y.sign() > 0:
-        raise ValueError('direction must point upward')
-    return v.x, v.y
+    return v.x, _upward(v.y)
 
 
 class Surface:
@@ -114,8 +117,7 @@ class Surface:
             cuts = [_ZERO]
             for e in edges:
                 cuts.append(cuts[-1] + self.width(e))
-            sec = self._sections[a] = Section(
-                edges, tuple(cuts), {e: i for i, e in enumerate(edges)})
+            sec = self._sections[a] = Section(edges, tuple(cuts))
         return sec
 
     def landing(self, e) -> Landing:
@@ -164,9 +166,9 @@ class Surface:
         return r
 
     def float_cuts(self, a) -> tuple:
-        """The section's cuts at an A-vertex rounded once, for float-mode
-        orbits, built on first use and kept.  Exact runs never round, so
-        a cut beyond the float range fails only a float run."""
+        """The section's cuts at an A-vertex rounded once for the float
+        step's bisection, built on first use and kept.  Exact runs never
+        round, so a cut beyond the float range fails only a float run."""
         cuts = self._float_cuts.get(a)
         if cuts is None:
             cuts = self._float_cuts[a] = tuple(

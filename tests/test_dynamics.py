@@ -1,6 +1,7 @@
 """Return map, geometric flow oracle, skew rotations, coding."""
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from ribbonflow.dynamics import (FloatState, HPoint, OrbitEscapedBudget,
                                  flow_to_next_edge_float, from_edge, hpoint,
                                  iet_step, iet_step_float, resolve,
                                  skew_orbit, skew_orbit_float, skew_step)
-from ribbonflow.eigen import gz_constant, gz_exponential, tripod_family
+from ribbonflow.eigen import (character_eigen, gz_constant, gz_exponential,
+                              tripod_family)
 from ribbonflow.exact import QuadNum, QVec2, as_quad, sqrt_rational
 from ribbonflow.graphs import (Cyclic, Heisenberg, IntegersZ, PathGraph,
                                SkewGraph)
@@ -343,6 +345,104 @@ def test_float_flow_matches_float_step():
         d = abs(t_f - q_f.t)
         assert min(d, length - d) < 1e-9
         p = iet_step(s, theta, p)
+
+
+def _float_step_reference(surface, theta, st):
+    """The float step as it read the surface per step before it landed
+    through Surface.landing: north, alpha, the target's float cut, its
+    weight and its circle length."""
+    u = float(theta[0]) / float(theta[1])
+    sec, cuts = surface.section(st.a), surface.float_cuts(st.a)
+    i = min(bisect_right(cuts, st.t), len(sec.edges)) - 1
+    e2 = surface.north(sec.edges[i])
+    a2 = surface.graph.alpha(e2)
+    base = (surface.float_cuts(a2)[surface.section(a2).edges.index(e2)]
+            + (st.t - cuts[i]))
+    add = u * float(surface.weight(a2)) - st.comp
+    t2 = base + add
+    comp = (t2 - base) - add
+    return FloatState(a2, t2 % float(surface.circle_length(a2)), comp)
+
+
+def _float_flow_reference(surface, theta, edge, x, y):
+    """The float flow's landing as the float cut of the top edge plus
+    the offset there."""
+    u = float(theta[0]) / float(theta[1])
+    e, _, _, _, x_top, _ = dynamics.walk(surface, u, edge, x, y, float)[-1]
+    a = surface.graph.alpha(e)
+    return a, surface.float_cuts(a)[surface.section(a).edges.index(e)] + x_top
+
+
+def heisenberg_character():
+    gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+    return Surface.from_family(character_eigen(Heisenberg(), gens, (2, 1)))
+
+
+# (surface maker, circle, float direction): the tripod direction is the
+# benchmark's, and u = x/y takes both signs
+FLOAT_ORACLE = {
+    'tripod': (lambda: Surface.from_family(tripod_family(2)), ('c',),
+               (4.0, float(THETA41[1]))),
+    'gz_constant': (lambda: Surface.from_family(gz_constant()), 0,
+                    (1.0, float(sqrt_rational(2) - 1))),
+    'staircase': (staircase, ('a', 0),
+                  tuple(map(float, stair_theta(ALPHA)))),
+    'heisenberg': (heisenberg_character, ('a', (0, 0, 0)),
+                   (-3.0, float(sqrt_rational(5)))),
+}
+
+
+@pytest.mark.parametrize('name', sorted(FLOAT_ORACLE))
+def test_float_twins_match_the_per_step_formula(name):
+    make, a, theta = FLOAT_ORACLE[name]
+    s, ref = make(), make()
+    length = float(s.circle_length(a))
+    # the last start sits on the circle's float end: the clamped bisection
+    # keeps it in the last edge
+    assert s.float_cuts(a)[-1] == length
+    for t in [length * k / 7 for k in range(7)] + [length]:
+        st_f = st_r = FloatState(a, t)
+        for _ in range(150):
+            cuts = s.float_cuts(st_f.a)
+            i = min(bisect_right(cuts, st_f.t), len(cuts) - 1) - 1
+            e = s.section(st_f.a).edges[i]
+            args = (s.north(e), st_f.t - cuts[i], 0.0)
+            got = flow_to_next_edge_float(s, theta, *args)
+            want = _float_flow_reference(ref, theta, *args)
+            assert (got[0], got[1].hex()) == (want[0], want[1].hex())
+            st_f = iet_step_float(s, theta, st_f)
+            st_r = _float_step_reference(ref, theta, st_r)
+            assert st_f.a == st_r.a
+            assert st_f.t.hex() == st_r.t.hex()
+            assert st_f.comp.hex() == st_r.comp.hex()
+
+
+@pytest.mark.parametrize('theta', [(1.0, -1.0), (1.0, 0.0)])
+def test_float_twins_refuse_a_direction_that_is_not_upward(theta):
+    s = Surface.from_family(tripod_family(2))
+    e = s.section(('c',)).edges[0]
+    with pytest.raises(ValueError) as step:
+        iet_step_float(s, theta, FloatState(('c',), 0.3))
+    with pytest.raises(ValueError) as flow:
+        flow_to_next_edge_float(s, theta, s.north(e), 0.1, 0.0)
+    with pytest.raises(ValueError) as exact:
+        iet_step(s, (1, -1), hpoint(s, ('c',), 0))
+    assert str(step.value) == str(flow.value) == str(exact.value)
+    assert str(exact.value) == 'direction must point upward'
+
+
+def test_float_step_refuses_sides_that_are_not_positive():
+    def path():
+        return Surface(PathGraph(),
+                       lambda v: QuadNum(-1) if v == 2 else QuadNum(1), 2)
+
+    with pytest.raises(ValueError) as flt:
+        iet_step_float(path(), (1.0, 3.0), FloatState(0, 1.5))
+    s = path()
+    with pytest.raises(ValueError) as exact:
+        iet_step(s, (1, 3), hpoint(s, 0, Fraction(3, 2)))
+    assert str(flt.value) == str(exact.value)
+    assert 'positive' in str(exact.value)
 
 
 def test_skew_orbit_float_tracks_exact():

@@ -14,7 +14,7 @@ from ribbonflow.exact import QuadNum, as_quad
 from ribbonflow.freegrp import Word, gamma
 from ribbonflow.graphs import (Heisenberg, IntegerLattice, IntegersZ,
                                FreeGroup, OracleFun, SparseFun, pairing,
-                               upsilon)
+                               upsilon, vertices_in_ball)
 from ribbonflow.measures import transposed_surface
 from ribbonflow.surface import (Surface, ball_growth, phi_homology,
                                 svg_truncation, z_class)
@@ -277,6 +277,26 @@ def _heisenberg_character():
 def test_svg_truncation_bytes_are_pinned(name, fam, radius, digest):
     art = svg_truncation(Surface.from_family(fam), radius=radius)
     assert hashlib.sha256(art.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize('fam', [tripod_family(2), ntree_constant(3),
+                                 _heisenberg_character()],
+                         ids=['tripod', '3-tree', 'heisenberg'])
+def test_section_offsets_are_running_sums_of_widths(fam):
+    s = Surface.from_family(fam)
+    graph = fam.graph
+    circles = [v for v in vertices_in_ball(graph, graph.root(), 4)
+               if graph.vertex_class(v) == 'a']
+    assert len(circles) > 3
+    for a in circles:
+        total, running = QuadNum(0), {}
+        for e in graph.edges_at(a):
+            assert s.section(a).offset(e) == total
+            running[e] = total
+            total = total + s.width(e)
+        assert s.section(a).cuts[-1] == total
+        offsets = s.edge_offsets(a)
+        assert offsets == running and list(offsets) == list(running)
 
 
 def test_svg_truncation_deterministic():
