@@ -6,15 +6,17 @@ cylinders.  The return map factors as a combinatorial jump S (each top
 edge to the next one counterclockwise around its B-vertex) followed by a
 rotation R^u of each circle by u times its cylinder height, u = x/y.  A
 circle of height w has length lam*w, so R^u turns it by w*r with
-r = u mod lam: one residue serves every circle, and the surface keeps it
-for the last direction, as it keeps each edge's landing (the target
-circle, the cut there, its height and length).  An exact step is then
-one bisection, the sum cut + offset + w*r and one comparison against the
-circle's length, with at most one subtraction.  Exact quadratic
-arithmetic reproduces orbits bit for bit; the float mode, for long
-statistical runs, reads the landings rounded and refuses what the exact
-routes refuse.  The exact skew rotation is one loop, whose one-step case
-is skew_step, and every orbit counts its budget in _budgeted.
+r = u mod lam: one residue serves every circle.  The surface keeps each
+edge's landing (the target circle, the cut there, its height and length)
+and, for the last direction, a jump table holding base = cut + w*r per
+edge.  An exact step is then one bisection, the sum base + offset and one
+comparison against the circle's length, with at most one subtraction.
+Exact quadratic arithmetic reproduces orbits bit for bit; the float mode,
+for long statistical runs, reads the landings rounded once and refuses
+what the exact routes refuse.  The exact skew rotation is one loop, whose
+one-step case is skew_step: it lifts x and alpha once to ints over one
+denominator, so a step is a floor, two int adds and a floor.  Every orbit
+counts its budget in _budgeted.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .exact import QuadNum, _xy, as_quad
-from .surface import Surface, _theta_parts, _upward
+from .exact import QuadNum, _floor, _join, _reduced, _xy, as_quad
+from .surface import Jumps, Surface, _theta_parts, _upward
 
 _ZERO = QuadNum(0)
 
@@ -46,13 +48,31 @@ class SingularHitError(Exception):
     was chosen."""
 
 
-@dataclass(frozen=True)
 class HPoint:
     """A point of the horizontal section: circle of the A-vertex a,
-    coordinate t in [0, lam * w(a))."""
+    coordinate t in [0, lam * w(a)).
 
-    a: object
-    t: QuadNum
+    A slotted class with the equality, hash and repr of a frozen
+    dataclass: every exact step builds one, and a dataclass would build
+    it through object.__setattr__.
+    """
+
+    __slots__ = ('a', 't')
+
+    def __init__(self, a, t: QuadNum):
+        self.a = a
+        self.t = t
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.t) == (other.a, other.t)
+
+    def __hash__(self):
+        return hash((self.a, self.t))
+
+    def __repr__(self) -> str:
+        return 'HPoint(a=%r, t=%r)' % (self.a, self.t)
 
 
 @dataclass(frozen=True)
@@ -103,17 +123,19 @@ def from_edge(surface: Surface, e, offset) -> HPoint:
     return HPoint(a, surface.section(a).offset(e) + as_quad(offset))
 
 
-def _jump(surface: Surface, e, o, r) -> HPoint:
+def _jump(jumps: Jumps, e, o) -> HPoint:
     """S then R^u from offset o in [0, width(e)] of e's top interval,
-    for r = u mod lam: across the top of e into the cylinder above, then
-    round that cylinder's circle by r times its height.
+    for the rotation of the table jumps: across the top of e into the
+    cylinder above, then round that cylinder's circle by u times its
+    height.
 
-    The sum lies in [0, 2 * length) when the cuts fill the circle (see
-    Surface.landing), so one subtraction reduces it; other weights take
-    the modulus.  Either way the value is that of (cut + o + u*w) % length.
+    The table's base is cut + r*w; the sum base + o lies in
+    [0, 2 * length) when the cuts fill the circle (see Surface.landing),
+    so one subtraction reduces it; other weights take the modulus.
+    Either way the value is that of (cut + o + u*w) % length.
     """
-    a2, cut, w, length = surface.landing(e)
-    t2 = cut + o + r * w
+    a2, base, length = jumps[e]
+    t2 = base + o
     if t2 < length:
         return HPoint(a2, t2)
     t2 = t2 - length
@@ -123,9 +145,9 @@ def _jump(surface: Surface, e, o, r) -> HPoint:
 def iet_step(surface: Surface, theta, p: HPoint) -> HPoint:
     """One step of the return map: jump to the next interval around the
     B-vertex, then rotate the target circle by (x/y) times its height."""
-    r = surface.rotation(theta)
+    jumps = surface.rotation(theta)
     e, o = resolve(surface, p)
-    return _jump(surface, e, o, r)
+    return _jump(jumps, e, o)
 
 
 def _exact(x):
@@ -174,6 +196,9 @@ def flow_to_next_edge(surface: Surface, theta, p: SurfacePoint):
     runs exactly into a rectangle corner.
     """
     x, y = _theta_parts(theta)
+    # the walk starts where the top of south(p.edge) lands: the return
+    # map's check of that hop refuses a rectangle with a side <= 0
+    surface.landing(surface.south(p.edge))
     e, _, _, _, x_top, _ = walk(surface, x / y, p.edge, as_quad(p.x),
                                 as_quad(p.y))[-1]
     point = from_edge(surface, e, x_top)
@@ -188,8 +213,10 @@ def flow_to_next_edge_float(surface: Surface, theta, edge, x: float,
     """Float version of the geometric flow; returns (A-vertex, circle
     coordinate).  Corner hits are not detected in float mode."""
     tx, ty = _xy(theta)
-    e, _, _, _, x_top, _ = walk(surface, float(tx) / float(_upward(ty)),
-                                edge, float(x), float(y), float)[-1]
+    u = float(tx) / float(_upward(ty))
+    surface.landing(surface.south(edge))
+    e, _, _, _, x_top, _ = walk(surface, u, edge, float(x), float(y),
+                                float)[-1]
     a = surface.graph.alpha(e)
     return a, float(surface.section(a).offset(e)) + x_top
 
@@ -224,7 +251,7 @@ def code_orbit(surface: Surface, theta, p: HPoint, steps: int,
     """
     if branch not in (None, 'left', 'right'):
         raise ValueError("branch must be None, 'left' or 'right'")
-    r = surface.rotation(theta)
+    jumps = surface.rotation(theta)
 
     def legs(p):
         for k in range(steps):
@@ -236,7 +263,7 @@ def code_orbit(surface: Surface, theta, p: HPoint, steps: int,
                 if branch == 'left':
                     e = surface.west(e)
                     o = surface.width(e)
-            p = _jump(surface, e, o, r)
+            p = _jump(jumps, e, o)
             yield e, p   # the symbol and the landing point
 
     done = list(_budgeted(legs(p), p.a, budget, lambda leg: leg[1].a))
@@ -256,18 +283,35 @@ def _check_skew(n: int, group, generators, x) -> None:
 
 
 def _skew_states(n: int, alpha, group, generators, state, steps: int):
-    """The exact skew orbit after the initial state.  i = floor(n*x)
-    picks the generator, and 0 <= i < n is the check that x lies in
-    [0, 1); one floor takes the integer part off x + alpha, any alpha."""
+    """The exact skew orbit after the initial state, stepped on ints.
+
+    x and alpha are lifted once, on the first step, to (A + B*sqrt(d))/Q
+    and (P + R*sqrt(d))/Q over one denominator Q, in the field joined as
+    x + alpha joins it, so a FieldMixError names x's field first.
+    i = floor(n*x) picks the generator, and 0 <= i < n is the check that
+    x lies in [0, 1); x + alpha is two int adds, and one floor times Q
+    takes its integer part off A, any alpha.  Q never changes and x
+    stays in [0, 1), so A stays within Q of -B*sqrt(d) however large
+    alpha's integer part.
+    """
     x, g, alpha = as_quad(state[0]), state[1], as_quad(alpha)
+    if steps < 1:
+        return
+    d = x._d
+    if alpha._d and alpha._d != d:
+        d = _join(d, alpha._d)
+    q = math.lcm(x._q, alpha._q)
+    s, t = q // x._q, q // alpha._q
+    a, b, p, r = x._a * s, x._b * s, alpha._a * t, alpha._b * t
     for _ in range(steps):
-        i = math.floor(n * x)
+        i = _floor(n * a, n * b, q, d)
         if not 0 <= i < n:
             raise ValueError('circle coordinate must lie in [0, 1)')
         g = group.op(generators[i], g)
-        x = x + alpha
-        x = x - math.floor(x)
-        yield x, g
+        a += p
+        b += r
+        a -= _floor(a, b, q, d) * q
+        yield _reduced(a, b, q, d), g
 
 
 def skew_step(n: int, alpha, group, generators, state):
@@ -343,9 +387,9 @@ def iet_step_float(surface: Surface, theta, st: FloatState) -> FloatState:
     sec, cuts = surface.section(st.a), surface.float_cuts(st.a)
     # rounding can push t onto the circle's end: keep it in the last edge
     i = min(bisect_right(cuts, st.t), len(sec.edges)) - 1
-    a2, cut, w, length = surface.landing(sec.edges[i])
-    base = float(cut) + (st.t - cuts[i])
-    add = u * float(w) - st.comp
+    a2, cut, w, length = surface.float_landing(sec.edges[i])
+    base = cut + (st.t - cuts[i])
+    add = u * w - st.comp
     t2 = base + add
     comp = (t2 - base) - add
-    return FloatState(a2, t2 % float(length), comp)
+    return FloatState(a2, t2 % length, comp)

@@ -54,6 +54,24 @@ class Landing(NamedTuple):
     length: QuadNum
 
 
+class Jumps(dict):
+    """Each edge's jump for one rotation r, built from its landing on
+    first use: (a, cut + r * weight, length), so that offset o of the
+    edge's top interval lands at cut + o + r * weight, one sum."""
+
+    __slots__ = ('landing', 'r')
+
+    def __init__(self, landing, r):
+        super().__init__()
+        self.landing = landing
+        self.r = r
+
+    def __missing__(self, e):
+        a2, cut, w, length = self.landing(e)
+        jump = self[e] = (a2, cut + self.r * w, length)
+        return jump
+
+
 def _upward(y):
     """y, a flow direction's vertical entry, if it is positive."""
     if not y > 0:
@@ -77,6 +95,7 @@ class Surface:
         self._sections = {}
         self._float_cuts = {}
         self._landings = {}
+        self._float_landings = {}
         self._rotation = None
 
     @classmethod
@@ -143,15 +162,18 @@ class Surface:
                                                self.circle_length(a2))
         return land
 
-    def rotation(self, theta) -> QuadNum:
-        """u mod lam for the upward direction theta = (x, y), u = x/y.
+    def rotation(self, theta) -> Jumps:
+        """The rotation R^u for the upward direction theta = (x, y),
+        u = x/y, as its jump table, kept for the last direction.
 
         R^u turns the circle of weight w by u*w mod lam*w, which is
-        w * (u mod lam) for w > 0 and lam > 0 (the modulus refuses any
-        other lam): one value serves every circle.  The last direction's
-        value is kept, matched by value equality of (x, y) before any
+        w * r for r = u mod lam when w > 0 and lam > 0 (the modulus
+        refuses any other lam): one value, the table's r, serves every
+        circle, and the table adds r * w to each landing's cut once.  The
+        last direction is matched by value equality of (x, y) before any
         check, as a direction that failed one never becomes the last; a
-        QuadNum hash would build Fractions.
+        QuadNum hash would build Fractions.  A new direction drops the
+        table.
         """
         x, y = _xy(theta)
         last = self._rotation
@@ -161,9 +183,9 @@ class Surface:
         x, y = _theta_parts(theta)
         lam = self.lam
         # lam + u names the surface's field first in a FieldMixError
-        r = (lam + x / y) % lam
-        self._rotation = (x, y, r)
-        return r
+        jumps = Jumps(self.landing, (lam + x / y) % lam)
+        self._rotation = (x, y, jumps)
+        return jumps
 
     def float_cuts(self, a) -> tuple:
         """The section's cuts at an A-vertex rounded once for the float
@@ -174,6 +196,16 @@ class Surface:
             cuts = self._float_cuts[a] = tuple(
                 map(float, self.section(a).cuts))
         return cuts
+
+    def float_landing(self, e) -> Landing:
+        """The landing of e with its cut, weight and length rounded once
+        for the float step, built on first use and kept."""
+        land = self._float_landings.get(e)
+        if land is None:
+            a2, cut, w, length = self.landing(e)
+            land = self._float_landings[e] = Landing(
+                a2, float(cut), float(w), float(length))
+        return land
 
     def edge_offsets(self, a) -> dict:
         """Left-endpoint coordinate of each bottom edge along the

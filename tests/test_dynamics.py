@@ -2,10 +2,11 @@
 
 import math
 from bisect import bisect_right
+from dataclasses import make_dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ribbonflow import dynamics
@@ -17,9 +18,10 @@ from ribbonflow.dynamics import (FloatState, HPoint, OrbitEscapedBudget,
                                  skew_orbit, skew_orbit_float, skew_step)
 from ribbonflow.eigen import (character_eigen, gz_constant, gz_exponential,
                               tripod_family)
-from ribbonflow.exact import QuadNum, QVec2, as_quad, sqrt_rational
-from ribbonflow.graphs import (Cyclic, Heisenberg, IntegersZ, PathGraph,
-                               SkewGraph)
+from ribbonflow.exact import (FieldMixError, QuadNum, QVec2, as_quad,
+                              sqrt_rational)
+from ribbonflow.graphs import (Cyclic, FreeGroup, Heisenberg, IntegerLattice,
+                               IntegersZ, PathGraph, SkewGraph)
 from ribbonflow.surface import Surface
 
 
@@ -44,6 +46,30 @@ def test_hpoint_wraps_and_rejects_b_vertices():
     assert p.t == Fraction(1, 4)
     with pytest.raises(ValueError):
         hpoint(s, ('b', 0), 0)
+
+
+# the section point as a frozen dataclass, as it was built before it got
+# slots: equality, hash and repr must not change
+DataclassHPoint = make_dataclass('HPoint', [('a', object), ('t', QuadNum)],
+                                 frozen=True)
+
+
+def test_hpoint_compares_hashes_and_prints_as_the_dataclass():
+    values = [(('a', 0), QuadNum(0)), (('a', 0), QuadNum(Fraction(1, 3))),
+              (('a', 1), QuadNum(Fraction(1, 3))), (0, ALPHA), (0, QuadNum(0)),
+              (('c',), sqrt_rational(41) - 5)]
+    for a, t in values:
+        p, old = HPoint(a, t), DataclassHPoint(a, t)
+        assert (p.a, p.t) == (a, t)
+        assert hash(p) == hash(old) == hash((a, t))
+        assert repr(p) == repr(old)
+        assert p != (a, t) and (a, t) != p
+        assert p != old
+        for a2, t2 in values:
+            assert (p == HPoint(a2, t2)) == (old == DataclassHPoint(a2, t2))
+            assert (p != HPoint(a2, t2)) == (old != DataclassHPoint(a2, t2))
+    assert repr(HPoint(('a', 0), QuadNum(Fraction(1, 3)))) == \
+        "HPoint(a=('a', 0), t=QuadNum('1/3'))"
 
 
 def test_resolve_roundtrip():
@@ -193,6 +219,84 @@ def _skew_reference(n, alpha, group, generators, state, steps):
 def test_skew_orbit_matches_the_modular_reference(alpha):
     args = 2, alpha, IntegersZ(), (1, -1), (QuadNum(Fraction(1, 7)), 0), 3000
     assert skew_orbit(*args) == _skew_reference(*args)
+
+
+def _skew_loop_reference(n, alpha, group, generators, state, steps):
+    """The exact skew loop on QuadNums, as it was before it ran on ints:
+    i = floor(n*x), then x + alpha less its floor."""
+    x, g, alpha = as_quad(state[0]), state[1], as_quad(alpha)
+    out = []
+    for _ in range(steps):
+        i = math.floor(n * x)
+        if not 0 <= i < n:
+            raise ValueError('circle coordinate must lie in [0, 1)')
+        g = group.op(generators[i], g)
+        x = x + alpha
+        x = x - math.floor(x)
+        out.append((x, g))
+    return out
+
+
+# (group, generators): generator i acts on the subinterval [i/n, (i+1)/n)
+SKEW_GROUPS = {
+    'Z': (IntegersZ(), (1, -1)),
+    'Z2': (IntegerLattice(2), ((1, 0), (0, 1), (-1, 0), (0, -1))),
+    'heisenberg': (Heisenberg(), ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                  (0, -1, 0))),
+    'free': (FreeGroup(2), ((1,), (2,), (-1,), (-2,))),
+}
+
+
+@st.composite
+def skew_runs(draw):
+    """A group, a start x in [0, 1) and an alpha of either sign with an
+    integer part up to 10^16, each rational or in one field."""
+    name = draw(st.sampled_from(sorted(SKEW_GROUPS)))
+    d = draw(st.sampled_from([2, 3, 5, 7]))
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=40)
+    zero = st.just(Fraction(0))
+    x = QuadNum(draw(part), draw(part | zero), d) % 1
+    alpha = (QuadNum(draw(part), draw(part | zero), d)
+             + draw(st.sampled_from([0, 1, -2, 10 ** 16])))
+    return name, alpha, x
+
+
+@given(run=skew_runs())
+@example(run=('Z', 10 ** 16 + sqrt_rational(2), QuadNum(Fraction(1, 7))))
+@example(run=('heisenberg', QuadNum(Fraction(7, 3), Fraction(1, 5), 5),
+              QuadNum(Fraction(3, 11), Fraction(2, 13), 5) % 1))
+@example(run=('Z2', QuadNum(Fraction(-5, 9)), QuadNum(Fraction(4, 7))))
+@example(run=('free', QuadNum(Fraction(13, 4), 0, 0), sqrt_rational(3) - 1))
+@settings(max_examples=60, deadline=None)
+def test_skew_orbit_matches_the_quadnum_loop(run):
+    name, alpha, x = run
+    group, gens = SKEW_GROUPS[name]
+    n = len(gens)
+    want = _skew_loop_reference(n, alpha, group, gens, (x, group.identity),
+                                120)
+    assert skew_orbit(n, alpha, group, gens, (x, group.identity), 120) == want
+    state = (x, group.identity)
+    for expected in want[:40]:
+        state = skew_step(n, alpha, group, gens, state)
+        assert state == expected
+        # equal QuadNums have equal components: the same bits print
+        assert str(state[0]) == str(expected[0])
+
+
+def test_skew_orbit_mixing_fields_names_x_first():
+    x, alpha = sqrt_rational(2) - 1, sqrt_rational(3)
+    args = 2, alpha, IntegersZ(), (1, -1), (x, 0)
+    assert skew_orbit(*args, 0) == []
+    with pytest.raises(FieldMixError) as want:
+        _skew_loop_reference(*args, 1)
+    for steps in (1, 5):
+        with pytest.raises(FieldMixError) as got:
+            skew_orbit(*args, steps)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(FieldMixError) as got:
+        skew_step(*args)
+    assert str(got.value) == str(want.value) == \
+        'cannot combine sqrt(2) with sqrt(3)'
 
 
 @pytest.mark.parametrize('n, generators, x, message', [
@@ -555,7 +659,7 @@ def heisenberg_surface():
     return Surface(SkewGraph(Heisenberg(), gens), lambda v: w, 4)
 
 
-# (surface maker, field of its directions): one surface with an
+# (surface maker, field of its directions): two surfaces with an
 # irrational lam, the rest rational; on the last the cuts overrun its
 # circles, whose length lam * 1 is below the sum 2 of the widths
 ORACLE_SURFACES = {
@@ -565,6 +669,7 @@ ORACLE_SURFACES = {
     'gz_constant': (lambda: Surface.from_family(gz_constant()), 2),
     'staircase': (staircase, 2),
     'heisenberg': (heisenberg_surface, 5),
+    'heisenberg-chi21': (heisenberg_character, 70),
     'path-not-eigen': (lambda: Surface(PathGraph(), lambda v: QuadNum(1),
                                        Fraction(1, 3)), 3),
 }
@@ -580,8 +685,22 @@ def _modular_jump(s, theta, e, o):
     return HPoint(a2, t2 % s.circle_length(a2))
 
 
-def _modular_code(s, theta, p, steps, branch):
-    """code_orbit stepped by _modular_jump."""
+def _rotation_jump(s, theta, e, o):
+    """The step's jump as it was before the jump tables: the landing's
+    cut + o + r*w for r = u mod lam, then at most one subtraction of the
+    circle's length, else the modulus."""
+    x, y = map(as_quad, theta)
+    r = (s.lam + x / y) % s.lam
+    a2, cut, w, length = s.landing(e)
+    t2 = cut + o + r * w
+    if t2 < length:
+        return HPoint(a2, t2)
+    t2 = t2 - length
+    return HPoint(a2, t2 if t2 < length else t2 % length)
+
+
+def _oracle_code(jump, s, theta, p, steps, branch):
+    """code_orbit stepped by a reference jump."""
     symbols, points = [], []
     for _ in range(steps):
         e, o = resolve(s, p)
@@ -590,7 +709,7 @@ def _modular_code(s, theta, p, steps, branch):
             o = s.width(e)
         symbols.append(e)
         points.append(p)
-        p = _modular_jump(s, theta, e, o)
+        p = jump(s, theta, e, o)
     return symbols, points
 
 
@@ -625,11 +744,35 @@ def test_step_matches_the_modular_form(run):
     for _ in range(25):
         e, o = resolve(s, q)
         want = _modular_jump(s, theta, e, o)
+        assert _rotation_jump(s, theta, e, o) == want
         q = iet_step(s, theta, q)
         assert q == want
     for branch in ('left', 'right'):
-        assert code_orbit(s, theta, p, 25, branch=branch) == \
-            _modular_code(s, theta, p, 25, branch)
+        got = code_orbit(s, theta, p, 25, branch=branch)
+        assert got == _oracle_code(_modular_jump, s, theta, p, 25, branch)
+        assert got == _oracle_code(_rotation_jump, s, theta, p, 25, branch)
+
+
+@pytest.mark.parametrize('name', ['tripod', 'gz_constant', 'staircase',
+                                  'heisenberg-chi21'])
+def test_jump_table_matches_the_rotation_formula_at_cuts(name):
+    # every start is a cut, a singular point, so both branches differ
+    # from the first symbol on; u = 1 and u = 1 + sqrt(field) / 3
+    make, field = ORACLE_SURFACES[name]
+    s, ref = make(), make()
+    a = s.graph.root()
+    for theta in ((1, 1), (QuadNum(3, 1, field), 3)):
+        for cut in s.section(a).cuts[:-1]:
+            p = HPoint(a, cut)
+            for branch in ('left', 'right'):
+                assert code_orbit(s, theta, p, 20, branch=branch) == \
+                    _oracle_code(_rotation_jump, ref, theta, p, 20, branch)
+            q = p
+            for _ in range(20):
+                e, o = resolve(ref, q)
+                want = _rotation_jump(ref, theta, e, o)
+                q = iet_step(s, theta, q)
+                assert q == want
 
 
 @pytest.mark.parametrize('name', sorted(set(ORACLE_SURFACES)
@@ -662,7 +805,8 @@ def test_left_branch_onto_the_circle_end_wraps_to_zero(name):
 @pytest.mark.parametrize('name', sorted(ORACLE_SURFACES))
 def test_alternating_directions_keep_no_stale_rotation(name):
     # one surface steps three directions in turn, each pair of them
-    # sharing x or y, and follows three fresh surfaces step for step
+    # sharing x or y, and follows three fresh surfaces step for step:
+    # each new direction must drop the jump table of the one before
     make, field = ORACLE_SURFACES[name]
     shared = make()
     x = QuadNum(1, 1, field)
@@ -699,6 +843,34 @@ def test_a_bad_direction_after_a_good_one_still_raises():
             code_orbit(s, theta, p, 3)
     # an equal direction given another way is the same direction
     assert iet_step(s, (4, THETA41[1]), p) == iet_step(s, THETA41, p)
+
+
+def test_flow_refuses_the_sides_the_return_map_refuses():
+    # the flow from the bottom of edge 2, a rectangle of height w(2) = -1,
+    # returned HPoint(a=2, t=7/6) on a circle of length -2
+    def path():
+        return Surface(PathGraph(),
+                       lambda v: QuadNum(-1) if v == 2 else QuadNum(1), 2)
+
+    s = path()
+    with pytest.raises(ValueError) as flow:
+        flow_to_next_edge(s, (1, 3), SurfacePoint(2, Fraction(1, 2), 0))
+    with pytest.raises(ValueError) as flt:
+        flow_to_next_edge_float(path(), (1.0, 3.0), 2, 0.5, 0.0)
+    # the same hop as a return-map step: from the top of south(2)
+    e = s.south(2)
+    with pytest.raises(ValueError) as step:
+        iet_step(path(), (1, 3), from_edge(s, e, Fraction(1, 2)))
+    assert str(flow.value) == str(flt.value) == str(step.value) == \
+        'rectangle sides must be positive where the top of edge %r lands' % e
+    # and the start of the return map's own refusal, c06's pairing
+    p = hpoint(s, 0, Fraction(3, 2))
+    e, o = resolve(s, p)
+    with pytest.raises(ValueError) as step:
+        iet_step(path(), (1, 3), p)
+    with pytest.raises(ValueError) as flow:
+        flow_to_next_edge(path(), (1, 3), SurfacePoint(s.north(e), o, 0))
+    assert str(flow.value) == str(step.value)
 
 
 def test_landings_refuse_sides_that_are_not_positive():
