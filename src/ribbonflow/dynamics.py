@@ -385,6 +385,8 @@ def iet_step_float(surface: Surface, theta, st: FloatState) -> FloatState:
     x, y = _xy(theta)
     u = float(x) / float(_upward(y))
     sec, cuts = surface.section(st.a), surface.float_cuts(st.a)
+    if not 0.0 <= st.t <= cuts[-1]:   # NaN fails too
+        raise ValueError('coordinate beyond circle length at %r' % (st.a,))
     # rounding can push t onto the circle's end: keep it in the last edge
     i = min(bisect_right(cuts, st.t), len(sec.edges)) - 1
     a2, cut, w, length = surface.float_landing(sec.edges[i])

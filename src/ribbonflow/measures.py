@@ -24,20 +24,21 @@ piece of a top-edge interval followed by a flow segment.  The chain's
 value against f is a signed count of core-circle crossings, and the
 flow part contributes nothing transverse, so the absolute value is the
 measure.  That value is exact at the cut points of the coding
-refinement.  The measure of [0, t] descends the refinement one return
-step at a time, following only the cell that holds t, and flows at most
-the two chains of that cell's ends: t on an end reads that end's value
-with error 0, any other t the lower end's value with the gap to the
-upper end as the error bound.
+refinement.  The measure of [0, t] reads its refinement cell off the
+orbit of t: each return step is one translation on the cell, so t's
+offset in the interval it lands in bounds the cell on both sides, and
+the cell's ends are the tightest of those bounds.  It then flows at
+most the two chains of the ends: t on an end reads that end's value with
+error 0, any other t the lower end's value with the gap to the upper
+end as the error bound.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .dynamics import HPoint, from_edge, hpoint, iet_step, resolve, walk
+from .dynamics import _jump, from_edge, hpoint, resolve, walk
 from .exact import QuadNum, QVec2, _lift_common, _reduced, _xy, as_quad
 from .graphs import (OracleFun, RibbonGraph, SparseFun, _numbered_ball,
                      pairing)
@@ -172,84 +173,35 @@ def decay_profile(graph: RibbonGraph, f, vertex, data, depth: int
     return decay_profiles(graph, f, data, depth, (vertex,))[0]
 
 
-def _split(surface: Surface, theta, q, ln, a, t):
-    """One return step of the cell of top-interval offsets [q, q + ln)
-    that sits at t on the circle of a.
-
-    Returns the circle a2 of the image, its length, and the starts of the
-    sub-cells that the interval endpoints inside the image cut it into,
-    in order: (offset, position past the image start on a2), the first
-    being (q, image start) and the others the cut offsets of this step.
-    """
-    img = iet_step(surface, theta, HPoint(a, t))
-    a2, t2 = img.a, img.t
-    length = surface.circle_length(a2)
-    ladder = surface.section(a2).cuts
-    # cuts inside the image [t2, t2 + ln), which may run past the circle's
-    # end; there the last cut is the first one again, so the wrapped list
-    # skips cuts[0]
-    end = t2 + ln
-    ends = list(ladder[bisect_right(ladder, t2):bisect_left(ladder, end)])
-    ends += [length + c for c in ladder[1:bisect_left(ladder, end - length)]]
-    return a2, length, [(q, t2)] + [(q + (c - t2), c) for c in ends]
-
-
-def _start_cell(surface: Surface, e):
-    """The whole top interval of e as a cell (q, ln, a, t)."""
-    a = surface.graph.alpha(e)
-    return _ZERO, surface.width(e), a, surface.section(a).offset(e)
-
-
-def _coding_grid(surface: Surface, theta, e, depth: int) -> dict:
-    """Offsets in the top interval of e whose forward orbit meets an
-    interval endpoint within the given number of steps, mapped to the
-    step count of the first hit."""
-    cells = [_start_cell(surface, e)]
-    w = cells[0][1]
-    grid = {_ZERO: 0, w: 0}
-    for step in range(1, depth + 1):
-        refined = []
-        for q, ln, a, t in cells:
-            a2, length, starts = _split(surface, theta, q, ln, a, t)
-            offs = [off for off, _ in starts]
-            for off in offs[1:]:
-                grid.setdefault(off, step)
-            for (off, c), end in zip(starts, offs[1:] + [q + ln]):
-                refined.append((off, end - off, a2, c % length))
-        cells = refined
-    return grid
-
-
 def _cell(surface: Surface, theta, e, t, depth: int):
     """The ends of the cell of the coding refinement through `depth`
     return steps that holds the offset t, as (offset, step) pairs: the
-    step is the first that cut there, as in `_coding_grid`.
+    step is the first that cut there.
 
-    Only the sub-cell holding t is followed, one return step per level.
-    Cuts fall strictly inside the cell they split, so an end keeps the
-    step it was first cut at.  Once t is an end the descent stops and
-    that end is returned twice.
+    The descent follows the orbit of t itself, one jump and one lookup a
+    step, as code_orbit does.  On the cell each of the first `depth`
+    steps is one translation, so when t's k-th image sits at offset o in
+    the top interval of e_k the cell lies in [t - o, t - o + width(e_k)),
+    and the cell is the intersection of these; each end carries the step
+    that moved it there.  Once t is the lower end (o == 0) the descent
+    stops and that end is returned twice, as is the full width.
     """
-    q, ln, a, pos = _start_cell(surface, e)
-    lo, hi = (q, 0), (ln, 0)
-    step = 0
-    while step < depth and lo[0] != t != hi[0]:
-        step += 1
-        a2, length, starts = _split(surface, theta, q, ln, a, pos)
-        i = 0
-        while i + 1 < len(starts) and starts[i + 1][0] <= t:
-            i += 1
-        q, c = starts[i]
-        if i:
-            lo = (q, step)
-        if i + 1 < len(starts):
-            hi = (starts[i + 1][0], step)
-        ln, a, pos = hi[0] - q, a2, c % length
-    if t == lo[0]:
-        return lo, lo
-    if t == hi[0]:
+    w = surface.width(e)
+    lo, hi = (_ZERO, 0), (w, 0)
+    if t == w:
         return hi, hi
-    return lo, hi
+    o = t
+    for step in range(1, depth + 1):
+        if not o:
+            break
+        e, o = resolve(surface, _jump(surface.rotation(theta), e, o))
+        q = t - o
+        if q > lo[0]:
+            lo = (q, step)
+        q += surface.width(e)
+        if q < hi[0]:
+            hi = (q, step)
+    return (lo, lo) if not o else (lo, hi)
 
 
 def _chain_crossings(surface: Surface, theta, e, q, steps: int) -> SparseFun:
@@ -303,8 +255,10 @@ def transversal_measure(surface: Surface, f, theta, e, t, depth: int
     A t on a cut of the coding refinement gets an exact value; otherwise
     the value is that of the cut below t and the error the gap to the
     cut above.  Only the cell holding t is refined, and at most two
-    chains are flowed.
+    chains are flowed.  A negative depth is refused.
     """
+    if depth < 0:
+        raise ValueError('depth must be >= 0, got %r' % depth)
     t = as_quad(t)
     if not (_ZERO <= t <= surface.width(e)):
         raise ValueError('segment end outside the edge')

@@ -176,7 +176,11 @@ def test_conjugate_full_bottom_edge(capsys):
       '--theta', '4, -5+sqrt(41)', '--theta2', '3, -5+sqrt(34)',
       '--depth', '8'],
      '6bdc41c5c604c83a6d08462979eb2334916be612a57c5c051a46d7965804681e'),
-], ids=['gz-12', 'tripod-8'])
+    # the CLI's default depth
+    (['--family', 'tripod:t=2', '--family2', 'tripod:t=3',
+      '--theta', '4, -5+sqrt(41)', '--theta2', '3, -5+sqrt(34)'],
+     '6bff18c0751bcfcd52c023adaabe8a549c2b6e2a8759f7f99da780ef1e1b5dc4'),
+], ids=['gz-12', 'tripod-8', 'tripod-14'])
 def test_conjugate_output_is_pinned(capsys, argv, digest):
     # digests of the output of the full-grid measure this one replaced
     code, out = run(capsys, ['conjugate', *argv])

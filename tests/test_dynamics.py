@@ -535,6 +535,19 @@ def test_float_twins_refuse_a_direction_that_is_not_upward(theta):
     assert str(exact.value) == 'direction must point upward'
 
 
+@pytest.mark.parametrize('t', [-0.5, 1e9, math.nan])
+def test_float_step_refuses_a_coordinate_off_the_circle(t):
+    # the exact step refuses these, so its float twin must too
+    s = Surface.from_family(tripod_family(2))
+    with pytest.raises(ValueError) as flt:
+        iet_step_float(s, (4.0, float(THETA41[1])), FloatState(('c',), t))
+    if not math.isnan(t):
+        with pytest.raises(ValueError) as exact:
+            iet_step(s, THETA41, HPoint(('c',), QuadNum(Fraction(t))))
+        assert str(flt.value) == str(exact.value)
+    assert str(flt.value) == "coordinate beyond circle length at ('c',)"
+
+
 def test_float_step_refuses_sides_that_are_not_positive():
     def path():
         return Surface(PathGraph(),

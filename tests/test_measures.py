@@ -2,7 +2,7 @@
 
 import contextlib
 import io
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ribbonflow import cli, measures, renorm
-from ribbonflow.dynamics import from_edge, iet_step, resolve
+from ribbonflow.dynamics import HPoint, from_edge, iet_step, resolve
 from ribbonflow.eigen import (builtin_families, character, character_eigen,
                               gz_constant, gz_exponential, ntree_constant,
                               tripod_family)
@@ -19,12 +19,11 @@ from ribbonflow.exact import FieldMixError, QVec2, QuadNum, sqrt_rational
 from ribbonflow.freegrp import H, V, V_INV, Letter, Word, rho
 from ribbonflow.graphs import (Heisenberg, IntegersZ, OracleFun, PathGraph,
                                TripodGraph, upsilon_eval, vertices_in_ball)
-from ribbonflow.measures import (DecayProfile, Witness, _coding_grid,
-                                 _cut_measure, _renormalized,
-                                 conjugate_boundary_point, decay_profile,
-                                 decay_profiles, maharam_check, plane_point,
-                                 survivor_check, transposed_surface,
-                                 transversal_measure)
+from ribbonflow.measures import (DecayProfile, Witness, _cut_measure,
+                                 _renormalized, conjugate_boundary_point,
+                                 decay_profile, decay_profiles,
+                                 maharam_check, plane_point, survivor_check,
+                                 transposed_surface, transversal_measure)
 from ribbonflow.renorm import critical_times, shrinking_sequence
 from ribbonflow.surface import Surface
 
@@ -356,6 +355,61 @@ def test_critical_times_need_repeated_quadrant():
     assert critical_times(data)[:6] == (1, 2, 3, 4, 5, 6)
 
 
+# The full coding refinement, every cell split at every step: the oracle
+# that the descent of transversal_measure, which follows one orbit, is
+# held against.
+
+_ZERO = QuadNum(0)
+
+
+def _split(surface: Surface, theta, q, ln, a, t):
+    """One return step of the cell of top-interval offsets [q, q + ln)
+    that sits at t on the circle of a.
+
+    Returns the circle a2 of the image, its length, and the starts of the
+    sub-cells that the interval endpoints inside the image cut it into,
+    in order: (offset, position past the image start on a2), the first
+    being (q, image start) and the others the cut offsets of this step.
+    """
+    img = iet_step(surface, theta, HPoint(a, t))
+    a2, t2 = img.a, img.t
+    length = surface.circle_length(a2)
+    ladder = surface.section(a2).cuts
+    # cuts inside the image [t2, t2 + ln), which may run past the circle's
+    # end; there the last cut is the first one again, so the wrapped list
+    # skips cuts[0]
+    end = t2 + ln
+    ends = list(ladder[bisect_right(ladder, t2):bisect_left(ladder, end)])
+    ends += [length + c for c in ladder[1:bisect_left(ladder, end - length)]]
+    return a2, length, [(q, t2)] + [(q + (c - t2), c) for c in ends]
+
+
+def _start_cell(surface: Surface, e):
+    """The whole top interval of e as a cell (q, ln, a, t)."""
+    a = surface.graph.alpha(e)
+    return _ZERO, surface.width(e), a, surface.section(a).offset(e)
+
+
+def _coding_grid(surface: Surface, theta, e, depth: int) -> dict:
+    """Offsets in the top interval of e whose forward orbit meets an
+    interval endpoint within the given number of steps, mapped to the
+    step count of the first hit."""
+    cells = [_start_cell(surface, e)]
+    w = cells[0][1]
+    grid = {_ZERO: 0, w: 0}
+    for step in range(1, depth + 1):
+        refined = []
+        for q, ln, a, t in cells:
+            a2, length, starts = _split(surface, theta, q, ln, a, t)
+            offs = [off for off, _ in starts]
+            for off in offs[1:]:
+                grid.setdefault(off, step)
+            for (off, c), end in zip(starts, offs[1:] + [q + ln]):
+                refined.append((off, end - off, a2, c % length))
+        cells = refined
+    return grid
+
+
 def lebesgue_staircase():
     fam = gz_constant()
     s = Surface.from_family(fam)
@@ -416,6 +470,16 @@ def test_transversal_rejects_point_outside_edge():
         transversal_measure(s, f, THETA2, 0, s.width(0) + 1, 2)
 
 
+def test_transversal_rejects_negative_depth():
+    # as every ball walk refuses a negative radius
+    s, f = lebesgue_staircase()
+    with pytest.raises(ValueError, match='-3'):
+        transversal_measure(s, f, THETA2, 0, s.width(0) / 3, -3)
+    with pytest.raises(ValueError, match='-3'):
+        conjugate_boundary_point(s, s, THETA2, THETA2, 0, 'bottom',
+                                 s.width(0) / 3, -3)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.fractions(min_value=0, max_value=1),
        st.fractions(min_value=0, max_value=1))
@@ -446,32 +510,69 @@ def pair_sides(pair):
 
 
 def grid_bracket(surface, f, theta, e, depth):
-    """The sorted cuts of the full coding grid, and the (value, error)
-    that bracketing t between them gives."""
+    """The sorted cuts of the full coding grid; the cell of them that
+    holds t, as (offset, step) ends, one cut twice when t is on it; and
+    the (value, error) that bracketing t between them gives."""
     grid = _coding_grid(surface, theta, e, depth)
     cuts = sorted(grid)
     ms = [_cut_measure(surface, f, theta, e, q, grid[q]) for q in cuts]
 
-    def bracket(t):
+    def ends(t):
         i = bisect_left(cuts, t)
-        if cuts[i] == t:
-            return ms[i], 0
-        return ms[i - 1], ms[i] - ms[i - 1]
+        return (i if cuts[i] == t else i - 1), i
 
-    return cuts, bracket
+    def cell(t):
+        return tuple((cuts[i], grid[cuts[i]]) for i in ends(t))
+
+    def bracket(t):
+        lo, hi = ends(t)
+        return ms[lo], ms[hi] - ms[lo]
+
+    return cuts, cell, bracket
 
 
-@pytest.mark.parametrize('pair', [gz_pair, tripod_pair])
-def test_descent_matches_the_full_grid(pair):
-    for surface, f, theta, e in pair_sides(pair):
+def staircase_edges(theta=THETA2):
+    s, f = lebesgue_staircase()
+    return [(s, f, theta, e) for e in (0, -1, 3)]
+
+
+def staircase_rational_edges():
+    """A rational direction, whose orbits of cuts meet cuts again: an end
+    that a later step lands on keeps its first step."""
+    return staircase_edges((QuadNum(1), QuadNum(2)))
+
+
+def z_skew_sides():
+    """Both sides of the root's base edge on the Z skew surface of the
+    character 4, whose circles wrap images past their ends."""
+    fam = character_eigen(IntegersZ(), (1, -1), 4)
+    s = Surface.from_family(fam)
+    theta = (sqrt_rational(2) / 2 - QuadNum('1/2'), QuadNum('1/2'))
+    f = plane_point(fam.graph, fam.weight, theta)
+    e = fam.graph.base_edge(fam.root)
+    return [(s, f, theta, s.south(e)),
+            (transposed_surface(s), f, theta[::-1], s.west(e))]
+
+
+@pytest.mark.parametrize('sides', [
+    lambda: pair_sides(gz_pair), lambda: pair_sides(tripod_pair),
+    staircase_edges, staircase_rational_edges, z_skew_sides],
+    ids=['gz_pair', 'tripod_pair', 'staircase', 'staircase_rational',
+         'z_skew'])
+def test_descent_matches_the_full_grid(sides):
+    for surface, f, theta, e in sides():
         w = surface.width(e)
-        for depth in (0, 2, 5, 8):
-            cuts, bracket = grid_bracket(surface, f, theta, e, depth)
+        for depth in (0, 1, 2, 5, 8, 12):
+            cuts, cell, bracket = grid_bracket(surface, f, theta, e, depth)
+            # the grid holds 0 and the full width
             ts = set(cuts) | {w * QuadNum(Fraction(k, 60))
                               for k in range(61)}
             for t in sorted(ts):
                 tm = transversal_measure(surface, f, theta, e, t, depth)
                 assert (tm.value, tm.error) == bracket(t), (depth, t)
+                # each end carries the step the grid first cut it at
+                assert measures._cell(surface, theta, e, t, depth) == cell(
+                    t), (depth, t)
 
 
 README_CONJUGATE = [
@@ -491,9 +592,10 @@ def test_measure_flows_at_most_two_chains(monkeypatch):
         steps.append(args)
         return step(*args)
 
-    chain, step = measures._chain_crossings, measures.iet_step
+    # the descent's own step; the chains resolve points too
+    chain, step = measures._chain_crossings, measures._jump
     monkeypatch.setattr(measures, '_chain_crossings', counted_chain)
-    monkeypatch.setattr(measures, 'iet_step', counted_step)
+    monkeypatch.setattr(measures, '_jump', counted_step)
     for pair in (gz_pair, tripod_pair):
         for surface, f, theta, e in pair_sides(pair):
             w = surface.width(e)
@@ -504,6 +606,13 @@ def test_measure_flows_at_most_two_chains(monkeypatch):
                                         w * QuadNum(Fraction(k, 60)), depth)
                     assert 1 <= len(chains) <= 2
                     assert len(steps) <= depth
+            # a cut first hit at step k stops the descent there
+            grid = _coding_grid(surface, theta, e, 12)
+            assert set(grid.values()) > {0, 1}
+            for q, k in grid.items():
+                del steps[:]
+                transversal_measure(surface, f, theta, e, q, 12)
+                assert len(steps) == k, (q, k)
     del chains[:]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(README_CONJUGATE) == 0
