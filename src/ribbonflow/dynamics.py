@@ -7,10 +7,14 @@ edge to the next one counterclockwise around its B-vertex) followed by a
 rotation R^u of each circle by u times its cylinder height, u = x/y.  A
 circle of height w has length lam*w, so R^u turns it by w*r with
 r = u mod lam: one residue serves every circle.  The surface keeps each
-edge's landing (the target circle, the cut there, its height and length)
-and, for the last direction, a jump table holding base = cut + w*r per
-edge.  An exact step is then one bisection, the sum base + offset and one
-comparison against the circle's length, with at most one subtraction.
+edge's landing (the target circle, the cut there, its height and length),
+each circle's cuts lifted once to ints over one denominator, and, for the
+last direction, a jump table holding base = cut + w*r and the length per
+edge, lifted the same way.  An exact step is then on ints: a bisection
+that reads the signs of int differences (_locate), the offset t - cut,
+and the sum base + offset with one comparison against the circle's
+length and at most one subtraction (_land); the one QuadNum it builds is
+the point it yields.  resolve and _jump are the QuadNum faces of the two.
 Exact quadratic arithmetic reproduces orbits bit for bit; the float mode,
 for long statistical runs, reads the landings rounded once and refuses
 what the exact routes refuse.  The exact skew rotation is one loop, whose
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .exact import QuadNum, _floor, _join, _reduced, _xy, as_quad
+from .exact import QuadNum, _floor, _join, _reduced, _sign, _xy, as_quad
 from .surface import Jumps, Surface, _theta_parts, _upward
 
 _ZERO = QuadNum(0)
@@ -105,16 +109,94 @@ def hpoint(surface: Surface, a, t) -> HPoint:
     return HPoint(a, as_quad(t) % surface.circle_length(a))
 
 
+def _locate(surface: Surface, a, t):
+    """The edge whose top interval on the circle at a holds t, and the
+    offset of t in it on ints: (e, oa, ob, oq, d), the offset being
+    (oa + ob*sqrt(d))/oq, not reduced.
+
+    The bisection is bisect_right over the circle's int cuts (see
+    Surface.int_cuts), cut i being (A[i] + B[i]*sqrt(dc))/q.  Over
+    L = lcm(q, t's denominator), t = (ta + tb*sqrt(d))/L and k = L/q,
+    t < cut i is _sign(ta - A[i]*k, tb - B[i]*k, d) < 0, and the offset
+    is the same two differences over L.  t outside [0, cuts[-1]) is
+    refused.  The cuts compared are those bisect_right compares, so a
+    FieldMixError comes at the first irrational cut of another field,
+    naming t's field first, as t < cut does.
+    """
+    if type(t) is not QuadNum:
+        t = as_quad(t)
+    edges, A, B, q, dc = surface.int_cuts(a)
+    ta, tb, tq, d = t._a, t._b, t._q, t._d
+    mixed = d and dc and d != dc
+    if not d:
+        d = dc
+    if tq % q:
+        s = q // math.gcd(tq, q)
+        ta, tb, tq = ta * s, tb * s, tq * s
+    k = tq // q
+    lo, hi = 0, len(A)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mixed and B[mid]:
+            _join(d, dc)
+        if _sign(ta - A[mid] * k, tb - B[mid] * k, d) < 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    i = lo - 1
+    if not 0 <= i < len(edges):
+        raise ValueError('coordinate beyond circle length at %r' % (a,))
+    # lo = i + 1 came from a comparison with cut i, so a mix there raised
+    return edges[i], ta - A[i] * k, tb - B[i] * k, tq, d
+
+
+def _land(jumps: Jumps, e, oa: int, ob: int, oq: int, od: int) -> HPoint:
+    """S then R^u from the offset (oa + ob*sqrt(od))/oq in [0, width(e)]
+    of e's top interval, for the rotation of the table jumps: across the
+    top of e into the cylinder above, then round that cylinder's circle
+    by u times its height.
+
+    The table's entry holds base = cut + r*w and the circle's length
+    over one denominator (see Jumps).  The sum base + o lies in
+    [0, 2 * length) when the cuts fill the circle (see Surface.landing),
+    so one comparison and at most one subtraction reduce it, on ints;
+    other weights take the modulus.  Either way the value is that of
+    (cut + o + u*w) % length, and a FieldMixError names the field of
+    base + o first, base's before o's, as the sum and its comparison
+    against the length do.
+    """
+    a2, ba, bb, bd, la, lb, ld, q = jumps[e]
+    d = bd
+    if ob and od != d:
+        d = _join(d, od)
+    if q != oq:
+        if oq % q:
+            g = math.gcd(q, oq)
+            s, k = oq // g, q // g
+            oa, ob = oa * k, ob * k
+        else:
+            s = oq // q
+        ba, bb, la, lb, q = ba * s, bb * s, la * s, lb * s, q * s
+    ta, tb = ba + oa, bb + ob
+    if ld and ld != d:
+        if tb:
+            _join(d, ld)
+        d = ld
+    if _sign(ta - la, tb - lb, d) >= 0:
+        ta, tb = ta - la, tb - lb
+        if _sign(ta - la, tb - lb, d) >= 0:
+            return HPoint(a2, _reduced(ta, tb, q, d) % _reduced(la, lb, q, d))
+    return HPoint(a2, _reduced(ta, tb, q, d))
+
+
 def resolve(surface: Surface, p: HPoint):
     """The edge whose top interval contains the point, plus the offset
-    inside it.  Intervals are half open on the right, so a point on a cut
-    resolves to offset 0; its left continuation is the west neighbor at
-    its full width, as in SingularHit.left."""
-    sec = surface.section(p.a)
-    i = bisect_right(sec.cuts, p.t) - 1
-    if not 0 <= i < len(sec.edges):
-        raise ValueError('coordinate beyond circle length at %r' % (p.a,))
-    return sec.edges[i], p.t - sec.cuts[i]
+    inside it, _locate's offset as a QuadNum.  Intervals are half
+    open on the right, so a point on a cut resolves to offset 0; its left
+    continuation is the west neighbor at its full width, as in
+    SingularHit.left."""
+    e, oa, ob, oq, d = _locate(surface, p.a, p.t)
+    return e, _reduced(oa, ob, oq, d)
 
 
 def from_edge(surface: Surface, e, offset) -> HPoint:
@@ -124,30 +206,17 @@ def from_edge(surface: Surface, e, offset) -> HPoint:
 
 
 def _jump(jumps: Jumps, e, o) -> HPoint:
-    """S then R^u from offset o in [0, width(e)] of e's top interval,
-    for the rotation of the table jumps: across the top of e into the
-    cylinder above, then round that cylinder's circle by u times its
-    height.
-
-    The table's base is cut + r*w; the sum base + o lies in
-    [0, 2 * length) when the cuts fill the circle (see Surface.landing),
-    so one subtraction reduces it; other weights take the modulus.
-    Either way the value is that of (cut + o + u*w) % length.
-    """
-    a2, base, length = jumps[e]
-    t2 = base + o
-    if t2 < length:
-        return HPoint(a2, t2)
-    t2 = t2 - length
-    return HPoint(a2, t2 if t2 < length else t2 % length)
+    """_land from an offset o given as a number: S then R^u from offset
+    o in [0, width(e)] of e's top interval."""
+    o = o if type(o) is QuadNum else as_quad(o)
+    return _land(jumps, e, o._a, o._b, o._q, o._d)
 
 
 def iet_step(surface: Surface, theta, p: HPoint) -> HPoint:
     """One step of the return map: jump to the next interval around the
     B-vertex, then rotate the target circle by (x/y) times its height."""
     jumps = surface.rotation(theta)
-    e, o = resolve(surface, p)
-    return _jump(jumps, e, o)
+    return _land(jumps, *_locate(surface, p.a, p.t))
 
 
 def _exact(x):
@@ -255,15 +324,15 @@ def code_orbit(surface: Surface, theta, p: HPoint, steps: int,
 
     def legs(p):
         for k in range(steps):
-            e, o = resolve(surface, p)
-            if not o:
-                if branch is None:
-                    raise SingularHitError(
-                        'orbit hit an interval endpoint at step %d' % k)
-                if branch == 'left':
-                    e = surface.west(e)
-                    o = surface.width(e)
-            p = _jump(jumps, e, o)
+            e, oa, ob, oq, d = _locate(surface, p.a, p.t)
+            if oa or ob or branch == 'right':
+                p = _land(jumps, e, oa, ob, oq, d)
+            elif branch is None:
+                raise SingularHitError(
+                    'orbit hit an interval endpoint at step %d' % k)
+            else:
+                e = surface.west(e)
+                p = _jump(jumps, e, surface.width(e))
             yield e, p   # the symbol and the landing point
 
     done = list(_budgeted(legs(p), p.a, budget, lambda leg: leg[1].a))
@@ -320,7 +389,8 @@ def skew_step(n: int, alpha, group, generators, state):
     group coordinate by the generator of the point's subinterval."""
     if not (generators and n == len(generators)):
         _check_skew(n, group, generators, state[0])   # raises, naming it
-    return next(_skew_states(n, alpha, group, generators, state, 1))
+    (out,) = _skew_states(n, alpha, group, generators, state, 1)
+    return out
 
 
 def skew_orbit(n: int, alpha, group, generators, state, steps: int,

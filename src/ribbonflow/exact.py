@@ -275,18 +275,27 @@ class QuadNum:
         return _reduced(a * oq - k * oa * q, b * oq - k * ob * q, q * oq, d)
 
     def __str__(self) -> str:
-        a, b = self.rational_part, self.radical_part
-        if b == 0:
-            return str(a)
-        root = 'sqrt(%d)' % self._d
-        mag = abs(b)
-        term = root if mag == 1 else '%s*%s' % (mag, root)
-        if a == 0:
+        a, b = self._a, self._b
+        text = _ratio(a, self._q)
+        if not b:
+            return text
+        mag = _ratio(abs(b), self._q)
+        term = ('sqrt(%d)' if mag == '1' else mag + '*sqrt(%d)') % self._d
+        if not a:
             return term if b > 0 else '-' + term
-        return '%s%s%s' % (a, '+' if b > 0 else '-', term)
+        return '%s%s%s' % (text, '+' if b > 0 else '-', term)
 
     def __repr__(self) -> str:
         return "QuadNum('%s')" % self
+
+
+def _ratio(n: int, q: int) -> str:
+    """str(Fraction(n, q)) for q > 0, read off the ints."""
+    g = math.gcd(n, q)
+    if g != 1:
+        n //= g
+        q //= g
+    return '%d/%d' % (n, q) if q != 1 else str(n)
 
 
 def _reduced(a: int, b: int, q: int, d: int) -> QuadNum:

@@ -297,7 +297,12 @@ class _Transposed(RibbonGraph):
 
 
 def transposed_surface(surface: Surface) -> Surface:
-    return Surface(_Transposed(surface.graph), surface.weight, surface.lam)
+    """The mirror surface, built on first use and kept on the surface, so
+    its sections, landings and jump tables are built once."""
+    if surface._mirror is None:
+        surface._mirror = Surface(_Transposed(surface.graph),
+                                  surface.weight, surface.lam)
+    return surface._mirror
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,11 @@ phi_homology is the shear action on classes.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 from typing import NamedTuple
 
-from .exact import QuadNum, QVec2, _xy, as_quad
+from .exact import QuadNum, QVec2, _lift_common, _xy, as_quad
 from .freegrp import Letter, Word
 from .graphs import RibbonGraph, SparseFun, _rings
 
@@ -56,8 +57,12 @@ class Landing(NamedTuple):
 
 class Jumps(dict):
     """Each edge's jump for one rotation r, built from its landing on
-    first use: (a, cut + r * weight, length), so that offset o of the
-    edge's top interval lands at cut + o + r * weight, one sum."""
+    first use: the circle a, base = cut + r * weight and the circle's
+    length, so that offset o of the edge's top interval lands at
+    base + o, one sum.  base and the length are lifted to ints over one
+    denominator q, each with its own field: the entry is
+    (a, A, B, d, LA, LB, ld, q) for base = (A + B*sqrt(d))/q and
+    length = (LA + LB*sqrt(ld))/q."""
 
     __slots__ = ('landing', 'r')
 
@@ -68,7 +73,11 @@ class Jumps(dict):
 
     def __missing__(self, e):
         a2, cut, w, length = self.landing(e)
-        jump = self[e] = (a2, cut + self.r * w, length)
+        base = cut + self.r * w
+        q = math.lcm(base._q, length._q)
+        s, k = q // base._q, q // length._q
+        jump = self[e] = (a2, base._a * s, base._b * s, base._d,
+                          length._a * k, length._b * k, length._d, q)
         return jump
 
 
@@ -93,10 +102,12 @@ class Surface:
         self.weight = weight
         self.lam = as_quad(lam)
         self._sections = {}
+        self._int_cuts = {}
         self._float_cuts = {}
         self._landings = {}
         self._float_landings = {}
         self._rotation = None
+        self._mirror = None   # measures.transposed_surface keeps it here
 
     @classmethod
     def from_family(cls, family) -> 'Surface':
@@ -186,6 +197,17 @@ class Surface:
         jumps = Jumps(self.landing, (lam + x / y) % lam)
         self._rotation = (x, y, jumps)
         return jumps
+
+    def int_cuts(self, a) -> tuple:
+        """The section at an A-vertex with its cuts lifted once to ints
+        over one denominator for the exact step's bisection: (edges, A,
+        B, q, d) with cuts[i] == (A[i] + B[i]*sqrt(d))/q, built on first
+        use and kept."""
+        cuts = self._int_cuts.get(a)
+        if cuts is None:
+            sec = self.section(a)
+            cuts = self._int_cuts[a] = (sec.edges, *_lift_common(sec.cuts))
+        return cuts
 
     def float_cuts(self, a) -> tuple:
         """The section's cuts at an A-vertex rounded once for the float

@@ -188,6 +188,31 @@ def test_conjugate_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+GZ_CUT_ORBIT = ['simulate', '--family', 'gz_constant', '--theta', '1, 2',
+                '--steps', '400', '--branch']
+
+
+@pytest.mark.parametrize('argv,digest', [
+    # lands on cuts, so the left branch steps through the QuadNum jump
+    (GZ_CUT_ORBIT + ['left'],
+     'd8c9c17f7de143ebb16882aaa9008f97b4ea2561e49e46e44f801d1fc9a2e160'),
+    # denominators grow with every step
+    (['simulate', '--family', 'tripod:t=2', '--theta', '1, sqrt(3)',
+      '--steps', '300'],
+     '81008ae35d812950bf557d05aa4b6453f46182ef48ff4ec1df228aa2fe9b2c27'),
+], ids=['gz-cuts-left', 'tripod-growing'])
+def test_simulate_orbits_are_pinned(capsys, argv, digest):
+    code, out = run(capsys, argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_the_pinned_cut_orbit_depends_on_its_branch(capsys):
+    outs = [run(capsys, GZ_CUT_ORBIT + [branch])[1]
+            for branch in ('left', 'right')]
+    assert outs[0] != outs[1]
+
+
 @pytest.mark.parametrize('argv, code, digest', [
     (['omega', '--n', '2', '--alpha', '1/2*sqrt(2)'], EXIT_OK,
      'd107a3f96165a6ac34f16889e7c76ebaf4faced1629fb781566225ab9f4f65c4'),

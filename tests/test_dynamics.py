@@ -712,11 +712,36 @@ def _rotation_jump(s, theta, e, o):
     return HPoint(a2, t2 if t2 < length else t2 % length)
 
 
+def _bisect_resolve(surface, p):
+    """The lookup as QuadNum arithmetic, as resolve ran it before the int
+    cuts: bisect_right over Section.cuts, then t - cut."""
+    sec = surface.section(p.a)
+    i = bisect_right(sec.cuts, p.t) - 1
+    if not 0 <= i < len(sec.edges):
+        raise ValueError('coordinate beyond circle length at %r' % (p.a,))
+    return sec.edges[i], p.t - sec.cuts[i]
+
+
+def _table_jump(s, theta, e, o):
+    """The jump as QuadNum arithmetic, as _jump ran it before the int
+    lift: the table's (a2, cut + r*w, length), then base + o, one
+    comparison, at most one subtraction, else the modulus."""
+    x, y = map(as_quad, theta)
+    r = (s.lam + x / y) % s.lam
+    a2, cut, w, length = s.landing(e)
+    base = cut + r * w
+    t2 = base + o
+    if t2 < length:
+        return HPoint(a2, t2)
+    t2 = t2 - length
+    return HPoint(a2, t2 if t2 < length else t2 % length)
+
+
 def _oracle_code(jump, s, theta, p, steps, branch):
-    """code_orbit stepped by a reference jump."""
+    """code_orbit stepped by a reference lookup and a reference jump."""
     symbols, points = [], []
     for _ in range(steps):
-        e, o = resolve(s, p)
+        e, o = _bisect_resolve(s, p)
         if not o and branch == 'left':
             e = s.west(e)
             o = s.width(e)
@@ -755,7 +780,7 @@ def test_step_matches_the_modular_form(run):
     s, theta, p = run
     q = p
     for _ in range(25):
-        e, o = resolve(s, q)
+        e, o = _bisect_resolve(s, q)
         want = _modular_jump(s, theta, e, o)
         assert _rotation_jump(s, theta, e, o) == want
         q = iet_step(s, theta, q)
@@ -764,6 +789,89 @@ def test_step_matches_the_modular_form(run):
         got = code_orbit(s, theta, p, 25, branch=branch)
         assert got == _oracle_code(_modular_jump, s, theta, p, 25, branch)
         assert got == _oracle_code(_rotation_jump, s, theta, p, 25, branch)
+
+
+def _outcome(f, *args):
+    """f(*args), or the class and text of the error it raised."""
+    try:
+        return f(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _lookup_points(s):
+    """Points on the root's circle and on the circles its edges land on:
+    t = 0 and t on every cut, t = cut + 1/97, whose denominator divides
+    no cut's, and a t with a 40-digit denominator."""
+    root = s.graph.root()
+    big = 10 ** 39 + 7
+    for a in dict.fromkeys([root, *(s.landing(e).a
+                                    for e in s.graph.edges_at(root))]):
+        cuts = s.section(a).cuts
+        for cut in cuts[:-1]:
+            yield HPoint(a, cut)
+            yield HPoint(a, cut + Fraction(1, 97))
+        yield HPoint(a, cuts[-1] * Fraction(big // 3, big))
+
+
+@pytest.mark.parametrize('name', sorted(ORACLE_SURFACES))
+def test_int_lookup_and_landing_match_the_quadnum_ones(name):
+    make, field = ORACLE_SURFACES[name]
+    s, ref = make(), make()
+    for theta in ((1, 1), (QuadNum(3, 1, field), 3)):
+        for p in _lookup_points(ref):
+            want = _outcome(_bisect_resolve, ref, p)
+            assert _outcome(resolve, s, p) == want
+            assert _outcome(iet_step, s, theta, p) == _outcome(
+                lambda: _table_jump(ref, theta, *_bisect_resolve(ref, p)))
+            for branch in ('left', 'right'):
+                assert _outcome(code_orbit, s, theta, p, 12, branch) == \
+                    _outcome(_oracle_code, _table_jump, ref, theta, p, 12,
+                             branch)
+
+
+@pytest.mark.parametrize('name', sorted(ORACLE_SURFACES))
+def test_lookup_refuses_the_circle_end_and_negative_coordinates(name):
+    s = ORACLE_SURFACES[name][0]()
+    a = s.graph.root()
+    # the sum of the widths: the circle's length, but where the cuts
+    # overrun the circle; hpoint would wrap both points, so they are raw
+    end = s.section(a).cuts[-1]
+    assert end == s.circle_length(a) or name == 'path-not-eigen'
+    message = 'coordinate beyond circle length at %r' % (a,)
+    for t in (end, -QuadNum(Fraction(1, 3))):
+        p = HPoint(a, t)
+        for f, *args in ((_bisect_resolve, s, p), (resolve, s, p),
+                         (iet_step, s, (1, 1), p),
+                         (code_orbit, s, (1, 1), p, 3, 'left')):
+            assert _outcome(f, *args) == (ValueError, message)
+
+
+def test_field_mixes_name_the_quadnum_routes_field_first():
+    third = QuadNum(0, Fraction(1, 100), 3)   # sqrt(3)/100
+    # in the lookup, t against the irrational cuts: t's field first
+    s = ORACLE_SURFACES['tripod-sqrt2'][0]()
+    p = HPoint(s.graph.root(), third)
+    want = (FieldMixError, 'cannot combine sqrt(3) with sqrt(2)')
+    assert _outcome(_bisect_resolve, s, p) == want
+    assert _outcome(resolve, s, p) == want
+    assert _outcome(iet_step, s, (1, 1), p) == want
+    # in the landing, base + o on rational cuts: base's field first
+    s = staircase()
+    theta = stair_theta(ALPHA)
+    p = HPoint(('a', 0), third)
+    e, o = _bisect_resolve(s, p)
+    want = (FieldMixError, 'cannot combine sqrt(2) with sqrt(3)')
+    assert _outcome(_table_jump, s, theta, e, o) == want
+    assert _outcome(iet_step, s, theta, p) == want
+    assert _outcome(code_orbit, s, theta, p, 1) == want
+    # and against the length, for a rational base: the sum's field first
+    s = Surface(PathGraph(), lambda v: QuadNum(1), sqrt_rational(2))
+    p = HPoint(0, third)
+    e, o = _bisect_resolve(s, p)
+    want = (FieldMixError, 'cannot combine sqrt(3) with sqrt(2)')
+    assert _outcome(_table_jump, s, (1, 1), e, o) == want
+    assert _outcome(iet_step, s, (1, 1), p) == want
 
 
 @pytest.mark.parametrize('name', ['tripod', 'gz_constant', 'staircase',

@@ -196,6 +196,36 @@ def test_parse_serialize_inverse(x):
     assert parse_quad(str(x)) == x
 
 
+def _fraction_str(x):
+    """str of a QuadNum through its Fraction parts, as __str__ formed it
+    before it read the ints."""
+    a, b = x.rational_part, x.radical_part
+    if b == 0:
+        return str(a)
+    root = 'sqrt(%d)' % x.field_disc
+    mag = abs(b)
+    term = root if mag == 1 else '%s*%s' % (mag, root)
+    if a == 0:
+        return term if b > 0 else '-' + term
+    return '%s%s%s' % (a, '+' if b > 0 else '-', term)
+
+
+@given(pair=compared_pairs())
+def test_str_reads_the_ints_as_the_fractions_read(pair):
+    # every test field, either sign of each part, 2- and 40-digit parts
+    for x in map(QuadNum, pair):
+        conjugate = QuadNum(x.rational_part, -x.radical_part, x.field_disc)
+        for y in (x, -x, conjugate):
+            assert str(y) == _fraction_str(y)
+
+
+def test_str_of_unit_and_zero_parts():
+    for text in ('0', '1', '-1', '1/2', '-7/3', 'sqrt(2)', '-sqrt(2)',
+                 '1/2*sqrt(3)', '-3/2*sqrt(5)', '1+sqrt(41)',
+                 '-5/7+3/7*sqrt(41)', '2-sqrt(5)', '-1/3-2/3*sqrt(7)'):
+        assert str(QuadNum(text)) == _fraction_str(QuadNum(text)) == text
+
+
 def same(x, y):
     return x == y and hash(x) == hash(y)
 

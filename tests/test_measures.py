@@ -645,6 +645,27 @@ def test_transposed_surface_swaps_the_gluings(fam):
             assert ts.width(e) == s.height(e)
 
 
+@pytest.mark.parametrize('pair', [gz_pair, tripod_pair])
+def test_conjugacy_keeps_one_mirror_per_surface(pair):
+    # the left points of the benchmark's depth-8 conjugacy jobs: one
+    # surface, whose mirror every call shares, against a fresh surface and
+    # so a fresh mirror per call
+    w1, w2, _, theta2 = pair()
+    s1, s2 = Surface.from_family(w1), Surface.from_family(w2)
+    assert transposed_surface(s1) is transposed_surface(s1)
+    assert transposed_surface(s1) is not transposed_surface(
+        Surface.from_family(w1))
+    e = w1.graph.base_edge(w1.root)
+    for k in range(1, 8):
+        t = s1.height(e) * Fraction(k, 8)
+        shared = conjugate_boundary_point(s1, s2, THETA1[pair], theta2, e,
+                                          'left', t, 8)
+        fresh = conjugate_boundary_point(Surface.from_family(w1), s2,
+                                         THETA1[pair], theta2, e, 'left',
+                                         t, 8)
+        assert shared == fresh
+
+
 def test_conjugacy_full_bottom_edge_exact():
     w1, w2, _, theta2 = gz_pair()
     s1, s2 = Surface.from_family(w1), Surface.from_family(w2)
