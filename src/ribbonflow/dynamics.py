@@ -6,18 +6,16 @@ cylinders.  The return map factors as a combinatorial jump S (each top
 edge to the next one counterclockwise around its B-vertex) followed by a
 rotation R^u of each circle by u times its cylinder height, u = x/y.  A
 circle of height w has length lam*w, so R^u turns it by w*r with
-r = u mod lam: one residue serves every circle.  The surface keeps each
-edge's landing (the target circle, the cut there, its height and length),
-each circle's cuts lifted once to ints over one denominator, and, for the
-last direction, a jump table holding base = cut + w*r and the length per
-edge, lifted the same way.  An exact step is then on ints: a bisection
-that reads the signs of int differences (_locate), the offset t - cut,
-and the sum base + offset with one comparison against the circle's
-length and at most one subtraction (_land); the one QuadNum it builds is
-the point it yields.  resolve and _jump are the QuadNum faces of the two.
-Exact quadratic arithmetic reproduces orbits bit for bit; the float mode,
-for long statistical runs, reads the landings rounded once and refuses
-what the exact routes refuse.  The exact skew rotation is one loop, whose
+r = u mod lam: one residue serves every circle.  An exact step is on
+ints: _locate bisects the int lift of the circle's cuts (Section.lift)
+and gives the offset t - cut, and _land adds it to base = cut + w*r from
+the direction's jump table (Jumps) and reduces by the circle's length;
+the one QuadNum it builds is the point it yields.  iet_step is one such
+step and _legs the one orbit of them, landing only when the next step is
+asked for; resolve is _locate's QuadNum face.  Exact quadratic
+arithmetic reproduces orbits bit for bit; the float mode, for long
+statistical runs, reads the landings rounded once and refuses what the
+exact routes refuse.  The exact skew rotation is one loop, whose
 one-step case is skew_step: it lifts x and alpha once to ints over one
 denominator, so a step is a floor, two int adds and a floor.  Every orbit
 counts its budget in _budgeted.
@@ -28,7 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count, islice
 from operator import itemgetter
 
 from .exact import QuadNum, _floor, _join, _reduced, _sign, _xy, as_quad
@@ -115,7 +113,7 @@ def _locate(surface: Surface, a, t):
     (oa + ob*sqrt(d))/oq, not reduced.
 
     The bisection is bisect_right over the circle's int cuts (see
-    Surface.int_cuts), cut i being (A[i] + B[i]*sqrt(dc))/q.  Over
+    Section.lift), cut i being (A[i] + B[i]*sqrt(dc))/q.  Over
     L = lcm(q, t's denominator), t = (ta + tb*sqrt(d))/L and k = L/q,
     t < cut i is _sign(ta - A[i]*k, tb - B[i]*k, d) < 0, and the offset
     is the same two differences over L.  t outside [0, cuts[-1]) is
@@ -125,7 +123,7 @@ def _locate(surface: Surface, a, t):
     """
     if type(t) is not QuadNum:
         t = as_quad(t)
-    edges, A, B, q, dc = surface.int_cuts(a)
+    edges, _, (A, B, q, dc) = surface.section(a)
     ta, tb, tq, d = t._a, t._b, t._q, t._d
     mixed = d and dc and d != dc
     if not d:
@@ -203,13 +201,6 @@ def from_edge(surface: Surface, e, offset) -> HPoint:
     """The circle point at a given offset inside the top interval of e."""
     a = surface.graph.alpha(e)
     return HPoint(a, surface.section(a).offset(e) + as_quad(offset))
-
-
-def _jump(jumps: Jumps, e, o) -> HPoint:
-    """_land from an offset o given as a number: S then R^u from offset
-    o in [0, width(e)] of e's top interval."""
-    o = o if type(o) is QuadNum else as_quad(o)
-    return _land(jumps, e, o._a, o._b, o._q, o._d)
 
 
 def iet_step(surface: Surface, theta, p: HPoint) -> HPoint:
@@ -290,16 +281,17 @@ def flow_to_next_edge_float(surface: Surface, theta, edge, x: float,
     return a, float(surface.section(a).offset(e)) + x_top
 
 
-def _budgeted(states, start, budget, key=itemgetter(1)):
-    """An orbit's states; with a budget, OrbitEscapedBudget at the first
-    whose key (a skew state's group element, a landing's A-vertex) makes
-    more than budget distinct keys, start included."""
+def _budgeted(states, start, budget, key=itemgetter(1), first=1):
+    """An orbit's states, numbered from first; with a budget,
+    OrbitEscapedBudget at the first whose key (a skew state's group
+    element, a leg's A-vertex) makes more than budget distinct keys,
+    start included, naming that state's number."""
     if budget is None:
         return states
 
     def counted():
         seen = {start}
-        for k, state in enumerate(states, 1):
+        for k, state in enumerate(states, first):
             seen.add(key(state))
             if len(seen) > budget:
                 raise OrbitEscapedBudget(k, len(seen))
@@ -308,35 +300,43 @@ def _budgeted(states, start, budget, key=itemgetter(1)):
     return counted()
 
 
+def _legs(surface: Surface, jumps: Jumps, p: HPoint, branch):
+    """The orbit of p under the return map of the table jumps, one leg
+    (located, point) a step, located being _locate's (e, offset ints) for
+    the point; on a cut branch 'left' takes the west edge at its full
+    width and no branch raises.  Each landing waits for its leg to be
+    asked for."""
+    for k in count():
+        at = e, oa, ob, oq, d = _locate(surface, p.a, p.t)
+        if not (oa or ob or branch == 'right'):
+            if branch is None:
+                raise SingularHitError(
+                    'orbit hit an interval endpoint at step %d' % k)
+            e = surface.west(e)
+            w = as_quad(surface.width(e))
+            at = e, oa, ob, oq, d = e, w._a, w._b, w._q, w._d
+        yield at, p
+        p = _land(jumps, e, oa, ob, oq, d)
+
+
 def code_orbit(surface: Surface, theta, p: HPoint, steps: int,
                branch=None, budget=None):
     """The itinerary of top-edge symbols along an orbit of the return
-    map.
+    map, and its points from p on, steps of each.
 
     A landing exactly on an interval endpoint is singular: the symbol
     depends on the side, so it raises unless a branch ('left' or
     'right') picks one.  A vertex budget bounds how much of the graph
-    the orbit may expand before OrbitEscapedBudget.
+    the orbit may expand before OrbitEscapedBudget, which counts the
+    landings made.
     """
     if branch not in (None, 'left', 'right'):
         raise ValueError("branch must be None, 'left' or 'right'")
-    jumps = surface.rotation(theta)
-
-    def legs(p):
-        for k in range(steps):
-            e, oa, ob, oq, d = _locate(surface, p.a, p.t)
-            if oa or ob or branch == 'right':
-                p = _land(jumps, e, oa, ob, oq, d)
-            elif branch is None:
-                raise SingularHitError(
-                    'orbit hit an interval endpoint at step %d' % k)
-            else:
-                e = surface.west(e)
-                p = _jump(jumps, e, surface.width(e))
-            yield e, p   # the symbol and the landing point
-
-    done = list(_budgeted(legs(p), p.a, budget, lambda leg: leg[1].a))
-    return [e for e, _ in done], [p, *(q for _, q in done)][:-1]
+    legs = islice(_legs(surface, surface.rotation(theta), p, branch),
+                  max(steps, 0))
+    # leg k is the point after k landings
+    done = list(_budgeted(legs, p.a, budget, lambda leg: leg[1].a, 0))
+    return [at[0] for at, _ in done], [q for _, q in done]
 
 
 def _check_skew(n: int, group, generators, x) -> None:

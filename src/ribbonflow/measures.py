@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .dynamics import _jump, from_edge, hpoint, resolve, walk
+from .dynamics import _land, _legs, walk
 from .exact import QuadNum, QVec2, _lift_common, _reduced, _xy, as_quad
 from .graphs import (OracleFun, RibbonGraph, SparseFun, _numbered_ball,
                      pairing)
@@ -178,48 +178,51 @@ def _cell(surface: Surface, theta, e, t, depth: int):
     return steps that holds the offset t, as (offset, step) pairs: the
     step is the first that cut there.
 
-    The descent follows the orbit of t itself, one jump and one lookup a
-    step, as code_orbit does.  On the cell each of the first `depth`
-    steps is one translation, so when t's k-th image sits at offset o in
-    the top interval of e_k the cell lies in [t - o, t - o + width(e_k)),
-    and the cell is the intersection of these; each end carries the step
-    that moved it there.  Once t is the lower end (o == 0) the descent
-    stops and that end is returned twice, as is the full width.
+    The descent lands t once and follows its orbit on _legs.  On the
+    cell each of the first `depth` steps is one translation, so when t's
+    k-th image sits at offset o in the top interval of e_k the cell lies
+    in [t - o, t - o + width(e_k)), and the cell is the intersection of
+    these; each end carries the step that moved it there.  Once t is the
+    lower end (o == 0) the descent stops and that end is returned twice,
+    as is the full width.
     """
     w = surface.width(e)
     lo, hi = (_ZERO, 0), (w, 0)
     if t == w:
         return hi, hi
     o = t
-    for step in range(1, depth + 1):
-        if not o:
-            break
-        e, o = resolve(surface, _jump(surface.rotation(theta), e, o))
-        q = t - o
-        if q > lo[0]:
-            lo = (q, step)
-        q += surface.width(e)
-        if q < hi[0]:
-            hi = (q, step)
+    if o and depth:
+        jumps = surface.rotation(theta)
+        p = _land(jumps, e, t._a, t._b, t._q, t._d)
+        legs = _legs(surface, jumps, p, 'right')
+        for step, ((e, *at), _) in zip(range(1, depth + 1), legs):
+            o = _reduced(*at)
+            q = t - o
+            if q > lo[0]:
+                lo = (q, step)
+            q += surface.width(e)
+            if q < hi[0]:
+                hi = (q, step)
+            if not o:
+                break
     return (lo, lo) if not o else (lo, hi)
 
 
 def _chain_crossings(surface: Surface, theta, e, q, steps: int) -> SparseFun:
     """Signed core-circle crossing counts of the chain running along
     the top interval of e to offset q and then flowing for the given
-    number of return steps."""
+    number of return steps; each step walks up from the (edge, offset)
+    where the last one ended."""
     x, y = _theta_parts(theta)
     u = x / y
     terms = []
     w = surface.width(e)
     if 2 * q >= w and q > 0:
         terms.append((surface.graph.beta(e), 1))
-    start = from_edge(surface, e, q)
-    # q may be the full width, which can end the circle
-    p = hpoint(surface, start.a, start.t)
+    if q == w:
+        e, q = surface.east(e), _ZERO
     for _ in range(steps):
-        e1, o = resolve(surface, p)
-        legs = walk(surface, u, surface.north(e1), o, _ZERO)
+        legs = walk(surface, u, surface.north(e), q, _ZERO)
         h = surface.height(legs[0][0])
         for r, wr, x0, y0, x1, y1 in legs:
             if u > 0 and x0 < wr / 2 <= x1:
@@ -228,8 +231,7 @@ def _chain_crossings(surface: Surface, theta, e, q, steps: int) -> SparseFun:
                 terms.append((surface.graph.beta(r), -1))
             if y0 < h / 2 <= y1:
                 terms.append((surface.graph.alpha(r), -1))
-        r, _, _, _, x1, _ = legs[-1]
-        p = from_edge(surface, r, x1)
+        e, _, _, _, q, _ = legs[-1]
     return SparseFun(terms)
 
 

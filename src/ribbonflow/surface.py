@@ -31,13 +31,16 @@ _ZERO = QuadNum(0)
 
 
 class Section(NamedTuple):
-    """The horizontal circle at an A-vertex, just its bottom edges and
-    their exact cuts: edges[i] covers the top interval [cuts[i],
-    cuts[i+1]), so 0 = cuts[0] < ... < cuts[-1], the sum of the widths;
-    Surface.float_cuts rounds the cuts for the float step's bisection."""
+    """The horizontal circle at an A-vertex: its bottom edges, their exact
+    cuts and the cuts' int lift.  edges[i] covers the top interval
+    [cuts[i], cuts[i+1]), so 0 = cuts[0] < ... < cuts[-1], the sum of the
+    widths; lift is (A, B, q, d) with cuts[i] == (A[i] + B[i]*sqrt(d))/q,
+    for the exact step's bisection, as Surface.float_cuts rounds the cuts
+    for the float step's."""
 
     edges: tuple
     cuts: tuple
+    lift: tuple
 
     def offset(self, e) -> QuadNum:
         """Circle coordinate of the left end of e's interval."""
@@ -102,7 +105,6 @@ class Surface:
         self.weight = weight
         self.lam = as_quad(lam)
         self._sections = {}
-        self._int_cuts = {}
         self._float_cuts = {}
         self._landings = {}
         self._float_landings = {}
@@ -147,7 +149,8 @@ class Surface:
             cuts = [_ZERO]
             for e in edges:
                 cuts.append(cuts[-1] + self.width(e))
-            sec = self._sections[a] = Section(edges, tuple(cuts))
+            sec = Section(edges, tuple(cuts), _lift_common(cuts))
+            self._sections[a] = sec
         return sec
 
     def landing(self, e) -> Landing:
@@ -197,17 +200,6 @@ class Surface:
         jumps = Jumps(self.landing, (lam + x / y) % lam)
         self._rotation = (x, y, jumps)
         return jumps
-
-    def int_cuts(self, a) -> tuple:
-        """The section at an A-vertex with its cuts lifted once to ints
-        over one denominator for the exact step's bisection: (edges, A,
-        B, q, d) with cuts[i] == (A[i] + B[i]*sqrt(d))/q, built on first
-        use and kept."""
-        cuts = self._int_cuts.get(a)
-        if cuts is None:
-            sec = self.section(a)
-            cuts = self._int_cuts[a] = (sec.edges, *_lift_common(sec.cuts))
-        return cuts
 
     def float_cuts(self, a) -> tuple:
         """The section's cuts at an A-vertex rounded once for the float

@@ -266,6 +266,20 @@ def test_simulate_skew_budget_exit(capsys, monkeypatch):
     assert code == EXIT_BUDGET
 
 
+GZ_BUDGET_1 = ['simulate', '--family', 'gz_constant', '--theta',
+               '1, -1+sqrt(2)', '--budget', '1', '--steps']
+
+
+def test_simulate_budget_counts_the_landings_made(capsys):
+    # the one row of a 1-step orbit is its start, on circle 0; the orbit
+    # used to make one more landing, off that circle, and exit 3
+    code, out = run(capsys, GZ_BUDGET_1 + ['1'])
+    assert code == EXIT_OK
+    assert [','.join(r) for r in csv_body(out)[1]] == ['0,0,1/2,-1,1/2']
+    assert main(GZ_BUDGET_1 + ['2']) == EXIT_BUDGET
+    assert capsys.readouterr() == ('', 'budget exhausted after 1 steps\n')
+
+
 SKEW_Z = ['simulate', '--group', 'Z', '--generators', '(1,1)', '--alpha',
           '1/2*sqrt(2)', '--steps', '5']
 

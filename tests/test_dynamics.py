@@ -388,6 +388,21 @@ def test_code_orbit_budget_escape():
     assert (info.value.steps_done, info.value.visited) == (13, 5)
 
 
+def test_code_orbit_budget_counts_the_landings_made():
+    # a 1-step orbit is its start alone, on circle 0; it used to make one
+    # more landing, off that circle, and escape a budget of 1 with it
+    s = Surface.from_family(gz_constant())
+    theta = (QuadNum(1), sqrt_rational(2) - 1)
+    e0 = s.graph.base_edge(s.graph.root())
+    p = from_edge(s, e0, s.width(e0) / 2)
+    assert code_orbit(s, theta, p, 1, budget=1) == ([e0], [p])
+    with pytest.raises(OrbitEscapedBudget) as info:
+        code_orbit(s, theta, p, 2, budget=1)
+    assert (info.value.steps_done, info.value.visited) == (1, 2)
+    assert code_orbit(s, theta, p, 0, budget=1) == ([], [])
+    assert code_orbit(s, theta, p, -3) == ([], [])
+
+
 def test_skew_orbit_budget_escape():
     with pytest.raises(OrbitEscapedBudget) as info:
         skew_orbit(2, ALPHA, IntegersZ(), (1, -1), (QuadNum(0), 0), 10000,
@@ -864,7 +879,8 @@ def test_field_mixes_name_the_quadnum_routes_field_first():
     want = (FieldMixError, 'cannot combine sqrt(2) with sqrt(3)')
     assert _outcome(_table_jump, s, theta, e, o) == want
     assert _outcome(iet_step, s, theta, p) == want
-    assert _outcome(code_orbit, s, theta, p, 1) == want
+    # a 1-step orbit makes no landing, a 2-step one lands once
+    assert _outcome(code_orbit, s, theta, p, 2) == want
     # and against the length, for a rational base: the sum's field first
     s = Surface(PathGraph(), lambda v: QuadNum(1), sqrt_rational(2))
     p = HPoint(0, third)
@@ -890,7 +906,7 @@ def test_jump_table_matches_the_rotation_formula_at_cuts(name):
                     _oracle_code(_rotation_jump, ref, theta, p, 20, branch)
             q = p
             for _ in range(20):
-                e, o = resolve(ref, q)
+                e, o = _bisect_resolve(ref, q)
                 want = _rotation_jump(ref, theta, e, o)
                 q = iet_step(s, theta, q)
                 assert q == want

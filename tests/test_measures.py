@@ -10,22 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ribbonflow import cli, measures, renorm
-from ribbonflow.dynamics import HPoint, from_edge, iet_step, resolve
+from ribbonflow import cli, dynamics, measures, renorm
+from ribbonflow.dynamics import (HPoint, from_edge, hpoint, iet_step, resolve,
+                                 walk)
 from ribbonflow.eigen import (builtin_families, character, character_eigen,
                               gz_constant, gz_exponential, ntree_constant,
                               tripod_family)
 from ribbonflow.exact import FieldMixError, QVec2, QuadNum, sqrt_rational
 from ribbonflow.freegrp import H, V, V_INV, Letter, Word, rho
 from ribbonflow.graphs import (Heisenberg, IntegersZ, OracleFun, PathGraph,
-                               TripodGraph, upsilon_eval, vertices_in_ball)
+                               SparseFun, TripodGraph, upsilon_eval,
+                               vertices_in_ball)
 from ribbonflow.measures import (DecayProfile, Witness, _cut_measure,
                                  _renormalized, conjugate_boundary_point,
                                  decay_profile, decay_profiles,
                                  maharam_check, plane_point, survivor_check,
                                  transposed_surface, transversal_measure)
 from ribbonflow.renorm import critical_times, shrinking_sequence
-from ribbonflow.surface import Surface
+from ribbonflow.surface import Surface, _theta_parts
 
 THETA2 = (QuadNum(1), sqrt_rational(2) - 1)
 THETA41 = (QuadNum(4), sqrt_rational(41) - 5)
@@ -588,14 +590,16 @@ def test_measure_flows_at_most_two_chains(monkeypatch):
         chains.append(args)
         return chain(*args)
 
-    def counted_step(*args):
+    def counted_land(*args):
         steps.append(args)
-        return step(*args)
+        return land(*args)
 
-    # the descent's own step; the chains resolve points too
-    chain, step = measures._chain_crossings, measures._jump
+    # the descent's landings: its first in measures, the rest in _legs;
+    # the chains walk and never land
+    chain, land = measures._chain_crossings, dynamics._land
     monkeypatch.setattr(measures, '_chain_crossings', counted_chain)
-    monkeypatch.setattr(measures, '_jump', counted_step)
+    monkeypatch.setattr(measures, '_land', counted_land)
+    monkeypatch.setattr(dynamics, '_land', counted_land)
     for pair in (gz_pair, tripod_pair):
         for surface, f, theta, e in pair_sides(pair):
             w = surface.width(e)
@@ -617,6 +621,61 @@ def test_measure_flows_at_most_two_chains(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(README_CONJUGATE) == 0
     assert len(chains) <= 12
+
+
+def _parent_chain_crossings(surface, theta, e, q, steps):
+    """_chain_crossings as it was when each step looked its start up: the
+    circle point at offset q reduced by hpoint, then each step's start
+    resolved from the circle point where the last walk ended."""
+    x, y = _theta_parts(theta)
+    u = x / y
+    terms = []
+    w = surface.width(e)
+    if 2 * q >= w and q > 0:
+        terms.append((surface.graph.beta(e), 1))
+    start = from_edge(surface, e, q)
+    p = hpoint(surface, start.a, start.t)
+    for _ in range(steps):
+        e1, o = resolve(surface, p)
+        legs = walk(surface, u, surface.north(e1), o, _ZERO)
+        h = surface.height(legs[0][0])
+        for r, wr, x0, y0, x1, y1 in legs:
+            if u > 0 and x0 < wr / 2 <= x1:
+                terms.append((surface.graph.beta(r), 1))
+            elif u < 0 and x1 <= wr / 2 < x0:
+                terms.append((surface.graph.beta(r), -1))
+            if y0 < h / 2 <= y1:
+                terms.append((surface.graph.alpha(r), -1))
+        r, _, _, _, x1, _ = legs[-1]
+        p = from_edge(surface, r, x1)
+    return SparseFun(terms)
+
+
+CHAIN_CASES = {
+    'gz': lambda: (Surface.from_family(gz_constant()), THETA2),
+    'tripod2': lambda: (Surface.from_family(tripod_family(2)), THETA41),
+    'tripod3': lambda: (Surface.from_family(tripod_family(3)), THETA34),
+    'gz_rational': lambda: (Surface.from_family(gz_constant()),
+                            (QuadNum(1), QuadNum(2))),
+    'gz_leftward': lambda: (Surface.from_family(gz_constant()),
+                            (QuadNum(-1), THETA2[1])),
+    'z_skew': lambda: z_skew_sides()[0][::2],
+}
+
+
+@pytest.mark.parametrize('name', sorted(CHAIN_CASES))
+def test_chain_carries_the_walks_edge_and_offset(name):
+    # each step starts where the last walk ended, with no lookup; the
+    # full width is offset 0 of the east neighbor
+    s, theta = CHAIN_CASES[name]()
+    for e in s.graph.edges_at(s.graph.root()):
+        w = s.width(e)
+        for k in (0, 1, 8, 20, 33, 39, 40):
+            q = w * QuadNum(Fraction(k, 40))
+            for steps in (0, 1, 3, 9):
+                got = measures._chain_crossings(s, theta, e, q, steps)
+                assert got == _parent_chain_crossings(s, theta, e, q,
+                                                      steps), (e, k, steps)
 
 
 def test_transposed_surface_swaps_roles():
