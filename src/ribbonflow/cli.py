@@ -40,7 +40,7 @@ from .dynamics import (OrbitEscapedBudget, code_orbit, from_edge, resolve,
 from .eigen import EigenFamily, family_eigen, verify_family
 from .exact import (FieldMixError, QuadNum, QVec2, as_quad, parse_quad,
                     sqrt_rational)
-from .freegrp import H, H_INV, V, V_INV, Word, rho
+from .freegrp import LETTERS, Word
 from .graphs import make_group, vertices_in_ball
 from .measures import (conjugate_boundary_point, decay_profiles, plane_point,
                        survivor_check)
@@ -420,36 +420,44 @@ def _limit_set_svg(lam: QuadNum, depth: int) -> str:
     ends = (QVec2(QuadNum(2), lam - root), QVec2(QuadNum(2), lam + root))
 
     def chart(v: QVec2) -> float:
-        if v.x == 0:
+        if not v.x:
             return 1.0 if v.y >= 0 else -1.0
         return (2 / math.pi) * math.atan(float(v.y) / float(v.x))
 
-    words = [Word()]
-    frontier = [Word()]
-    for _ in range(depth):
-        nxt = []
-        for w in frontier:
-            for letter in (H, H_INV, V, V_INV):
-                ext = w * Word([letter])
-                if len(ext) > len(w):
-                    nxt.append(ext)
-        words.extend(nxt)
-        frontier = nxt
+    neg = -lam
+
+    def shear(letter, v: QVec2) -> QVec2:
+        off = lam if letter.exp == 1 else neg
+        if letter.gen == 'h':
+            return QVec2(v.x + off * v.y, v.y)
+        return QVec2(v.x, v.y + off * v.x)
+
     width, height, pad = 800, 120, 10
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" '
              'width="%d" height="%d">' % (width, height),
              '<line x1="%d" y1="60" x2="%d" y2="60" '
              'stroke="black" stroke-width="1"/>' % (pad, width - pad)]
-    for w in words:
-        mat = rho(lam, w)
-        a, b = mat * ends[0], mat * ends[1]
-        lo, hi = sorted((chart(a), chart(b)))
-        x1 = pad + (lo + 1) / 2 * (width - 2 * pad)
-        x2 = pad + (hi + 1) / 2 * (width - 2 * pad)
-        parts.append('<g><title>%s: %s,%s to %s,%s</title>'
-                     '<line x1="%.3f" y1="60" x2="%.3f" y2="60" '
-                     'stroke="white" stroke-width="5"/></g>'
-                     % (w, a.x, a.y, b.x, b.y, x1, x2))
+    # a word's rightmost letter acts first, so rho(l s) sends the ends to
+    # l's shear of rho(s)'s images: each level keeps its words' images,
+    # keyed by their letters, and the next level reads its suffixes there
+    level = {(): ends}
+    for n in range(depth + 1):
+        for w, (a, b) in level.items():
+            lo, hi = sorted((chart(a), chart(b)))
+            x1 = pad + (lo + 1) / 2 * (width - 2 * pad)
+            x2 = pad + (hi + 1) / 2 * (width - 2 * pad)
+            parts.append('<g><title>%s: %s,%s to %s,%s</title>'
+                         '<line x1="%.3f" y1="60" x2="%.3f" y2="60" '
+                         'stroke="white" stroke-width="5"/></g>'
+                         % (Word(w), a.x, a.y, b.x, b.y, x1, x2))
+        if n < depth:
+            prev, level = level, {}
+            for w in prev:
+                for letter in LETTERS:
+                    if not w or letter != w[-1].inverse():
+                        ext = w + (letter,)
+                        a, b = prev[ext[1:]]
+                        level[ext] = shear(ext[0], a), shear(ext[0], b)
     parts.append('</svg>')
     return '\n'.join(parts) + '\n'
 

@@ -205,9 +205,11 @@ def shrinking_sequence(lam, theta, max_steps: int = 64) -> ShrinkData:
     it is applied and recorded.  Stops early only when no generator shrinks.
     An exact projective revisit is recorded as a period and classified as an
     excluded tail when the period word is a constant or one of the two
-    alternating families, but iteration continues to max_steps so the
-    returned prefix is usable at full length.  Below lam = 2 two shrink
-    cones overlap, so the greedy choice is undefined there.
+    alternating families.  The period then replays to max_steps letters:
+    with vectors[start + p] = c * vectors[start], letter k is letter k - p
+    and its vector c times that one's, exactly, since the greedy choice
+    reads the signs of degree-2 forms, which c * v shares with v.  Below
+    lam = 2 two shrink cones overlap, so the greedy choice is undefined.
     """
     lam = as_quad(lam)
     if lam < 2:
@@ -238,15 +240,22 @@ def shrinking_sequence(lam, theta, max_steps: int = 64) -> ShrinkData:
         increments.append(letter)
         vectors.append(current)
         signs.append(current.quadrant())
-        if period is None:
-            key = _canonical_projective(current)
-            if key in seen:
-                start = seen[key]
-                period = (start, n + 1 - start)
-                excluded_id = _cyclic_excluded_id(increments[start:])
-            else:
-                seen[key] = n + 1
-    if status is TailStatus.CONTINUES and period is not None:
+        key = _canonical_projective(current)
+        if key in seen:
+            start = seen[key]
+            period = (start, n + 1 - start)
+            excluded_id = _cyclic_excluded_id(increments[start:])
+            break
+        seen[key] = n + 1
+    if period is not None:
+        start, p = period
+        old = vectors[start]
+        c = x / old.x if old.x else y / old.y
+        for k in range(start + p, max_steps):
+            increments.append(increments[k - p])
+            current = c * vectors[k + 1 - p]
+            vectors.append(current)
+            signs.append(current.quadrant())
         status = (TailStatus.EXCLUDED_TAIL if excluded_id
                   else TailStatus.PERIODIC)
     return ShrinkData(lam=lam, theta=theta, increments=tuple(increments),

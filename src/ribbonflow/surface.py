@@ -392,6 +392,7 @@ def ball_growth(surface: Surface, n_max: int):
     if graph.vertex_class(root) != 'a':
         raise ValueError('growth layers start from an A-vertex')
     unions = (set(), set())
+    sides = {}   # each rectangle's (width, height), read once per call
     lengths = []
     max_sides = []
     for n, ring in enumerate(_rings(graph, (root,), n_max)):
@@ -401,7 +402,9 @@ def ball_growth(surface: Surface, n_max: int):
                      (surface.north, surface.south))
         boundary = widest = _ZERO
         for e in rect:
-            w, h = surface.width(e), surface.height(e)
+            if e not in sides:
+                sides[e] = surface.width(e), surface.height(e)
+            w, h = sides[e]
             side = h if n % 2 else w
             if out(e) not in rect:
                 boundary = boundary + side

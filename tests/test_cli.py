@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -19,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 from ribbonflow import __version__, cli
 from ribbonflow.cli import (EXIT_BUDGET, EXIT_NOT_RENORM, EXIT_OK,
                             EXIT_PARSE, build_parser, main)
-from ribbonflow.exact import QuadNum, parse_quad
+from ribbonflow.exact import QuadNum, QVec2, parse_quad, sqrt_rational
+from ribbonflow.freegrp import H, H_INV, V, V_INV, Word, rho
 
 GZ_PAIR = ['--family', 'gz_constant', '--family2', 'gz_exponential:t=2',
            '--theta', '1, -1+sqrt(2)', '--theta2', '4, -5+sqrt(41)']
@@ -885,6 +887,56 @@ def test_render_limit_set_svg(tmp_path, capsys):
     xml.dom.minidom.parse(str(out))
     assert '3-sqrt(5)' in text and '3+sqrt(5)' in text
     assert text.count('<line') == 1 + sum(4 * 3 ** k for k in range(3)) + 1
+
+
+def _limit_set_svg_by_matrices(lam, depth):
+    """The limit-set drawing with each word's matrix built from the
+    identity by rho, kept as the oracle for the suffix shears of
+    cli._limit_set_svg."""
+    root = sqrt_rational(lam * lam - 4)
+    ends = (QVec2(QuadNum(2), lam - root), QVec2(QuadNum(2), lam + root))
+
+    def chart(v):
+        if v.x == 0:
+            return 1.0 if v.y >= 0 else -1.0
+        return (2 / math.pi) * math.atan(float(v.y) / float(v.x))
+
+    words = [Word()]
+    frontier = [Word()]
+    for _ in range(depth):
+        nxt = []
+        for w in frontier:
+            for letter in (H, H_INV, V, V_INV):
+                ext = w * Word([letter])
+                if len(ext) > len(w):
+                    nxt.append(ext)
+        words.extend(nxt)
+        frontier = nxt
+    width, height, pad = 800, 120, 10
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" '
+             'width="%d" height="%d">' % (width, height),
+             '<line x1="%d" y1="60" x2="%d" y2="60" '
+             'stroke="black" stroke-width="1"/>' % (pad, width - pad)]
+    for w in words:
+        mat = rho(lam, w)
+        a, b = mat * ends[0], mat * ends[1]
+        lo, hi = sorted((chart(a), chart(b)))
+        x1 = pad + (lo + 1) / 2 * (width - 2 * pad)
+        x2 = pad + (hi + 1) / 2 * (width - 2 * pad)
+        parts.append('<g><title>%s: %s,%s to %s,%s</title>'
+                     '<line x1="%.3f" y1="60" x2="%.3f" y2="60" '
+                     'stroke="white" stroke-width="5"/></g>'
+                     % (w, a.x, a.y, b.x, b.y, x1, x2))
+    parts.append('</svg>')
+    return '\n'.join(parts) + '\n'
+
+
+@pytest.mark.parametrize('lam', ['3', '5/2', '7/3', 'sqrt(5)', '2*sqrt(2)'])
+def test_limit_set_shears_match_a_matrix_per_word(lam):
+    lam = parse_quad(lam)
+    for depth in range(6):
+        assert cli._limit_set_svg(lam, depth) == \
+            _limit_set_svg_by_matrices(lam, depth), depth
 
 
 def test_render_limit_set_needs_hyperbolic_lambda(capsys):

@@ -424,3 +424,110 @@ def test_greedy_shrink_builds_no_matrix_and_no_norm(monkeypatch):
         OmegaKind.IN_OMEGA
     assert omega_test(3, QuadNum('5/6+1/6*sqrt(5)')).kind is \
         OmegaKind.NOT_IN_OMEGA
+
+
+# --- the greedy route, deciding every letter up to max_steps, kept here
+# as the oracle for the period replay in shrinking_sequence ---
+
+def _greedy_sequence(lam, theta, max_steps):
+    """shrinking_sequence with every letter decided by the greedy step,
+    also after the period has closed."""
+    lam = QuadNum(lam)
+    if lam < 2:
+        raise ValueError('lambda must be at least 2, got %s' % lam)
+    theta = renorm._direction(theta)
+    increments, vectors, signs = [], [theta], [theta.quadrant()]
+    seen = {renorm._canonical_projective(theta): 0}
+    status, period, excluded_id = TailStatus.CONTINUES, None, None
+    x, y = theta.x, theta.y
+    for n in range(max_steps):
+        shrinkers, lx, ly = renorm._shrinkers(lam, x, y)
+        if not shrinkers:
+            status = TailStatus.NO_STRICT_SHRINKER
+            break
+        if len(shrinkers) > 1:
+            raise ArithmeticError(
+                'two generators shrink %s at once' % QVec2(x, y))
+        letter = shrinkers[0]
+        if letter.gen == 'h':
+            x = x + ly if letter.exp == 1 else x - ly
+        else:
+            y = y + lx if letter.exp == 1 else y - lx
+        current = QVec2(x, y)
+        increments.append(letter)
+        vectors.append(current)
+        signs.append(current.quadrant())
+        if period is None:
+            key = renorm._canonical_projective(current)
+            if key in seen:
+                start = seen[key]
+                period = (start, n + 1 - start)
+                excluded_id = renorm._cyclic_excluded_id(increments[start:])
+            else:
+                seen[key] = n + 1
+    if status is TailStatus.CONTINUES and period is not None:
+        status = (TailStatus.EXCLUDED_TAIL if excluded_id
+                  else TailStatus.PERIODIC)
+    return ShrinkData(lam=lam, theta=theta, increments=tuple(increments),
+                      vectors=tuple(vectors), signs=tuple(signs),
+                      status=status, period=period, excluded_id=excluded_id)
+
+
+def _assert_replay_matches_greedy(lam, theta, steps):
+    got = _outcome(shrinking_sequence, lam, theta, steps)
+    assert got == _outcome(_greedy_sequence, lam, theta, steps), \
+        (lam, theta, steps)
+    return got
+
+
+# the fixed directions of this file, with an excluded tail, a dead end
+# and a rational direction among them
+REPLAY_FIXTURES = GREEDY_FIXTURES + (
+    (2, QVec2(1, 1), 8), (2, QVec2(1, 0), 8), (2, QVec2(5, -11), 3),
+    (3, QVec2(2, QuadNum(-3, 1, 5)), 10), (2, QVec2(1, Fraction(1, 3)), 64),
+)
+
+
+@pytest.mark.parametrize('lam, theta, steps', REPLAY_FIXTURES)
+def test_period_replay_matches_the_greedy_route(lam, theta, steps):
+    for budget in (steps, 2 * steps + 1):
+        _assert_replay_matches_greedy(lam, theta, budget)
+
+
+def _period_words(length):
+    """Every reduced word of the given length whose square is reduced."""
+    words = [()]
+    for _ in range(length):
+        words = [w + (l,) for w in words for l in LETTERS
+                 if not w or l != w[-1].inverse()]
+    return [w for w in words if w[0] != w[-1].inverse()]
+
+
+def test_period_replay_matches_the_greedy_route_on_period_directions():
+    # the direction of every renormalizing period word of length <= 4,
+    # in both orientations: the scale c of the revisit is negative for
+    # half of them
+    count = negative = 0
+    for lam in (QuadNum(2), QuadNum(3), QuadNum('5/2')):
+        for length in range(1, 5):
+            for word in _period_words(length):
+                if is_renormalizing((), word).verdict is not Verdict.YES:
+                    continue
+                theta = direction_from_sequence(lam, (), word)
+                for direction in (theta, -theta):
+                    data = _assert_replay_matches_greedy(lam, direction, 40)
+                    assert data.status is TailStatus.PERIODIC
+                    assert len(data) == 40
+                    start, p = data.period
+                    ratio = data.vectors[start + p].x / data.vectors[start].x
+                    negative += ratio.sign() < 0
+                    count += 1
+    assert (count, negative) == (624, 312)
+
+
+@pytest.mark.parametrize('steps', [6, 37, 38, 64, 200])
+def test_period_replay_of_a_long_period(steps):
+    data = _assert_replay_matches_greedy(
+        2, QVec2(Fraction(1, 3) + ROOT2, Fraction(1, 2)), steps)
+    assert len(data) == steps
+    assert data.period == (None if steps < 37 else (0, 37))

@@ -3,20 +3,22 @@
 import hashlib
 import re
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ribbonflow.eigen import (builtin_families, character_eigen, gz_constant,
-                              gz_exponential, ntree_constant, tripod_family)
+                              gz_exponential, ntree_constant,
+                              ntree_horofunction, tripod_family)
 from ribbonflow.exact import QuadNum, as_quad
 from ribbonflow.freegrp import Word, gamma
 from ribbonflow.graphs import (Heisenberg, IntegerLattice, IntegersZ,
                                FreeGroup, OracleFun, SparseFun, pairing,
                                upsilon, vertices_in_ball)
 from ribbonflow.measures import transposed_surface
-from ribbonflow.surface import (Surface, ball_growth, phi_homology,
+from ribbonflow.surface import (Surface, _rings, ball_growth, phi_homology,
                                 svg_truncation, z_class)
 
 
@@ -258,6 +260,51 @@ def _heisenberg_character():
     x, y = (1, 0, 0), (0, 1, 0)
     return character_eigen(Heisenberg(), (x, (-1, 0, 0), y, (0, -1, 0)),
                            (2, 1))
+
+
+def _ball_growth_rereading(surface, n_max):
+    """ball_growth as it read both sides of every rectangle of the union
+    again on every layer, kept as the oracle for its per-call table of
+    sides."""
+    graph = surface.graph
+    unions = (set(), set())
+    lengths = []
+    max_sides = []
+    for n, ring in enumerate(_rings(graph, (graph.root(),), n_max)):
+        rect = unions[n % 2]
+        rect.update(chain.from_iterable(map(graph.edges_at, ring)))
+        out, back = ((surface.east, surface.west) if n % 2 else
+                     (surface.north, surface.south))
+        boundary = widest = QuadNum(0)
+        for e in rect:
+            w, h = surface.width(e), surface.height(e)
+            side = h if n % 2 else w
+            if out(e) not in rect:
+                boundary = boundary + side
+            if back(e) not in rect:
+                boundary = boundary + side
+            widest = max(widest, w, h)
+        lengths.append(boundary)
+        max_sides.append(widest)
+    return tuple(lengths), tuple(max_sides)
+
+
+@pytest.mark.parametrize('fam', [
+    tripod_family(2), gz_constant(), ntree_horofunction(3, QuadNum('1/2')),
+    _heisenberg_character()], ids=['tripod', 'gz', 'horo', 'heisenberg'])
+def test_growth_reads_each_rectangle_once(fam, monkeypatch):
+    surface = Surface.from_family(fam)
+    for depth in range(11):
+        assert ball_growth(surface, depth) == \
+            _ball_growth_rereading(surface, depth), depth
+    reads = []
+    width, height = Surface.width, Surface.height
+    monkeypatch.setattr(Surface, 'width',
+                        lambda self, e: reads.append(e) or width(self, e))
+    monkeypatch.setattr(Surface, 'height',
+                        lambda self, e: reads.append(e) or height(self, e))
+    ball_growth(surface, 10)
+    assert reads and len(reads) == 2 * len(set(reads))
 
 
 @pytest.mark.parametrize('name,fam,radius,digest', [
