@@ -29,6 +29,7 @@ from .graphs import (Cyclic, FreeGroup, Group, Heisenberg, IntegerLattice,
 
 _ONE = QuadNum(1)
 _ZERO = QuadNum(0)
+_THREE = QuadNum(3)
 
 
 def _power_cache(base: QuadNum) -> Callable[[int], QuadNum]:
@@ -90,13 +91,13 @@ def tripod_family(t) -> EigenFamily:
         raise ValueError('values go negative down the rays for t^2 < 2')
     a = (tt - 2) / (tt - 1)
     b = (2 * tt - 1) / (tt - 1)
-    power = _power_cache(t)
+    # each ray value once per k, so the cache holds one entry per depth
+    ray = cache(lambda k: a * t ** k + b * t ** -k)
 
     def value(v):
         if v == ('c',):
-            return QuadNum(3)
-        k = v[2]
-        return a * power(k) + b * power(-k)
+            return _THREE
+        return ray(v[2])
 
     return EigenFamily('tripod', TripodGraph(), t + _ONE / t,
                        OracleFun(value), (('t', t),))

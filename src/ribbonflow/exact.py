@@ -19,10 +19,10 @@ floats.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from enum import Enum
 from fractions import Fraction
-from functools import total_ordering
 
 
 class FieldMixError(ArithmeticError):
@@ -84,7 +84,28 @@ def _square_split(n: int) -> tuple[int, int]:
     return s, d * m
 
 
-@total_ordering
+def _order(test):
+    """The rich comparison of QuadNums deciding test(sign, 0) for the sign
+    of q*oq*(self - other), as __sub__ and sign() would find it, on ints:
+    no number is built.  An operand that is no exact number gives
+    NotImplemented, and a field mix names self's field first."""
+
+    def compare(self, other):
+        o = _lift(other)
+        if o is None:
+            return NotImplemented
+        d = self._d
+        if o._d and o._d != d:
+            d = _join(d, o._d)
+        q, oq = self._q, o._q
+        if q == oq:
+            return test(_sign(self._a - o._a, self._b - o._b, d), 0)
+        return test(_sign(self._a * oq - o._a * q, self._b * oq - o._b * q,
+                          d), 0)
+
+    return compare
+
+
 class QuadNum:
     """An exact element (a + b*sqrt(d))/q of the real field Q(sqrt(d)).
 
@@ -227,20 +248,10 @@ class QuadNum:
         return (self._a == o._a and self._b == o._b and self._q == o._q
                 and self._d == o._d)
 
-    def __lt__(self, other):
-        # the sign of q*oq*(self - other), as __sub__ and sign() would
-        # find it, on ints: no number is built
-        o = _lift(other)
-        if o is None:
-            return NotImplemented
-        d = self._d
-        if o._d and o._d != d:
-            d = _join(d, o._d)
-        q, oq = self._q, o._q
-        if q == oq:
-            return _sign(self._a - o._a, self._b - o._b, d) < 0
-        return _sign(self._a * oq - o._a * q, self._b * oq - o._b * q,
-                     d) < 0
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
 
     def __hash__(self):
         if not self._b:

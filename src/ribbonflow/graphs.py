@@ -70,50 +70,43 @@ def _check_radius(radius: int) -> None:
         raise ValueError('radius must be >= 0, got %r' % radius)
 
 
-def _rings(graph: RibbonGraph, sources, radius: int, neighbours=None
-           ) -> list:
-    """Distinct vertices at distance 0..radius from the sources, by ring.
-
-    A list passed as neighbours receives the neighbours the walk fetched,
-    with multiplicity: one tuple per vertex of rings 0..radius-1, in ring
-    order.
-    """
-    _check_radius(radius)
-    rings = [tuple(dict.fromkeys(sources))]
-    seen = set(rings[0])
-    for _ in range(radius):
-        fetched = map(graph.neighbors, rings[-1])
-        if neighbours is not None:
-            fetched = tuple(fetched)
-            neighbours += fetched
-        ring = tuple(dict.fromkeys(w for ws in fetched for w in ws
-                                   if w not in seen))
-        seen.update(ring)
-        rings.append(ring)
-    return rings
-
-
 def _numbered_ball(graph: RibbonGraph, sources, radius: int) -> tuple:
     """(rings, order, index, nbrs): the vertices within the radius of the
-    sources numbered ring by ring, for the integer kernels.
+    sources numbered ring by ring, for the integer kernels and the ball
+    walks.
 
-    order lists the vertices of rings 0..radius in turn and index maps
-    each one to its number.  nbrs[i] holds the numbers of the neighbours
-    of order[i], with multiplicity and in cyclic order, for each vertex of
-    rings 0..radius-1: those are the vertices whose neighbours all lie in
-    the ball.
+    One walk numbers each vertex when it first reaches it, so order lists
+    rings 0..radius in turn, each in first-fetch order, and index maps
+    each vertex to its number.  nbrs[i] holds the numbers of the
+    neighbours of order[i], with multiplicity and in cyclic order, for
+    each vertex of rings 0..radius-1: those are the vertices whose
+    neighbours all lie in the ball.  rings[k] is the tuple of vertices at
+    distance k.
     """
-    neighbours = []
-    rings = _rings(graph, sources, radius, neighbours)
-    order = [u for ring in rings for u in ring]
+    _check_radius(radius)
+    order = list(dict.fromkeys(sources))
     index = {u: i for i, u in enumerate(order)}
-    nbrs = [[index[w] for w in ws] for ws in neighbours]
+    nbrs = []
+    ends = [0, len(order)]
+    neighbors = graph.neighbors
+    for _ in range(radius):
+        for u in order[ends[-2]:]:
+            js = []
+            for w in neighbors(u):
+                i = index.get(w)
+                if i is None:
+                    i = index[w] = len(order)
+                    order.append(w)
+                js.append(i)
+            nbrs.append(js)
+        ends.append(len(order))
+    rings = [tuple(order[i:j]) for i, j in zip(ends, ends[1:])]
     return rings, order, index, nbrs
 
 
 def vertices_in_ball(graph: RibbonGraph, root, radius: int) -> set:
     """All vertices within the given graph distance of the root."""
-    return set(chain.from_iterable(_rings(graph, (root,), radius)))
+    return set(_numbered_ball(graph, (root,), radius)[2])
 
 
 class PathGraph(RibbonGraph):

@@ -15,7 +15,10 @@ the window, and each increment adds its exponent times the neighbour
 sums to its target class, in place; one letter reads only neighbours, so
 after n letters the values within depth - n of the window are exact.
 The survivor check and the decay profiles of a whole window both read
-one such pass.  The word action in `graphs` (`upsilon_eval`) computes the
+one such pass.  Its rows stay ints: each sign is decided on them, the
+decay profiles compare magnitudes by the signs of int differences over
+the common denominator, and a QuadNum is built only for a value a
+profile keeps.  The word action in `graphs` (`upsilon_eval`) computes the
 same values by the adjoint identity, and the tests hold the two routes
 equal.
 
@@ -39,7 +42,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .dynamics import _land, _legs, walk
-from .exact import QuadNum, QVec2, _lift_common, _reduced, _xy, as_quad
+from .exact import (QuadNum, QVec2, _lift_common, _reduced, _sign, _xy,
+                    as_quad)
 from .graphs import (OracleFun, RibbonGraph, SparseFun, _numbered_ball,
                      pairing)
 from .renorm import critical_times
@@ -65,9 +69,10 @@ Witness = namedtuple('Witness', 'n vertex sign')
 
 
 def _renormalized(graph: RibbonGraph, f, data, depth: int, vertices):
-    """(n, v, value, sign_ok) for n = 0..depth and each vertex: the word
-    action of g_n on f at v, and whether it vanishes or has the sign the
-    n-th quadrant gives the class of v (any sign on an axis).
+    """(q, d, rows): rows yields (n, v, a, b, sign, sign_ok) for n = 0..depth
+    and each vertex, where (a + b*sqrt(d))/q is the word action of g_n on f
+    at v, sign its sign, and sign_ok whether it vanishes or has the sign
+    the n-th quadrant gives the class of v (any sign on an axis).
 
     g_n = w_n ... w_1 acts one increment at a time, as an integral shear:
     the letter adds its exponent times the neighbour sums at the A-vertices
@@ -76,7 +81,7 @@ def _renormalized(graph: RibbonGraph, f, data, depth: int, vertices):
     depth of the window, and each increment is one gather in place over
     its target class; q never changes.  The vertices are numbered ring by
     ring, and after n shears the prefix within depth - n of the window
-    holds exact values.  QuadNums are built only for the rows yielded.
+    holds exact values.  Rows are ints, each sign decided on them.
     """
     if depth >= len(data.signs):
         raise ValueError('shrinking data shorter than requested depth')
@@ -95,25 +100,27 @@ def _renormalized(graph: RibbonGraph, f, data, depth: int, vertices):
         start += len(ring)
         for c, todo in gathers.items():
             cuts[c].append(len(todo))
-    rows = [(v, index[v], classes[index[v]] == 'a') for v in vertices]
-    for n in range(depth + 1):
-        if n:
-            letter = data.increments[n - 1]
-            e = letter.exp
-            c = 'a' if letter.gen == 'h' else 'b'
-            todo = gathers[c][:cuts[c][depth - n]]
-            for xs in ((A, B) if d else (A,)):
-                for w, nbrs in todo:
-                    total = 0
-                    for j in nbrs:
-                        total += xs[j]
-                    xs[w] += e * total
-        s = data.signs[n]
-        for v, i, on_a in rows:
-            value = _reduced(A[i], B[i], q, d)
-            sign = value.sign()
-            yield n, v, value, not sign or s is None or sign == (
-                s.sx if on_a else s.sy)
+    targets = [(v, index[v], classes[index[v]] == 'a') for v in vertices]
+
+    def rows():
+        for n in range(depth + 1):
+            if n:
+                letter = data.increments[n - 1]
+                e = letter.exp
+                c = 'a' if letter.gen == 'h' else 'b'
+                todo = gathers[c][:cuts[c][depth - n]]
+                for xs in ((A, B) if d else (A,)):
+                    get = xs.__getitem__
+                    for w, js in todo:
+                        xs[w] += e * sum(map(get, js))
+            s = data.signs[n]
+            for v, i, on_a in targets:
+                a, b = A[i], B[i]
+                sign = _sign(a, b, d)
+                yield n, v, a, b, sign, not sign or s is None or sign == (
+                    s.sx if on_a else s.sy)
+
+    return q, d, rows()
 
 
 def survivor_check(graph: RibbonGraph, f, data, depth: int, window):
@@ -125,10 +132,10 @@ def survivor_check(graph: RibbonGraph, f, data, depth: int, window):
     its bipartition class.  Returns None on a pass, else the first
     violation as Witness(n, vertex, sign).
     """
-    for n, v, value, sign_ok in _renormalized(graph, f, data, depth,
-                                              window):
+    _, _, rows = _renormalized(graph, f, data, depth, window)
+    for n, v, _, _, sign, sign_ok in rows:
         if not sign_ok:
-            return Witness(n, v, value.sign())
+            return Witness(n, v, sign)
     return None
 
 
@@ -151,19 +158,26 @@ def decay_profiles(graph: RibbonGraph, f, data, depth: int, window
     Each profile flags where its sequence fails to be nonincreasing, and
     reports the first critical time whose value has dropped to half the
     start.  A sign violation at the vertex marks the input as a
-    non-survivor.
+    non-survivor.  Both tests are signs of int differences over the
+    common denominator, and one QuadNum is built per value kept.
     """
     window = tuple(window)
-    rows = list(_renormalized(graph, f, data, depth, window))
+    q, d, rows = _renormalized(graph, f, data, depth, window)
+    rows = list(rows)
     crit = tuple(n for n in critical_times(data) if n <= depth)
     profiles = []
     for i in range(len(window)):
-        _, _, values, signs_ok = zip(*rows[i::len(window)])
-        values = tuple(map(abs, values))
-        flags = tuple(b <= a for a, b in zip(values, values[1:]))
-        halving = next((n for n in crit if values[n] <= values[0] / 2), None)
+        cells = rows[i::len(window)]
+        mags = [(-a, -b) if sign < 0 else (a, b)
+                for _, _, a, b, sign, _ in cells]
+        flags = tuple(_sign(a - na, b - nb, d) >= 0
+                      for (a, b), (na, nb) in zip(mags, mags[1:]))
+        a, b = mags[0]
+        halving = next((n for n in crit if _sign(
+            a - 2 * mags[n][0], b - 2 * mags[n][1], d) >= 0), None)
+        values = tuple(_reduced(a, b, q, d) for a, b in mags)
         profiles.append(DecayProfile(values, flags, crit, halving,
-                                     all(signs_ok)))
+                                     all(ok for *_, ok in cells)))
     return profiles
 
 
@@ -325,7 +339,8 @@ def conjugate_boundary_point(surface1: Surface, surface2: Surface,
     e in the first surface maps to the matching side in the second; the
     coordinate is the measure of the initial segment under the plane
     function of the second direction, rescaled by that direction's
-    transverse component.
+    transverse component.  That component of a vertical second direction
+    is 0, so it maps no left or right side.
     """
     if side not in ('bottom', 'top', 'left', 'right'):
         raise ValueError('side must be bottom, top, left or right')
@@ -338,6 +353,9 @@ def conjugate_boundary_point(surface1: Surface, surface2: Surface,
         img = m.value / abs(y2)
         height = surface2.height(e) if side == 'top' else _ZERO
         return BoundaryImage(img, height, m.error / abs(y2))
+    if not x2:
+        raise ValueError('a vertical second direction maps no %s side'
+                         % side)
     flipped = (y1, x1) if x1 > 0 else (-y1, -x1)
     ts = transposed_surface(surface1)
     edge = e if side == 'right' else surface1.west(e)

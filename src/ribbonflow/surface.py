@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .exact import QuadNum, QVec2, _lift_common, _xy, as_quad
 from .freegrp import Letter, Word
-from .graphs import RibbonGraph, SparseFun, _rings
+from .graphs import RibbonGraph, SparseFun, _numbered_ball
 
 _ZERO = QuadNum(0)
 
@@ -395,7 +395,7 @@ def ball_growth(surface: Surface, n_max: int):
     sides = {}   # each rectangle's (width, height), read once per call
     lengths = []
     max_sides = []
-    for n, ring in enumerate(_rings(graph, (root,), n_max)):
+    for n, ring in enumerate(_numbered_ball(graph, (root,), n_max)[0]):
         rect = unions[n % 2]
         rect.update(chain.from_iterable(map(graph.edges_at, ring)))
         out, back = ((surface.east, surface.west) if n % 2 else

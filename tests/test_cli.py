@@ -338,6 +338,15 @@ TRIPOD_PAIR = ['--family2', 'tripod:t=3', '--theta', '4, -5+sqrt(41)',
                '--theta2', '3, -5+sqrt(34)', '--depth', '4']
 
 
+def test_conjugate_refuses_a_vertical_second_direction(capsys):
+    code = main(['conjugate', '--family', 'gz_constant', '--family2',
+                 'gz_constant', '--theta', '1, -1+sqrt(2)', '--theta2',
+                 '0, 1', '--depth', '2'])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err == 'error: a vertical second direction maps no left side\n'
+
+
 def test_conjugate_t_is_the_family_parameter(capsys):
     # --t sets the tripod's t, exactly as the inline spelling does, and
     # conjugate prints its six fixed boundary points

@@ -115,6 +115,42 @@ def test_comparisons_agree_with_the_sign_of_the_difference(pair):
         (s > 0, s >= 0, s < 0, s <= 0)
 
 
+
+def _fraction_sign(x, y):
+    """The sign of x - y decided on the Fractions of their parts, for x
+    and y in one field: by the parts' signs, else by squaring."""
+    x, y = as_quad(x), as_quad(y)
+    a = x.rational_part - y.rational_part
+    b = x.radical_part - y.radical_part
+    d = x.field_disc or y.field_disc
+    if not b or (a > 0) == (b > 0) or not a:
+        lead = a or b
+    else:
+        lead = a if a * a > b * b * d else b
+    return (lead > 0) - (lead < 0)
+
+
+@given(pair=compared_pairs())
+def test_each_ordering_agrees_with_the_fraction_route(pair):
+    x, y = pair
+    s = _fraction_sign(x, y)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        # swapped, an int or a Fraction is on the left at times
+        assert op(x, y) is op(s, 0)
+        assert op(y, x) is op(-s, 0)
+
+
+def test_orderings_refuse_what_is_no_exact_number():
+    x = QuadNum(1, 1, 2)
+    for name in ('__lt__', '__le__', '__gt__', '__ge__'):
+        assert getattr(x, name)(0.5) is NotImplemented
+        assert getattr(x, name)('1') is NotImplemented
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        for a, b in ((x, 0.5), (0.5, x), (x, None)):
+            with pytest.raises(TypeError):
+                op(a, b)
+
+
 def test_floor():
     root2 = QuadNum(0, 1, 2)
     assert math.floor(root2) == 1

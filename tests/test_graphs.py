@@ -12,8 +12,8 @@ from ribbonflow.freegrp import (H, H_INV, IDENTITY, LETTERS, V, V_INV, Letter,
 from ribbonflow.graphs import (Cyclic, FreeGroup, Heisenberg, IntegerLattice,
                                IntegersZ, OracleFun, PathGraph, RegularTree,
                                SkewGraph, SparseFun, TripodGraph, adjacency,
-                               _rings, _shear, chi, make_group, pairing,
-                               project_class, upsilon, upsilon_eval,
+                               _numbered_ball, _shear, chi, make_group,
+                               pairing, project_class, upsilon, upsilon_eval,
                                vertices_in_ball)
 from ribbonflow.surface import Surface
 
@@ -253,7 +253,7 @@ def test_rings_are_distance_shells(name, graph, root, data):
     sources = data.draw(st.lists(st.sampled_from(near), min_size=1,
                                  max_size=4))
     radius = data.draw(st.integers(min_value=0, max_value=4))
-    rings = _rings(graph, sources, radius)
+    rings = _numbered_ball(graph, sources, radius)[0]
     assert len(rings) == radius + 1
     assert rings[0] == tuple(dict.fromkeys(sources))
     flat = [v for ring in rings for v in ring]
@@ -267,6 +267,61 @@ def test_rings_are_distance_shells(name, graph, root, data):
         # and ring k holds every new neighbour of ring k - 1
         close = earlier.union(rings[k - 1], rings[k])
         assert {w for u in rings[k - 1] for w in graph.neighbors(u)} <= close
+
+
+def _ring_numbering(graph, sources, radius):
+    """The numbered ball as it was built from a separate ring walk, kept
+    as the oracle for the one-pass walk: ring k + 1 holds the unseen
+    neighbours of ring k in first-fetch order, and the numbers and
+    neighbour indices are read off the finished rings."""
+    neighbours = []
+    rings = [tuple(dict.fromkeys(sources))]
+    seen = set(rings[0])
+    for _ in range(radius):
+        fetched = tuple(map(graph.neighbors, rings[-1]))
+        neighbours += fetched
+        ring = tuple(dict.fromkeys(w for ws in fetched for w in ws
+                                   if w not in seen))
+        seen.update(ring)
+        rings.append(ring)
+    order = [u for ring in rings for u in ring]
+    index = {u: i for i, u in enumerate(order)}
+    nbrs = [[index[w] for w in ws] for ws in neighbours]
+    return rings, order, index, nbrs
+
+
+WALK_CASES = [
+    ('path', PathGraph(), 16),
+    ('tripod', TripodGraph(), 10),
+    ('ntree3', RegularTree(3), 6),
+    ('heisenberg', SkewGraph(Heisenberg(), (X, X_INV, Y, Y_INV)), 5),
+]
+
+
+@pytest.mark.parametrize('name,graph,radius', WALK_CASES,
+                         ids=[c[0] for c in WALK_CASES])
+def test_one_pass_walk_numbers_as_the_ring_walk(name, graph, radius):
+    root = graph.root()
+    for r in range(radius + 1):
+        assert _numbered_ball(graph, (root,), r) == \
+            _ring_numbering(graph, (root,), r), r
+    # several sources, repeated, in any order, and radius 0
+    near = _ring_numbering(graph, (root,), 2)[1]
+    sources = (near[-1], root, near[-1], near[1], root)
+    for r in (0, 1, 3):
+        assert _numbered_ball(graph, sources, r) == \
+            _ring_numbering(graph, sources, r), r
+    assert vertices_in_ball(graph, root, radius) == set(
+        _ring_numbering(graph, (root,), radius)[1])
+
+
+@pytest.mark.parametrize('name,graph,radius', WALK_CASES,
+                         ids=[c[0] for c in WALK_CASES])
+def test_walks_refuse_a_negative_radius(name, graph, radius):
+    with pytest.raises(ValueError, match='radius must be >= 0'):
+        _numbered_ball(graph, (graph.root(),), -1)
+    with pytest.raises(ValueError, match='radius must be >= 0'):
+        vertices_in_ball(graph, graph.root(), -1)
 
 
 # --- sparse functions ---

@@ -16,11 +16,12 @@ from ribbonflow.dynamics import (HPoint, from_edge, hpoint, iet_step, resolve,
 from ribbonflow.eigen import (builtin_families, character, character_eigen,
                               gz_constant, gz_exponential, ntree_constant,
                               tripod_family)
-from ribbonflow.exact import FieldMixError, QVec2, QuadNum, sqrt_rational
+from ribbonflow.exact import (FieldMixError, QVec2, QuadNum, _lift_common,
+                              _reduced, sqrt_rational)
 from ribbonflow.freegrp import H, V, V_INV, Letter, Word, rho
 from ribbonflow.graphs import (Heisenberg, IntegersZ, OracleFun, PathGraph,
-                               SparseFun, TripodGraph, upsilon_eval,
-                               vertices_in_ball)
+                               SparseFun, TripodGraph, _numbered_ball,
+                               upsilon_eval, vertices_in_ball)
 from ribbonflow.measures import (DecayProfile, Witness, _cut_measure,
                                  _renormalized, conjugate_boundary_point,
                                  decay_profile, decay_profiles,
@@ -102,8 +103,7 @@ def matched_window(pair):
 def test_renormalized_matches_the_adjoint_route(case):
     graph, f, data, window = case()
     depth = 8
-    rows = [(n, v, value) for n, v, value, _ in
-            _renormalized(graph, f, data, depth, window)]
+    rows = kernel_rows(graph, f, data, depth, window)
     expected = []
     for n in range(depth + 1):
         word = Word(reversed(data.increments[:n]))
@@ -129,7 +129,7 @@ def test_renormalized_matches_the_plane_reduction_at_depth_64(pair):
     moved = [plane_point(graph, w2.weight, rho(
         w2.lam, Word(reversed(data.increments[:n]))) * QVec2(*theta2))
         for n in range(65)]
-    rows = list(_renormalized(graph, f, data, 64, window))
+    rows = quad_rows(graph, f, data, 64, window)
     assert len(rows) == 65 * len(window)
     for n, v, value, _ in rows:
         assert value == moved[n](v), (n, v)
@@ -147,9 +147,21 @@ def adjoint_rows(graph, f, increments, depth, window):
     return rows
 
 
+def quad_rows(graph, f, data, depth, window):
+    """The int rows of _renormalized as (n, v, value, sign_ok), each value
+    built over the kernel's q; the row's sign must be the value's."""
+    q, d, rows = _renormalized(graph, f, data, depth, window)
+    out = []
+    for n, v, a, b, sign, ok in rows:
+        value = _reduced(a, b, q, d)
+        assert sign == value.sign()
+        out.append((n, v, value, ok))
+    return out
+
+
 def kernel_rows(graph, f, data, depth, window):
     return [(n, v, value) for n, v, value, _ in
-            _renormalized(graph, f, data, depth, window)]
+            quad_rows(graph, f, data, depth, window)]
 
 
 def mixed_values(v):
@@ -187,7 +199,7 @@ def test_kernel_at_depth_zero_reads_f():
     w1, w2, data, theta2 = gz_pair()
     f = plane_point(w1.graph, w2.weight, theta2)
     window = [3, -1, 0, 3]
-    rows = list(_renormalized(w1.graph, f, data, 0, window))
+    rows = quad_rows(w1.graph, f, data, 0, window)
     assert [(n, v, value) for n, v, value, _ in rows] == [
         (0, v, f(v)) for v in window]
     assert all(ok for _, _, _, ok in rows)
@@ -210,18 +222,18 @@ def test_kernel_rejects_two_fields_and_floats():
     data = shrinking_sequence(QuadNum(2), THETA2)
     roots = OracleFun(lambda v: sqrt_rational(2 if v < 3 else 3))
     with pytest.raises(FieldMixError):
-        next(_renormalized(graph, roots, data, 4, (0,)))
+        _renormalized(graph, roots, data, 4, (0,))
     # the two fields meet only outside the neighbourhood
-    next(_renormalized(graph, roots, data, 2, (0,)))
+    _renormalized(graph, roots, data, 2, (0,))
     with pytest.raises(TypeError):
-        next(_renormalized(graph, lambda v: 0.5, data, 2, (0,)))
+        _renormalized(graph, lambda v: 0.5, data, 2, (0,))
 
 
 def test_kernel_rejects_negative_depth():
     w1, w2, data, theta2 = gz_pair()
     f = plane_point(w1.graph, w2.weight, theta2)
     with pytest.raises(ValueError):
-        next(_renormalized(w1.graph, f, data, -1, (0,)))
+        _renormalized(w1.graph, f, data, -1, (0,))
 
 
 def test_decay_profiles_check_critical_times_once(monkeypatch):
@@ -355,6 +367,129 @@ def test_decay_profile_flags_non_survivor():
 def test_critical_times_need_repeated_quadrant():
     data = shrinking_sequence(QuadNum(2), THETA2)
     assert critical_times(data)[:6] == (1, 2, 3, 4, 5, 6)
+
+
+def _quad_kernel(graph, f, data, depth, vertices):
+    """The shear kernel as it yielded QuadNum rows, kept as the oracle for
+    the int rows: (n, v, value, sign_ok), each value built from the ints
+    over q and its sign read off the QuadNum."""
+    if depth >= len(data.signs):
+        raise ValueError('shrinking data shorter than requested depth')
+    vertices = tuple(vertices)
+    rings, order, index, nbrs = _numbered_ball(graph, vertices, depth)
+    A, B, q, d = _lift_common(map(f, order))
+    classes = list(map(graph.vertex_class, order))
+    gathers = {'a': [], 'b': []}
+    cuts = {'a': [], 'b': []}
+    start = 0
+    for ring in rings[:depth]:
+        for i in range(start, start + len(ring)):
+            gathers[classes[i]].append((i, nbrs[i]))
+        start += len(ring)
+        for c, todo in gathers.items():
+            cuts[c].append(len(todo))
+    rows = [(v, index[v], classes[index[v]] == 'a') for v in vertices]
+    for n in range(depth + 1):
+        if n:
+            letter = data.increments[n - 1]
+            e = letter.exp
+            c = 'a' if letter.gen == 'h' else 'b'
+            todo = gathers[c][:cuts[c][depth - n]]
+            for xs in ((A, B) if d else (A,)):
+                for w, nbrs in todo:
+                    total = 0
+                    for j in nbrs:
+                        total += xs[j]
+                    xs[w] += e * total
+        s = data.signs[n]
+        for v, i, on_a in rows:
+            value = _reduced(A[i], B[i], q, d)
+            sign = value.sign()
+            yield n, v, value, not sign or s is None or sign == (
+                s.sx if on_a else s.sy)
+
+
+def _quad_survivor(graph, f, data, depth, window):
+    for n, v, value, sign_ok in _quad_kernel(graph, f, data, depth, window):
+        if not sign_ok:
+            return Witness(n, v, value.sign())
+    return None
+
+
+def _quad_decay(graph, f, data, depth, window):
+    """decay_profiles on the QuadNum rows, comparing QuadNums."""
+    window = tuple(window)
+    rows = list(_quad_kernel(graph, f, data, depth, window))
+    crit = tuple(n for n in critical_times(data) if n <= depth)
+    profiles = []
+    for i in range(len(window)):
+        _, _, values, signs_ok = zip(*rows[i::len(window)])
+        values = tuple(map(abs, values))
+        flags = tuple(b <= a for a, b in zip(values, values[1:]))
+        halving = next((n for n in crit if values[n] <= values[0] / 2), None)
+        profiles.append(DecayProfile(values, flags, crit, halving,
+                                     all(signs_ok)))
+    return profiles
+
+
+def _assert_matches_the_quad_rows(graph, f, data, depth, window):
+    assert survivor_check(graph, f, data, depth, window) == \
+        _quad_survivor(graph, f, data, depth, window)
+    got = decay_profiles(graph, f, data, depth, window)
+    assert got == _quad_decay(graph, f, data, depth, window)
+    # the same bits: each value is one canonical QuadNum
+    for prof in got:
+        assert all(type(v) is QuadNum for v in prof.values)
+    return got
+
+
+@pytest.mark.parametrize('pair', [gz_pair, tripod_pair])
+@pytest.mark.parametrize('theta2', [None, (QuadNum(4),
+                                           QuadNum('-5+sqrt(42)'))],
+                         ids=['matched', 'sqrt42'])
+def test_int_rows_match_the_quad_rows(pair, theta2):
+    w1, w2, data, matched = pair()
+    graph = w1.graph
+    f = plane_point(graph, w2.weight, theta2 or matched)
+    window = ball_window(graph, 12)
+    profiles = _assert_matches_the_quad_rows(graph, f, data, 12, window)
+    if theta2 is None:
+        assert all(p.survivor_ok and all(p.nonincreasing) for p in profiles)
+    else:
+        assert not all(p.survivor_ok for p in profiles)
+
+
+def test_sqrt42_witness_is_the_readme_row():
+    w1, w2, data, _ = gz_pair()
+    f = plane_point(w1.graph, w2.weight, (QuadNum(4), QuadNum('-5+sqrt(42)')))
+    window = ball_window(w1.graph, 12)
+    assert survivor_check(w1.graph, f, data, 12, window) == \
+        Witness(3, -10, -1)
+
+
+SHRINK_DATA = [shrinking_sequence(QuadNum(2), THETA2),
+               shrinking_sequence(QuadNum('5/2'), THETA41),
+               shrinking_sequence(QuadNum(3), (QuadNum(2),
+                                               QuadNum('-3+sqrt(13)')))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_int_rows_match_the_quad_rows_on_small_ints(data):
+    # small ints on a short stretch of the path, zero beyond it, some with
+    # a sqrt(2) part: zero values, equal magnitudes and values at exactly
+    # half the start are common
+    shrink = data.draw(st.sampled_from(SHRINK_DATA))
+    depth = data.draw(st.integers(min_value=0, max_value=6))
+    ints = st.integers(min_value=-2, max_value=2)
+    span = data.draw(st.lists(ints, min_size=1, max_size=12))
+    roots = data.draw(st.lists(st.sampled_from((0, 0, 0, 1, -1)),
+                               min_size=len(span), max_size=len(span)))
+    values = {v: QuadNum(a, b, 2) for v, (a, b) in enumerate(zip(span, roots))}
+    f = OracleFun(lambda v: values.get(v, 0))
+    window = data.draw(st.lists(st.integers(min_value=-2, max_value=13),
+                                min_size=1, max_size=5))
+    _assert_matches_the_quad_rows(PathGraph(), f, shrink, depth, window)
 
 
 # The full coding refinement, every cell split at every step: the oracle
@@ -774,6 +909,20 @@ def test_conjugacy_rejects_unknown_side():
     s = Surface.from_family(gz_constant())
     with pytest.raises(ValueError):
         conjugate_boundary_point(s, s, THETA2, THETA2, 0, 'north', 0, 2)
+
+
+def test_conjugacy_refuses_a_vertical_second_direction():
+    # a side's image rescales by the second direction's component across
+    # it, and a vertical direction's x component is 0
+    s = Surface.from_family(gz_constant())
+    vertical = (QuadNum(0), QuadNum(1))
+    for side in ('bottom', 'top', 'left', 'right'):
+        args = (s, s, THETA2, vertical, 0, side, s.width(0) / 2, 2)
+        if side in ('left', 'right'):
+            with pytest.raises(ValueError, match='vertical second direction'):
+                conjugate_boundary_point(*args)
+        else:
+            conjugate_boundary_point(*args)
 
 
 def test_boundary_map_intertwines_return_maps():

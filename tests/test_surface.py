@@ -15,10 +15,11 @@ from ribbonflow.eigen import (builtin_families, character_eigen, gz_constant,
 from ribbonflow.exact import QuadNum, as_quad
 from ribbonflow.freegrp import Word, gamma
 from ribbonflow.graphs import (Heisenberg, IntegerLattice, IntegersZ,
-                               FreeGroup, OracleFun, SparseFun, pairing,
-                               upsilon, vertices_in_ball)
+                               FreeGroup, OracleFun, SparseFun,
+                               _numbered_ball, pairing, upsilon,
+                               vertices_in_ball)
 from ribbonflow.measures import transposed_surface
-from ribbonflow.surface import (Surface, _rings, ball_growth, phi_homology,
+from ribbonflow.surface import (Surface, ball_growth, phi_homology,
                                 svg_truncation, z_class)
 
 
@@ -270,7 +271,8 @@ def _ball_growth_rereading(surface, n_max):
     unions = (set(), set())
     lengths = []
     max_sides = []
-    for n, ring in enumerate(_rings(graph, (graph.root(),), n_max)):
+    for n, ring in enumerate(_numbered_ball(graph, (graph.root(),),
+                                            n_max)[0]):
         rect = unions[n % 2]
         rect.update(chain.from_iterable(map(graph.edges_at, ring)))
         out, back = ((surface.east, surface.west) if n % 2 else
