@@ -35,7 +35,7 @@ import re
 import sys
 
 from . import __version__
-from .dynamics import (OrbitEscapedBudget, code_orbit, from_edge, resolve,
+from .dynamics import (OrbitEscapedBudget, from_edge, located_orbit,
                        skew_orbit, skew_orbit_float)
 from .eigen import EigenFamily, family_eigen, verify_family
 from .exact import (FieldMixError, QuadNum, QVec2, as_quad, parse_quad,
@@ -301,15 +301,10 @@ def cmd_simulate(args) -> int:
     theta = _theta(args.theta)
     edge = fam.graph.base_edge(fam.root)
     start = from_edge(surface, edge, surface.width(edge) / 2)
-    symbols, points = code_orbit(surface, theta, start, args.steps,
-                                 branch=args.branch or 'right',
-                                 budget=budget)
-    rows = []
-    for k, (e, p) in enumerate(zip(symbols, points)):
-        right, o = resolve(surface, p)
-        # a left-branch symbol on a cut is the west edge at its full width
-        o = o if e == right else surface.width(e)
-        rows.append([k, repr(p.a), str(p.t), repr(e), str(o)])
+    legs = located_orbit(surface, theta, start, args.steps,
+                         branch=args.branch or 'right', budget=budget)
+    rows = [[k, repr(p.a), str(p.t), repr(e), str(o)]
+            for k, (e, o, p) in enumerate(legs)]
     meta = {'family': fam.name, 'theta': args.theta, 'steps': args.steps}
     _emit_table(args, meta, ['step', 'circle', 't', 'edge', 'offset'], rows)
     return EXIT_OK

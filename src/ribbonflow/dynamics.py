@@ -12,13 +12,14 @@ and gives the offset t - cut, and _land adds it to base = cut + w*r from
 the direction's jump table (Jumps) and reduces by the circle's length;
 the one QuadNum it builds is the point it yields.  iet_step is one such
 step and _legs the one orbit of them, landing only when the next step is
-asked for; resolve is _locate's QuadNum face.  Exact quadratic
-arithmetic reproduces orbits bit for bit; the float mode, for long
-statistical runs, reads the landings rounded once and refuses what the
-exact routes refuse.  The exact skew rotation is one loop, whose
-one-step case is skew_step: it lifts x and alpha once to ints over one
-denominator, so a step is a floor, two int adds and a floor.  Every orbit
-counts its budget in _budgeted.
+asked for; resolve is _locate's QuadNum face, and located_orbit hands
+on the offsets _legs located.  Exact quadratic arithmetic reproduces
+orbits bit for bit; the float mode, for long statistical runs, reads
+the landings rounded once and refuses what the exact routes refuse.
+The exact skew rotation is one loop, whose one-step case is skew_step:
+it lifts x and alpha once to ints over one denominator, so a step is a
+floor, two int adds and a floor.  Every orbit counts its budget in
+_budgeted.
 """
 
 from __future__ import annotations
@@ -319,6 +320,18 @@ def _legs(surface: Surface, jumps: Jumps, p: HPoint, branch):
         p = _land(jumps, e, oa, ob, oq, d)
 
 
+def _orbit_legs(surface: Surface, theta, p: HPoint, steps: int, branch,
+                budget) -> list:
+    """The first steps legs of _legs for the rotation theta, under the
+    vertex budget, which counts the landings made."""
+    if branch not in (None, 'left', 'right'):
+        raise ValueError("branch must be None, 'left' or 'right'")
+    legs = islice(_legs(surface, surface.rotation(theta), p, branch),
+                  max(steps, 0))
+    # leg k is the point after k landings
+    return list(_budgeted(legs, p.a, budget, lambda leg: leg[1].a, 0))
+
+
 def code_orbit(surface: Surface, theta, p: HPoint, steps: int,
                branch=None, budget=None):
     """The itinerary of top-edge symbols along an orbit of the return
@@ -330,13 +343,19 @@ def code_orbit(surface: Surface, theta, p: HPoint, steps: int,
     the orbit may expand before OrbitEscapedBudget, which counts the
     landings made.
     """
-    if branch not in (None, 'left', 'right'):
-        raise ValueError("branch must be None, 'left' or 'right'")
-    legs = islice(_legs(surface, surface.rotation(theta), p, branch),
-                  max(steps, 0))
-    # leg k is the point after k landings
-    done = list(_budgeted(legs, p.a, budget, lambda leg: leg[1].a, 0))
+    done = _orbit_legs(surface, theta, p, steps, branch, budget)
     return [at[0] for at, _ in done], [q for _, q in done]
+
+
+def located_orbit(surface: Surface, theta, p: HPoint, steps: int,
+                  branch=None, budget=None) -> list:
+    """code_orbit's orbit as (edge, offset, point) triples: each point
+    with the edge of its symbol and its offset in that edge's top
+    interval, as the step located it, so no point is located twice.  On
+    a cut the right branch has offset 0 and the left branch the west
+    edge at its full width, as in SingularHit."""
+    return [(e, _reduced(oa, ob, oq, d), q) for (e, oa, ob, oq, d), q
+            in _orbit_legs(surface, theta, p, steps, branch, budget)]
 
 
 def _check_skew(n: int, group, generators, x) -> None:

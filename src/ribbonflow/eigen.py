@@ -10,7 +10,12 @@ is approximate.  It reads the same numbered neighbourhood
 renormalized values in `measures`, and lists residuals in ring order.
 Regular trees are walked by verify_eigen_tree in blocks, each one
 numbering template placed at its top, and list residuals in block
-order.  Both walks form residuals with one int kernel, `_int_residuals`.
+order.  Both walks read an OracleFun's closed form once per walk
+(`graphs._closed_form`) and call it at every vertex: the lift reads
+each value by as_quad in one ordered pass, as the wrapper would have,
+so the first bad value read decides between TypeError and
+FieldMixError.  Both form residuals with one int kernel,
+`_int_residuals`, one list comprehension per int numerator.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from .exact import QuadNum, _lift_common, _reduced, as_quad, quad_sqrt
 from .graphs import (Cyclic, FreeGroup, Group, Heisenberg, IntegerLattice,
                      IntegersZ, OracleFun, PathGraph, RegularTree,
                      RibbonGraph, SkewGraph, TripodGraph, _build_named,
-                     _check_radius, _numbered_ball, make_group)
+                     _check_radius, _closed_form, _numbered_ball,
+                     make_group)
 
 _ONE = QuadNum(1)
 _ZERO = QuadNum(0)
@@ -323,21 +329,36 @@ def _tally(radius: int, parts) -> ResidualReport:
 
 def _int_residuals(order, nbrs, lifted):
     """The nonzero residuals A f - lam f at order[i], for i < len(nbrs),
-    as (vertex, residual) pairs in index order.
+    as a list of (vertex, residual) pairs in index order.
 
     nbrs[i] holds the indices of the neighbours of order[i], and lifted
     is `_lift_common` of the values at all indices followed by lam: ints
-    (A + B*sqrt(d))/q.  A residual is then int sums over q^2, and a
-    QuadNum is built only for a nonzero one.
+    (A + B*sqrt(d))/q.  A residual is then int sums over q^2.  The int
+    numerators of every residual are formed by one list comprehension
+    each, the radical ones only in a quadratic field; the pairs are
+    gathered only when one of them is nonzero, and a QuadNum is built
+    only for a nonzero residual.
     """
     A, B, q, d = lifted
     la, lb = A[-1], B[-1]
-    for i, js in enumerate(nbrs):
-        a, b = A[i], B[i]
-        ra = q * sum(map(A.__getitem__, js)) - la * a - lb * b * d
-        rb = q * sum(map(B.__getitem__, js)) - la * b - lb * a if d else 0
-        if ra or rb:
-            yield order[i], _reduced(ra, rb, q * q, d)
+    a_at = A.__getitem__
+    if d:
+        b_at, lbd = B.__getitem__, lb * d
+        ra = [q * sum(map(a_at, js)) - la * a - lbd * b
+              for js, a, b in zip(nbrs, A, B)]
+        rb = [q * sum(map(b_at, js)) - la * b - lb * a
+              for js, a, b in zip(nbrs, A, B)]
+        if not (any(ra) or any(rb)):
+            return []
+    else:
+        # a rational field: every B is 0
+        ra = [q * sum(map(a_at, js)) - la * a for js, a in zip(nbrs, A)]
+        if not any(ra):
+            return []
+        rb = [0] * len(ra)
+    qq = q * q
+    return [(order[i], _reduced(x, y, qq, d))
+            for i, (x, y) in enumerate(zip(ra, rb)) if x or y]
 
 
 def verify_eigen(graph: RibbonGraph, fn, lam, radius: int) -> ResidualReport:
@@ -347,12 +368,15 @@ def verify_eigen(graph: RibbonGraph, fn, lam, radius: int) -> ResidualReport:
     Reads the same numbered neighbourhood and int lift as the shear
     kernel of `measures`: the ball is numbered out to radius + 1, so each
     vertex is evaluated once, and f and lam are lifted together to ints
-    over one denominator for `_int_residuals`.  Values that are not exact
-    numbers raise TypeError, and two fields raise FieldMixError.
+    over one denominator for `_int_residuals`.  An OracleFun is read
+    through its closed form, which the lift coerces.  Values that are not
+    exact numbers raise TypeError, and two fields raise FieldMixError,
+    whichever the first bad value read meets first.
     """
     _check_radius(radius)
     _, order, _, nbrs = _numbered_ball(graph, (graph.root(),), radius + 1)
-    lifted = _lift_common(chain(map(fn, order), (as_quad(lam),)))
+    lifted = _lift_common(chain(map(_closed_form(fn), order),
+                                (as_quad(lam),)))
     return _tally(radius, [(len(nbrs), _int_residuals(order, nbrs, lifted))])
 
 
@@ -443,16 +467,18 @@ def verify_eigen_tree(tree: RegularTree, fn, lam,
 
     Below a non-root vertex every subtree of one depth has one shape, so
     a block is one numbering template (`_template`) placed at its top.  A
-    block reads the oracle once per vertex, lifts its values and lam with
-    one `_lift_common`, and hands them to `_int_residuals`, as
-    verify_eigen does; memory is one block and the stack of pending tops.
+    block reads the closed form once per vertex, unwrapped as verify_eigen
+    reads it, lifts its values and lam with one `_lift_common`, and hands
+    them to `_int_residuals`, as verify_eigen does; memory is one block
+    and the stack of pending tops.
     Nonzero residuals come in block order: the root's block first, then
     the blocks below each block in turn, depth first in child order, and
     within a block ring by ring in child order.  Errors are those of
     verify_eigen.
     """
     _check_radius(radius)
-    return _tally(radius, _tree_blocks(tree.n, fn, as_quad(lam), radius))
+    return _tally(radius, _tree_blocks(tree.n, _closed_form(fn),
+                                       as_quad(lam), radius))
 
 
 def verify_family(family: EigenFamily, radius: int) -> ResidualReport:

@@ -87,12 +87,19 @@ def _square_split(n: int) -> tuple[int, int]:
 def _order(test):
     """The rich comparison of QuadNums deciding test(sign, 0) for the sign
     of q*oq*(self - other), as __sub__ and sign() would find it, on ints:
-    no number is built.  An operand that is no exact number gives
-    NotImplemented, and a field mix names self's field first."""
+    no number is built.  An int or a Fraction is read as its numerator
+    and denominator, never lifted, and mixes no field.  An operand that
+    is no exact number gives NotImplemented, and a field mix names
+    self's field first."""
 
-    def compare(self, other):
-        o = _lift(other)
-        if o is None:
+    def compare(self, o):
+        if type(o) is not QuadNum:
+            if isinstance(o, int):
+                return test(_sign(self._a - o * self._q, self._b, self._d), 0)
+            if isinstance(o, Fraction):
+                n, m = o.numerator, o.denominator
+                return test(_sign(self._a * m - n * self._q, self._b * m,
+                                  self._d), 0)
             return NotImplemented
         d = self._d
         if o._d and o._d != d:
@@ -428,7 +435,9 @@ def _lift_common(values, field: int = 0) -> tuple[list, list, int, int]:
     A nonzero field is one the values must share, such as that of values
     lifted before, and d is then field.  Irrational values from two
     fields raise FieldMixError naming the one met first, field if set;
-    values as_quad refuses (floats among them) raise TypeError.
+    values as_quad refuses (floats among them) raise TypeError.  Each
+    value is read, coerced and joined in one ordered pass, so the first
+    bad value decides which of the two is raised.
     """
     nums = []
     q = 1
@@ -440,9 +449,10 @@ def _lift_common(values, field: int = 0) -> tuple[list, list, int, int]:
         if q % x._q:
             q = math.lcm(q, x._q)
         nums.append(x)
-    scales = [q // x._q for x in nums]
-    return ([x._a * s for x, s in zip(nums, scales)],
-            [x._b * s for x, s in zip(nums, scales)], q, d)
+    if q == 1:
+        return [x._a for x in nums], [x._b for x in nums], q, d
+    return ([x._a * (q // x._q) for x in nums],
+            [x._b * (q // x._q) for x in nums], q, d)
 
 
 _ONE = QuadNum(1)

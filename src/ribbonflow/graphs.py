@@ -501,6 +501,13 @@ class OracleFun:
         return out if type(out) is QuadNum else as_quad(out)
 
 
+def _closed_form(fn: Callable) -> Callable:
+    """The closed form behind an OracleFun, for a walk that reads every
+    value through as_quad itself (as `exact._lift_common` does) and so
+    needs no wrapper around each read; any other callable as it is."""
+    return fn._fn if type(fn) is OracleFun else fn
+
+
 def project_class(graph: RibbonGraph, x: SparseFun, cls: str) -> SparseFun:
     """Restrict a sparse function to the A- or B-vertices."""
     return SparseFun([(v, c) for v, c in x.items()

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ribbonflow import __version__, cli
+from ribbonflow import __version__, cli, dynamics
 from ribbonflow.cli import (EXIT_BUDGET, EXIT_NOT_RENORM, EXIT_OK,
                             EXIT_PARSE, build_parser, main)
 from ribbonflow.exact import QuadNum, QVec2, parse_quad, sqrt_rational
@@ -233,6 +233,44 @@ def test_shrink_readme_outputs_are_pinned(capsys, argv, code, digest):
     got, out = run(capsys, argv)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize('branch', ['left', 'right'])
+def test_simulate_locates_each_point_once(capsys, monkeypatch, branch):
+    # the rows read the edge and offset the orbit's step located: no
+    # resolve, and one locate per row
+    calls = {'resolve': 0, '_locate': 0}
+
+    def counted(name):
+        fn = getattr(dynamics, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dynamics, name, counted(name))
+    code, out = run(capsys, GZ_CUT_ORBIT[:-3] + ['--steps', '40',
+                                                 '--branch', branch])
+    assert code == EXIT_OK
+    assert len(csv_body(out)[1]) == 40
+    assert calls == {'resolve': 0, '_locate': 40}
+
+
+def test_simulate_left_branch_on_a_one_edge_circle(capsys):
+    # one generator: the one A-vertex's circle is one edge, its own west
+    # neighbour, and the left branch codes a cut as that edge at its full
+    # width, as the step itself took it
+    code, out = run(capsys, ['simulate', '--family',
+                             'character:group=Z,generators=(0,),chi=1',
+                             '--theta', '1, 2', '--steps', '3',
+                             '--branch', 'left'])
+    assert code == EXIT_OK
+    edge = '"(\'e\', 0, 1)"'
+    assert [','.join(r) for r in csv_body(out)[1]] == [
+        '0,"(\'a\', 0)",1/2,%s,1/2' % edge, '1,"(\'a\', 0)",0,%s,1' % edge,
+        '2,"(\'a\', 0)",1/2,%s,1/2' % edge]
 
 
 def test_simulate_surface_exact_cells(capsys):

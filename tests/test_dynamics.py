@@ -378,6 +378,29 @@ def test_cut_points_and_their_left_branch(make, a, theta):
         p = iet_step(s, theta, p)
 
 
+@pytest.mark.parametrize('make, a, t, theta', [
+    (lambda: Surface.from_family(gz_constant()), 0, Fraction(1, 2), (1, 2)),
+    (staircase, ('a', 0), 0, (0, 1)),
+    (lambda: Surface.from_family(tripod_family(2)), ('c',), 0, THETA41),
+])
+@pytest.mark.parametrize('branch', ['left', 'right'])
+def test_located_orbit_is_code_orbit_with_its_offsets(make, a, t, theta,
+                                                      branch):
+    # each offset is the one resolve finds again for the point, but on a
+    # cut the left branch's, the west edge at its full width
+    s = make()
+    p = hpoint(s, a, t)
+    syms, pts = code_orbit(s, theta, p, 30, branch=branch)
+    located = dynamics.located_orbit(s, theta, p, 30, branch=branch)
+    assert [(e, q) for e, _, q in located] == list(zip(syms, pts))
+    cuts = 0
+    for e, o, q in located:
+        right, ro = resolve(s, q)
+        cuts += not ro
+        assert o == (ro if e == right else s.width(e))
+    assert cuts
+
+
 def test_code_orbit_budget_escape():
     s = staircase()
     theta = stair_theta(ALPHA)

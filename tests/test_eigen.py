@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ribbonflow.exact import FieldMixError, QuadNum, sqrt_rational
+from ribbonflow.exact import FieldMixError, QuadNum, as_quad, sqrt_rational
 from ribbonflow import cli
 from ribbonflow.graphs import (Cyclic, FreeGroup, Heisenberg, IntegerLattice,
                                IntegersZ, OracleFun, RegularTree, SkewGraph,
@@ -336,6 +336,80 @@ def test_tree_walk_matches_generic_walk():
             walk(tree, lambda v: 0.5, 1, 2)
         with pytest.raises(FieldMixError):
             walk(tree, root_horo.weight, QuadNum(0, 1, 3), 2)
+
+
+ROOT3 = QuadNum(0, 1, 3)
+WALKS = [verify_eigen, verify_eigen_tree]
+WRAPS = [OracleFun, lambda fn: fn]
+
+
+@pytest.mark.parametrize('wrap', WRAPS, ids=['oracle', 'bare'])
+@pytest.mark.parametrize('walk', WALKS)
+def test_first_bad_value_read_decides_the_error(walk, wrap):
+    # both walks read (), (0,) and (1,) first: a field mix met before a
+    # float is a FieldMixError, a float met before a mix a TypeError
+    tree = RegularTree(3)
+    seen = []
+    assert walk(tree, wrap(lambda v: seen.append(v) or 1), 3, 2).ok
+    first = seen[:3]
+    assert first == [(), (0,), (1,)]
+    for values, error, match in (
+            ((1 + ROOT2, 1 + ROOT3, 0.5), FieldMixError,
+             r'^cannot combine sqrt\(2\) with sqrt\(3\)$'),
+            ((1 + ROOT2, 0.5, 1 + ROOT3), TypeError,
+             r'^not an exact number: 0\.5$')):
+        bad = dict(zip(first, values))
+        with pytest.raises(error, match=match):
+            walk(tree, wrap(lambda v: bad.get(v, 1)), 3, 2)
+
+
+def _closed_forms():
+    """(closed form, lam, nonzero count) on the 3-tree at radius 5, whose
+    values are ints, Fractions and parseable strings; bumps leave a few
+    nonzero residuals, and an irrational lam against rational values
+    leaves all 94, more than a report keeps."""
+    horo = ntree_horofunction(3, HALF)
+    root_horo = ntree_horofunction(3, ROOT2 / 2)
+    bumps = {(0,), (1, 1), (2, 0, 1)}
+    return ((lambda v: 1, 3, 0),
+            (lambda v: 1 + (v in bumps), 3, 12),
+            (lambda v: horo(v).as_fraction(), horo.lam, 0),
+            (lambda v: horo(v).as_fraction() + (v in bumps), horo.lam, 12),
+            (lambda v: horo(v).as_fraction(), horo.lam + ROOT2, 94),
+            (lambda v: str(root_horo(v)), root_horo.lam, 0),
+            (lambda v: str(root_horo(v) + (v in bumps)), root_horo.lam, 12))
+
+
+@pytest.mark.parametrize('walk', WALKS)
+def test_bare_closed_form_reports_as_its_oracle_does(walk):
+    # the walks read an OracleFun's closed form without its wrapper, and
+    # the lift coerces each value as the wrapper did, by as_quad
+    tree = RegularTree(3)
+    for fn, lam, count in _closed_forms():
+        wrapped = walk(tree, OracleFun(fn), lam, 5)
+        assert walk(tree, fn, lam, 5) == wrapped
+        assert walk(tree, lambda v: as_quad(fn(v)), lam, 5) == wrapped
+        assert wrapped.vertex_count == 94
+        assert wrapped.nonzero_count == count
+        assert len(wrapped.nonzero) == min(count, _KEEP)
+    for fn in (lambda v: 0.5, lambda v: 1 if v else 0.5):
+        for wrap in WRAPS:
+            with pytest.raises(TypeError, match='not an exact number'):
+                walk(tree, wrap(fn), 3, 5)
+
+
+def test_ball_walk_reads_the_oracle_once_per_vertex():
+    # the block walk's twin is test_block_walk_reads_each_vertex_once
+    fam = ntree_horofunction(3, HALF)
+    seen = []
+
+    def value(v):
+        seen.append(v)
+        return fam(v)
+
+    assert verify_eigen(fam.graph, OracleFun(value), fam.lam, 7).ok
+    ball = vertices_in_ball(fam.graph, fam.root, 8)
+    assert len(seen) == len(ball) and set(seen) == ball
 
 
 @pytest.mark.parametrize('walk', [verify_eigen, verify_eigen_tree])

@@ -140,6 +140,34 @@ def test_each_ordering_agrees_with_the_fraction_route(pair):
         assert op(y, x) is op(-s, 0)
 
 
+@given(r=rationals, s=st.one_of(st.integers(-10 ** 40, 10 ** 40),
+                                 rationals,
+                                 st.fractions(max_denominator=10 ** 30)))
+def test_orderings_on_rationals_are_those_of_fractions(r, s):
+    # an int or a Fraction operand is decided on its numerator and
+    # denominator; against a rational QuadNum that is Fraction's order
+    x = QuadNum(r)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        assert op(x, s) is op(r, s)
+        assert op(s, x) is op(s, r)
+    assert x == s if r == s else x != s
+
+
+@pytest.mark.parametrize('op, x, y', [
+    # 1 + sqrt(2) = 2.41421356...
+    (operator.lt, QuadNum(1, 1, 2), 3),
+    (operator.le, QuadNum(1, 1, 2), Fraction(241422, 100000)),
+    (operator.gt, QuadNum(1, 1, 2), Fraction(241421, 100000)),
+    (operator.ge, QuadNum(1, 1, 2), 2),
+])
+def test_orderings_decide_an_irrational_against_a_rational(op, x, y):
+    # the rational on the left is reflected onto the QuadNum
+    mirror = {operator.lt: operator.gt, operator.le: operator.ge,
+              operator.gt: operator.lt, operator.ge: operator.le}[op]
+    assert op(x, y) and mirror(y, x) and op(-y, -x)
+    assert not (op(y, x) or mirror(x, y))
+
+
 def test_orderings_refuse_what_is_no_exact_number():
     x = QuadNum(1, 1, 2)
     for name in ('__lt__', '__le__', '__gt__', '__ge__'):
