@@ -224,8 +224,11 @@ def character_eigen(group: Group, generators, values) -> EigenFamily:
     if len(discs) > 1:
         raise ValueError('eigenvalue leaves the quadratic coefficient field')
     scale = {'a': _ONE, 'b': delta / lam}
+    # 1/chi is the character of the inverse values, so each read
+    # multiplies by cached powers instead of dividing
+    inv_chi = character(group, [_ONE / v for v in vals])
     return EigenFamily('character', graph, lam,
-                       OracleFun(lambda v: scale[v[0]] / chi(v[1])),
+                       OracleFun(lambda v: scale[v[0]] * inv_chi(v[1])),
                        (('chi', ','.join(map(str, vals))),))
 
 

@@ -6,7 +6,10 @@ until walked.  A graph is its structure maps: the class of a vertex, its
 incident edges in cyclic order, the two ends of an edge and a root.  Every
 edge joins an A-vertex to a B-vertex.  The rotations about the two ends of
 an edge, which glue the rectangles, are read from the cyclic orders by
-their one reader, `surface.Surface`.
+their one reader, `surface.Surface`.  `RibbonGraph.neighbors` derives
+the neighbours of a vertex from its edges, for any graph; the builtin
+graphs give them in closed form, the same tuple in the same cyclic order
+and with the same multiplicity, and the derived default is their oracle.
 
 Vertex functions come in two flavors: exact sparse dictionaries with finite
 support, and closed-form oracles.  All operators here (adjacency, the shears
@@ -130,6 +133,9 @@ class PathGraph(RibbonGraph):
     def beta(self, e):
         return e + 1 if e % 2 == 0 else e
 
+    def neighbors(self, v) -> tuple:
+        return (v - 1, v + 1)
+
 
 class TripodGraph(RibbonGraph):
     """Three rays joined at a central A-vertex.
@@ -162,6 +168,12 @@ class TripodGraph(RibbonGraph):
 
     def beta(self, e):
         return self._endpoint(e, 0 if e[2] % 2 == 1 else -1)
+
+    def neighbors(self, v) -> tuple:
+        if v == ('c',):
+            return (('r', 0, 1), ('r', 1, 1), ('r', 2, 1))
+        _, i, k = v
+        return (('c',) if k == 1 else ('r', i, k - 1), ('r', i, k + 1))
 
 
 class RegularTree(RibbonGraph):
@@ -197,6 +209,11 @@ class RegularTree(RibbonGraph):
     def beta(self, e):
         child = e[1]
         return child if len(child) % 2 == 1 else child[:-1]
+
+    def neighbors(self, v) -> tuple:
+        if v == ():
+            return tuple([(j,) for j in range(self.n)])
+        return (v[:-1], *[v + (j,) for j in range(self.n - 1)])
 
 
 def _positive_int(value, what: str) -> int:
@@ -371,6 +388,7 @@ class SkewGraph(RibbonGraph):
         if acc != group.identity:
             raise ValueError('generator product g_n...g_1 is not the identity')
         self.etas = tuple(etas)  # etas[i-1] = eta_i
+        self._eta_invs = tuple(map(group.inv, etas))
         self.n = n
 
     def root(self):
@@ -383,10 +401,9 @@ class SkewGraph(RibbonGraph):
         kind, g = v
         if kind == 'b':
             return tuple(('e', g, i) for i in range(1, self.n + 1))
-        inv = self.group.inv
         op = self.group.op
-        return tuple(('e', op(inv(self.etas[i - 1]), g), i)
-                     for i in range(1, self.n + 1))
+        return tuple(('e', op(h, g), i)
+                     for i, h in enumerate(self._eta_invs, 1))
 
     def alpha(self, e):
         _, g, i = e
@@ -395,6 +412,13 @@ class SkewGraph(RibbonGraph):
     def beta(self, e):
         _, g, i = e
         return ('b', g)
+
+    def neighbors(self, v) -> tuple:
+        kind, g = v
+        op = self.group.op
+        if kind == 'a':
+            return tuple([('b', op(h, g)) for h in self._eta_invs])
+        return tuple([('a', op(eta, g)) for eta in self.etas])
 
 
 _GROUPS = {

@@ -14,6 +14,10 @@ once to ints over one common denominator on the vertices within depth of
 the window, and each increment adds its exponent times the neighbour
 sums to its target class, in place; one letter reads only neighbours, so
 after n letters the values within depth - n of the window are exact.
+The plane function x*f of `plane_point` is lifted as its parts: f's
+closed form once over the ball, then the A rows times x and the B rows
+times y on ints, over one lcm of their denominators, to the same ints the
+product read at every vertex would give.
 The survivor check and the decay profiles of a whole window both read
 one such pass.  Its rows stay ints: each sign is decided on them, the
 decay profiles compare magnitudes by the signs of int differences over
@@ -38,14 +42,15 @@ end as the error bound.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 from .dynamics import _land, _legs, walk
 from .exact import (QuadNum, QVec2, _lift_common, _reduced, _sign, _xy,
                     as_quad)
-from .graphs import (OracleFun, RibbonGraph, SparseFun, _numbered_ball,
-                     pairing)
+from .graphs import (OracleFun, RibbonGraph, SparseFun, _closed_form,
+                     _numbered_ball, pairing)
 from .renorm import critical_times
 from .surface import Surface, _theta_parts
 
@@ -53,16 +58,74 @@ _ZERO = QuadNum(0)
 _ONE = QuadNum(1)
 
 
+class _PlaneFun(OracleFun):
+    """x*f at the A-vertices of graph and y*f at its B-vertices, kept as
+    its parts (graph, f, x, y) for `_renormalized`'s int lift."""
+
+    __slots__ = ('graph', 'f', 'x', 'y')
+
+    def __init__(self, graph: RibbonGraph, f, x: QuadNum, y: QuadNum):
+        self.graph, self.f, self.x, self.y = graph, f, x, y
+
+    def __call__(self, vertex) -> QuadNum:
+        scale = self.x if self.graph.vertex_class(vertex) == 'a' else self.y
+        out = scale * self.f(vertex)
+        return out if type(out) is QuadNum else as_quad(out)
+
+
 def plane_point(graph: RibbonGraph, f, v) -> OracleFun:
-    """The vertex function x*f on the A side and y*f on the B side."""
+    """The vertex function x*f on the A side and y*f on the B side.
+
+    Called, it multiplies at each vertex.  `_renormalized` on the same
+    graph, when f is an OracleFun, instead lifts f's closed form once and
+    scales each class's int rows (`_lift_plane`).
+    """
     v = QVec2(*_xy(v))
-    x, y = v.x, v.y
+    return _PlaneFun(graph, f, v.x, v.y)
 
-    def value(vertex):
-        scale = x if graph.vertex_class(vertex) == 'a' else y
-        return scale * f(vertex)
 
-    return OracleFun(value)
+def _lift_plane(f: _PlaneFun, order, classes) -> tuple:
+    """_lift_common(map(f, order)) for a plane function whose f is an
+    OracleFun, read as f's closed form lifted once and each class's rows
+    times its scale on ints.
+
+    With every irrational part in one field D, the A values are
+    (x_a*A + x_b*D*B + (x_a*B + x_b*A)*sqrt(D))/(x_q*q), the B values the
+    same with y, and over the lcm of the two denominators one gcd brings
+    them to the reduced common denominator the values read one by one
+    would have; D stays only if some value is irrational.
+
+    Refusals are not derived here: where this route fails (two fields
+    met, an inexact value, an error of f), every vertex is re-read
+    through the plane function's calls, the OracleFun route, which
+    raises what it raised before, with the same type and text from the
+    same first bad vertex, or lifts values whose fields a zero scale
+    kept apart.
+    """
+    x, y = f.x, f.y
+    try:
+        A, B, q, d = _lift_common(map(_closed_form(f.f), order))
+    except Exception:
+        return _lift_common(map(f, order))
+    fields = {d, x._d, y._d} - {0}
+    if len(fields) > 1:
+        return _lift_common(map(f, order))
+    D = fields.pop() if fields else 0
+    lq = math.lcm(x._q, y._q)
+    mx, my = lq // x._q, lq // y._q
+    coef = {'a': (x._a * mx, x._b * mx, x._b * mx * D),
+            'b': (y._a * my, y._b * my, y._b * my * D)}
+    cs = [coef[c] for c in classes]
+    A2 = [s * a + u * b for (s, _, u), a, b in zip(cs, A, B)]
+    B2 = [s * b + t * a for (s, t, _), a, b in zip(cs, A, B)] if D else B
+    q *= lq
+    if q != 1:
+        g = math.gcd(q, *A2, *B2)
+        if g != 1:
+            q //= g
+            A2 = [a // g for a in A2]
+            B2 = [b // g for b in B2]
+    return A2, B2, q, D if any(B2) else 0
 
 
 Witness = namedtuple('Witness', 'n vertex sign')
@@ -82,13 +145,21 @@ def _renormalized(graph: RibbonGraph, f, data, depth: int, vertices):
     its target class; q never changes.  The vertices are numbered ring by
     ring, and after n shears the prefix within depth - n of the window
     holds exact values.  Rows are ints, each sign decided on them.
+
+    A plane function on this graph whose f is an OracleFun is lifted by
+    `_lift_plane`, f's closed form once and each class scaled on ints,
+    to the same (A, B, q, d); any other f is read at every vertex.
     """
     if depth >= len(data.signs):
         raise ValueError('shrinking data shorter than requested depth')
     vertices = tuple(vertices)
     rings, order, index, nbrs = _numbered_ball(graph, vertices, depth)
-    A, B, q, d = _lift_common(map(f, order))
     classes = list(map(graph.vertex_class, order))
+    if (type(f) is _PlaneFun and f.graph is graph
+            and type(f.f) is OracleFun):
+        A, B, q, d = _lift_plane(f, order, classes)
+    else:
+        A, B, q, d = _lift_common(map(f, order))
     # gathers[c]: (i, neighbour indices) for each class-c vertex of the
     # inner rings, in order; cuts[c][k]: how many lie in rings 0..k
     gathers = {'a': [], 'b': []}

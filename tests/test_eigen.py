@@ -217,6 +217,25 @@ def test_character_b_values_are_the_neighbour_average(group, generators,
                          [g for _, g in b_side]) is None
 
 
+@pytest.mark.parametrize('group, generators, values', CHARACTERS,
+                         ids=['Z', 'Z^d', 'cyclic', 'free', 'heisenberg'])
+def test_character_weight_multiplies_as_it_divided(group, generators,
+                                                   values):
+    # the weight multiplies by the character of the inverse values; the
+    # division by chi it replaced gives the same canonical numbers
+    fam = character_eigen(group, generators, values)
+    chi = character(group, values)
+    delta = sum((QuadNum(1) / chi(eta) for eta in fam.graph.etas),
+                QuadNum(0))
+    scale = {'a': QuadNum(1), 'b': delta / fam.lam}
+    ball = vertices_in_ball(fam.graph, fam.root, 6)
+    assert len(ball) >= 6
+    for v in ball:
+        got, want = fam(v), scale[v[0]] / chi(v[1])
+        assert (got._a, got._b, got._q, got._d) == \
+            (want._a, want._b, want._q, want._d), v
+
+
 def test_character_weight_calls_no_graph_method(monkeypatch):
     fam = character_eigen(Heisenberg(), HEIS_GENS, (2, 1))
     ball = vertices_in_ball(fam.graph, fam.root, 3)

@@ -11,7 +11,8 @@ from ribbonflow.freegrp import (H, H_INV, IDENTITY, LETTERS, V, V_INV, Letter,
                                 Word, bar, gamma)
 from ribbonflow.graphs import (Cyclic, FreeGroup, Heisenberg, IntegerLattice,
                                IntegersZ, OracleFun, PathGraph, RegularTree,
-                               SkewGraph, SparseFun, TripodGraph, adjacency,
+                               RibbonGraph, SkewGraph, SparseFun, TripodGraph,
+                               adjacency,
                                _numbered_ball, _shear, chi, make_group,
                                pairing, project_class, upsilon, upsilon_eval,
                                vertices_in_ball)
@@ -103,6 +104,53 @@ def test_neighbors_read_one_end(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(SkewGraph, 'beta', _raises)
         assert graph.neighbors(b) == want[1]
+    # and so does the edge-derived default the closed form replaces
+    with monkeypatch.context() as patch:
+        patch.setattr(SkewGraph, 'alpha', _raises)
+        assert RibbonGraph.neighbors(graph, a) == want[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(SkewGraph, 'beta', _raises)
+        assert RibbonGraph.neighbors(graph, b) == want[1]
+
+
+# every builtin graph, with the six skew cases of the skew-surface checks:
+# Z twice, Z^2, Heisenberg, the free group on 2 letters and Z/3
+CLOSED_FORM_GRAPHS = [
+    ('path', PathGraph()),
+    ('tripod', TripodGraph()),
+    ('tree2', RegularTree(2)),
+    ('tree3', RegularTree(3)),
+    ('z', SkewGraph(IntegersZ(), (1, -1))),
+    ('z-three', SkewGraph(IntegersZ(), (2, -1, -1))),
+    ('z2', SkewGraph(IntegerLattice(2), ((1, 0), (-1, 0), (0, 1), (0, -1)))),
+    ('heisenberg', SkewGraph(Heisenberg(), (X, X_INV, Y, Y_INV))),
+    ('free2', SkewGraph(FreeGroup(2), ((1,), (-1,), (2,), (-2,)))),
+    ('cyclic3', SkewGraph(Cyclic(3), (1, 2))),
+]
+
+
+@pytest.mark.parametrize('name,graph', CLOSED_FORM_GRAPHS,
+                         ids=[c[0] for c in CLOSED_FORM_GRAPHS])
+def test_closed_form_neighbors_are_the_edge_derived_ones(name, graph):
+    # the same tuple: order, multiplicity and (for Z/3's double edges)
+    # repeats included
+    assert type(graph).neighbors is not RibbonGraph.neighbors
+    ball = _numbered_ball(graph, (graph.root(),), 6)[1]
+    assert len(ball) >= 6
+    for v in ball:
+        assert graph.neighbors(v) == RibbonGraph.neighbors(graph, v), v
+
+
+@pytest.mark.parametrize('name,graph', CLOSED_FORM_GRAPHS,
+                         ids=[c[0] for c in CLOSED_FORM_GRAPHS])
+def test_closed_form_neighbors_number_the_ball_as_before(name, graph,
+                                                         monkeypatch):
+    root = graph.root()
+    near = _numbered_ball(graph, (root,), 2)[1]
+    cases = [((root,), 6), ((near[-1], root, near[-1], near[1]), 4)]
+    got = [_numbered_ball(graph, sources, r) for sources, r in cases]
+    monkeypatch.setattr(type(graph), 'neighbors', RibbonGraph.neighbors)
+    assert got == [_numbered_ball(graph, sources, r) for sources, r in cases]
 
 
 def test_gz_layout():

@@ -229,6 +229,117 @@ def test_kernel_rejects_two_fields_and_floats():
         _renormalized(graph, lambda v: 0.5, data, 2, (0,))
 
 
+def skew_pair():
+    """Z's staircase weighted by chi = 4 and by chi = 1/4, both at 5/2."""
+    w1 = character_eigen(IntegersZ(), (1, -1), 4)
+    w2 = character_eigen(IntegersZ(), (1, -1), Fraction(1, 4))
+    return w1, w2, shrinking_sequence(w1.lam, THETA41), THETA41
+
+
+def both_routes(graph, f, data, depth, window):
+    """_renormalized's (q, d, rows) for a plane function and for the same
+    calls wrapped in a plain OracleFun, which reads every vertex."""
+    q, d, rows = _renormalized(graph, f, data, depth, window)
+    q2, d2, rows2 = _renormalized(graph, OracleFun(f), data, depth, window)
+    return (q, d, list(rows)), (q2, d2, list(rows2))
+
+
+def _raises(*args):
+    raise AssertionError('the plane function was called')
+
+
+@pytest.mark.parametrize('pair', [gz_pair, tripod_pair, skew_pair],
+                         ids=['gz', 'tripod', 'skew'])
+def test_plane_lift_gives_the_rows_of_every_read(pair, monkeypatch):
+    w1, w2, data, theta2 = pair()
+    graph = w1.graph
+    bumped = (theta2[0], theta2[1] + QuadNum('1/1000'))
+    for theta in (theta2, bumped, (QuadNum('2/3'), QuadNum('-5/7'))):
+        f = plane_point(graph, w2.weight, theta)
+        for depth, radius in ((6, 6), (10, 3)):
+            window = ball_window(graph, radius)
+            lifted, read = both_routes(graph, f, data, depth, window)
+            assert lifted == read, (theta, depth)
+    # the lift reads f's closed form, never the plane function's calls
+    monkeypatch.setattr(measures._PlaneFun, '__call__', _raises)
+    q, d, rows = _renormalized(graph, f, data, 10, window)
+    assert (q, d, list(rows)) == read
+
+
+def test_plane_lift_keeps_the_perturbed_witnesses():
+    # c07's perturbed directions break where the reads broke them
+    want = {gz_pair: Witness(5, -10, -1), tripod_pair: Witness(3, ('c',), -1)}
+    for pair, witness in want.items():
+        w1, w2, data, theta2 = pair()
+        bumped = (theta2[0], theta2[1] + QuadNum('1/1000'))
+        f = plane_point(w1.graph, w2.weight, bumped)
+        window = ball_window(w1.graph, 12)
+        assert survivor_check(w1.graph, f, data, 12, window) == witness
+        assert survivor_check(w1.graph, OracleFun(f), data, 12,
+                              window) == witness
+
+
+def refusal(call):
+    with pytest.raises((TypeError, FieldMixError)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_plane_lift_refuses_as_every_read_does():
+    graph = PathGraph()
+    data = shrinking_sequence(QuadNum(2), THETA2)
+
+    def refusals(f):
+        return [refusal(lambda: _renormalized(graph, g, data, 4, (0,)))
+                for g in (f, OracleFun(f))]
+
+    # f in sqrt(2), the direction in sqrt(41): the scale's field first
+    f = plane_point(graph, gz_exponential(sqrt_rational(2)).weight,
+                    THETA41)
+    assert refusals(f) == [(FieldMixError,
+                            'cannot combine sqrt(41) with sqrt(2)')] * 2
+    # rational x, irrational y: f's sqrt(2) on the A rows and y's sqrt(3)
+    # on the B rows, each row's field alone a single one
+    half = OracleFun(lambda v: sqrt_rational(2) if v % 2 == 0 else 1)
+    f = plane_point(graph, half, (1, sqrt_rational(3)))
+    assert refusals(f) == [(FieldMixError,
+                            'cannot combine sqrt(2) with sqrt(3)')] * 2
+    # a float weight, in an OracleFun and bare, and a bare text value,
+    # which an OracleFun would parse but the product refuses
+    weights = (OracleFun(lambda v: 0.5), lambda v: 0.5, lambda v: '1/2')
+    assert [refusals(plane_point(graph, w, THETA41)) for w in weights] == [
+        [(TypeError, 'not an exact number: 0.5')] * 2,
+        [(TypeError, "unsupported operand type(s) for *: 'QuadNum' and "
+                     "'float'")] * 2,
+        [(TypeError, "can't multiply sequence by non-int of type "
+                     "'QuadNum'")] * 2]
+    # the first bad vertex decides: x*f(0) mixes two fields before f
+    # gives a float at the next vertex
+    f = plane_point(graph, OracleFun(lambda v: sqrt_rational(2) if v == 0
+                                     else 0.5), (sqrt_rational(3), 1))
+    assert refusals(f) == [(FieldMixError,
+                            'cannot combine sqrt(3) with sqrt(2)')] * 2
+    # a zero scale hides f's sqrt(2) on the A rows, so every read passes
+    f = plane_point(graph, half, (0, sqrt_rational(3)))
+    lifted, read = both_routes(graph, f, data, 4, (0, 1))
+    assert lifted == read and read[1] == 3
+    # and x's sqrt(3) meets only zeros, so the values stay rational
+    f = plane_point(graph, OracleFun(lambda v: v % 2),
+                    (sqrt_rational(3), 1))
+    lifted, read = both_routes(graph, f, data, 4, (0, 1))
+    assert lifted == read and read[1] == 0
+
+
+def test_survivor_field_mix_exits_two(capsys):
+    argv = ['survivor', '--family', 'gz_constant', '--family2',
+            'gz_exponential:t=sqrt(2)', '--theta', '1, -1+sqrt(2)',
+            '--theta2', '4, -5+sqrt(41)']
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == 'error: cannot combine sqrt(41) with sqrt(2)\n'
+
+
 def test_kernel_rejects_negative_depth():
     w1, w2, data, theta2 = gz_pair()
     f = plane_point(w1.graph, w2.weight, theta2)
