@@ -18,7 +18,8 @@ start with "-": "--alpha -1/2+sqrt(2)" is "--alpha=-1/2+sqrt(2)".
 Exit codes: 0 on success, 2 for unusable arguments, each refused in one
 "error:" line (only --help prints the usage), 3 when an orbit or search
 budget runs out, 4 when an input direction fails to be renormalizable
-where the subcommand requires it.  Any other exception is an internal
+where the subcommand requires it, or when conjugate's --theta2 is not
+the direction matched to --theta.  Any other exception is an internal
 error: it keeps its traceback and exits 1.
 """
 
@@ -42,9 +43,10 @@ from .exact import (FieldMixError, QuadNum, QVec2, as_quad, parse_quad,
                     sqrt_rational)
 from .freegrp import LETTERS, Word
 from .graphs import make_group, vertices_in_ball
-from .measures import (conjugate_boundary_point, decay_profiles, plane_point,
+from .measures import (MatchedPair, NotRenormalizable,
+                       conjugate_boundary_point, decay_profiles,
                        survivor_check)
-from .renorm import OmegaKind, TailStatus, omega_test, shrinking_sequence
+from .renorm import OmegaKind, omega_test, shrinking_sequence
 from .surface import Surface, ball_growth, svg_truncation
 
 BUDGET_ENV = 'RIBBONFLOW_BUDGET'
@@ -53,10 +55,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_NOT_RENORM = 4
-
-
-class NotRenormalizableInput(Exception):
-    pass
 
 
 def _theta(text: str) -> tuple:
@@ -248,13 +246,17 @@ def cmd_omega(args) -> int:
     return EXIT_NOT_RENORM
 
 
+def _window(args, graph) -> list:
+    """The ball of radius --window around the root, in repr order."""
+    return sorted(vertices_in_ball(graph, graph.root(), args.window),
+                  key=repr)
+
+
 def cmd_eigen(args) -> int:
     fam = _family(args.family, args)
     report = verify_family(fam, args.window)
-    ball = sorted(vertices_in_ball(fam.graph, fam.root, args.window),
-                  key=repr)
     rows = [[repr(v), fam.graph.vertex_class(v), str(fam.weight(v))]
-            for v in ball]
+            for v in _window(args, fam.graph)]
     meta = {'family': fam.name, 'lambda': fam.lam,
             'residual_max': report.max_abs,
             'residual_ok': int(report.ok)}
@@ -310,63 +312,40 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _pair(args):
-    fam1 = _family(args.family, args)
-    fam2 = _family(args.family2)
-    g1, g2 = fam1.graph, fam2.graph
-    if type(g1) is not type(g2) or vars(g1) != vars(g2):
-        raise ValueError('--family %s and --family2 %s weight different '
-                         'graphs' % (args.family, args.family2))
-    theta1 = _theta(args.theta)
-    theta2 = _theta(args.theta2)
-    return fam1, fam2, theta1, theta2
-
-
-def _matched_pair(args):
-    """The prelude of survivor and decay: the first family's graph, the
-    sign data of its direction, the plane function of the second
-    family's weights and direction, the window around the root, and the
-    table metadata."""
-    fam1, fam2, theta1, theta2 = _pair(args)
-    data = shrinking_sequence(fam1.lam, theta1,
-                              max_steps=max(args.depth + 8, 64))
-    if data.status is not TailStatus.PERIODIC:
-        raise NotRenormalizableInput(
-            'direction has no periodic renormalizing tail (%s)'
-            % data.status.name.lower())
-    f = plane_point(fam1.graph, fam2.weight, theta2)
-    window = sorted(vertices_in_ball(fam1.graph, fam1.root, args.window),
-                    key=repr)
-    meta = {'depth': args.depth, 'window': args.window,
-            'lambda1': fam1.lam, 'lambda2': fam2.lam}
-    return fam1.graph, data, f, window, meta
+def _matched(args) -> tuple:
+    """The MatchedPair of the flags, and the metadata of its table."""
+    theta2 = None if args.theta2 is None else _theta(args.theta2)
+    pair = MatchedPair(_family(args.family, args), _family(args.family2),
+                       _theta(args.theta), theta2, args.depth)
+    return pair, {'depth': args.depth, 'lambda1': pair.family1.lam,
+                  'lambda2': pair.family2.lam}
 
 
 def cmd_survivor(args) -> int:
-    graph, data, f, window, meta = _matched_pair(args)
-    witness = survivor_check(graph, f, data, args.depth, window)
-    header = ['result', 'n', 'vertex', 'sign']
-    if witness is None:
-        rows = [['pass', '', '', '']]
-    else:
-        rows = [['witness', witness.n, repr(witness.vertex),
-                 '+' if witness.sign > 0 else '-']]
-    _emit_table(args, meta, header, rows)
+    pair, meta = _matched(args)
+    witness = survivor_check(pair.graph, pair.plane, pair.data, args.depth,
+                             _window(args, pair.graph))
+    row = (['pass', '', '', ''] if witness is None else
+           ['witness', witness.n, repr(witness.vertex),
+            '+' if witness.sign > 0 else '-'])
+    _emit_table(args, dict(meta, window=args.window),
+                ['result', 'n', 'vertex', 'sign'], [row])
     return EXIT_OK
 
 
 def cmd_decay(args) -> int:
-    graph, data, f, window, meta = _matched_pair(args)
+    pair, meta = _matched(args)
+    window = _window(args, pair.graph)
     rows = []
-    for v, prof in zip(window, decay_profiles(graph, f, data, args.depth,
-                                              window)):
+    for v, prof in zip(window, decay_profiles(pair.graph, pair.plane,
+                                              pair.data, args.depth, window)):
         halving = '' if prof.halving_index is None else prof.halving_index
         for n, value in enumerate(prof.values):
             rows.append([repr(v), n, str(value),
                          int(n in prof.critical), halving,
                          int(prof.survivor_ok)])
     header = ['vertex', 'n', 'value', 'critical', 'halving', 'survivor_ok']
-    _emit_table(args, meta, header, rows)
+    _emit_table(args, dict(meta, window=args.window), header, rows)
     return EXIT_OK
 
 
@@ -388,20 +367,23 @@ def cmd_growth(args) -> int:
 
 
 def cmd_conjugate(args) -> int:
-    fam1, fam2, theta1, theta2 = _pair(args)
-    s1 = Surface.from_family(fam1)
-    s2 = Surface.from_family(fam2)
-    edge = fam1.graph.base_edge(fam1.root)
+    pair, meta = _matched(args)
+    if not pair.matched:
+        raise NotRenormalizable(
+            '--theta2 is not parallel to %s, the direction matched to --theta,'
+            ' so it gives no measure; survivor reports the witness'
+            % (pair.derived,))
+    s1, s2 = pair.surfaces
+    edge = pair.graph.base_edge(pair.graph.root())
     w, h = s1.width(edge), s1.height(edge)
     jobs = [('bottom', QuadNum(0)), ('bottom', w / 2), ('bottom', w),
             ('top', w), ('left', h), ('right', h)]
     rows = []
     for side, t in jobs:
-        img = conjugate_boundary_point(s1, s2, theta1, theta2, edge, side, t,
-                                       args.depth)
+        img = conjugate_boundary_point(s1, s2, pair.theta1, pair.theta2,
+                                       edge, side, t, args.depth)
         rows.append([side, str(t), str(img.x), str(img.y), str(img.error)])
-    meta = {'edge': repr(edge), 'depth': args.depth,
-            'lambda1': fam1.lam, 'lambda2': fam2.lam}
+    meta['edge'] = repr(edge)
     _emit_table(args, meta, ['side', 't', 'x', 'y', 'error'], rows)
     return EXIT_OK
 
@@ -545,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_family_knobs(p)
         p.add_argument('--family2', required=True)
         p.add_argument('--theta', required=True)
-        p.add_argument('--theta2', required=True)
+        p.add_argument('--theta2')   # derived from --theta when omitted
         p.add_argument('--depth', type=_size, default=12)
         p.add_argument('--window', type=_size, default=12)
         _add_common(p)
@@ -561,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_knobs(p)
     p.add_argument('--family2', required=True)
     p.add_argument('--theta', required=True)
-    p.add_argument('--theta2', required=True)
+    p.add_argument('--theta2')   # derived from --theta when omitted
     p.add_argument('--depth', type=_size, default=14)
     _add_common(p)
     p.set_defaults(handler=cmd_conjugate)
@@ -613,7 +595,7 @@ def main(argv=None) -> int:
         print('budget exhausted after %d steps' % exc.steps_done,
               file=sys.stderr)
         return EXIT_BUDGET
-    except NotRenormalizableInput as exc:
+    except NotRenormalizable as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NOT_RENORM
     except (ValueError, FieldMixError) as exc:

@@ -45,17 +45,18 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dynamics import _land, _legs, walk
-from .exact import (QuadNum, QVec2, _lift_common, _reduced, _sign, _xy,
-                    as_quad)
+from .exact import (FieldMixError, QuadNum, QVec2, _lift_common, _reduced,
+                    _sign, _xy, as_quad)
 from .graphs import (OracleFun, RibbonGraph, SparseFun, _closed_form,
                      _numbered_ball, pairing)
-from .renorm import critical_times
+from .renorm import (TailStatus, critical_times, matched_direction,
+                     shrinking_sequence)
 from .surface import Surface, _theta_parts
 
 _ZERO = QuadNum(0)
-_ONE = QuadNum(1)
 
 
 class _PlaneFun(OracleFun):
@@ -434,6 +435,53 @@ def conjugate_boundary_point(surface1: Surface, surface2: Surface,
     img = m.value / abs(x2)
     width = surface2.width(e) if side == 'right' else _ZERO
     return BoundaryImage(width, img, m.error / abs(x2))
+
+
+class NotRenormalizable(Exception):
+    """A direction with no periodic renormalizing tail."""
+
+
+class MatchedPair:
+    """Two weightings of one graph, a direction theta1 whose greedy tail is
+    periodic within max(depth + 8, 64) letters, and theta2: as given, even
+    unmatched (for the survivor check's witness), or else derived from
+    that tail.  The rest is built on first use; `matched` is whether
+    theta2 is parallel to the derived direction, in the same field.
+    """
+
+    def __init__(self, family1, family2, theta1, theta2=None, depth=0):
+        g1, g2 = family1.graph, family2.graph
+        if type(g1) is not type(g2) or vars(g1) != vars(g2):
+            raise ValueError('%s and %s weight different graphs'
+                             % (family1.describe(), family2.describe()))
+        self.graph, self.family1, self.family2 = g1, family1, family2
+        self.theta1 = theta1
+        self.data = shrinking_sequence(family1.lam, theta1,
+                                       max_steps=max(depth + 8, 64))
+        if self.data.status is not TailStatus.PERIODIC:
+            raise NotRenormalizable(
+                'direction has no periodic renormalizing tail (%s)'
+                % self.data.status.name.lower())
+        self.theta2 = self.derived if theta2 is None else theta2
+
+    @cached_property
+    def derived(self) -> QVec2:
+        return matched_direction(self.data, self.family2.lam)
+
+    @cached_property
+    def matched(self) -> bool:
+        try:
+            return not QVec2(*_xy(self.theta2)).wedge(self.derived)
+        except FieldMixError:
+            return False
+
+    @cached_property
+    def plane(self) -> OracleFun:
+        return plane_point(self.graph, self.family2.weight, self.theta2)
+
+    @cached_property
+    def surfaces(self) -> tuple:
+        return tuple(map(Surface.from_family, (self.family1, self.family2)))
 
 
 def maharam_check(graph, chi, f, elements):

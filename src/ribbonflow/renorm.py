@@ -395,8 +395,9 @@ def direction_from_sequence(lam, prefix: Sequence[Letter] = (),
     With a period: the exact contracting eigendirection of the period
     matrix, pulled back through the prefix, canonicalized to y > 0 (or
     x > 0 on the horizontal axis).  Quadratic eigenvalues must live in a
-    degree <= 2 field or ValueError is raised.  Without a period: the cone
-    of directions consistent with the prefix, as a :class:`DirectionCone`.
+    degree <= 2 field, and the direction's two entries in one field, or
+    ValueError is raised.  Without a period: the cone of directions
+    consistent with the prefix, as a :class:`DirectionCone`.
     """
     lam = as_quad(lam)
     prefix = tuple(prefix)
@@ -424,7 +425,17 @@ def direction_from_sequence(lam, prefix: Sequence[Letter] = (),
         eigvec = QVec2(mu - pmat.d, pmat.c)
     if prefix:
         eigvec = rho(lam, Word(reversed(prefix))).inverse().apply(eigvec)
+    if len({eigvec.x.field_disc, eigvec.y.field_disc} - {0}) > 1:
+        raise ValueError('eigendirection %s lies in no one quadratic field'
+                         % (eigvec,))
     return _canonical_direction(eigvec)
+
+
+def matched_direction(data: ShrinkData, lam2) -> QVec2:
+    """The direction that data's periodic sequence renormalizes at lam2."""
+    start, p = data.period
+    return direction_from_sequence(lam2, data.increments[:start],
+                                   data.increments[start:start + p])
 
 
 class OmegaKind(Enum):

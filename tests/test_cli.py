@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -15,13 +16,15 @@ import xml.dom.minidom
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ribbonflow import __version__, cli, dynamics
 from ribbonflow.cli import (EXIT_BUDGET, EXIT_NOT_RENORM, EXIT_OK,
-                            EXIT_PARSE, build_parser, main)
+                            EXIT_PARSE, _theta, build_parser, main)
 from ribbonflow.exact import QuadNum, QVec2, parse_quad, sqrt_rational
 from ribbonflow.freegrp import H, H_INV, V, V_INV, Word, rho
+from ribbonflow.renorm import (direction_from_sequence, matched_direction,
+                               shrinking_sequence)
 
 GZ_PAIR = ['--family', 'gz_constant', '--family2', 'gz_exponential:t=2',
            '--theta', '1, -1+sqrt(2)', '--theta2', '4, -5+sqrt(41)']
@@ -30,6 +33,13 @@ GZ_PAIR = ['--family', 'gz_constant', '--family2', 'gz_exponential:t=2',
 def run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
+
+
+def csv_rows(text):
+    """The rows of a CSV table, read by the csv module: a vertex cell
+    such as ('r', 1, 2) holds commas."""
+    return list(csv.reader(l for l in text.splitlines()
+                           if not l.startswith('#')))[1:]
 
 
 def csv_body(text):
@@ -188,6 +198,131 @@ def test_conjugate_output_is_pinned(capsys, argv, digest):
     code, out = run(capsys, ['conjugate', *argv])
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize('argv', [
+    # the README pair with an unmatched second direction: the bottom
+    # midpoint's error read -1645/136+29/17*sqrt(42)
+    GZ_PAIR[:-1] + ['4, -5+sqrt(42)'],
+    # a rational first direction has no periodic tail
+    GZ_PAIR[:5] + ['1, 2'] + GZ_PAIR[6:],
+], ids=['sqrt42', 'rational'])
+def test_conjugate_refuses_an_unmatched_pair(capsys, argv):
+    assert main(['conjugate', *argv, '--depth', '12']) == EXIT_NOT_RENORM
+    out, err = capsys.readouterr()
+    assert out == '' and err.count('\n') == 1
+
+
+TRIPOD_README_PAIR = ['--family', 'tripod:t=2', '--family2', 'tripod:t=3',
+                      '--theta', '4, -5+sqrt(41)', '--theta2',
+                      '3, -5+sqrt(34)']
+
+
+@pytest.mark.parametrize('pair', [GZ_PAIR, TRIPOD_README_PAIR],
+                         ids=['gz', 'tripod'])
+def test_an_omitted_theta2_is_the_matched_one(capsys, pair):
+    # conjugate divides by |y2| and survivor reads only signs, so the
+    # derived direction, a positive multiple of the typed one, gives the
+    # same bytes; decay's values scale with theta2
+    for command in (['conjugate', '--depth', '8'],
+                    ['survivor', '--depth', '8', '--window', '6']):
+        code, typed = run(capsys, command + pair)
+        assert code == EXIT_OK
+        assert run(capsys, command + pair[:-2]) == (EXIT_OK, typed)
+    decay = ['decay', '--depth', '6', '--window', '2']
+    _, typed = run(capsys, decay + pair)
+    _, derived = run(capsys, decay + pair[:-2])
+    assert typed != derived
+    values = [(parse_quad(t[2]), parse_quad(d[2]))
+              for t, d in zip(csv_rows(typed), csv_rows(derived))]
+    t0, d0 = next((t, d) for t, d in values if t)
+    assert d0 / t0 > 0 and all(d * t0 == t * d0 for t, d in values)
+
+
+HEISENBERG_CHI = ('character:group=heisenberg,'
+              'generators=((1,0,0),(-1,0,0),(0,1,0),(0,-1,0)),chi=')
+
+
+@pytest.mark.parametrize('command', ['survivor', 'decay', 'conjugate'])
+@pytest.mark.parametrize('theta2', [[], ['--theta2', '1, 2']],
+                         ids=['derived', 'given'])
+def test_a_matched_direction_outside_one_field_exits_two(capsys, command,
+                                                        theta2):
+    # chi = (2, 1) has lambda sqrt(70)/2, and the direction matched to
+    # theta1 mixes sqrt(70) with sqrt(1505); only conjugate derives it
+    # when theta2 is given
+    argv = [command, '--family', HEISENBERG_CHI + '(1,1)', '--family2',
+            HEISENBERG_CHI + '(2,1)', '--theta', '-1/2+1/4*sqrt(5), 1/4',
+            '--depth', '4', *theta2]
+    code = main(argv + (['--window', '1'] if command != 'conjugate' else []))
+    out, err = capsys.readouterr()
+    if theta2 and command != 'conjugate':
+        assert code == EXIT_OK and err == ''
+        return
+    assert code == EXIT_PARSE and out == ''
+    assert err == ('error: eigendirection (-1/2*sqrt(70), '
+                   '-35/4-1/4*sqrt(1505)) lies in no one quadratic field\n')
+
+
+# the builtin pairs on one graph, and upward directions (conjugate flows
+# up): the pairs' own, those a short periodic word renormalizes at
+# lambda1, and small literals
+PAIRS = [('gz_constant', 'gz_exponential:t=2', 2, '5/2'),
+         ('tripod:t=2', 'tripod:t=3', '5/2', '10/3'),
+         ('character:group=Z,generators=[1,-1],chi=4',
+          'character:group=Z,generators=[1,-1],chi=1/4', '5/2', '5/2')]
+
+
+def word_theta(lam, word):
+    try:
+        v = direction_from_sequence(lam, period=word)
+    except ValueError:
+        return '1, 2'   # the word renormalizes nothing
+    return '%s, %s' % (v.x, v.y)
+
+
+@st.composite
+def pair_and_theta(draw):
+    pair = draw(st.sampled_from(PAIRS))
+    theta = draw(st.one_of(
+        st.sampled_from(['1, -1+sqrt(2)', '4, -5+sqrt(41)',
+                         '3, -5+sqrt(34)']),
+        st.lists(st.sampled_from([H, H_INV, V, V_INV]), min_size=2,
+                 max_size=4).map(lambda w: word_theta(pair[2], w)),
+        st.builds(lambda a, b, d: a + b * sqrt_rational(d),
+                  st.integers(-6, 6), st.sampled_from([1, -1, QuadNum('1/2')]),
+                  st.sampled_from([2, 3, 5, 34, 41])).filter(
+            lambda y: y > 0).flatmap(lambda y: st.integers(1, 5).map(
+                lambda x: '%d, %s' % (x, y)))))
+    return pair, theta
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_and_theta(), st.sampled_from(['2', '4', '6']))
+@example((PAIRS[0], '3, 1/2*sqrt(41)'), '2')
+@example((PAIRS[0], '1, -1+sqrt(2)'), '6')
+def test_conjugate_prints_no_negative_error(case, depth):
+    (family, family2, lam1, lam2), theta = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(['conjugate', '--family', family, '--family2', family2,
+                     '--theta', theta, '--depth', depth])
+    if code != EXIT_OK:
+        assert out.getvalue() == '' and err.getvalue().count('\n') == 1
+    if code == EXIT_PARSE:
+        # the derived direction is out of exact reach: a long period's
+        # discriminant too large to split into a square and a squarefree
+        # part, as for (3, 1/2*sqrt(41)) at lambda 2, whose period has 52
+        # letters
+        data = shrinking_sequence(parse_quad(lam1), _theta(theta))
+        with pytest.raises(ValueError):
+            matched_direction(data, parse_quad(lam2))
+    if code != EXIT_OK:
+        assert code in (EXIT_NOT_RENORM, EXIT_PARSE), (case, err.getvalue())
+        return
+    assert err.getvalue() == '', (case, err.getvalue())
+    for row in csv_body(out.getvalue())[1]:
+        assert parse_quad(row[4]) >= 0, (case, row)
 
 
 GZ_CUT_ORBIT = ['simulate', '--family', 'gz_constant', '--theta', '1, 2',
@@ -377,12 +512,18 @@ TRIPOD_PAIR = ['--family2', 'tripod:t=3', '--theta', '4, -5+sqrt(41)',
 
 
 def test_conjugate_refuses_a_vertical_second_direction(capsys):
+    # a matched second direction is never vertical, so the pair refuses
+    # (0, 1) as unmatched before any side is mapped; the library's own
+    # refusal is test_conjugacy_refuses_a_vertical_second_direction
     code = main(['conjugate', '--family', 'gz_constant', '--family2',
                  'gz_constant', '--theta', '1, -1+sqrt(2)', '--theta2',
                  '0, 1', '--depth', '2'])
-    err = capsys.readouterr().err
-    assert code == EXIT_PARSE
-    assert err == 'error: a vertical second direction maps no left side\n'
+    out, err = capsys.readouterr()
+    assert code == EXIT_NOT_RENORM
+    assert out == '' and err == (
+        '--theta2 is not parallel to (2, -2+2*sqrt(2)), the direction '
+        'matched to --theta, so it gives no measure; survivor reports the '
+        'witness\n')
 
 
 def test_conjugate_t_is_the_family_parameter(capsys):
@@ -432,8 +573,10 @@ def test_float_skew_orbit_reduces_alpha_before_rounding(capsys, alpha):
      '4, -5+sqrt(41)', '--steps', '400'],
     ['simulate', '--family', 'ntree_horo:n=3,s=2', '--theta',
      '1, -1+sqrt(2)', '--steps', '600'],
+    # (3, -5+sqrt(34)) is periodic at t=3's lambda 10/3, and its match at
+    # t=2's 5/2 is (4, -5+sqrt(41))
     ['conjugate', '--family', 'tripod:t=3', '--family2', 'tripod:t=2',
-     '--theta', '4, -5+sqrt(41)', '--theta2', '4, -5+sqrt(41)',
+     '--theta', '3, -5+sqrt(34)', '--theta2', '4, -5+sqrt(41)',
      '--depth', '400'],
 ])
 def test_exact_runs_never_round(capsys, argv):
@@ -484,8 +627,8 @@ def test_pair_families_must_share_a_graph(capsys, command):
                  '4, -5+sqrt(41)', '--depth', '2'])
     err = capsys.readouterr().err
     assert code == EXIT_PARSE
-    assert err == ('error: --family gz_constant and --family2 tripod:t=2 '
-                   'weight different graphs\n')
+    assert err == ('error: gz_constant and tripod t=2 weight different '
+                   'graphs\n')
 
 
 def test_budget_and_format_flags_are_per_command(capsys):
@@ -832,7 +975,7 @@ def test_character_family_can_be_the_second_family(capsys):
     code, out = run(capsys, [
         'conjugate', *CHARACTER_Z, '--family2',
         'character:group=Z,generators=(1,-1),chi=4', '--theta',
-        '1, -1+sqrt(2)', '--theta2', '1, -1+sqrt(2)', '--depth', '4'])
+        '4, -5+sqrt(41)', '--theta2', '4, -5+sqrt(41)', '--depth', '4'])
     assert code == EXIT_OK
     assert len(csv_body(out)[1]) == 6
 

@@ -22,7 +22,8 @@ from ribbonflow.freegrp import H, V, V_INV, Letter, Word, rho
 from ribbonflow.graphs import (Heisenberg, IntegersZ, OracleFun, PathGraph,
                                SparseFun, TripodGraph, _numbered_ball,
                                upsilon_eval, vertices_in_ball)
-from ribbonflow.measures import (DecayProfile, Witness, _cut_measure,
+from ribbonflow.measures import (DecayProfile, MatchedPair,
+                                 NotRenormalizable, Witness, _cut_measure,
                                  _renormalized, conjugate_boundary_point,
                                  decay_profile, decay_profiles,
                                  maharam_check, plane_point, survivor_check,
@@ -277,6 +278,62 @@ def test_plane_lift_keeps_the_perturbed_witnesses():
         assert survivor_check(w1.graph, f, data, 12, window) == witness
         assert survivor_check(w1.graph, OracleFun(f), data, 12,
                               window) == witness
+
+
+@pytest.mark.parametrize('pair', [gz_pair, tripod_pair, skew_pair],
+                         ids=['gz', 'tripod', 'skew'])
+def test_matched_pair_builds_what_the_commands_read(pair):
+    w1, w2, data, theta2 = pair()
+    given = MatchedPair(w1, w2, data.theta, theta2, depth=12)
+    derived = MatchedPair(w1, w2, data.theta, depth=12)
+    assert given.data == derived.data == data
+    assert given.matched and derived.matched
+    assert derived.theta2 == given.derived
+    window = ball_window(w1.graph, 3)
+    for p in (given, derived):
+        # on family1's very graph, so _renormalized takes the int lift
+        assert p.plane.graph is p.graph is w1.graph
+        assert survivor_check(p.graph, p.plane, p.data, 8, window) is None
+    assert [s.weight for s in given.surfaces] == [w1.weight, w2.weight]
+
+
+def test_matched_pair_keeps_the_perturbed_witnesses():
+    # c07's perturbed directions are not matched, and a pair given one
+    # still gives the survivor check its witness
+    want = {gz_pair: Witness(5, -10, -1), tripod_pair: Witness(3, ('c',), -1)}
+    for pair, witness in want.items():
+        w1, w2, data, theta2 = pair()
+        bumped = (theta2[0], theta2[1] + QuadNum('1/1000'))
+        p = MatchedPair(w1, w2, data.theta, bumped, depth=12)
+        assert not p.matched
+        window = ball_window(p.graph, 12)
+        assert survivor_check(p.graph, p.plane, p.data, 12,
+                              window) == witness
+
+
+def test_matched_pair_derives_nothing_for_a_given_direction(monkeypatch):
+    # survivor and decay read only the plane function and the shrink data
+    monkeypatch.setattr(measures, 'matched_direction', _raises)
+    w1, w2, data, theta2 = gz_pair()
+    p = MatchedPair(w1, w2, THETA2, theta2, depth=12)
+    assert p.plane.graph is w1.graph and len(p.surfaces) == 2
+
+
+def test_matched_pair_refusals():
+    with pytest.raises(ValueError, match='^gz_constant and tripod t=2 '
+                       'weight different graphs$'):
+        MatchedPair(gz_constant(), tripod_family(2), THETA2)
+    # a rational direction has no periodic tail
+    with pytest.raises(NotRenormalizable, match=r'\(no_strict_shrinker\)'):
+        MatchedPair(gz_constant(), gz_exponential(2), (1, 2))
+    # the wedge of a sqrt(42) direction with the matched sqrt(41) one mixes
+    # fields, and two directions in different fields are not parallel
+    p = MatchedPair(gz_constant(), gz_exponential(2), THETA2,
+                    (QuadNum(4), sqrt_rational(42) - 5))
+    assert not p.matched
+    # a negative multiple gives the same measure
+    assert MatchedPair(gz_constant(), gz_exponential(2), THETA2,
+                       (-QuadNum(4), 5 - sqrt_rational(41))).matched
 
 
 def refusal(call):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ribbonflow import renorm
-from ribbonflow.exact import QMat2, QuadNum, QVec2, SignPair
+from ribbonflow.exact import QMat2, QuadNum, QVec2, SignPair, parse_quad
 from ribbonflow.freegrp import (H, H_INV, LETTERS, V, V_INV, Letter, Word,
                                 rho, rho_letter)
 from ribbonflow.renorm import (
@@ -18,6 +18,7 @@ from ribbonflow.renorm import (
     critical_times,
     direction_from_sequence,
     is_renormalizing,
+    matched_direction,
     omega_test,
     shrink_cone,
     shrink_membership,
@@ -140,6 +141,36 @@ def test_direction_with_prefix_matches_shifted_ray():
 def test_direction_rejects_excluded():
     with pytest.raises(ValueError):
         direction_from_sequence(2, period=(H, V_INV))
+
+
+@pytest.mark.parametrize('lam1, theta1, lam2, theta2', [
+    (2, (1, ROOT2 - 1), QuadNum('5/2'), ('4', '-5+sqrt(41)')),
+    (QuadNum('5/2'), (4, parse_quad('-5+sqrt(41)')), QuadNum('10/3'),
+     ('3', '-5+sqrt(34)')),
+], ids=['gz', 'tripod'])
+def test_matched_direction_gives_the_readme_second_directions(
+        lam1, theta1, lam2, theta2):
+    # the README's hand-typed second directions, up to a positive scale
+    data = shrinking_sequence(lam1, theta1)
+    got = matched_direction(data, lam2)
+    want = QVec2(*map(parse_quad, theta2))
+    scale = got.x / want.x
+    assert scale > 0 and got == scale * want
+    # and the direction it derives renormalizes by the same letters there
+    again = shrinking_sequence(lam2, got, len(data))
+    assert again.status is TailStatus.PERIODIC
+    assert again.increments == data.increments
+
+
+def test_matched_direction_outside_one_field_is_refused():
+    # chi = (2, 1) on the Heisenberg skew graph has lambda sqrt(70)/2: the
+    # period matrix's eigenvalue lands in sqrt(1505), its entries in
+    # sqrt(70), so the eigendirection mixes the two
+    data = shrinking_sequence(4, (parse_quad('-1/2+1/4*sqrt(5)'),
+                                  QuadNum('1/4')))
+    assert data.status is TailStatus.PERIODIC
+    with pytest.raises(ValueError, match='no one quadratic field'):
+        matched_direction(data, parse_quad('1/2*sqrt(70)'))
 
 
 def test_direction_cone_nesting():
