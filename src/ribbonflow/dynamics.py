@@ -13,9 +13,11 @@ the direction's jump table (Jumps) and reduces by the circle's length;
 the one QuadNum it builds is the point it yields.  iet_step is one such
 step and _legs the one orbit of them, landing only when the next step is
 asked for; resolve is _locate's QuadNum face, and located_orbit hands
-on the offsets _legs located.  Exact quadratic arithmetic reproduces
-orbits bit for bit; the float mode, for long statistical runs, reads
-the landings rounded once and refuses what the exact routes refuse.
+on the offsets _legs located; the measure steps on _legs too, and the
+rectangle walk serves only the geometric flow.  Exact quadratic
+arithmetic reproduces orbits bit for bit; the float mode, for long
+statistical runs, reads the landings rounded once and refuses what the
+exact routes refuse.
 The exact skew rotation is one loop, whose one-step case is skew_step:
 it lifts x and alpha once to ints over one denominator, so a step is a
 floor, two int adds and a floor.  Every orbit counts its budget in
@@ -211,11 +213,7 @@ def iet_step(surface: Surface, theta, p: HPoint) -> HPoint:
     return _land(jumps, *_locate(surface, p.a, p.t))
 
 
-def _exact(x):
-    return x
-
-
-def walk(surface: Surface, u, e, cx, cy, scalar=_exact) -> list:
+def walk(surface: Surface, u, e, cx, cy, scalar=as_quad) -> list:
     """Follow the line of slope 1/u from (cx, cy) inside the rectangle
     over e through side gluings up to its first crossing of a top edge.
 
@@ -223,8 +221,8 @@ def walk(surface: Surface, u, e, cx, cy, scalar=_exact) -> list:
     crossed.  The last leg ends on the top edge with x1 in [0, width), so
     a line through a top-right corner ends at offset 0 of the east
     neighbor.  scalar converts the surface's exact lengths into the
-    arithmetic of the walk: the identity for exact walks, float for
-    float ones.
+    arithmetic of the walk: as_quad, which keeps them, for exact walks,
+    float for float ones.
     """
     zero = scalar(_ZERO)
     # east and west keep the A-vertex, so every rectangle crossed has the

@@ -27,17 +27,17 @@ same values by the adjoint identity, and the tests hold the two routes
 equal.
 
 Measures of segments come from chains joining vertices: an initial
-piece of a top-edge interval followed by a flow segment.  The chain's
-value against f is a signed count of core-circle crossings, and the
-flow part contributes nothing transverse, so the absolute value is the
-measure.  That value is exact at the cut points of the coding
-refinement.  The measure of [0, t] reads its refinement cell off the
-orbit of t: each return step is one translation on the cell, so t's
-offset in the interval it lands in bounds the cell on both sides, and
-the cell's ends are the tightest of those bounds.  It then flows at
-most the two chains of the ends: t on an end reads that end's value with
-error 0, any other t the lower end's value with the gap to the upper
-end as the error bound.
+piece of a top-edge interval followed by return steps on the one orbit
+of `_legs`.  The chain's value against f is a signed count of
+core-circle crossings, one floor pair per edge of a step's circle, and
+the flow adds nothing transverse, so the absolute value is the measure,
+exact at the cut points of the coding refinement.  The measure of
+[0, t] reads its refinement cell off the orbit of t: each return step
+is one translation on the cell, so t's offset in the interval it lands
+in bounds the cell on both sides, and the cell's ends are the tightest
+of those bounds.  It then flows at most the two chains of the ends: t
+on an end reads that end's value with error 0, any other t the lower
+end's value with the gap to the upper end as the error bound.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
-from .dynamics import _land, _legs, walk
+from .dynamics import _legs, from_edge
 from .exact import (FieldMixError, QuadNum, QVec2, _lift_common, _reduced,
                     _sign, _xy, as_quad)
 from .graphs import (OracleFun, RibbonGraph, SparseFun, _closed_form,
@@ -103,19 +104,12 @@ def _lift_plane(f: _PlaneFun, order, classes) -> tuple:
     same first bad vertex, or lifts values whose fields a zero scale
     kept apart.
     """
-    x, y = f.x, f.y
     try:
         A, B, q, d = _lift_common(map(_closed_form(f.f), order))
+        (xa, ya), (xb, yb), lq, D = _lift_common((f.x, f.y), d)
     except Exception:
         return _lift_common(map(f, order))
-    fields = {d, x._d, y._d} - {0}
-    if len(fields) > 1:
-        return _lift_common(map(f, order))
-    D = fields.pop() if fields else 0
-    lq = math.lcm(x._q, y._q)
-    mx, my = lq // x._q, lq // y._q
-    coef = {'a': (x._a * mx, x._b * mx, x._b * mx * D),
-            'b': (y._a * my, y._b * my, y._b * my * D)}
+    coef = {'a': (xa, xb, xb * D), 'b': (ya, yb, yb * D)}
     cs = [coef[c] for c in classes]
     A2 = [s * a + u * b for (s, _, u), a, b in zip(cs, A, B)]
     B2 = [s * b + t * a for (s, t, _), a, b in zip(cs, A, B)] if D else B
@@ -264,13 +258,13 @@ def _cell(surface: Surface, theta, e, t, depth: int):
     return steps that holds the offset t, as (offset, step) pairs: the
     step is the first that cut there.
 
-    The descent lands t once and follows its orbit on _legs.  On the
-    cell each of the first `depth` steps is one translation, so when t's
-    k-th image sits at offset o in the top interval of e_k the cell lies
-    in [t - o, t - o + width(e_k)), and the cell is the intersection of
-    these; each end carries the step that moved it there.  Once t is the
-    lower end (o == 0) the descent stops and that end is returned twice,
-    as is the full width.
+    The descent follows t's orbit on _legs, whose leg 0 is t itself and
+    leg k its k-th image.  On the cell each of the first `depth` steps is
+    one translation, so when t's k-th image sits at offset o in the top
+    interval of e_k the cell lies in [t - o, t - o + width(e_k)), and the
+    cell is the intersection of these; each end carries the step that
+    moved it there.  Once t is the lower end (o == 0) the descent stops
+    and that end is returned twice, as is the full width.
     """
     w = surface.width(e)
     lo, hi = (_ZERO, 0), (w, 0)
@@ -278,10 +272,9 @@ def _cell(surface: Surface, theta, e, t, depth: int):
         return hi, hi
     o = t
     if o and depth:
-        jumps = surface.rotation(theta)
-        p = _land(jumps, e, t._a, t._b, t._q, t._d)
-        legs = _legs(surface, jumps, p, 'right')
-        for step, ((e, *at), _) in zip(range(1, depth + 1), legs):
+        legs = _legs(surface, surface.rotation(theta),
+                     from_edge(surface, e, t), 'right')
+        for step, ((e, *at), _) in enumerate(islice(legs, 1, depth + 1), 1):
             o = _reduced(*at)
             q = t - o
             if q > lo[0]:
@@ -297,27 +290,36 @@ def _cell(surface: Surface, theta, e, t, depth: int):
 def _chain_crossings(surface: Surface, theta, e, q, steps: int) -> SparseFun:
     """Signed core-circle crossing counts of the chain running along
     the top interval of e to offset q and then flowing for the given
-    number of return steps; each step walks up from the (edge, offset)
-    where the last one ended."""
+    number of return steps, on the orbit of q as the descent starts it.
+
+    A step from offset o of e crosses the core of its cylinder,
+    (a, cut, h, length) = landing(e), once and that of each bottom edge
+    r of a once per pass of r's midpoint in (s, s + u*h] (u > 0) or
+    [s + u*h, s) (u < 0), s = cut + o, as the walk counts: a floor pair.
+    """
     x, y = _theta_parts(theta)
     u = x / y
-    terms = []
+    sgn = u.sign()
+    beta = surface.graph.beta
     w = surface.width(e)
-    if 2 * q >= w and q > 0:
-        terms.append((surface.graph.beta(e), 1))
+    terms = [(beta(e), 1)] if 2 * q >= w and q > 0 else []
     if q == w:
         e, q = surface.east(e), _ZERO
-    for _ in range(steps):
-        legs = walk(surface, u, surface.north(e), q, _ZERO)
-        h = surface.height(legs[0][0])
-        for r, wr, x0, y0, x1, y1 in legs:
-            if u > 0 and x0 < wr / 2 <= x1:
-                terms.append((surface.graph.beta(r), 1))
-            elif u < 0 and x1 <= wr / 2 < x0:
-                terms.append((surface.graph.beta(r), -1))
-            if y0 < h / 2 <= y1:
-                terms.append((surface.graph.alpha(r), -1))
-        e, _, _, _, q, _ = legs[-1]
+    legs = _legs(surface, surface.rotation(theta), from_edge(surface, e, q),
+                 'right')
+    for (e, *at), _ in islice(legs, steps):
+        a, cut, h, length = surface.landing(e)
+        terms.append((a, -1))
+        per = sgn / length
+        s = (cut + _reduced(*at)) * per
+        t = s + u * h * per
+        half = per / 2
+        edges, cuts, _ = surface.section(a)
+        for r, c0, c1 in zip(edges, cuts, cuts[1:]):
+            m = (c0 + c1) * half
+            k = math.floor(t - m) - math.floor(s - m)
+            if k:
+                terms.append((beta(r), sgn * k))
     return SparseFun(terms)
 
 

@@ -192,7 +192,17 @@ def test_conjugate_full_bottom_edge(capsys):
     (['--family', 'tripod:t=2', '--family2', 'tripod:t=3',
       '--theta', '4, -5+sqrt(41)', '--theta2', '3, -5+sqrt(34)'],
      '6bff18c0751bcfcd52c023adaabe8a549c2b6e2a8759f7f99da780ef1e1b5dc4'),
-], ids=['gz-12', 'tripod-8', 'tripod-14'])
+    # a skew surface, whose circles wrap images past their ends, and a
+    # leftward first direction, both with theta2 derived: digests of the
+    # chains that walked every rectangle
+    (['--family', 'character:group=Z,generators=[1,-1],chi=4',
+      '--family2', 'character:group=Z,generators=[1,-1],chi=1/4',
+      '--theta', '4, -5+sqrt(41)', '--depth', '8'],
+     '544e11336c72b31b3e5f919d788b1fa021a51c90da0ca8e7f89c1c44eca8734c'),
+    (['--family', 'gz_constant', '--family2', 'gz_exponential:t=2',
+      '--theta', '-1, -1+sqrt(2)', '--depth', '12'],
+     '98142a3e8041569cf8ad5974c3df611d2a20a4d9d9d986c9f1087fd7fc17a8c2'),
+], ids=['gz-12', 'tripod-8', 'tripod-14', 'z-skew-8', 'gz-leftward-12'])
 def test_conjugate_output_is_pinned(capsys, argv, digest):
     # digests of the output of the full-grid measure this one replaced
     code, out = run(capsys, ['conjugate', *argv])

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from types import SimpleNamespace
@@ -15,13 +16,13 @@ from ribbonflow.dynamics import (HPoint, from_edge, hpoint, iet_step, resolve,
                                  walk)
 from ribbonflow.eigen import (builtin_families, character, character_eigen,
                               gz_constant, gz_exponential, ntree_constant,
-                              tripod_family)
+                              ntree_horofunction, tripod_family)
 from ribbonflow.exact import (FieldMixError, QVec2, QuadNum, _lift_common,
                               _reduced, sqrt_rational)
 from ribbonflow.freegrp import H, V, V_INV, Letter, Word, rho
 from ribbonflow.graphs import (Heisenberg, IntegersZ, OracleFun, PathGraph,
                                SparseFun, TripodGraph, _numbered_ball,
-                               upsilon_eval, vertices_in_ball)
+                               pairing, upsilon_eval, vertices_in_ball)
 from ribbonflow.measures import (DecayProfile, MatchedPair,
                                  NotRenormalizable, Witness, _cut_measure,
                                  _renormalized, conjugate_boundary_point,
@@ -34,6 +35,7 @@ from ribbonflow.surface import Surface, _theta_parts
 THETA2 = (QuadNum(1), sqrt_rational(2) - 1)
 THETA41 = (QuadNum(4), sqrt_rational(41) - 5)
 THETA34 = (QuadNum(3), sqrt_rational(34) - 5)
+HEISENBERG_GENS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
 
 
 def gz_pair():
@@ -83,9 +85,8 @@ def tree_vertex():
 def heisenberg_window():
     """A radius-2 window of a Heisenberg skew graph, whose A-vertices have
     double edges, under a direction with positive letters."""
-    gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
-    fam = character_eigen(Heisenberg(), gens, (1, 1))
-    other = character_eigen(Heisenberg(), gens, (2, 1))
+    fam = character_eigen(Heisenberg(), HEISENBERG_GENS, (1, 1))
+    other = character_eigen(Heisenberg(), HEISENBERG_GENS, (2, 1))
     f = plane_point(fam.graph, other.weight, (QuadNum(3), QuadNum(-2)))
     data = shrinking_sequence(fam.lam, (QuadNum(1), QuadNum('-2-sqrt(5)')))
     return fam.graph, f, data, ball_window(fam.graph, 2)
@@ -887,21 +888,25 @@ README_CONJUGATE = [
 
 
 def test_measure_flows_at_most_two_chains(monkeypatch):
-    chains, steps = [], []
+    chains, steps, inside = [], [], []
 
     def counted_chain(*args):
         chains.append(args)
-        return chain(*args)
+        inside.append(args)
+        try:
+            return chain(*args)
+        finally:
+            inside.pop()
 
     def counted_land(*args):
-        steps.append(args)
+        if not inside:
+            steps.append(args)
         return land(*args)
 
-    # the descent's landings: its first in measures, the rest in _legs;
-    # the chains walk and never land
+    # the descent and the chains both land in _legs: the descent's
+    # landings are those made outside a chain
     chain, land = measures._chain_crossings, dynamics._land
     monkeypatch.setattr(measures, '_chain_crossings', counted_chain)
-    monkeypatch.setattr(measures, '_land', counted_land)
     monkeypatch.setattr(dynamics, '_land', counted_land)
     for pair in (gz_pair, tripod_pair):
         for surface, f, theta, e in pair_sides(pair):
@@ -954,6 +959,8 @@ def _parent_chain_crossings(surface, theta, e, q, steps):
     return SparseFun(terms)
 
 
+STEEP = (100 + sqrt_rational(2), QuadNum(1))
+
 CHAIN_CASES = {
     'gz': lambda: (Surface.from_family(gz_constant()), THETA2),
     'tripod2': lambda: (Surface.from_family(tripod_family(2)), THETA41),
@@ -963,6 +970,18 @@ CHAIN_CASES = {
     'gz_leftward': lambda: (Surface.from_family(gz_constant()),
                             (QuadNum(-1), THETA2[1])),
     'z_skew': lambda: z_skew_sides()[0][::2],
+    'gz_vertical': lambda: (Surface.from_family(gz_constant()),
+                            (QuadNum(0), QuadNum(1))),
+    'gz_steep': lambda: (Surface.from_family(gz_constant()), STEEP),
+    'gz_steep_leftward': lambda: (Surface.from_family(gz_constant()),
+                                  (-STEEP[0], STEEP[1])),
+    'ntree_horo': lambda: (Surface.from_family(
+        ntree_horofunction(3, QuadNum('1/2'))), THETA2),
+    'heisenberg': lambda: (Surface.from_family(character_eigen(
+        Heisenberg(), HEISENBERG_GENS, (1, 1))),
+        (QuadNum(-3), sqrt_rational(5) / 2)),
+    'tripod2_mirror': lambda: (transposed_surface(
+        Surface.from_family(tripod_family(2))), THETA41[::-1]),
 }
 
 
@@ -979,6 +998,29 @@ def test_chain_carries_the_walks_edge_and_offset(name):
                 got = measures._chain_crossings(s, theta, e, q, steps)
                 assert got == _parent_chain_crossings(s, theta, e, q,
                                                       steps), (e, k, steps)
+
+
+@pytest.mark.parametrize('sign', [1, -1], ids=['rightward', 'leftward'])
+def test_steep_measure_takes_no_step_per_rectangle(sign):
+    # a step is one floor pair per edge of its landing circle, however
+    # many times the line winds round the cylinder; a walk over every
+    # rectangle crossed needs about 10 s at 10**5
+    w1, w2, _, theta2 = gz_pair()
+    s = Surface.from_family(w1)
+    f = plane_point(w1.graph, w2.weight, theta2)
+    e = s.south(w1.graph.base_edge(w1.root))
+    t = s.width(e) / 3
+    for big in (10**5, 10**3):
+        theta = (sign * (big + sqrt_rational(2)), QuadNum(1))
+        start = time.perf_counter()
+        tm = transversal_measure(s, f, theta, e, t, 12)
+        assert time.perf_counter() - start < 1
+    lo, hi = measures._cell(s, theta, e, t, 12)
+    assert lo != hi
+    value, upper = (abs(pairing(f, _parent_chain_crossings(s, theta, e,
+                                                           *end)))
+                    for end in (lo, hi))
+    assert (tm.value, tm.error) == (value, upper - value)
 
 
 def test_transposed_surface_swaps_roles():
