@@ -10,18 +10,21 @@ r = u mod lam: one residue serves every circle.  An exact step is on
 ints: _locate bisects the int lift of the circle's cuts (Section.lift)
 and gives the offset t - cut, and _land adds it to base = cut + w*r from
 the direction's jump table (Jumps) and reduces by the circle's length;
-the one QuadNum it builds is the point it yields.  iet_step is one such
-step and _legs the one orbit of them, landing only when the next step is
-asked for; resolve is _locate's QuadNum face, and located_orbit hands
-on the offsets _legs located; the measure steps on _legs too, and the
-rectangle walk serves only the geometric flow.  Exact quadratic
-arithmetic reproduces orbits bit for bit; the float mode, for long
-statistical runs, reads the landings rounded once and refuses what the
-exact routes refuse.
-The exact skew rotation is one loop, whose one-step case is skew_step:
-it lifts x and alpha once to ints over one denominator, so a step is a
-floor, two int adds and a floor.  Every orbit counts its budget in
-_budgeted.
+the one QuadNum it builds is the point it yields.  _land takes
+_locate's tuple as it is, _locate reads the kept section, and
+Surface.rotation returns its kept table at once for the same direction
+tuple.  iet_step is one such step and _legs the one orbit of them,
+landing only when the next step is asked for; resolve is _locate's
+QuadNum face, and located_orbit hands on the offsets _legs located; the
+measure steps on _legs too, and the rectangle walk serves only the
+geometric flow.  Exact quadratic arithmetic reproduces orbits bit for
+bit; the float mode, for long statistical runs, reads the landings
+rounded once and refuses what the exact routes refuse.
+The exact skew rotation lifts x and alpha to ints over one denominator
+(_skew_lift), so a step (_skew_next) is a floor, two int adds and a
+floor.  The orbit's loop _skew_states lifts once and steps lazily;
+skew_step is its one-step case, the same lift and step with no
+generator.  Every orbit counts its budget in _budgeted.
 """
 
 from __future__ import annotations
@@ -126,7 +129,10 @@ def _locate(surface: Surface, a, t):
     """
     if type(t) is not QuadNum:
         t = as_quad(t)
-    edges, _, (A, B, q, dc) = surface.section(a)
+    sec = surface._sections.get(a)
+    if sec is None:
+        sec = surface.section(a)
+    edges, _, (A, B, q, dc) = sec
     ta, tb, tq, d = t._a, t._b, t._q, t._d
     mixed = d and dc and d != dc
     if not d:
@@ -151,11 +157,12 @@ def _locate(surface: Surface, a, t):
     return edges[i], ta - A[i] * k, tb - B[i] * k, tq, d
 
 
-def _land(jumps: Jumps, e, oa: int, ob: int, oq: int, od: int) -> HPoint:
-    """S then R^u from the offset (oa + ob*sqrt(od))/oq in [0, width(e)]
-    of e's top interval, for the rotation of the table jumps: across the
-    top of e into the cylinder above, then round that cylinder's circle
-    by u times its height.
+def _land(jumps: Jumps, at) -> HPoint:
+    """S then R^u from at = (e, oa, ob, oq, od), _locate's tuple, the
+    offset (oa + ob*sqrt(od))/oq in [0, width(e)] of e's top interval,
+    for the rotation of the table jumps: across the top of e into the
+    cylinder above, then round that cylinder's circle by u times its
+    height.
 
     The table's entry holds base = cut + r*w and the circle's length
     over one denominator (see Jumps).  The sum base + o lies in
@@ -166,6 +173,7 @@ def _land(jumps: Jumps, e, oa: int, ob: int, oq: int, od: int) -> HPoint:
     base + o first, base's before o's, as the sum and its comparison
     against the length do.
     """
+    e, oa, ob, oq, od = at
     a2, ba, bb, bd, la, lb, ld, q = jumps[e]
     d = bd
     if ob and od != d:
@@ -209,8 +217,7 @@ def from_edge(surface: Surface, e, offset) -> HPoint:
 def iet_step(surface: Surface, theta, p: HPoint) -> HPoint:
     """One step of the return map: jump to the next interval around the
     B-vertex, then rotate the target circle by (x/y) times its height."""
-    jumps = surface.rotation(theta)
-    return _land(jumps, *_locate(surface, p.a, p.t))
+    return _land(surface.rotation(theta), _locate(surface, p.a, p.t))
 
 
 def walk(surface: Surface, u, e, cx, cy, scalar=as_quad) -> list:
@@ -306,16 +313,16 @@ def _legs(surface: Surface, jumps: Jumps, p: HPoint, branch):
     width and no branch raises.  Each landing waits for its leg to be
     asked for."""
     for k in count():
-        at = e, oa, ob, oq, d = _locate(surface, p.a, p.t)
-        if not (oa or ob or branch == 'right'):
+        at = _locate(surface, p.a, p.t)
+        if not (at[1] or at[2] or branch == 'right'):
             if branch is None:
                 raise SingularHitError(
                     'orbit hit an interval endpoint at step %d' % k)
-            e = surface.west(e)
+            e = surface.west(at[0])
             w = as_quad(surface.width(e))
-            at = e, oa, ob, oq, d = e, w._a, w._b, w._q, w._d
+            at = e, w._a, w._b, w._q, w._d
         yield at, p
-        p = _land(jumps, e, oa, ob, oq, d)
+        p = _land(jumps, at)
 
 
 def _orbit_legs(surface: Surface, theta, p: HPoint, steps: int, branch,
@@ -368,35 +375,50 @@ def _check_skew(n: int, group, generators, x) -> None:
         group.check(gen)
 
 
-def _skew_states(n: int, alpha, group, generators, state, steps: int):
-    """The exact skew orbit after the initial state, stepped on ints.
-
-    x and alpha are lifted once, on the first step, to (A + B*sqrt(d))/Q
-    and (P + R*sqrt(d))/Q over one denominator Q, in the field joined as
-    x + alpha joins it, so a FieldMixError names x's field first.
-    i = floor(n*x) picks the generator, and 0 <= i < n is the check that
-    x lies in [0, 1); x + alpha is two int adds, and one floor times Q
-    takes its integer part off A, any alpha.  Q never changes and x
-    stays in [0, 1), so A stays within Q of -B*sqrt(d) however large
-    alpha's integer part.
-    """
-    x, g, alpha = as_quad(state[0]), state[1], as_quad(alpha)
-    if steps < 1:
-        return
+def _skew_lift(x: QuadNum, alpha: QuadNum) -> tuple:
+    """x and alpha over one denominator q, in the field joined as
+    x + alpha joins it, so a FieldMixError names x's field first:
+    (a, b, p, r, q, d) for x = (a + b*sqrt(d))/q and
+    alpha = (p + r*sqrt(d))/q."""
     d = x._d
     if alpha._d and alpha._d != d:
         d = _join(d, alpha._d)
     q = math.lcm(x._q, alpha._q)
     s, t = q // x._q, q // alpha._q
-    a, b, p, r = x._a * s, x._b * s, alpha._a * t, alpha._b * t
+    return x._a * s, x._b * s, alpha._a * t, alpha._b * t, q, d
+
+
+def _skew_next(n: int, op, generators, g, a: int, b: int, p: int, r: int,
+               q: int, d: int) -> tuple:
+    """One skew step on the lift of _skew_lift, for the group operation
+    op: (g', a', b') for the group element and circle coordinate after
+    (g, (a + b*sqrt(d))/q).
+
+    i = floor(n*x) picks the generator, and 0 <= i < n is the check that
+    x lies in [0, 1); x + alpha is two int adds, and one floor times q
+    takes its integer part off a, any alpha.  q never changes and x
+    stays in [0, 1), so a stays within q of -b*sqrt(d) however large
+    alpha's integer part.
+    """
+    i = _floor(n * a, n * b, q, d)
+    if not 0 <= i < n:
+        raise ValueError('circle coordinate must lie in [0, 1)')
+    a += p
+    b += r
+    return op(generators[i], g), a - _floor(a, b, q, d) * q, b
+
+
+def _skew_states(n: int, alpha, group, generators, state, steps: int):
+    """The exact skew orbit after the initial state, stepped on ints:
+    x and alpha lifted once, on the first step, by _skew_lift, then
+    _skew_next a step."""
+    x, g, alpha = as_quad(state[0]), state[1], as_quad(alpha)
+    if steps < 1:
+        return
+    a, b, p, r, q, d = _skew_lift(x, alpha)
+    op = group.op
     for _ in range(steps):
-        i = _floor(n * a, n * b, q, d)
-        if not 0 <= i < n:
-            raise ValueError('circle coordinate must lie in [0, 1)')
-        g = group.op(generators[i], g)
-        a += p
-        b += r
-        a -= _floor(a, b, q, d) * q
+        g, a, b = _skew_next(n, op, generators, g, a, b, p, r, q, d)
         yield _reduced(a, b, q, d), g
 
 
@@ -406,8 +428,15 @@ def skew_step(n: int, alpha, group, generators, state):
     group coordinate by the generator of the point's subinterval."""
     if not (generators and n == len(generators)):
         _check_skew(n, group, generators, state[0])   # raises, naming it
-    (out,) = _skew_states(n, alpha, group, generators, state, 1)
-    return out
+    x = state[0]
+    if type(x) is not QuadNum:
+        x = as_quad(x)
+    if type(alpha) is not QuadNum:
+        alpha = as_quad(alpha)
+    a, b, p, r, q, d = _skew_lift(x, alpha)
+    g, a, b = _skew_next(n, group.op, generators, state[1], a, b, p, r, q,
+                         d)
+    return _reduced(a, b, q, d), g
 
 
 def skew_orbit(n: int, alpha, group, generators, state, steps: int,

@@ -223,12 +223,14 @@ def character_eigen(group: Group, generators, values) -> EigenFamily:
     discs = {x.field_disc for x in eta_vals + [lam] if x.field_disc}
     if len(discs) > 1:
         raise ValueError('eigenvalue leaves the quadratic coefficient field')
-    scale = {'a': _ONE, 'b': delta / lam}
+    scale = delta / lam
     # 1/chi is the character of the inverse values, so each read
-    # multiplies by cached powers instead of dividing
+    # multiplies by cached powers instead of dividing; an A-vertex reads
+    # 1/chi(g) itself, only a B-vertex is scaled
     inv_chi = character(group, [_ONE / v for v in vals])
     return EigenFamily('character', graph, lam,
-                       OracleFun(lambda v: scale[v[0]] * inv_chi(v[1])),
+                       OracleFun(lambda v: inv_chi(v[1]) if v[0] == 'a'
+                                 else scale * inv_chi(v[1])),
                        (('chi', ','.join(map(str, vals))),))
 
 

@@ -249,7 +249,7 @@ class QuadNum:
         return bool(self._a or self._b)
 
     def __eq__(self, other):
-        o = _lift(other)
+        o = other if type(other) is QuadNum else _lift(other)
         if o is None:
             return NotImplemented
         return (self._a == o._a and self._b == o._b and self._q == o._q

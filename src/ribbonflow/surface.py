@@ -184,21 +184,25 @@ class Surface:
         w * r for r = u mod lam when w > 0 and lam > 0 (the modulus
         refuses any other lam): one value, the table's r, serves every
         circle, and the table adds r * w to each landing's cut once.  The
-        last direction is matched by value equality of (x, y) before any
-        check, as a direction that failed one never becomes the last; a
-        QuadNum hash would build Fractions.  A new direction drops the
-        table.
+        last direction is matched before any check, as a direction that
+        failed one never becomes the last: the same tuple object at once,
+        since a tuple cannot change, else by value equality of (x, y), as
+        a list or a QVec2 may have changed in place; a QuadNum hash would
+        build Fractions.  A new direction drops the table.
         """
-        x, y = _xy(theta)
         last = self._rotation
-        if (last is not None and (x is last[0] or x == last[0])
-                and (y is last[1] or y == last[1])):
-            return last[2]
+        if last is not None:
+            if theta is last[0] and type(theta) is tuple:
+                return last[3]
+            x, y = _xy(theta)
+            if ((x is last[1] or x == last[1])
+                    and (y is last[2] or y == last[2])):
+                return last[3]
         x, y = _theta_parts(theta)
         lam = self.lam
         # lam + u names the surface's field first in a FieldMixError
         jumps = Jumps(self.landing, (lam + x / y) % lam)
-        self._rotation = (x, y, jumps)
+        self._rotation = (theta, x, y, jumps)
         return jumps
 
     def float_cuts(self, a) -> tuple:

@@ -210,6 +210,25 @@ def test_conjugate_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+HEIS_GENERATORS = '((1,0,0),(-1,0,0),(0,1,0),(0,-1,0))'
+
+
+@pytest.mark.parametrize('argv,digest', [
+    (['--group', 'Z', '--generators', '(1,-1)', '--steps', '2000',
+      '--alpha', '10000000000000000+sqrt(2)'],
+     'd5ab73899551c9b1c57377593e1337226061970d6d9087436d523f5f966012d4'),
+    (['--group', 'heisenberg', '--generators', HEIS_GENERATORS,
+      '--alpha', '7/3+1/5*sqrt(5)', '--steps', '3000'],
+     '9bb99c5f7c5b48e39d572f383308b98e2d97319d96bd53de48f942efb6045b73'),
+], ids=['z-10^16', 'heisenberg'])
+def test_exact_skew_output_is_pinned(capsys, argv, digest):
+    # every column of the exact skew orbits whose group column CI compares
+    # with the float orbits': the circle coordinate is pinned too
+    code, out = run(capsys, ['simulate', *argv, '--mode', 'exact'])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize('argv', [
     # the README pair with an unmatched second direction: the bottom
     # midpoint's error read -1645/136+29/17*sqrt(42)

@@ -4,6 +4,7 @@ import math
 from bisect import bisect_right
 from dataclasses import make_dataclass
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -852,16 +853,30 @@ def _lookup_points(s):
         yield HPoint(a, cuts[-1] * Fraction(big // 3, big))
 
 
+def _leg_one(s, theta, p):
+    """The point _legs lands on first from p, on its right branch."""
+    (_, q), = islice(dynamics._legs(s, s.rotation(theta), p, 'right'),
+                     1, 2)
+    return q
+
+
 @pytest.mark.parametrize('name', sorted(ORACLE_SURFACES))
 def test_int_lookup_and_landing_match_the_quadnum_ones(name):
     make, field = ORACLE_SURFACES[name]
     s, ref = make(), make()
-    for theta in ((1, 1), (QuadNum(3, 1, field), 3)):
+    for theta in ((1, 1), (QuadNum(3, 1, field), 3),
+                  (QuadNum(-7, 2, field), 1)):
         for p in _lookup_points(ref):
             want = _outcome(_bisect_resolve, ref, p)
             assert _outcome(resolve, s, p) == want
-            assert _outcome(iet_step, s, theta, p) == _outcome(
-                lambda: _table_jump(ref, theta, *_bisect_resolve(ref, p)))
+            step = _outcome(iet_step, s, theta, p)
+            assert isinstance(step, HPoint)
+            # one step is the orbit's first landing, and the jump as
+            # QuadNum arithmetic with and without the table
+            assert step == _outcome(_leg_one, s, theta, p)
+            for jump in (_table_jump, _rotation_jump):
+                assert step == _outcome(
+                    lambda: jump(ref, theta, *_bisect_resolve(ref, p)))
             for branch in ('left', 'right'):
                 assert _outcome(code_orbit, s, theta, p, 12, branch) == \
                     _outcome(_oracle_code, _table_jump, ref, theta, p, 12,
@@ -1040,3 +1055,81 @@ def test_landings_refuse_sides_that_are_not_positive():
     with pytest.raises(ValueError, match='positive'):
         for _ in range(10):
             p = iet_step(s, (QuadNum(0, 1, 2), 1), p)
+
+
+# skew_step against the orbit and the QuadNum loop, its refusals, and the
+# direction the return map's steps keep
+
+
+SKEW_SHIFTS = [ALPHA, ALPHA + 5, ALPHA - 7, -ALPHA, ALPHA + 10 ** 6]
+
+
+@pytest.mark.parametrize('alpha', SKEW_SHIFTS,
+                         ids=['alpha', 'plus-5', 'minus-7', 'negated',
+                              'plus-10^6'])
+@pytest.mark.parametrize('name', sorted(SKEW_GROUPS))
+def test_skew_step_is_the_first_state_of_the_orbit(name, alpha):
+    group, gens = SKEW_GROUPS[name]
+    n = len(gens)
+    for x in (QuadNum(0), QuadNum(Fraction(1, 7)), ALPHA,
+              QuadNum(Fraction(5, 6), Fraction(-1, 9), 2), Fraction(3, 11)):
+        state = (x, group.identity)
+        for _ in range(30):
+            want = _skew_loop_reference(n, alpha, group, gens, state, 1)[0]
+            assert skew_orbit(n, alpha, group, gens, state, 1)[0] == want
+            state = skew_step(n, alpha, group, gens, state)
+            assert state == want
+
+
+def test_skew_refusals_keep_their_type_and_text():
+    # the return map's refusals keep theirs in the lookup and field-mix
+    # tests above
+    def refusal(f, *args):
+        with pytest.raises(Exception) as exc:
+            f(*args)
+        return type(exc.value), str(exc.value)
+
+    group, gens = SKEW_GROUPS['Z']
+    sqrt3 = sqrt_rational(3)
+    circle = 'circle coordinate must lie in [0, 1)'
+    for args, want in [
+            ((2, ALPHA, group, gens, (QuadNum(1), 0)), (ValueError, circle)),
+            ((2, ALPHA, group, gens, (-ALPHA, 0)), (ValueError, circle)),
+            ((2, ALPHA, group, gens, (0.5, 0)),
+             (TypeError, 'not an exact number: 0.5')),
+            ((2, 0.3, group, gens, (QuadNum(0), 0)),
+             (TypeError, 'not an exact number: 0.3')),
+            ((2, sqrt3, group, gens, (ALPHA, 0)),
+             (FieldMixError, 'cannot combine sqrt(2) with sqrt(3)')),
+            ((3, ALPHA, group, gens, (QuadNum(0), 0)),
+             (ValueError, 'need at least one generator and n of them, got '
+                          'n=3 and 2'))]:
+        assert refusal(skew_step, *args) == want, args
+        if not isinstance(args[4][0], float):
+            assert refusal(skew_orbit, *args, 1) == want, args
+
+
+def test_rotation_keeps_a_tuple_and_rereads_what_can_change(monkeypatch):
+    s, ref = staircase(), staircase()
+    theta = stair_theta(ALPHA)
+    turned = (QuadNum(1), theta[1])
+    p = hpoint(s, ('a', 0), Fraction(1, 7))
+    jumps = s.rotation(theta)
+    # the same tuple object is matched before its entries are read
+    with monkeypatch.context() as m:
+        m.setattr('ribbonflow.surface._xy', None)
+        assert s.rotation(theta) is jumps
+    # an equal tuple built anew is the same direction
+    assert s.rotation((theta[0] + 0, theta[1])) is jumps
+    as_list, as_vec = list(theta), QVec2(*theta)
+    for changing in (as_list, as_vec):
+        jumps = s.rotation(theta)
+        assert s.rotation(changing) is jumps
+        # one entry changed in place: a new direction, a new table
+        if changing is as_list:
+            changing[0] = turned[0]
+        else:
+            changing.x = turned[0]
+        got = s.rotation(changing)
+        assert got is not jumps and got.r == ref.rotation(turned).r
+        assert iet_step(s, changing, p) == iet_step(ref, turned, p)

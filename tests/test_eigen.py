@@ -23,7 +23,7 @@ from ribbonflow.eigen import (EigenFamily, builtin_families, character,
                               ntree_horofunction, spoke_profile,
                               spoke_threshold, tripod_family, verify_eigen,
                               verify_eigen_tree, verify_family)
-from ribbonflow.eigen import _KEEP, _block_depth
+from ribbonflow.eigen import _KEEP, _block_depth, _chi_values
 from ribbonflow.measures import maharam_check
 
 ROOT2 = QuadNum(0, 1, 2)
@@ -219,21 +219,39 @@ def test_character_b_values_are_the_neighbour_average(group, generators,
 
 @pytest.mark.parametrize('group, generators, values', CHARACTERS,
                          ids=['Z', 'Z^d', 'cyclic', 'free', 'heisenberg'])
-def test_character_weight_multiplies_as_it_divided(group, generators,
-                                                   values):
+def test_character_weight_multiplies_as_it_divided(monkeypatch, group,
+                                                   generators, values):
     # the weight multiplies by the character of the inverse values; the
-    # division by chi it replaced gives the same canonical numbers
+    # division by chi it replaced gives the same canonical numbers, as
+    # does a product by one at A-vertices, which reads make no more
     fam = character_eigen(group, generators, values)
     chi = character(group, values)
+    inv_chi = character(group, [1 / v for v in _chi_values(values)])
     delta = sum((QuadNum(1) / chi(eta) for eta in fam.graph.etas),
                 QuadNum(0))
     scale = {'a': QuadNum(1), 'b': delta / fam.lam}
     ball = vertices_in_ball(fam.graph, fam.root, 6)
     assert len(ball) >= 6
+    products = []
+    mul = QuadNum.__mul__
+
+    def counted(x, y):
+        products.append(None)
+        return mul(x, y)
+
     for v in ball:
-        got, want = fam(v), scale[v[0]] / chi(v[1])
-        assert (got._a, got._b, got._q, got._d) == \
-            (want._a, want._b, want._q, want._d), v
+        with monkeypatch.context() as m:
+            m.setattr(QuadNum, '__mul__', counted)
+            del products[:]
+            inv_chi(v[1])
+            alone = len(products)
+            del products[:]
+            got = fam(v)
+        # one product at a B-vertex, by delta/lam, none at an A-vertex
+        assert len(products) == alone + (v[0] == 'b'), v
+        for want in (scale[v[0]] / chi(v[1]), scale[v[0]] * inv_chi(v[1])):
+            assert (got._a, got._b, got._q, got._d) == \
+                (want._a, want._b, want._q, want._d), v
 
 
 def test_character_weight_calls_no_graph_method(monkeypatch):
