@@ -16,11 +16,11 @@ is "chi=41/10"), and "--theta x, y" is the tuple (x, y).  A value may
 start with "-": "--alpha -1/2+sqrt(2)" is "--alpha=-1/2+sqrt(2)".
 
 Exit codes: 0 on success, 2 for unusable arguments, each refused in one
-"error:" line (only --help prints the usage), 3 when an orbit or search
-budget runs out, 4 when an input direction fails to be renormalizable
-where the subcommand requires it, or when conjugate's --theta2 is not
-the direction matched to --theta.  Any other exception is an internal
-error: it keeps its traceback and exits 1.
+"error:" line (only --help prints the usage), 3 when an orbit, search or
+drawing budget runs out, 4 when an input direction fails to be
+renormalizable where the subcommand requires it, or when conjugate's
+--theta2 is not the direction matched to --theta.  Any other exception
+is an internal error: it keeps its traceback and exits 1.
 """
 
 from __future__ import annotations
@@ -39,15 +39,15 @@ from . import __version__
 from .dynamics import (OrbitEscapedBudget, from_edge, located_orbit,
                        skew_orbit, skew_orbit_float)
 from .eigen import EigenFamily, family_eigen, verify_family
-from .exact import (FieldMixError, QuadNum, QVec2, as_quad, parse_quad,
-                    sqrt_rational)
-from .freegrp import LETTERS, Word
+from .exact import FieldMixError, QuadNum, as_quad, parse_quad, sqrt_rational
+from .freegrp import LETTERS
 from .graphs import make_group, vertices_in_ball
 from .measures import (MatchedPair, NotRenormalizable,
                        conjugate_boundary_point, decay_profiles,
                        survivor_check)
 from .renorm import OmegaKind, omega_test, shrinking_sequence
-from .surface import Surface, ball_growth, svg_truncation
+from .surface import (BudgetExhausted, Surface, ball_growth,
+                      svg_truncation)
 
 BUDGET_ENV = 'RIBBONFLOW_BUDGET'
 
@@ -264,13 +264,19 @@ def cmd_eigen(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def _budget(args) -> int | None:
+    """--budget, or BUDGET_ENV without the flag: None (unbounded) for 0
+    or neither set."""
     raw = os.environ.get(BUDGET_ENV, '0') if args.budget is None \
         else args.budget
     if not raw.isdecimal():
         raise ValueError('--budget and %s take an integer >= 0, got %r'
                          % (BUDGET_ENV, raw))
-    budget = int(raw) or None  # 0 means unbounded
+    return int(raw) or None
+
+
+def cmd_simulate(args) -> int:
+    budget = _budget(args)
     skew = args.group is not None
     if skew and args.family is not None:
         raise ValueError("--group runs the skew rotation and reads no "
@@ -388,26 +394,38 @@ def cmd_conjugate(args) -> int:
     return EXIT_OK
 
 
-def _limit_set_svg(lam: QuadNum, depth: int) -> str:
+def _limit_set_svg(lam: QuadNum, depth: int, budget=None) -> str:
     gap = lam * lam - 4
     if lam <= 2 or not gap.is_rational:
         raise ValueError('limit-set render needs lambda > 2 with '
                          'lambda^2 - 4 rational')
+    # 1 word of length 0 and 4 * 3^(n-1) of each length n >= 1
+    words = 2 * 3 ** depth - 1
+    if budget is not None and words > budget:
+        raise BudgetExhausted('budget exhausted: the limit set to --depth %d '
+                              'has %d words, over the budget of %d'
+                              % (depth, words, budget))
     root = sqrt_rational(gap)
-    ends = (QVec2(QuadNum(2), lam - root), QVec2(QuadNum(2), lam + root))
-
-    def chart(v: QVec2) -> float:
-        if not v.x:
-            return 1.0 if v.y >= 0 else -1.0
-        return (2 / math.pi) * math.atan(float(v.y) / float(v.x))
-
+    two = QuadNum(2)
+    # an image is (x, y, str(x), str(y)): a shear moves one entry, and
+    # the other keeps its text
+    ends = tuple((two, y, '2', str(y)) for y in (lam - root, lam + root))
     neg = -lam
 
-    def shear(letter, v: QVec2) -> QVec2:
+    def shear(letter, image: tuple) -> tuple:
+        x, y, sx, sy = image
         off = lam if letter.exp == 1 else neg
         if letter.gen == 'h':
-            return QVec2(v.x + off * v.y, v.y)
-        return QVec2(v.x, v.y + off * v.x)
+            x = x + off * y
+            return x, y, str(x), sy
+        y = y + off * x
+        return x, y, sx, str(y)
+
+    def chart(image: tuple) -> float:
+        x, y = image[:2]
+        if not x:
+            return 1.0 if y >= 0 else -1.0
+        return (2 / math.pi) * math.atan(float(y) / float(x))
 
     width, height, pad = 800, 120, 10
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" '
@@ -415,39 +433,43 @@ def _limit_set_svg(lam: QuadNum, depth: int) -> str:
              '<line x1="%d" y1="60" x2="%d" y2="60" '
              'stroke="black" stroke-width="1"/>' % (pad, width - pad)]
     # a word's rightmost letter acts first, so rho(l s) sends the ends to
-    # l's shear of rho(s)'s images: each level keeps its words' images,
-    # keyed by their letters, and the next level reads its suffixes there
-    level = {(): ends}
+    # l's shear of rho(s)'s images: each level keeps its words' labels and
+    # images, keyed by their letters, and the next level reads its
+    # suffixes there; a word's label is its parent's and one letter more
+    after = {l: [m for m in LETTERS if m != l.inverse()] for l in LETTERS}
+    level = {(): ('e', *ends)}
     for n in range(depth + 1):
-        for w, (a, b) in level.items():
+        if n:
+            prev, level = level, {}
+            for w, (label, _, _) in prev.items():
+                for letter in after[w[-1]] if w else LETTERS:
+                    ext = w + (letter,)
+                    _, a, b = prev[ext[1:]]
+                    level[ext] = ('%s %s' % (label, letter) if w
+                                  else str(letter),
+                                  shear(ext[0], a), shear(ext[0], b))
+        for label, a, b in level.values():
             lo, hi = sorted((chart(a), chart(b)))
             x1 = pad + (lo + 1) / 2 * (width - 2 * pad)
             x2 = pad + (hi + 1) / 2 * (width - 2 * pad)
             parts.append('<g><title>%s: %s,%s to %s,%s</title>'
                          '<line x1="%.3f" y1="60" x2="%.3f" y2="60" '
                          'stroke="white" stroke-width="5"/></g>'
-                         % (Word(w), a.x, a.y, b.x, b.y, x1, x2))
-        if n < depth:
-            prev, level = level, {}
-            for w in prev:
-                for letter in LETTERS:
-                    if not w or letter != w[-1].inverse():
-                        ext = w + (letter,)
-                        a, b = prev[ext[1:]]
-                        level[ext] = shear(ext[0], a), shear(ext[0], b)
+                         % (label, a[2], a[3], b[2], b[3], x1, x2))
     parts.append('</svg>')
     return '\n'.join(parts) + '\n'
 
 
 def cmd_render(args) -> int:
+    budget = _budget(args)
     if args.style == 'limitset':
         if not args.lam:
             raise ValueError('limit-set render needs --lambda')
         lam = parse_quad(args.lam)
-        draw = lambda: _limit_set_svg(lam, args.depth)
+        draw = lambda: _limit_set_svg(lam, args.depth, budget)
     else:
         surface = Surface.from_family(_family(args.family, args))
-        draw = lambda: svg_truncation(surface, args.depth)
+        draw = lambda: svg_truncation(surface, args.depth, budget)
     try:
         svg = '<!-- ribbonflow %s seed %d -->\n%s' % (__version__, args.seed,
                                                       draw())
@@ -515,8 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     # exact and right by default; each is read only in its own mode
     p.add_argument('--mode', choices=('exact', 'float'))
     p.add_argument('--branch', choices=('left', 'right'))
-    # default from BUDGET_ENV, read in cmd_simulate where a bad value
-    # exits 2
+    # default from BUDGET_ENV, read by _budget where a bad value exits 2
     p.add_argument('--budget')
     _add_common(p)
     p.set_defaults(handler=cmd_simulate)
@@ -555,6 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default='surface')
     p.add_argument('--lambda', dest='lam')
     p.add_argument('--depth', type=_size, default=3)
+    p.add_argument('--budget')   # read as simulate reads it
     _add_common(p, formats=('svg',))
     p.set_defaults(handler=cmd_render)
     return parser
@@ -594,6 +616,9 @@ def main(argv=None) -> int:
     except OrbitEscapedBudget as exc:
         print('budget exhausted after %d steps' % exc.steps_done,
               file=sys.stderr)
+        return EXIT_BUDGET
+    except BudgetExhausted as exc:
+        print(str(exc), file=sys.stderr)
         return EXIT_BUDGET
     except NotRenormalizable as exc:
         print(str(exc), file=sys.stderr)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import cycle, islice
 from typing import Sequence
 
 from .exact import QuadNum, QVec2, SignPair, _xy, as_quad, quad_sqrt
@@ -106,7 +107,7 @@ class TailStatus(Enum):
     EXCLUDED_TAIL = 'excluded-tail'
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShrinkData:
     """A greedy shrinking prefix of one direction.
 
@@ -114,13 +115,16 @@ class ShrinkData:
     vectors has one more entry than increments.  signs[n] is its open
     quadrant, or None on an axis.  period, when set, is (start, length) of
     an exact projective revisit; excluded_id names the non-renormalizing
-    tail family when status is EXCLUDED_TAIL.
+    tail family when status is EXCLUDED_TAIL.  built holds the vectors the
+    greedy steps computed; past the period's close vectors scales them on
+    first read, so a reader of letters and signs alone builds none.  Two
+    prefixes are equal when every field but built is, vectors included.
     """
 
     lam: QuadNum
     theta: QVec2
     increments: tuple[Letter, ...]
-    vectors: tuple[QVec2, ...]
+    built: tuple[QVec2, ...]
     signs: tuple
     status: TailStatus
     period: tuple[int, int] | None = None
@@ -128,6 +132,29 @@ class ShrinkData:
 
     def __len__(self) -> int:
         return len(self.increments)
+
+    def __eq__(self, other):
+        if not isinstance(other, ShrinkData):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def _fields(self) -> tuple:
+        return (self.lam, self.theta, self.increments, self.signs,
+                self.status, self.period, self.excluded_id, self.vectors)
+
+    @cached_property
+    def vectors(self) -> tuple[QVec2, ...]:
+        """built, then the period replayed to one vector per increment:
+        with vectors[start + p] = c * vectors[start], vector k is c times
+        vector k - p, exactly."""
+        out = list(self.built)
+        if self.period is not None and len(out) <= len(self.increments):
+            start, p = self.period
+            old, new = out[start], out[start + p]
+            c = new.x / old.x if old.x else new.y / old.y
+            for k in range(len(out), len(self.increments) + 1):
+                out.append(c * out[k - p])
+        return tuple(out)
 
     @cached_property
     def _critical_times(self) -> tuple[int, ...]:
@@ -198,6 +225,10 @@ def _shrinkers(lam: QuadNum, x: QuadNum, y: QuadNum):
     return out, lx, ly
 
 
+# the quadrant of -v for the quadrant of v, and None (an axis) for None
+_HALF_TURN = {None: None, **{s: s.rotate().rotate() for s in SignPair}}
+
+
 def shrinking_sequence(lam, theta, max_steps: int = 64) -> ShrinkData:
     """Greedily shrink a direction, stopping on a terminal configuration.
 
@@ -208,8 +239,10 @@ def shrinking_sequence(lam, theta, max_steps: int = 64) -> ShrinkData:
     alternating families.  The period then replays to max_steps letters:
     with vectors[start + p] = c * vectors[start], letter k is letter k - p
     and its vector c times that one's, exactly, since the greedy choice
-    reads the signs of degree-2 forms, which c * v shares with v.  Below
-    lam = 2 two shrink cones overlap, so the greedy choice is undefined.
+    reads the signs of degree-2 forms, which c * v shares with v.  The
+    replay writes letters and signs alone; ShrinkData.vectors scales the
+    vectors past the close when first read.  Below lam = 2 two shrink
+    cones overlap, so the greedy choice is undefined.
     """
     lam = as_quad(lam)
     if lam < 2:
@@ -250,16 +283,19 @@ def shrinking_sequence(lam, theta, max_steps: int = 64) -> ShrinkData:
     if period is not None:
         start, p = period
         old = vectors[start]
-        c = x / old.x if old.x else y / old.y
-        for k in range(start + p, max_steps):
-            increments.append(increments[k - p])
-            current = c * vectors[k + 1 - p]
-            vectors.append(current)
-            signs.append(current.quadrant())
+        more = max_steps - start - p
+        increments += islice(cycle(increments[start:]), more)
+        # signs[k] is that of c * vectors[k - p]: the same quadrant for
+        # c > 0 and the opposite one for c < 0, an axis staying an axis
+        tail = signs[start + 1:]
+        if (x.sign() != old.x.sign() if old.x else
+                y.sign() != old.y.sign()):
+            tail = [_HALF_TURN[s] for s in tail] + tail
+        signs += islice(cycle(tail), more)
         status = (TailStatus.EXCLUDED_TAIL if excluded_id
                   else TailStatus.PERIODIC)
     return ShrinkData(lam=lam, theta=theta, increments=tuple(increments),
-                      vectors=tuple(vectors), signs=tuple(signs),
+                      built=tuple(vectors), signs=tuple(signs),
                       status=status, period=period, excluded_id=excluded_id)
 
 

@@ -281,9 +281,15 @@ def _glued(surface: Surface, e, x, y) -> tuple:
             (south, x, y - surface.height(south)))
 
 
-def svg_truncation(surface: Surface, radius: int = 3) -> str:
+class BudgetExhausted(Exception):
+    """A drawing needs more shapes than its budget allows."""
+
+
+def svg_truncation(surface: Surface, radius: int = 3, budget=None) -> str:
     """A staircase-style SVG of the rectangles within a few east/north
     steps of the root's base edge, 48 pixels to a unit of length.
+    A budget bounds the rectangles placed: BudgetExhausted is raised
+    before one more would be.
 
     Rectangles are laid out so east neighbors sit to the right and north
     neighbors above.  Side pairs glued in the surface but not adjacent
@@ -305,12 +311,16 @@ def svg_truncation(surface: Surface, radius: int = 3) -> str:
         return False
 
     frontier = [center]
-    for _ in range(radius):
+    for ring in range(1, radius + 1):
         nxt = []
         for e in frontier:
             east, west, north, south = _glued(surface, e, *placed[e])
             for e2, x2, y2 in (east, north, west, south):
                 if e2 not in placed and not collides(x2, y2, e2):
+                    if len(placed) == budget:
+                        raise BudgetExhausted(
+                            'budget exhausted: ring %d of --depth %d places '
+                            'more than %d rectangles' % (ring, radius, budget))
                     placed[e2] = (x2, y2)
                     nxt.append(e2)
         frontier = nxt

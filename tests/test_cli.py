@@ -12,19 +12,20 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import xml.dom.minidom
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ribbonflow import __version__, cli, dynamics
+from ribbonflow import __version__, cli, dynamics, measures
 from ribbonflow.cli import (EXIT_BUDGET, EXIT_NOT_RENORM, EXIT_OK,
                             EXIT_PARSE, _theta, build_parser, main)
 from ribbonflow.exact import QuadNum, QVec2, parse_quad, sqrt_rational
 from ribbonflow.freegrp import H, H_INV, V, V_INV, Word, rho
 from ribbonflow.renorm import (direction_from_sequence, matched_direction,
-                               shrinking_sequence)
+                               omega_test, shrinking_sequence)
 
 GZ_PAIR = ['--family', 'gz_constant', '--family2', 'gz_exponential:t=2',
            '--theta', '1, -1+sqrt(2)', '--theta2', '4, -5+sqrt(41)']
@@ -397,6 +398,72 @@ def test_shrink_readme_outputs_are_pinned(capsys, argv, code, digest):
     got, out = run(capsys, argv)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize('argv, digest', [
+    # a period 0+3 whose revisit scales by -3+2*sqrt(2), replayed for 197
+    # letters
+    (['shrink', '--lambda', '2', '--theta', '-1+1/2*sqrt(2), 1/2',
+      '--depth', '200'],
+     '5cfc1e36f20b85c5e456640b7b2a7bdc9b2ff3167c520ed8971201d92a6b0ba3'),
+    # 2*3^6 - 1 = 1457 words, each labelled and sheared from its suffix's
+    (['render', '--style', 'limitset', '--lambda', '3', '--depth', '6'],
+     'e4fff226f48ad28d8efcc7117a466d1c6a43e9d9bfb09b3426a4508aa851abc5'),
+], ids=['shrink-negative-scale', 'limitset-6'])
+def test_word_outputs_are_pinned(capsys, argv, digest):
+    # digests taken when every replayed vector was built with its letter,
+    # and every limit-set image as a QVec2 with its Word's label
+    code, out = run(capsys, argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """A one-item list that counts the QVec2s built from here on."""
+    count = [0]
+    init = QVec2.__init__
+
+    def counted(self, x, y):
+        count[0] += 1
+        init(self, x, y)
+
+    monkeypatch.setattr(QVec2, '__init__', counted)
+    return count
+
+
+@pytest.mark.parametrize('argv', [
+    ['survivor', *GZ_PAIR], ['decay', *GZ_PAIR],
+    ['conjugate', *GZ_PAIR, '--depth', '12'],
+    ['conjugate', *GZ_PAIR[:-2], '--depth', '12'],
+], ids=['survivor', 'decay', 'conjugate', 'conjugate-derived'])
+def test_pair_commands_build_no_replayed_vector(capsys, monkeypatch, built,
+                                                argv):
+    # the pair reads letters, signs and the period alone: replaying 1000
+    # more letters builds no more vectors and prints the same bytes
+    shrink = measures.shrinking_sequence
+    runs = []
+    for more in (0, 1000):
+        monkeypatch.setattr(measures, 'shrinking_sequence',
+                            lambda lam, theta, max_steps:
+                            shrink(lam, theta, max_steps + more))
+        built[0] = 0
+        code, out = run(capsys, argv)
+        assert code == EXIT_OK
+        runs.append((built[0], out))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize('n, alpha', [
+    (2, '1/2*sqrt(2)'), (2, '-3/2+1/2*sqrt(2)'), (3, '5/6+1/6*sqrt(5)'),
+], ids=['periodic', 'negative-scale', 'excluded-tail'])
+def test_omega_builds_no_replayed_vector(built, n, alpha):
+    counts = []
+    for depth in (64, 2000):
+        built[0] = 0
+        assert len(omega_test(n, parse_quad(alpha), depth).data) == depth
+        counts.append(built[0])
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize('branch', ['left', 'right'])
@@ -1156,6 +1223,59 @@ def test_limit_set_shears_match_a_matrix_per_word(lam):
     for depth in range(6):
         assert cli._limit_set_svg(lam, depth) == \
             _limit_set_svg_by_matrices(lam, depth), depth
+
+
+@pytest.mark.parametrize('spelling', ['flag', 'env'])
+def test_render_budget_refuses_a_limit_set_before_building_it(
+        capsys, monkeypatch, spelling):
+    # 2*3^40 - 1 words: without a budget this ran until it was killed
+    budget = ['--budget', '1000']
+    if spelling == 'env':
+        monkeypatch.setenv('RIBBONFLOW_BUDGET', '1000')
+        budget = []
+    start = time.perf_counter()
+    code = main(['render', '--style', 'limitset', '--lambda', '5/2',
+                 '--depth', '40', *budget])
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_BUDGET
+    assert capsys.readouterr() == ('', (
+        'budget exhausted: the limit set to --depth 40 has %d words, over '
+        'the budget of 1000\n' % (2 * 3 ** 40 - 1)))
+
+
+@pytest.mark.parametrize('argv, shapes', [
+    (['--style', 'limitset', '--lambda', '5/2', '--depth', '5'], '<title>'),
+    (['--family', 'ntree_horo:n=3,s=1/2', '--depth', '6'], '<rect'),
+], ids=['limitset', 'surface'])
+def test_render_budget_counts_every_shape_drawn(capsys, argv, shapes):
+    # a budget of exactly the shapes drawn, or 0, leaves the bytes as they
+    # are; one less exits 3 with one line and no output
+    code, svg = run(capsys, ['render', *argv])
+    assert code == EXIT_OK
+    n = svg.count(shapes)
+    assert n > 1
+    for budget in (0, n, n + 1):
+        assert run(capsys, ['render', *argv, '--budget', str(budget)]) == \
+            (EXIT_OK, svg)
+    assert main(['render', *argv, '--budget', str(n - 1)]) == EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == '' and err.count('\n') == 1
+    assert err.startswith('budget exhausted: ')
+    assert main(['render', *argv, '--budget', '-1']) == EXIT_PARSE
+    assert capsys.readouterr().err.count('\n') == 1
+
+
+def test_render_budget_stops_a_surface_within_its_ring(capsys):
+    # ntree_horo at depth 16 took 11 s to lay out: the budget stops it at
+    # the rectangle that would pass it
+    start = time.perf_counter()
+    code = main(['render', '--family', 'ntree_horo:n=3,s=1/2', '--depth',
+                 '16', '--budget', '200'])
+    assert time.perf_counter() - start < 10
+    assert code == EXIT_BUDGET
+    assert capsys.readouterr() == ('', (
+        'budget exhausted: ring 10 of --depth 16 places more than 200 '
+        'rectangles\n'))
 
 
 def test_render_limit_set_needs_hyperbolic_lambda(capsys):

@@ -260,7 +260,7 @@ def _off_axis_prefix(data):
     k = next((n for n, s in enumerate(data.signs) if s is None),
              len(data.signs)) - 1
     return replace(data, increments=data.increments[:max(k, 0)],
-                   vectors=data.vectors[:k + 1], signs=data.signs[:k + 1])
+                   built=data.vectors[:k + 1], signs=data.signs[:k + 1])
 
 
 def test_sign_tables_cover_every_transition():
@@ -332,7 +332,7 @@ def _matrix_sequence(lam, theta, max_steps):
         status = (TailStatus.EXCLUDED_TAIL if excluded_id
                   else TailStatus.PERIODIC)
     return ShrinkData(lam=lam, theta=theta, increments=tuple(increments),
-                      vectors=tuple(vectors), signs=tuple(signs),
+                      built=tuple(vectors), signs=tuple(signs),
                       status=status, period=period, excluded_id=excluded_id)
 
 
@@ -500,7 +500,7 @@ def _greedy_sequence(lam, theta, max_steps):
         status = (TailStatus.EXCLUDED_TAIL if excluded_id
                   else TailStatus.PERIODIC)
     return ShrinkData(lam=lam, theta=theta, increments=tuple(increments),
-                      vectors=tuple(vectors), signs=tuple(signs),
+                      built=tuple(vectors), signs=tuple(signs),
                       status=status, period=period, excluded_id=excluded_id)
 
 
@@ -562,3 +562,33 @@ def test_period_replay_of_a_long_period(steps):
         2, QVec2(Fraction(1, 3) + ROOT2, Fraction(1, 2)), steps)
     assert len(data) == steps
     assert data.period == (None if steps < 37 else (0, 37))
+
+
+# omega --n 2 --alpha '-3/2+1/2*sqrt(2)' shrinks this direction: its
+# period 0+3 closes on c * theta with c = -3+2*sqrt(2) < 0, so each period
+# of the replay turns every quadrant half way round
+NEGATIVE_SCALE_DIR = QVec2(ROOT2 / 2 - 1, Fraction(1, 2))
+
+
+@pytest.mark.parametrize('sx, sy', [(1, 1), (-1, 1), (1, -1), (-1, -1)])
+def test_period_replay_of_a_negative_scale(sx, sy):
+    theta = QVec2(sx * NEGATIVE_SCALE_DIR.x, sy * NEGATIVE_SCALE_DIR.y)
+    data = _assert_replay_matches_greedy(2, theta, 200)
+    assert data.period == (0, 3) and len(data) == 200
+    assert data.vectors[3].x / data.vectors[0].x == QuadNum(-3, 2, 2)
+    for k in range(4, 201):
+        assert data.signs[k] is not None
+        assert data.signs[k] == data.signs[k - 3].rotate().rotate()
+        assert data.signs[k] == data.vectors[k].quadrant()
+
+
+def test_prefix_equality_reads_every_vector():
+    # the greedy route builds all 65 vectors, the replay 3 and scales the
+    # rest when they are read; equality compares them all
+    got = shrinking_sequence(2, GOLDEN_DIR, 64)
+    want = _greedy_sequence(2, GOLDEN_DIR, 64)
+    assert (len(got.built), len(want.built)) == (3, 65)
+    assert got == want and got.vectors == want.built
+    last = want.built[-1]
+    bad = replace(want, built=want.built[:-1] + (QVec2(last.x, -last.y),))
+    assert bad != got and got != bad
