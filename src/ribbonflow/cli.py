@@ -399,12 +399,16 @@ def _limit_set_svg(lam: QuadNum, depth: int, budget=None) -> str:
     if lam <= 2 or not gap.is_rational:
         raise ValueError('limit-set render needs lambda > 2 with '
                          'lambda^2 - 4 rational')
-    # 1 word of length 0 and 4 * 3^(n-1) of each length n >= 1
-    words = 2 * 3 ** depth - 1
-    if budget is not None and words > budget:
-        raise BudgetExhausted('budget exhausted: the limit set to --depth %d '
-                              'has %d words, over the budget of %d'
-                              % (depth, words, budget))
+    if budget is not None:
+        # 1 word of length 0 and 4 * 3^(n-1) of each length n >= 1, added
+        # level by level until the depth or the budget is passed
+        words, level, n = 1, 4, 0
+        while n < depth and words <= budget:
+            words, level, n = words + level, 3 * level, n + 1
+        if words > budget:
+            raise BudgetExhausted('budget exhausted: the limit set to '
+                                  '--depth %d has more than %d words'
+                                  % (depth, budget))
     root = sqrt_rational(gap)
     two = QuadNum(2)
     # an image is (x, y, str(x), str(y)): a shear moves one entry, and

@@ -21,12 +21,10 @@ geometric flow.  Exact quadratic arithmetic reproduces orbits bit for
 bit; the float mode, for long statistical runs, reads the landings
 rounded once and refuses what the exact routes refuse.
 The exact skew rotation lifts x and alpha to ints over one denominator
-and floors n*x for the first generator (_skew_lift).  The orbit's loop
-_skew_states lifts once and steps lazily, a step being two int adds and
-one floor of n*(x + alpha), which gives the carry and the next
-generator both; skew_step is its one-step case, the same lift with no
-generator, flooring x + alpha for the carry alone.  Every orbit counts
-its budget in _budgeted.
+(_skew_lift), so a step (_skew_next) is a floor, two int adds and a
+floor.  The orbit's loop _skew_states lifts once and steps lazily;
+skew_step is its one-step case, the same lift and step with no
+generator.  Every orbit counts its budget in _budgeted.
 """
 
 from __future__ import annotations
@@ -377,55 +375,57 @@ def _check_skew(n: int, group, generators, x) -> None:
         group.check(gen)
 
 
-def _skew_lift(n: int, x: QuadNum, alpha: QuadNum) -> tuple:
+def _skew_lift(x: QuadNum, alpha: QuadNum) -> tuple:
     """x and alpha over one denominator q, in the field joined as
     x + alpha joins it, so a FieldMixError names x's field first:
-    (i, a, b, p, r, q, d) for x = (a + b*sqrt(d))/q,
-    alpha = (p + r*sqrt(d))/q and i = floor(n*x), the index of x's
-    generator, where 0 <= i < n is the check that x lies in [0, 1)."""
+    (a, b, p, r, q, d) for x = (a + b*sqrt(d))/q and
+    alpha = (p + r*sqrt(d))/q."""
     d = x._d
     if alpha._d and alpha._d != d:
         d = _join(d, alpha._d)
     q = math.lcm(x._q, alpha._q)
     s, t = q // x._q, q // alpha._q
-    a, b = x._a * s, x._b * s
+    return x._a * s, x._b * s, alpha._a * t, alpha._b * t, q, d
+
+
+def _skew_next(n: int, op, generators, g, a: int, b: int, p: int, r: int,
+               q: int, d: int) -> tuple:
+    """One skew step on the lift of _skew_lift, for the group operation
+    op: (g', a', b') for the group element and circle coordinate after
+    (g, (a + b*sqrt(d))/q).
+
+    i = floor(n*x) picks the generator, and 0 <= i < n is the check that
+    x lies in [0, 1); x + alpha is two int adds, and one floor times q
+    takes its integer part off a, any alpha.  q never changes and x
+    stays in [0, 1), so a stays within q of -b*sqrt(d) however large
+    alpha's integer part.
+    """
     i = _floor(n * a, n * b, q, d)
     if not 0 <= i < n:
         raise ValueError('circle coordinate must lie in [0, 1)')
-    return i, a, b, alpha._a * t, alpha._b * t, q, d
+    a += p
+    b += r
+    return op(generators[i], g), a - _floor(a, b, q, d) * q, b
 
 
 def _skew_states(n: int, alpha, group, generators, state, steps: int):
     """The exact skew orbit after the initial state, stepped on ints:
-    x and alpha lifted once, on the first step, by _skew_lift.
-
-    A step is x + alpha, two int adds, and one floor
-    m = floor(n*(x + alpha)), which gives both the integer part m // n,
-    which times q comes off a, and the next generator's index
-    m - n*(m // n) = floor(n*frac(x + alpha)).  q never changes and x
-    stays in [0, 1), so a stays within q of -b*sqrt(d) however large
-    alpha's integer part.
-    """
+    x and alpha lifted once, on the first step, by _skew_lift, then
+    _skew_next a step."""
     x, g, alpha = as_quad(state[0]), state[1], as_quad(alpha)
     if steps < 1:
         return
-    i, a, b, p, r, q, d = _skew_lift(n, x, alpha)
+    a, b, p, r, q, d = _skew_lift(x, alpha)
     op = group.op
     for _ in range(steps):
-        g = op(generators[i], g)
-        a += p
-        b += r
-        k, i = divmod(_floor(n * a, n * b, q, d), n)
-        a -= k * q
+        g, a, b = _skew_next(n, op, generators, g, a, b, p, r, q, d)
         yield _reduced(a, b, q, d), g
 
 
 def skew_step(n: int, alpha, group, generators, state):
     """One step of the skew rotation, the exact orbit's one-step case
     without its group check: rotate the circle coordinate, multiply the
-    group coordinate by the generator of the point's subinterval.  No
-    next generator is asked for, so x + alpha is floored for its integer
-    part alone."""
+    group coordinate by the generator of the point's subinterval."""
     if not (generators and n == len(generators)):
         _check_skew(n, group, generators, state[0])   # raises, naming it
     x = state[0]
@@ -433,11 +433,10 @@ def skew_step(n: int, alpha, group, generators, state):
         x = as_quad(x)
     if type(alpha) is not QuadNum:
         alpha = as_quad(alpha)
-    i, a, b, p, r, q, d = _skew_lift(n, x, alpha)
-    a += p
-    b += r
-    return (_reduced(a - _floor(a, b, q, d) * q, b, q, d),
-            group.op(generators[i], state[1]))
+    a, b, p, r, q, d = _skew_lift(x, alpha)
+    g, a, b = _skew_next(n, group.op, generators, state[1], a, b, p, r, q,
+                         d)
+    return _reduced(a, b, q, d), g
 
 
 def skew_orbit(n: int, alpha, group, generators, state, steps: int,

@@ -118,7 +118,8 @@ class ShrinkData:
     tail family when status is EXCLUDED_TAIL.  built holds the vectors the
     greedy steps computed; past the period's close vectors scales them on
     first read, so a reader of letters and signs alone builds none.  Two
-    prefixes are equal when every field but built is, vectors included.
+    prefixes are equal, and hash alike, when every field but built is,
+    vectors included.
     """
 
     lam: QuadNum
@@ -137,6 +138,9 @@ class ShrinkData:
         if not isinstance(other, ShrinkData):
             return NotImplemented
         return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def _fields(self) -> tuple:
         return (self.lam, self.theta, self.increments, self.signs,

@@ -589,6 +589,9 @@ def test_prefix_equality_reads_every_vector():
     want = _greedy_sequence(2, GOLDEN_DIR, 64)
     assert (len(got.built), len(want.built)) == (3, 65)
     assert got == want and got.vectors == want.built
+    assert hash(got) == hash(want)
+    res = omega_test(2, QuadNum(0, Fraction(1, 2), 2))
+    assert hash(res) == hash(replace(res, data=replace(res.data)))
     last = want.built[-1]
     bad = replace(want, built=want.built[:-1] + (QVec2(last.x, -last.y),))
     assert bad != got and got != bad
