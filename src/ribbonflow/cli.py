@@ -15,6 +15,11 @@ A family flag value reads as its inline key=value does ("--chi 41/10"
 is "chi=41/10"), and "--theta x, y" is the tuple (x, y).  A value may
 start with "-": "--alpha -1/2+sqrt(2)" is "--alpha=-1/2+sqrt(2)".
 
+An argv that starts with a subcommand's name goes straight to that
+subcommand's parser, which gives the namespace the full parser would;
+any other argv (none, --help, --version, an unknown name, a leading
+flag) is parsed by the full parser, which names the refusal.
+
 Exit codes: 0 on success, 2 for unusable arguments, each refused in one
 "error:" line (only --help prints the usage), 3 when an orbit, search or
 drawing budget runs out, 4 when an input direction fails to be
@@ -39,7 +44,8 @@ from . import __version__
 from .dynamics import (OrbitEscapedBudget, from_edge, located_orbit,
                        skew_orbit, skew_orbit_float)
 from .eigen import EigenFamily, family_eigen, verify_family
-from .exact import FieldMixError, QuadNum, as_quad, parse_quad, sqrt_rational
+from .exact import (FieldMixError, QuadNum, _reduced, _sign, as_quad,
+                    parse_quad, sqrt_rational)
 from .freegrp import LETTERS
 from .graphs import make_group, vertices_in_ball
 from .measures import (MatchedPair, NotRenormalizable,
@@ -272,7 +278,14 @@ def _budget(args) -> int | None:
     if not raw.isdecimal():
         raise ValueError('--budget and %s take an integer >= 0, got %r'
                          % (BUDGET_ENV, raw))
-    return int(raw) or None
+    try:
+        return int(raw) or None
+    except ValueError:
+        # more digits than Python converts; the digits are not echoed
+        raise ValueError('--budget and %s take an integer >= 0 of at most '
+                         '%d digits, got %d digits'
+                         % (BUDGET_ENV, sys.get_int_max_str_digits(),
+                            len(raw))) from None
 
 
 def cmd_simulate(args) -> int:
@@ -410,26 +423,40 @@ def _limit_set_svg(lam: QuadNum, depth: int, budget=None) -> str:
                                   '--depth %d has more than %d words'
                                   % (depth, budget))
     root = sqrt_rational(gap)
-    two = QuadNum(2)
-    # an image is (x, y, str(x), str(y)): a shear moves one entry, and
-    # the other keeps its text
-    ends = tuple((two, y, '2', str(y)) for y in (lam - root, lam + root))
-    neg = -lam
+    # lam and root share one field Q(sqrt d): lam -+ root names two
+    # fields in a FieldMixError
+    ends = lam - root, lam + root
+    d = lam._d or root._d
+    rd = math.sqrt(d)
+
+    def coord(a: int, b: int, q: int) -> tuple:
+        """(a + b*sqrt(d))/q reduced, as (a, b, q, its float as
+        float(QuadNum) rounds it, its text)."""
+        x = _reduced(a, b, q, d)
+        a, b, q = x._a, x._b, x._q
+        return a, b, q, a / q + b / q * rd, str(x)
+
+    # an image is a pair of coords: a shear moves one, on ints, and the
+    # other keeps its float and text
+    offs = {l: (l.gen == 'h', l.exp * lam._a, l.exp * lam._b, lam._q)
+            for l in LETTERS}
 
     def shear(letter, image: tuple) -> tuple:
-        x, y, sx, sy = image
-        off = lam if letter.exp == 1 else neg
-        if letter.gen == 'h':
-            x = x + off * y
-            return x, y, str(x), sy
-        y = y + off * x
-        return x, y, sx, str(y)
+        h, oa, ob, oq = offs[letter]
+        fixed, moved = (image[1], image[0]) if h else image
+        ma, mb, mq = moved[:3]
+        fa, fb, fq = fixed[:3]
+        s = oq * fq
+        # moved + off * fixed
+        new = coord(ma * s + mq * (oa * fa + ob * fb * d),
+                    mb * s + mq * (oa * fb + ob * fa), mq * s)
+        return (new, fixed) if h else (fixed, new)
 
     def chart(image: tuple) -> float:
-        x, y = image[:2]
-        if not x:
-            return 1.0 if y >= 0 else -1.0
-        return (2 / math.pi) * math.atan(float(y) / float(x))
+        x, y = image
+        if not (x[0] or x[1]):
+            return 1.0 if _sign(y[0], y[1], d) >= 0 else -1.0
+        return (2 / math.pi) * math.atan(y[3] / x[3])
 
     width, height, pad = 800, 120, 10
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" '
@@ -441,7 +468,8 @@ def _limit_set_svg(lam: QuadNum, depth: int, budget=None) -> str:
     # images, keyed by their letters, and the next level reads its
     # suffixes there; a word's label is its parent's and one letter more
     after = {l: [m for m in LETTERS if m != l.inverse()] for l in LETTERS}
-    level = {(): ('e', *ends)}
+    two = coord(2, 0, 1)
+    level = {(): ('e', *((two, coord(y._a, y._b, y._q)) for y in ends))}
     for n in range(depth + 1):
         if n:
             prev, level = level, {}
@@ -459,7 +487,8 @@ def _limit_set_svg(lam: QuadNum, depth: int, budget=None) -> str:
             parts.append('<g><title>%s: %s,%s to %s,%s</title>'
                          '<line x1="%.3f" y1="60" x2="%.3f" y2="60" '
                          'stroke="white" stroke-width="5"/></g>'
-                         % (label, a[2], a[3], b[2], b[3], x1, x2))
+                         % (label, a[0][4], a[1][4], b[0][4], b[1][4],
+                            x1, x2))
     parts.append('</svg>')
     return '\n'.join(parts) + '\n'
 
@@ -605,14 +634,26 @@ def _joined(argv: list) -> list:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first main call of a process and kept:
-    building it takes longer than most commands."""
-    return build_parser()
+    building it takes longer than most commands.  Its subcommands'
+    parsers are kept with it, by name, as its subcommands table."""
+    parser = build_parser()
+    parser.subcommands = next(
+        a.choices for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction))
+    return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(
-            _joined(sys.argv[1:] if argv is None else argv))
+        argv = _joined(sys.argv[1:] if argv is None else argv)
+        parser = _parser()
+        sub = parser.subcommands.get(argv[0]) if argv else None
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:
+            # the namespace the full parser would give, parsed once
+            args = sub.parse_args(argv[1:],
+                                  argparse.Namespace(subcommand=argv[0]))
         return args.handler(args)
     except SystemExit as exc:
         # only --help and --version exit: refusals raise ValueError

@@ -235,12 +235,20 @@ class QuadNum:
         return o * self.inverse()
 
     def __pow__(self, n):
-        """Exact integer power; negative exponents invert."""
+        """Exact integer power; negative exponents invert.  A rational
+        base is raised on its ints: (a/q)^n is a^n/q^n, already reduced."""
         if not isinstance(n, int):
             return NotImplemented
+        if self._b:
+            if n < 0:
+                return _power(self.inverse(), -n, _ONE)
+            return _power(self, n, _ONE)
+        a, q = self._a, self._q
         if n < 0:
-            return _power(self.inverse(), -n, _ONE)
-        return _power(self, n, _ONE)
+            if not a:
+                raise ZeroDivisionError('division by zero')
+            a, q, n = (q, a, -n) if a > 0 else (-q, -a, -n)
+        return _canonical(a ** n, 0, q ** n, 0)
 
     def sign(self) -> int:
         return _sign(self._a, self._b, self._d)

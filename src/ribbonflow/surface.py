@@ -397,6 +397,13 @@ def ball_growth(surface: Surface, n_max: int):
     B-vertex) stay inside the union; only the other two can cross the
     boundary, adding widths to an A-layer and heights to a B-layer.
 
+    The growth goes ring by ring, in time linear in the ball: each
+    parity keeps its boundary and its widest side, and a rectangle is
+    met once, when its ring is added.  Two glued sides have one length,
+    so a new rectangle takes off its side once for each gluing it
+    closes with a rectangle already in the union and adds it once for
+    each gluing still open.
+
     Returns (lengths, max_sides), each a tuple of n_max + 1 exact
     values; lengths obey length[n+1] <= lam * length[n] - length[n-1],
     with equality on trees.
@@ -410,20 +417,25 @@ def ball_growth(surface: Surface, n_max: int):
     lengths = []
     max_sides = []
     for n, ring in enumerate(_numbered_ball(graph, (root,), n_max)[0]):
-        rect = unions[n % 2]
-        rect.update(chain.from_iterable(map(graph.edges_at, ring)))
-        out, back = ((surface.east, surface.west) if n % 2 else
+        p = n % 2
+        rect = unions[p]
+        out, back = ((surface.east, surface.west) if p else
                      (surface.north, surface.south))
-        boundary = widest = _ZERO
-        for e in rect:
+        # the layer grows from layer n - 2; an edge has one end of each
+        # class, so the ring's edges are all new to the union
+        boundary, widest = ((lengths[n - 2], max_sides[n - 2]) if n > 1
+                            else (_ZERO, _ZERO))
+        for e in chain.from_iterable(map(graph.edges_at, ring)):
+            # the gluings e leaves open less those it closes; a
+            # rectangle glued to itself is neither
+            o, b = out(e), back(e)
+            k = (-1 if o in rect else o != e) + (-1 if b in rect else b != e)
+            rect.add(e)
             if e not in sides:
                 sides[e] = surface.width(e), surface.height(e)
             w, h = sides[e]
-            side = h if n % 2 else w
-            if out(e) not in rect:
-                boundary = boundary + side
-            if back(e) not in rect:
-                boundary = boundary + side
+            if k:
+                boundary = boundary + (h if p else w) * k
             widest = max(widest, w, h)
         lengths.append(boundary)
         max_sides.append(widest)

@@ -587,6 +587,26 @@ def test_negative_budget_exits_two(capsys, monkeypatch):
     assert err.count('\n') == 2 and 'RIBBONFLOW_BUDGET' in err
 
 
+@pytest.mark.parametrize('argv', [
+    SKEW_Z, ['render', '--style', 'limitset', '--lambda', '3', '--depth', '2'],
+], ids=['simulate', 'render'])
+@pytest.mark.parametrize('spelling', ['flag', 'env'])
+def test_a_budget_beyond_int_conversion_names_flag_and_variable(
+        capsys, monkeypatch, argv, spelling):
+    # 5000 digits are more than Python converts to an int: one line
+    # naming both spellings, and not the digits
+    digits = '9' * 5000
+    if spelling == 'flag':
+        argv = argv + ['--budget', digits]
+    else:
+        monkeypatch.setenv('RIBBONFLOW_BUDGET', digits)
+    assert main(argv) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == '' and err.count('\n') == 1
+    assert err.startswith('error: --budget and RIBBONFLOW_BUDGET take ')
+    assert '5000 digits' in err and '99999' not in err
+
+
 @pytest.mark.parametrize('drop', ['--generators', '--alpha'])
 def test_skew_simulate_names_missing_flag(capsys, drop):
     i = SKEW_Z.index(drop)
@@ -1128,6 +1148,68 @@ def test_help_matches_a_fresh_parser(capsys):
             build_parser().parse_args(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out == kept != ''
+
+
+# the cli-readme benchmark's error paths, and argv lists the subcommand
+# table does not take: no argv, a top-level flag, an unknown name, a flag
+# before the subcommand, and an unknown flag after it
+CLI_ERROR_PATHS = [
+    ['omega', '--alpha', 'abc', '--n', '2'],
+    ['simulate', '--group', 'Z', '--generators', '[1, -1]', '--alpha',
+     '1/2*sqrt(2)', '--steps', '20', '--budget', '3'],
+    ['survivor', '--family', 'gz_constant', '--family2',
+     'gz_exponential:t=2', '--theta', '1, 1/3', '--theta2', '4, -5+sqrt(41)',
+     '--depth', '6', '--window', '4'],
+]
+FULL_PARSER_ARGVS = [
+    [], ['--version'], ['--help'], ['bogus', '--depth', '2'],
+    ['--seed', '1', 'shrink', '--lambda', '2', '--theta', '1, -1+sqrt(2)'],
+    ['shrink', '--lambda', '2', '--theta', '1, -1+sqrt(2)', '--bogus', '3'],
+]
+
+
+def test_direct_dispatch_matches_the_full_parser(tmp_path, monkeypatch,
+                                                 capsys):
+    # main hands argv[1:] to the named subcommand's parser: every README
+    # line, error path and refusal ends as it does when the emptied
+    # subcommand table leaves every argv to the full parser
+    monkeypatch.chdir(tmp_path)
+    argvs = ([argv for argv, _ in readme_commands()] + CLI_ERROR_PATHS
+             + FULL_PARSER_ARGVS)
+
+    def ends(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for p in tmp_path.iterdir():
+            p.unlink()
+        return code, out, err, files
+
+    direct = [ends(argv) for argv in argvs]
+    monkeypatch.setattr(cli._parser(), 'subcommands', {})
+    assert [ends(argv) for argv in argvs] == direct
+    codes = [code for code, _, _, _ in direct[-len(FULL_PARSER_ARGVS):]]
+    assert codes == [EXIT_PARSE, EXIT_OK, EXIT_OK, EXIT_PARSE, EXIT_PARSE,
+                     EXIT_PARSE]
+
+
+def test_dispatched_namespace_is_the_full_parsers(monkeypatch):
+    parser = cli._parser()
+    assert set(parser.subcommands) == set(subcommands())
+    seen = []
+    for sub in parser.subcommands.values():
+        monkeypatch.setitem(sub._defaults, 'handler',
+                            lambda args: seen.append(vars(args)) or EXIT_OK)
+    full, calls = parser.parse_args, []
+    monkeypatch.setattr(parser, 'parse_args',
+                        lambda argv: calls.append(argv) or full(argv))
+    for argv, _ in readme_commands():
+        argv = cli._joined(argv)
+        assert main(argv) == EXIT_OK
+        # the top-level parser is not run on a subcommand's argv
+        assert not calls
+        assert seen.pop() == vars(full(argv))
+        assert not seen
 
 
 def test_back_to_back_calls_match_separate_calls(capsys):

@@ -447,6 +447,49 @@ def test_vec_quadrant():
     assert QVec2(QuadNum(3, -2, 2), QuadNum(1, -1, 2)).quadrant() is SignPair.PM
 
 
+@st.composite
+def powers(draw):
+    """A base, rational or in one of the fields 2, 3, 5 and 41, and an
+    exponent in -40..40; the base is nonzero under a negative one."""
+    n = draw(st.integers(-40, 40))
+    b = draw(st.one_of(st.just(0), rationals))
+    x = QuadNum(draw(rationals), b, draw(st.sampled_from([2, 3, 5, 41])))
+    if n < 0 and not x:
+        x = QuadNum(1)
+    return x, n
+
+
+@given(powers())
+def test_powers_are_repeated_products(case):
+    x, n = case
+    product = QuadNum(1)
+    for _ in range(abs(n)):
+        product = product * (x if n >= 0 else x.inverse())
+    calls = []
+    mul = QuadNum.__mul__
+    QuadNum.__mul__ = lambda self, o: calls.append(1) or mul(self, o)
+    try:
+        power = x ** n
+    finally:
+        QuadNum.__mul__ = mul
+    assert power == product and hash(power) == hash(product)
+    assert power.field_disc == product.field_disc
+    # a rational base is raised on its ints, with no product of QuadNums
+    if x.is_rational:
+        assert not calls
+
+
+def test_powers_refuse_zero_to_a_negative_and_non_integers():
+    assert QuadNum(0) ** 0 == 1 and QuadNum(0) ** 3 == 0
+    for x in (QuadNum(0), QuadNum(0, 0, 2)):
+        with pytest.raises(ZeroDivisionError):
+            x ** -1
+    with pytest.raises(TypeError):
+        pow(QuadNum(2), 1.5)
+    with pytest.raises(TypeError):
+        pow(QuadNum(0, 1, 2), Fraction(1, 2))
+
+
 def test_mat_inverse_and_pow():
     m = QMat2(1, 2, 3, 5)
     assert m * m.inverse() == QMat2.identity()

@@ -15,8 +15,8 @@ from ribbonflow.eigen import (builtin_families, character_eigen, gz_constant,
 from ribbonflow.exact import QuadNum, as_quad
 from ribbonflow.freegrp import Word, gamma
 from ribbonflow.graphs import (Heisenberg, IntegerLattice, IntegersZ,
-                               FreeGroup, OracleFun, SparseFun,
-                               _numbered_ball, pairing, upsilon,
+                               FreeGroup, OracleFun, PathGraph, SparseFun,
+                               TripodGraph, _numbered_ball, pairing, upsilon,
                                vertices_in_ball)
 from ribbonflow.measures import transposed_surface
 from ribbonflow.surface import (Surface, ball_growth, phi_homology,
@@ -248,13 +248,25 @@ GROWTH_FAMILIES = builtin_families() + (
 )
 
 
+def _growth_depth(fam):
+    """40 on the gz, tripod and Z-character graphs, whose balls grow
+    linearly; 10 on the trees, the Z^2 lattice and Heisenberg, which has
+    double edges."""
+    graph = fam.graph
+    linear = (isinstance(graph, (PathGraph, TripodGraph))
+              or isinstance(getattr(graph, 'group', None), IntegersZ))
+    return 40 if linear else 10
+
+
 @pytest.mark.parametrize('fam', GROWTH_FAMILIES,
                          ids=lambda fam: fam.describe())
 def test_growth_matches_the_rewalked_reference(fam):
     surface = Surface.from_family(fam)
-    for depth in range(9):
-        assert ball_growth(surface, depth) == _ball_growth_reference(
-            fam.graph, fam.weight, fam.root, depth)
+    depth = _growth_depth(fam)
+    lengths, sides = _ball_growth_reference(fam.graph, fam.weight, fam.root,
+                                            depth)
+    for n in range(depth + 1):
+        assert ball_growth(surface, n) == (lengths[:n + 1], sides[:n + 1])
 
 
 def _heisenberg_character():
@@ -307,6 +319,23 @@ def test_growth_reads_each_rectangle_once(fam, monkeypatch):
                         lambda self, e: reads.append(e) or height(self, e))
     ball_growth(surface, 10)
     assert reads and len(reads) == 2 * len(set(reads))
+
+
+def test_growth_turns_linearly_in_depth(monkeypatch):
+    # each ring's rectangles are met once: the union rescan made about 4x
+    # the gluing lookups at twice the depth of a path
+    surface = Surface.from_family(gz_constant())
+    calls = []
+    for name in ('north', 'south', 'east', 'west'):
+        turn = getattr(Surface, name)
+        monkeypatch.setattr(Surface, name, lambda self, e, turn=turn:
+                            calls.append(e) or turn(self, e))
+    counts = []
+    for depth in (100, 200):
+        calls.clear()
+        ball_growth(surface, depth)
+        counts.append(len(calls))
+    assert 0 < counts[1] <= 2.2 * counts[0]
 
 
 @pytest.mark.parametrize('name,fam,radius,digest', [
