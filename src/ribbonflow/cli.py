@@ -122,12 +122,27 @@ def _param(key: str, text: str):
     return value
 
 
+def _int(text: str, kind: str = '') -> int:
+    """An integer flag, read by int: an integer with more digits than
+    Python converts is refused by its digit count, never echoed."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().lstrip('+-')
+        if digits.isdecimal():
+            raise argparse.ArgumentTypeError(
+                'takes an integer%s of at most %d digits, got %d digits'
+                % (kind, sys.get_int_max_str_digits(), len(digits))) from None
+        raise argparse.ArgumentTypeError('invalid int value: %r'
+                                         % text) from None
+
+
 def _size(text: str) -> int:
     """Depths, windows and step counts: integers >= 0."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError('takes an integer >= 0, got %r'
                                          % text)
-    return int(text)
+    return _int(text, ' >= 0')
 
 
 _FAMILY_FLAGS = ('t', 's', 'n', 'm', 'd', 'k', 'group', 'generators', 'chi')
@@ -358,11 +373,14 @@ def cmd_decay(args) -> int:
     rows = []
     for v, prof in zip(window, decay_profiles(pair.graph, pair.plane,
                                               pair.data, args.depth, window)):
+        name, ok = repr(v), int(prof.survivor_ok)
         halving = '' if prof.halving_index is None else prof.halving_index
+        last = None
         for n, value in enumerate(prof.values):
-            rows.append([repr(v), n, str(value),
-                         int(n in prof.critical), halving,
-                         int(prof.survivor_ok)])
+            # a value the letter did not move is the one before: one text
+            if value is not last:
+                last, text = value, str(value)
+            rows.append([name, n, text, int(n in prof.critical), halving, ok])
     header = ['vertex', 'n', 'value', 'critical', 'halving', 'survivor_ok']
     _emit_table(args, dict(meta, window=args.window), header, rows)
     return EXIT_OK
@@ -388,10 +406,14 @@ def cmd_growth(args) -> int:
 def cmd_conjugate(args) -> int:
     pair, meta = _matched(args)
     if not pair.matched:
+        try:
+            # named when in reach: a long period's root may not split
+            derived = '%s, ' % (pair.derived,)
+        except (ValueError, FieldMixError):
+            derived = ''
         raise NotRenormalizable(
-            '--theta2 is not parallel to %s, the direction matched to --theta,'
-            ' so it gives no measure; survivor reports the witness'
-            % (pair.derived,))
+            '--theta2 is not parallel to %sthe direction matched to --theta,'
+            ' so it gives no measure; survivor reports the witness' % derived)
     s1, s2 = pair.surfaces
     edge = pair.graph.base_edge(pair.graph.root())
     w, h = s1.width(edge), s1.height(edge)
@@ -517,7 +539,7 @@ def cmd_render(args) -> int:
 def _add_common(sub, formats=('csv', 'json')):
     sub.add_argument('--out')
     sub.add_argument('--format', choices=formats, default=formats[0])
-    sub.add_argument('--seed', type=int, default=0)
+    sub.add_argument('--seed', type=_int, default=0)
 
 
 def _add_family_knobs(sub):
@@ -549,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_shrink)
 
     p = subs.add_parser('omega', help='renormalizable parameter test')
-    p.add_argument('--n', type=int, required=True)
+    p.add_argument('--n', type=_int, required=True)
     p.add_argument('--alpha', required=True)
     p.add_argument('--depth', type=_size, default=64)
     _add_common(p)

@@ -9,22 +9,15 @@ horizontal segments by refining the symbolic coding, and exposes the
 finite-depth boundary map that conjugates the flows of two weightings
 of the same graph.
 
-Renormalized values come from an integer shear kernel.  f is lifted
-once to ints over one common denominator on the vertices within depth of
-the window, and each increment adds its exponent times the neighbour
-sums to its target class, in place; one letter reads only neighbours, so
-after n letters the values within depth - n of the window are exact.
-The plane function x*f of `plane_point` is lifted as its parts: f's
-closed form once over the ball, then the A rows times x and the B rows
-times y on ints, over one lcm of their denominators, to the same ints the
-product read at every vertex would give.
-The survivor check and the decay profiles of a whole window both read
-one such pass.  Its rows stay ints: each sign is decided on them, the
-decay profiles compare magnitudes by the signs of int differences over
-the common denominator, and a QuadNum is built only for a value a
-profile keeps.  The word action in `graphs` (`upsilon_eval`) computes the
-same values by the adjoint identity, and the tests hold the two routes
-equal.
+Renormalized values come from one integer shear pass: f is lifted once
+to ints on the vertices within depth of the window (a plane function x*f
+by its parts), and each letter adds its exponent times the neighbour
+sums to its target class, in place.  A letter moves one class, so the
+survivor check and the decay profiles re-read only that class's window
+values after it and carry the other's signs and QuadNums; every value
+still meets every quadrant.  Signs and magnitudes are compared on the
+ints.  The word action `upsilon_eval` in `graphs` is the adjoint route
+the tests hold the pass equal to.
 
 Measures of segments come from chains joining vertices: an initial
 piece of a top-edge interval followed by return steps on the one orbit
@@ -54,7 +47,7 @@ from .exact import (FieldMixError, QuadNum, QVec2, _lift_common, _reduced,
 from .graphs import (OracleFun, RibbonGraph, SparseFun, _closed_form,
                      _numbered_ball, pairing)
 from .renorm import (TailStatus, critical_times, matched_direction,
-                     shrinking_sequence)
+                     renormalizes, shrinking_sequence)
 from .surface import Surface, _theta_parts
 
 _ZERO = QuadNum(0)
@@ -76,12 +69,9 @@ class _PlaneFun(OracleFun):
 
 
 def plane_point(graph: RibbonGraph, f, v) -> OracleFun:
-    """The vertex function x*f on the A side and y*f on the B side.
-
-    Called, it multiplies at each vertex.  `_renormalized` on the same
-    graph, when f is an OracleFun, instead lifts f's closed form once and
-    scales each class's int rows (`_lift_plane`).
-    """
+    """The vertex function x*f on the A side and y*f on the B side,
+    multiplied at each call; `_renormalized` on the same graph lifts it by
+    its parts when f is an OracleFun (`_lift_plane`)."""
     v = QVec2(*_xy(v))
     return _PlaneFun(graph, f, v.x, v.y)
 
@@ -97,12 +87,10 @@ def _lift_plane(f: _PlaneFun, order, classes) -> tuple:
     them to the reduced common denominator the values read one by one
     would have; D stays only if some value is irrational.
 
-    Refusals are not derived here: where this route fails (two fields
-    met, an inexact value, an error of f), every vertex is re-read
-    through the plane function's calls, the OracleFun route, which
-    raises what it raised before, with the same type and text from the
-    same first bad vertex, or lifts values whose fields a zero scale
-    kept apart.
+    Where this route fails (two fields met, an inexact value, an error of
+    f), every vertex is re-read through the plane function's calls, which
+    raise what they raised before from the same first bad vertex, or lift
+    values whose fields a zero scale kept apart.
     """
     try:
         A, B, q, d = _lift_common(map(_closed_form(f.f), order))
@@ -127,27 +115,24 @@ Witness = namedtuple('Witness', 'n vertex sign')
 
 
 def _renormalized(graph: RibbonGraph, f, data, depth: int, vertices):
-    """(q, d, rows): rows yields (n, v, a, b, sign, sign_ok) for n = 0..depth
-    and each vertex, where (a + b*sqrt(d))/q is the word action of g_n on f
-    at v, sign its sign, and sign_ok whether it vanishes or has the sign
-    the n-th quadrant gives the class of v (any sign on an axis).
+    """(q, d, A, B, groups, letters): the word action of g_n on f at the
+    vertices for n = 0..depth, in place.  groups[c] holds (k, i) for each
+    class-c vertex, k its position and i its index in A and B; each time
+    letters yields (n, moved, sx, sy), (A[i] + B[i]*sqrt(d))/q is the
+    action of g_n at vertices[k], moved names the classes the n-th letter
+    changed ('ab' at n = 0), and (sx, sy) is the n-th quadrant, (0, 0) on
+    an axis.
 
     g_n = w_n ... w_1 acts one increment at a time, as an integral shear:
-    the letter adds its exponent times the neighbour sums at the A-vertices
-    (h) or the B-vertices (v), and those sums read only the other class.
-    So f is lifted once to ints, (A + B*sqrt(d))/q over the vertices within
-    depth of the window, and each increment is one gather in place over
-    its target class; q never changes.  The vertices are numbered ring by
-    ring, and after n shears the prefix within depth - n of the window
-    holds exact values.  Rows are ints, each sign decided on them.
-
-    A plane function on this graph whose f is an OracleFun is lifted by
-    `_lift_plane`, f's closed form once and each class scaled on ints,
-    to the same (A, B, q, d); any other f is read at every vertex.
+    h adds its exponent times the neighbour sums at the A-vertices, v at
+    the B-vertices, and those sums read only the other class.  The
+    vertices within depth of the window are numbered ring by ring, and
+    after n shears those within depth - n hold exact values; q never
+    changes.  A plane function on this graph whose f is an OracleFun is
+    lifted by `_lift_plane`; any other f is read at every vertex.
     """
     if depth >= len(data.signs):
         raise ValueError('shrinking data shorter than requested depth')
-    vertices = tuple(vertices)
     rings, order, index, nbrs = _numbered_ball(graph, vertices, depth)
     classes = list(map(graph.vertex_class, order))
     if (type(f) is _PlaneFun and f.graph is graph
@@ -157,8 +142,7 @@ def _renormalized(graph: RibbonGraph, f, data, depth: int, vertices):
         A, B, q, d = _lift_common(map(f, order))
     # gathers[c]: (i, neighbour indices) for each class-c vertex of the
     # inner rings, in order; cuts[c][k]: how many lie in rings 0..k
-    gathers = {'a': [], 'b': []}
-    cuts = {'a': [], 'b': []}
+    gathers, cuts, groups = ({'a': [], 'b': []} for _ in range(3))
     start = 0
     for ring in rings[:depth]:
         for i in range(start, start + len(ring)):
@@ -166,42 +150,45 @@ def _renormalized(graph: RibbonGraph, f, data, depth: int, vertices):
         start += len(ring)
         for c, todo in gathers.items():
             cuts[c].append(len(todo))
-    targets = [(v, index[v], classes[index[v]] == 'a') for v in vertices]
+    for k, v in enumerate(vertices):
+        groups[classes[index[v]]].append((k, index[v]))
 
-    def rows():
+    def letters():
+        moved, get_a, get_b = 'ab', A.__getitem__, B.__getitem__
         for n in range(depth + 1):
             if n:
-                letter = data.increments[n - 1]
-                e = letter.exp
-                c = 'a' if letter.gen == 'h' else 'b'
-                todo = gathers[c][:cuts[c][depth - n]]
-                for xs in ((A, B) if d else (A,)):
-                    get = xs.__getitem__
-                    for w, js in todo:
-                        xs[w] += e * sum(map(get, js))
+                gen, e = data.increments[n - 1]
+                moved = 'a' if gen == 'h' else 'b'
+                for w, js in gathers[moved][:cuts[moved][depth - n]]:
+                    A[w] += e * sum(map(get_a, js))
+                    if d:
+                        B[w] += e * sum(map(get_b, js))
             s = data.signs[n]
-            for v, i, on_a in targets:
-                a, b = A[i], B[i]
-                sign = _sign(a, b, d)
-                yield n, v, a, b, sign, not sign or s is None or sign == (
-                    s.sx if on_a else s.sy)
+            yield (n, moved) + ((0, 0) if s is None else s.value)
 
-    return q, d, rows()
+    return q, d, A, B, groups, letters()
 
 
 def survivor_check(graph: RibbonGraph, f, data, depth: int, window):
-    """Verify the one-sign-per-class property of the renormalized
-    images of f over a finite window.
-
-    For each n up to depth, every window value of the word action of
-    g_n on f must vanish or carry the sign the n-th quadrant assigns to
-    its bipartition class.  Returns None on a pass, else the first
-    violation as Witness(n, vertex, sign).
+    """Verify the one-sign-per-class property of the renormalized images
+    of f over a finite window: for each n up to depth, every window value
+    of the word action of g_n on f must vanish or carry the sign the n-th
+    quadrant assigns to its bipartition class.  Returns None on a pass,
+    else the first violation in (n, window order) as Witness(n, vertex,
+    sign).
     """
-    _, _, rows = _renormalized(graph, f, data, depth, window)
-    for n, v, _, _, sign, sign_ok in rows:
-        if not sign_ok:
-            return Witness(n, v, sign)
+    window = tuple(window)
+    _, d, A, B, groups, letters = _renormalized(graph, f, data, depth,
+                                                window)
+    signs = {}
+    for n, moved, sx, sy in letters:
+        for c in moved:
+            signs[c] = [_sign(A[i], B[i], d) for _, i in groups[c]]
+        bad = [(groups[c][signs[c].index(-s)][0], -s)
+               for c, s in (('a', sx), ('b', sy)) if s and -s in signs[c]]
+        if bad:
+            k, sign = min(bad)
+            return Witness(n, window[k], sign)
     return None
 
 
@@ -221,29 +208,41 @@ def decay_profiles(graph: RibbonGraph, f, data, depth: int, window
     """Track |word action of g_n on f| for n = 0..depth at each window
     vertex, in window order, from one renormalized pass over the window.
 
-    Each profile flags where its sequence fails to be nonincreasing, and
+    Each profile flags where its sequence fails to be nonincreasing,
     reports the first critical time whose value has dropped to half the
-    start.  A sign violation at the vertex marks the input as a
-    non-survivor.  Both tests are signs of int differences over the
-    common denominator, and one QuadNum is built per value kept.
+    start, and marks a sign violation at the vertex as a non-survivor,
+    all by signs of ints over the common denominator; a letter builds one
+    QuadNum per value it moved.
     """
     window = tuple(window)
-    q, d, rows = _renormalized(graph, f, data, depth, window)
-    rows = list(rows)
+    q, d, A, B, groups, letters = _renormalized(graph, f, data, depth,
+                                                window)
     crit = tuple(n for n in critical_times(data) if n <= depth)
+    # per window vertex, for each n: (a, b) of |value| and the QuadNum
+    mags, values = [[] for _ in window], [[] for _ in window]
+    signs, ok = [0] * len(window), [True] * len(window)
+    for _, moved, sx, sy in letters:
+        for c, s in (('a', sx), ('b', sy)):
+            for k, i in groups[c]:
+                if c in moved:
+                    a, b = A[i], B[i]
+                    signs[k] = _sign(a, b, d)
+                    mags[k].append((-a, -b) if signs[k] < 0 else (a, b))
+                    values[k].append(_reduced(*mags[k][-1], q, d))
+                else:
+                    mags[k].append(mags[k][-1])
+                    values[k].append(values[k][-1])
+                if signs[k] * s < 0:
+                    ok[k] = False
     profiles = []
-    for i in range(len(window)):
-        cells = rows[i::len(window)]
-        mags = [(-a, -b) if sign < 0 else (a, b)
-                for _, _, a, b, sign, _ in cells]
-        flags = tuple(_sign(a - na, b - nb, d) >= 0
-                      for (a, b), (na, nb) in zip(mags, mags[1:]))
-        a, b = mags[0]
+    for m, vals, good in zip(mags, values, ok):
+        a, b = m[0]
+        # a carried magnitude is the same tuple, and did not increase
+        flags = tuple(y is x or _sign(x[0] - y[0], x[1] - y[1], d) >= 0
+                      for x, y in zip(m, m[1:]))
         halving = next((n for n in crit if _sign(
-            a - 2 * mags[n][0], b - 2 * mags[n][1], d) >= 0), None)
-        values = tuple(_reduced(a, b, q, d) for a, b in mags)
-        profiles.append(DecayProfile(values, flags, crit, halving,
-                                     all(ok for *_, ok in cells)))
+            a - 2 * m[n][0], b - 2 * m[n][1], d) >= 0), None)
+        profiles.append(DecayProfile(tuple(vals), flags, crit, halving, good))
     return profiles
 
 
@@ -360,12 +359,9 @@ def transversal_measure(surface: Surface, f, theta, e, t, depth: int
 
 
 class _Transposed(RibbonGraph):
-    """The same graph with the two vertex classes swapped.
-
-    Geometrically this is the mirror surface: vertical cylinders become
-    horizontal, so vertical transversals can reuse the horizontal
-    machinery.
-    """
+    """The same graph with the two vertex classes swapped: on the mirror
+    surface vertical cylinders become horizontal, so vertical transversals
+    reuse the horizontal machinery."""
 
     def __init__(self, graph: RibbonGraph):
         self._graph = graph
@@ -448,7 +444,8 @@ class MatchedPair:
     periodic within max(depth + 8, 64) letters, and theta2: as given, even
     unmatched (for the survivor check's witness), or else derived from
     that tail.  The rest is built on first use; `matched` is whether
-    theta2 is parallel to the derived direction, in the same field.
+    theta2 is parallel to the derived direction, in the same field,
+    decided without deriving it (`renorm.renormalizes`).
     """
 
     def __init__(self, family1, family2, theta1, theta2=None, depth=0):
@@ -473,7 +470,7 @@ class MatchedPair:
     @cached_property
     def matched(self) -> bool:
         try:
-            return not QVec2(*_xy(self.theta2)).wedge(self.derived)
+            return renormalizes(self.data, self.family2.lam, self.theta2)
         except FieldMixError:
             return False
 

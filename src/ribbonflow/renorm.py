@@ -478,6 +478,21 @@ def matched_direction(data: ShrinkData, lam2) -> QVec2:
                                    data.increments[start:start + p])
 
 
+def renormalizes(data: ShrinkData, lam2, theta) -> bool:
+    """Whether data's periodic sequence renormalizes theta at lam2, that
+    is, whether theta is parallel to matched_direction(data, lam2), decided
+    with no square root: the prefix carries theta to a nonzero u with
+    M*u = mu*u for the period matrix M, and |mu| < 1.  A theta and lam2
+    in two fields raise FieldMixError."""
+    start, p = data.period
+    lam2, inc = as_quad(lam2), data.increments
+    u = rho(lam2, Word(reversed(inc[:start]))).apply(QVec2(*_xy(theta)))
+    image = rho(lam2, Word(reversed(inc[start:start + p]))).apply(u)
+    if image.wedge(u) or not (u.x or u.y):
+        return False
+    return abs(image.x / u.x if u.x else image.y / u.y) < 1
+
+
 class OmegaKind(Enum):
     IN_OMEGA = 'in-omega'
     NOT_IN_OMEGA = 'not-in-omega'

@@ -269,6 +269,25 @@ def test_an_omitted_theta2_is_the_matched_one(capsys, pair):
     assert d0 / t0 > 0 and all(d * t0 == t * d0 for t, d in values)
 
 
+def test_a_typed_theta2_is_matched_without_the_period_root(capsys):
+    # theta1's period has 52 letters, and the square root of its matrix's
+    # discriminant does not split: the typed theta2 is still decided,
+    # unmatched, and refused without naming the derived direction
+    argv = ['conjugate', '--family', 'gz_constant', '--family2',
+            'gz_exponential:t=2', '--theta', '3, 1/2*sqrt(41)',
+            '--theta2', '4, -5+sqrt(41)']
+    assert main(argv) == EXIT_NOT_RENORM
+    out, err = capsys.readouterr()
+    assert out == '' and err == (
+        '--theta2 is not parallel to the direction matched to --theta, so '
+        'it gives no measure; survivor reports the witness\n')
+    # without theta2 the direction is derived, and the root refuses
+    assert main(argv[:-2]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == '' and err.startswith('error: cannot split ')
+    assert err.count('\n') == 1
+
+
 HEISENBERG_CHI = ('character:group=heisenberg,'
               'generators=((1,0,0),(-1,0,0),(0,1,0),(0,-1,0)),chi=')
 
@@ -279,8 +298,9 @@ HEISENBERG_CHI = ('character:group=heisenberg,'
 def test_a_matched_direction_outside_one_field_exits_two(capsys, command,
                                                         theta2):
     # chi = (2, 1) has lambda sqrt(70)/2, and the direction matched to
-    # theta1 mixes sqrt(70) with sqrt(1505); only conjugate derives it
-    # when theta2 is given
+    # theta1 mixes sqrt(70) with sqrt(1505); a given theta2 is never
+    # derived from it: survivor and decay run, and conjugate decides the
+    # match without it and refuses in one line that cannot name it
     argv = [command, '--family', HEISENBERG_CHI + '(1,1)', '--family2',
             HEISENBERG_CHI + '(2,1)', '--theta', '-1/2+1/4*sqrt(5), 1/4',
             '--depth', '4', *theta2]
@@ -288,6 +308,12 @@ def test_a_matched_direction_outside_one_field_exits_two(capsys, command,
     out, err = capsys.readouterr()
     if theta2 and command != 'conjugate':
         assert code == EXIT_OK and err == ''
+        return
+    if theta2:
+        assert code == EXIT_NOT_RENORM and out == ''
+        assert err == ('--theta2 is not parallel to the direction matched '
+                       'to --theta, so it gives no measure; survivor '
+                       'reports the witness\n')
         return
     assert code == EXIT_PARSE and out == ''
     assert err == ('error: eigendirection (-1/2*sqrt(70), '
@@ -585,6 +611,30 @@ def test_negative_budget_exits_two(capsys, monkeypatch):
     assert main(SKEW_Z) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.count('\n') == 2 and 'RIBBONFLOW_BUDGET' in err
+
+
+@pytest.mark.parametrize('argv', [
+    ['shrink', '--lambda', '2', '--theta', '1, -1+sqrt(2)', '--depth'],
+    ['eigen', '--family', 'gz_constant', '--window'],
+    ['simulate', '--family', 'gz_constant', '--theta', '1, -1+sqrt(2)',
+     '--steps'],
+    ['omega', '--alpha', 'sqrt(2)', '--n'],
+    ['shrink', '--lambda', '2', '--theta', '1, -1+sqrt(2)', '--seed'],
+], ids=['depth', 'window', 'steps', 'n', 'seed'])
+def test_an_integer_flag_beyond_int_conversion_names_the_flag(capsys, argv):
+    # 5000 digits are more than Python converts to an int: one line
+    # naming the flag and the digit count, not the digits
+    assert main(argv + ['9' * 5000]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    kind = ' >= 0' if argv[-1] in ('--depth', '--window', '--steps') else ''
+    assert out == '' and err == (
+        'error: argument %s: takes an integer%s of at most %d digits, got '
+        '5000 digits\n' % (argv[-1], kind, sys.get_int_max_str_digits()))
+    # a value that is no integer is echoed as before
+    assert main(argv + ['x1']) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == "error: argument %s: %s 'x1'\n" % (argv[-1], (
+        'takes an integer >= 0, got' if kind else 'invalid int value:'))
 
 
 @pytest.mark.parametrize('argv', [

@@ -17,8 +17,8 @@ from ribbonflow.dynamics import (HPoint, from_edge, hpoint, iet_step, resolve,
 from ribbonflow.eigen import (builtin_families, character, character_eigen,
                               gz_constant, gz_exponential, ntree_constant,
                               ntree_horofunction, tripod_family)
-from ribbonflow.exact import (FieldMixError, QVec2, QuadNum, _lift_common,
-                              _reduced, sqrt_rational)
+from ribbonflow.exact import (FieldMixError, QVec2, QuadNum, SignPair,
+                              _lift_common, _reduced, _xy, sqrt_rational)
 from ribbonflow.freegrp import H, V, V_INV, Letter, Word, rho
 from ribbonflow.graphs import (Heisenberg, IntegersZ, OracleFun, PathGraph,
                                SparseFun, TripodGraph, _numbered_ball,
@@ -29,7 +29,8 @@ from ribbonflow.measures import (DecayProfile, MatchedPair,
                                  decay_profile, decay_profiles,
                                  maharam_check, plane_point, survivor_check,
                                  transposed_surface, transversal_measure)
-from ribbonflow.renorm import critical_times, shrinking_sequence
+from ribbonflow.renorm import (ShrinkData, TailStatus, critical_times,
+                               shrinking_sequence)
 from ribbonflow.surface import Surface, _theta_parts
 
 THETA2 = (QuadNum(1), sqrt_rational(2) - 1)
@@ -93,9 +94,14 @@ def heisenberg_window():
 
 
 def matched_window(pair):
+    """The pair's plane function on a radius-12 window, and those of its
+    theta2 bumped by +-1/1000 and +-1/10 in y."""
     w1, w2, data, theta2 = pair()
+    bumped = [plane_point(w1.graph, w2.weight,
+                          (theta2[0], theta2[1] + QuadNum(bump)))
+              for bump in ('1/1000', '-1/1000', '1/10', '-1/10')]
     return (w1.graph, plane_point(w1.graph, w2.weight, theta2), data,
-            ball_window(w1.graph, 12))
+            ball_window(w1.graph, 12), *bumped)
 
 
 @pytest.mark.parametrize('case', [
@@ -103,7 +109,7 @@ def matched_window(pair):
     tree_vertex, heisenberg_window], ids=['gz', 'tripod', 'tree',
                                           'heisenberg'])
 def test_renormalized_matches_the_adjoint_route(case):
-    graph, f, data, window = case()
+    graph, f, data, window, *bumped = case()
     depth = 8
     rows = kernel_rows(graph, f, data, depth, window)
     expected = []
@@ -111,6 +117,16 @@ def test_renormalized_matches_the_adjoint_route(case):
         word = Word(reversed(data.increments[:n]))
         expected += [(n, v, upsilon_eval(graph, word, f, v)) for v in window]
     assert rows == expected
+    # the survivor check's witness, or its pass, is the adjoint rows' own,
+    # on the pair and on directions off it
+    assert survivor_check(graph, f, data, depth, window) == \
+        adjoint_witness(graph, data, expected)
+    for g in bumped:
+        witness = adjoint_witness(graph, data, adjoint_rows(
+            graph, g, data.increments, depth, window))
+        # each bump breaks by depth 8
+        assert witness is not None
+        assert survivor_check(graph, g, data, depth, window) == witness
     # one pass over the window gives each vertex its own profile
     profiles = decay_profiles(graph, f, data, depth, window)
     assert profiles == [decay_profile(graph, f, v, data, depth)
@@ -149,15 +165,42 @@ def adjoint_rows(graph, f, increments, depth, window):
     return rows
 
 
+def adjoint_witness(graph, data, rows):
+    """The first of the (n, v, value) rows, in their order, whose value
+    has the sign opposite to the one the n-th quadrant gives v's class,
+    as a Witness; None if there is none."""
+    for n, v, value in rows:
+        s = data.signs[n]
+        want = 0 if s is None else (
+            s.sx if graph.vertex_class(v) == 'a' else s.sy)
+        if value.sign() * want < 0:
+            return Witness(n, v, value.sign())
+    return None
+
+
+def int_rows(graph, f, data, depth, window):
+    """(q, d, rows): the in-place pass of _renormalized read after every
+    letter, rows holding (n, moved, sx, sy, v, a, b) at each window vertex
+    in window order, so the value at v is (a + b*sqrt(d))/q."""
+    window = tuple(window)
+    q, d, A, B, groups, letters = _renormalized(graph, f, data, depth,
+                                                window)
+    where = sorted(groups['a'] + groups['b'])
+    assert [k for k, _ in where] == list(range(len(window)))
+    rows = [(n, moved, sx, sy, window[k], A[i], B[i])
+            for n, moved, sx, sy in letters for k, i in where]
+    return q, d, rows
+
+
 def quad_rows(graph, f, data, depth, window):
-    """The int rows of _renormalized as (n, v, value, sign_ok), each value
-    built over the kernel's q; the row's sign must be the value's."""
-    q, d, rows = _renormalized(graph, f, data, depth, window)
+    """The rows of _renormalized's pass as (n, v, value, sign_ok), each
+    value built over the kernel's q and its sign read off the QuadNum."""
+    q, d, rows = int_rows(graph, f, data, depth, window)
     out = []
-    for n, v, a, b, sign, ok in rows:
+    for n, _, sx, sy, v, a, b in rows:
         value = _reduced(a, b, q, d)
-        assert sign == value.sign()
-        out.append((n, v, value, ok))
+        s = sx if graph.vertex_class(v) == 'a' else sy
+        out.append((n, v, value, value.sign() * s >= 0))
     return out
 
 
@@ -219,6 +262,60 @@ def test_kernel_applies_any_integer_exponent():
                                 window)
 
 
+def hand_built(increments, signs):
+    """ShrinkData with the given letters and quadrants; its vectors are
+    not read by the survivor check."""
+    return ShrinkData(lam=QuadNum(2), theta=QVec2(QuadNum(1), QuadNum(1)),
+                      increments=tuple(increments), built=(),
+                      signs=tuple(signs), status=TailStatus.CONTINUES)
+
+
+def test_survivor_holds_the_unmoved_class_to_each_quadrant(monkeypatch):
+    # 3 at the A-vertices (even) and -1 at the B-vertices of the path
+    graph = PathGraph()
+    f = OracleFun(lambda v: 3 if v % 2 == 0 else -1)
+    window = (0, 1, 2, 3)
+    # an axis, then h: the A values become 1, and the first quadrant
+    # constrains the B values, which h did not move
+    data = hand_built((H, V), (None, SignPair.PP, SignPair.PP))
+    assert survivor_check(graph, f, data, 2, window) == Witness(1, 1, -1)
+    assert _quad_survivor(graph, f, data, 2, window) == Witness(1, 1, -1)
+    # the decay profiles mark the same vertices; hand-built quadrants
+    # give no critical times
+    monkeypatch.setattr(measures, 'critical_times', lambda data: ())
+    assert [p.survivor_ok for p in decay_profiles(graph, f, data, 2,
+                                                  window)] == [1, 0, 1, 0]
+    # all positive: h makes the A values 5 and v the B values 11, and
+    # the quadrant after v turns the unmoved A side negative
+    f = OracleFun(lambda v: 3 if v % 2 == 0 else 1)
+    data = hand_built((H, V), (SignPair.PP, SignPair.PP, SignPair.MP))
+    assert survivor_check(graph, f, data, 2, window) == Witness(2, 0, 1)
+    assert _quad_survivor(graph, f, data, 2, window) == Witness(2, 0, 1)
+    assert survivor_check(graph, f, data, 1, window) is None
+    assert [p.survivor_ok for p in decay_profiles(graph, f, data, 2,
+                                                  window)] == [0, 1, 0, 1]
+
+
+def test_decay_profiles_build_one_value_per_moved_letter(monkeypatch):
+    # gz letters alternate h and v, so each window value moves on every
+    # other letter: 1 + 8 QuadNums over 17 values, where one per value
+    # would be 17
+    w1, w2, data, theta2 = gz_pair()
+    f = plane_point(w1.graph, w2.weight, theta2)
+    window = ball_window(w1.graph, 3)
+    expected = _quad_decay(w1.graph, f, data, 16, window)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return reduced(*args)
+
+    reduced = measures._reduced
+    monkeypatch.setattr(measures, '_reduced', counted)
+    assert decay_profiles(w1.graph, f, data, 16, window) == expected
+    assert len(calls) <= 9 * len(window)
+
+
 def test_kernel_rejects_two_fields_and_floats():
     graph = PathGraph()
     data = shrinking_sequence(QuadNum(2), THETA2)
@@ -239,11 +336,10 @@ def skew_pair():
 
 
 def both_routes(graph, f, data, depth, window):
-    """_renormalized's (q, d, rows) for a plane function and for the same
-    calls wrapped in a plain OracleFun, which reads every vertex."""
-    q, d, rows = _renormalized(graph, f, data, depth, window)
-    q2, d2, rows2 = _renormalized(graph, OracleFun(f), data, depth, window)
-    return (q, d, list(rows)), (q2, d2, list(rows2))
+    """int_rows for a plane function and for the same calls wrapped in a
+    plain OracleFun, which reads every vertex."""
+    return (int_rows(graph, f, data, depth, window),
+            int_rows(graph, OracleFun(f), data, depth, window))
 
 
 def _raises(*args):
@@ -264,8 +360,7 @@ def test_plane_lift_gives_the_rows_of_every_read(pair, monkeypatch):
             assert lifted == read, (theta, depth)
     # the lift reads f's closed form, never the plane function's calls
     monkeypatch.setattr(measures._PlaneFun, '__call__', _raises)
-    q, d, rows = _renormalized(graph, f, data, 10, window)
-    assert (q, d, list(rows)) == read
+    assert int_rows(graph, f, data, 10, window) == read
 
 
 def test_plane_lift_keeps_the_perturbed_witnesses():
@@ -310,6 +405,31 @@ def test_matched_pair_keeps_the_perturbed_witnesses():
         window = ball_window(p.graph, 12)
         assert survivor_check(p.graph, p.plane, p.data, 12,
                               window) == witness
+
+
+@pytest.mark.parametrize('pair', [gz_pair, tripod_pair, skew_pair],
+                         ids=['gz', 'tripod', 'skew'])
+def test_a_given_direction_is_matched_as_the_derived_wedge_says(
+        pair, monkeypatch):
+    w1, w2, data, theta2 = pair()
+    derived = MatchedPair(w1, w2, data.theta, depth=12).derived
+    given = [derived, -derived, 2 * derived,
+             derived + QVec2(QuadNum(0), QuadNum('1/1000')), QVec2(*theta2),
+             QVec2(QuadNum(4), sqrt_rational(42) - 5)]
+
+    def parallel(theta):
+        try:
+            return not QVec2(*_xy(theta)).wedge(derived)
+        except FieldMixError:
+            return False
+
+    want = list(map(parallel, given))
+    assert want == [True, True, True, False, True, False]
+    # decided with no square root and no derived direction
+    monkeypatch.setattr(measures, 'matched_direction', _raises)
+    monkeypatch.setattr(renorm, 'quad_sqrt', _raises)
+    assert [MatchedPair(w1, w2, data.theta, theta, depth=12).matched
+            for theta in given] == want
 
 
 def test_matched_pair_derives_nothing_for_a_given_direction(monkeypatch):
