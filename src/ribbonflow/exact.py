@@ -457,10 +457,12 @@ def _lift_common(values, field: int = 0) -> tuple[list, list, int, int]:
         if q % x._q:
             q = math.lcm(q, x._q)
         nums.append(x)
-    if q == 1:
-        return [x._a for x in nums], [x._b for x in nums], q, d
-    return ([x._a * (q // x._q) for x in nums],
-            [x._b * (q // x._q) for x in nums], q, d)
+    A = ([x._a for x in nums] if q == 1 else
+         [x._a * (q // x._q) for x in nums])
+    if not d:
+        return A, [0] * len(A), q, d
+    return A, ([x._b for x in nums] if q == 1 else
+               [x._b * (q // x._q) for x in nums]), q, d
 
 
 _ONE = QuadNum(1)
@@ -505,13 +507,23 @@ def parse_quad(text: str) -> QuadNum:
     return QuadNum(text)
 
 
+def _rational_root(r: Fraction) -> 'Fraction | None':
+    """The rational square root of r >= 0, or None if there is none:
+    isqrt decides it on the reduced ints, with no factoring."""
+    n, m = math.isqrt(r.numerator), math.isqrt(r.denominator)
+    if n * n == r.numerator and m * m == r.denominator:
+        return Fraction(n, m)
+    return None
+
+
 def sqrt_rational(q) -> QuadNum:
     """Exact square root of a nonnegative rational, as a QuadNum."""
     q = as_quad(q).as_fraction()
     if q < 0:
         raise ValueError('square root of a negative number')
-    if q == 0:
-        return QuadNum(0)
+    root = _rational_root(q)
+    if root is not None:
+        return QuadNum(root)
     s, d = _square_split(q.numerator * q.denominator)
     # sqrt(p/r) = sqrt(p*r)/r = s*sqrt(d)/r
     if d == 1:
@@ -533,21 +545,15 @@ def quad_sqrt(x: QuadNum) -> QuadNum:
     if x.is_rational:
         return sqrt_rational(x.as_fraction())
     a, b, d = x.rational_part, x.radical_part, x.field_disc
-    # want (c + e*sqrt(d))**2 = x: c*c + e*e*d = a and 2*c*e = b
+    # want (c + e*sqrt(d))**2 = x: c*c + e*e*d = a and 2*c*e = b, so the
+    # norm a*a - b*b*d = (c*c - e*e*d)**2 and c*c are rational squares
     norm = a * a - b * b * d
-    root_norm = sqrt_rational(norm) if norm >= 0 else None
-    if root_norm is None or not root_norm.is_rational:
-        raise ValueError('%s has no square root in its own field' % x)
-    n = root_norm.as_fraction()
-    for c_sq in ((a + n) / 2, (a - n) / 2):
-        if c_sq <= 0:
+    n = _rational_root(norm) if norm >= 0 else None
+    for c_sq in (() if n is None else ((a + n) / 2, (a - n) / 2)):
+        c = _rational_root(c_sq) if c_sq > 0 else None
+        if c is None:
             continue
-        c_root = sqrt_rational(c_sq)
-        if not c_root.is_rational:
-            continue
-        c = c_root.as_fraction()
-        e = b / (2 * c)
-        cand = QuadNum(c, e, d)
+        cand = QuadNum(c, b / (2 * c), d)
         if cand * cand == x:
             return cand if cand.sign() > 0 else -cand
     raise ValueError('%s has no square root in its own field' % x)

@@ -9,15 +9,19 @@ horizontal segments by refining the symbolic coding, and exposes the
 finite-depth boundary map that conjugates the flows of two weightings
 of the same graph.
 
-Renormalized values come from one integer shear pass: f is lifted once
-to ints on the vertices within depth of the window (a plane function x*f
-by its parts), and each letter adds its exponent times the neighbour
-sums to its target class, in place.  A letter moves one class, so the
-survivor check and the decay profiles re-read only that class's window
-values after it and carry the other's signs and QuadNums; every value
-still meets every quadrant.  Signs and magnitudes are compared on the
-ints.  The word action `upsilon_eval` in `graphs` is the adjoint route
-the tests hold the pass equal to.
+Renormalized values come from one integer shear pass per call, and no
+call keeps anything for the next: it walks the vertices within depth of
+the window, lifts f to ints on them once (a plane function x*f by its
+parts, with no radical products for a rational f), and each letter adds
+its exponent times the neighbour sums to its target class, in place, one
+plain loop per target.  Letter n updates only the class vertices within
+depth - n, so a one-vertex call costs its ball walk, its lift and that
+triangle of updates.  A letter moves one class, so the survivor check
+and the decay profiles re-read only that class's window values after it
+and carry the other's signs and QuadNums; every value still meets every
+quadrant.  Signs and magnitudes are compared on the ints.  The word
+action `upsilon_eval` in `graphs` is the adjoint route the tests hold
+the pass equal to.
 
 Measures of segments come from chains joining vertices: an initial
 piece of a top-edge interval followed by return steps on the one orbit
@@ -36,6 +40,7 @@ end's value with the gap to the upper end as the error bound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -99,8 +104,13 @@ def _lift_plane(f: _PlaneFun, order, classes) -> tuple:
         return _lift_common(map(f, order))
     coef = {'a': (xa, xb, xb * D), 'b': (ya, yb, yb * D)}
     cs = [coef[c] for c in classes]
-    A2 = [s * a + u * b for (s, _, u), a, b in zip(cs, A, B)]
-    B2 = [s * b + t * a for (s, t, _), a, b in zip(cs, A, B)] if D else B
+    if d:
+        A2 = [s * a + u * b for (s, _, u), a, b in zip(cs, A, B)]
+        B2 = [s * b + t * a for (s, t, _), a, b in zip(cs, A, B)]
+    else:
+        # a rational f has no radical parts to multiply
+        A2 = [s * a for (s, _, _), a in zip(cs, A)]
+        B2 = [t * a for (_, t, _), a in zip(cs, A)] if D else B
     q *= lq
     if q != 1:
         g = math.gcd(q, *A2, *B2)
@@ -143,26 +153,28 @@ def _renormalized(graph: RibbonGraph, f, data, depth: int, vertices):
     # gathers[c]: (i, neighbour indices) for each class-c vertex of the
     # inner rings, in order; cuts[c][k]: how many lie in rings 0..k
     gathers, cuts, groups = ({'a': [], 'b': []} for _ in range(3))
-    start = 0
-    for ring in rings[:depth]:
-        for i in range(start, start + len(ring)):
-            gathers[classes[i]].append((i, nbrs[i]))
-        start += len(ring)
-        for c, todo in gathers.items():
-            cuts[c].append(len(todo))
+    inner = enumerate(zip(classes, nbrs))
+    for ring in islice(rings, depth):
+        for i, (c, js) in islice(inner, len(ring)):
+            gathers[c].append((i, js))
+        cuts['a'].append(len(gathers['a']))
+        cuts['b'].append(len(gathers['b']))
     for k, v in enumerate(vertices):
         groups[classes[index[v]]].append((k, index[v]))
 
     def letters():
-        moved, get_a, get_b = 'ab', A.__getitem__, B.__getitem__
+        moved = 'ab'
         for n in range(depth + 1):
             if n:
                 gen, e = data.increments[n - 1]
                 moved = 'a' if gen == 'h' else 'b'
-                for w, js in gathers[moved][:cuts[moved][depth - n]]:
-                    A[w] += e * sum(map(get_a, js))
-                    if d:
-                        B[w] += e * sum(map(get_b, js))
+                for w, js in islice(gathers[moved], cuts[moved][depth - n]):
+                    a = b = 0
+                    for j in js:
+                        a += A[j]
+                        b += B[j]
+                    A[w] += e * a
+                    B[w] += e * b
             s = data.signs[n]
             yield (n, moved) + ((0, 0) if s is None else s.value)
 
@@ -217,23 +229,25 @@ def decay_profiles(graph: RibbonGraph, f, data, depth: int, window
     window = tuple(window)
     q, d, A, B, groups, letters = _renormalized(graph, f, data, depth,
                                                 window)
-    crit = tuple(n for n in critical_times(data) if n <= depth)
+    times = critical_times(data)
+    crit = times[:bisect_right(times, depth)]
     # per window vertex, for each n: (a, b) of |value| and the QuadNum
     mags, values = [[] for _ in window], [[] for _ in window]
     signs, ok = [0] * len(window), [True] * len(window)
     for _, moved, sx, sy in letters:
         for c, s in (('a', sx), ('b', sy)):
-            for k, i in groups[c]:
-                if c in moved:
+            if c in moved:
+                for k, i in groups[c]:
                     a, b = A[i], B[i]
                     signs[k] = _sign(a, b, d)
                     mags[k].append((-a, -b) if signs[k] < 0 else (a, b))
                     values[k].append(_reduced(*mags[k][-1], q, d))
-                else:
+                    ok[k] = ok[k] and signs[k] * s >= 0
+            else:
+                for k, _ in groups[c]:
                     mags[k].append(mags[k][-1])
                     values[k].append(values[k][-1])
-                if signs[k] * s < 0:
-                    ok[k] = False
+                    ok[k] = ok[k] and signs[k] * s >= 0
     profiles = []
     for m, vals, good in zip(mags, values, ok):
         a, b = m[0]
@@ -436,16 +450,16 @@ def conjugate_boundary_point(surface1: Surface, surface2: Surface,
 
 
 class NotRenormalizable(Exception):
-    """A direction with no periodic renormalizing tail."""
+    """A direction with no periodic tail, or a theta2 with no measure."""
 
 
 class MatchedPair:
     """Two weightings of one graph, a direction theta1 whose greedy tail is
     periodic within max(depth + 8, 64) letters, and theta2: as given, even
-    unmatched (for the survivor check's witness), or else derived from
-    that tail.  The rest is built on first use; `matched` is whether
-    theta2 is parallel to the derived direction, in the same field,
-    decided without deriving it (`renorm.renormalizes`).
+    unmatched (for the survivor check's witness; `plane` refuses a zero
+    one), or else derived from that tail.  The rest is built on first use;
+    `matched` is whether theta2 is parallel to the derived direction, in
+    the same field, decided without deriving it (`renorm.renormalizes`).
     """
 
     def __init__(self, family1, family2, theta1, theta2=None, depth=0):
@@ -476,6 +490,10 @@ class MatchedPair:
 
     @cached_property
     def plane(self) -> OracleFun:
+        # a zero theta2's plane function is 0, which keeps every sign
+        if not any(_xy(self.theta2)):
+            raise NotRenormalizable('theta2 is the zero vector, so it gives '
+                                    'no measure')
         return plane_point(self.graph, self.family2.weight, self.theta2)
 
     @cached_property

@@ -285,7 +285,19 @@ def test_a_typed_theta2_is_matched_without_the_period_root(capsys):
     assert main(argv[:-2]) == EXIT_PARSE
     out, err = capsys.readouterr()
     assert out == '' and err.startswith('error: cannot split ')
-    assert err.count('\n') == 1
+    assert err.count('\n') == 1 and len(err.encode()) < 200
+
+
+@pytest.mark.parametrize('command', ['survivor', 'decay', 'conjugate'])
+def test_a_zero_theta2_is_refused(capsys, command):
+    # its plane function is 0 and keeps every sign: survivor printed pass
+    # and decay all zeros with survivor_ok 1, while conjugate refused it
+    # as unmatched; each exits 4 with one stderr line and no stdout
+    assert main([command, *GZ_PAIR[:-1], '0, 0']) == EXIT_NOT_RENORM
+    out, err = capsys.readouterr()
+    assert out == '' and err.count('\n') == 1
+    if command != 'conjugate':
+        assert err == 'theta2 is the zero vector, so it gives no measure\n'
 
 
 HEISENBERG_CHI = ('character:group=heisenberg,'

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ribbonflow import exact
 from ribbonflow.dynamics import hpoint, skew_step
 from ribbonflow.eigen import gz_constant, gz_exponential, verify_eigen
 from ribbonflow.exact import (
@@ -235,6 +236,37 @@ def test_quad_sqrt_in_field():
 def test_quad_sqrt_rejects_higher_degree():
     with pytest.raises(ValueError):
         quad_sqrt(QuadNum(2, 1, 2))
+
+
+def test_quad_sqrt_decides_by_isqrt_without_trial_division(monkeypatch):
+    # the norm of x and c*c must be rational squares, which isqrt decides:
+    # no number past the small field discriminants is split, so a norm
+    # with no prime factor below the trial limit is still answered
+    split = exact._square_split
+
+    def small_only(n):
+        assert n < 10 ** 6, 'trial division of %d' % n
+        return split(n)
+
+    monkeypatch.setattr(exact, '_square_split', small_only)
+    p = 10 ** 20 + 39
+    with pytest.raises(ValueError, match='has no square root in its own '
+                       'field$'):
+        quad_sqrt(QuadNum(p, 1, 2))
+    r = QuadNum(p, 3, 2) / 7
+    assert quad_sqrt(r * r) == r and quad_sqrt((-r) * (-r)) == r
+    # a rational square needs no split either
+    assert sqrt_rational(Fraction(p * p, 49)) == QuadNum(Fraction(p, 7))
+    assert sqrt_rational(0) == 0
+
+
+def test_lift_common_of_rational_values():
+    # B is all zeros, and A is over q == 1 or over the lcm of the
+    # denominators; a start field stays the field
+    assert _lift_common([1, -2, QuadNum(3)]) == ([1, -2, 3], [0, 0, 0], 1, 0)
+    assert _lift_common([Fraction(1, 2), 3, QuadNum('-2/3')]) == (
+        [3, 18, -4], [0, 0, 0], 6, 0)
+    assert _lift_common([Fraction(1, 2), 1], 5) == ([1, 2], [0, 0], 2, 5)
 
 
 def test_parse_round_trip_examples():

@@ -25,7 +25,8 @@ from ribbonflow.graphs import (Heisenberg, IntegersZ, OracleFun, PathGraph,
                                pairing, upsilon_eval, vertices_in_ball)
 from ribbonflow.measures import (DecayProfile, MatchedPair,
                                  NotRenormalizable, Witness, _cut_measure,
-                                 _renormalized, conjugate_boundary_point,
+                                 _lift_plane, _renormalized,
+                                 conjugate_boundary_point,
                                  decay_profile, decay_profiles,
                                  maharam_check, plane_point, survivor_check,
                                  transposed_surface, transversal_measure)
@@ -363,6 +364,25 @@ def test_plane_lift_gives_the_rows_of_every_read(pair, monkeypatch):
     assert int_rows(graph, f, data, 10, window) == read
 
 
+@pytest.mark.parametrize('fam, theta', [
+    (gz_exponential(2), THETA41), (tripod_family(3), THETA34),
+    (tripod_family(3), ('2/3', '-5/7')),
+    (tripod_family(sqrt_rational(2)), (3, sqrt_rational(2) - 1)),
+    (tripod_family(sqrt_rational(2)), ('2/3', '-5/7')),
+    (gz_exponential(2), (0, THETA41[1])),
+    (tripod_family(sqrt_rational(2)), (THETA41[0], 0))],
+    ids=['gz', 'tripod', 'tripod-rational', 'tripod-sqrt2',
+         'tripod-sqrt2-rational', 'zero-x', 'zero-y'])
+def test_plane_lift_is_the_lift_of_every_read(fam, theta):
+    # f rational (scaled by an irrational or a rational direction) or in
+    # sqrt(2), and a zero scale on either class: the same ints, q and d
+    graph = fam.graph
+    f = plane_point(graph, fam.weight, tuple(map(QuadNum, theta)))
+    _, order, _, _ = _numbered_ball(graph, (graph.root(),), 12)
+    classes = list(map(graph.vertex_class, order))
+    assert _lift_plane(f, order, classes) == _lift_common(map(f, order))
+
+
 def test_plane_lift_keeps_the_perturbed_witnesses():
     # c07's perturbed directions break where the reads broke them
     want = {gz_pair: Witness(5, -10, -1), tripod_pair: Witness(3, ('c',), -1)}
@@ -438,6 +458,17 @@ def test_matched_pair_derives_nothing_for_a_given_direction(monkeypatch):
     w1, w2, data, theta2 = gz_pair()
     p = MatchedPair(w1, w2, THETA2, theta2, depth=12)
     assert p.plane.graph is w1.graph and len(p.surfaces) == 2
+
+
+def test_matched_pair_refuses_the_plane_of_a_zero_theta2():
+    # the zero function keeps every sign, so the survivor check passed it
+    # and its decay rows were all 0; it is no multiple of the matched one
+    p = MatchedPair(gz_constant(), gz_exponential(2), THETA2,
+                    (QuadNum(0), QuadNum(0)), depth=12)
+    assert not p.matched
+    with pytest.raises(NotRenormalizable, match='^theta2 is the zero '
+                       'vector, so it gives no measure$'):
+        p.plane
 
 
 def test_matched_pair_refusals():
@@ -651,6 +682,26 @@ def test_decay_profile_flags_non_survivor():
     witness = survivor_check(w1.graph, f, data, 12, ball_window(w1.graph, 12))
     prof = decay_profile(w1.graph, f, witness.vertex, data, 12)
     assert not prof.survivor_ok
+
+
+# the matched-pair benchmark's windows: radius per depth, gz and tripod
+JOB_RADIUS = {6: (12, 12), 10: (3, 3), 16: (3, 1)}
+
+
+@pytest.mark.parametrize('pair', [gz_pair, tripod_pair], ids=['gz',
+                                                              'tripod'])
+@pytest.mark.parametrize('depth', sorted(JOB_RADIUS))
+def test_one_vertex_calls_give_the_window_rows(pair, depth):
+    # each vertex's own decay_profile call, as the decay jobs make them,
+    # gives its row of the one window pass and of the QuadNum oracle
+    w1, w2, data, theta2 = pair()
+    graph = w1.graph
+    f = plane_point(graph, w2.weight, theta2)
+    window = ball_window(graph, JOB_RADIUS[depth][pair is tripod_pair])
+    rows = decay_profiles(graph, f, data, depth, window)
+    assert [decay_profile(graph, f, v, data, depth) for v in window] == rows
+    assert rows == _quad_decay(graph, f, data, depth, window)
+    assert all(p.survivor_ok and all(p.nonincreasing) for p in rows)
 
 
 def test_critical_times_need_repeated_quadrant():
