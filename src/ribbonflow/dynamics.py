@@ -24,7 +24,10 @@ The exact skew rotation lifts x and alpha to ints over one denominator
 (_skew_lift), so a step (_skew_next) is a floor, two int adds and a
 floor.  The orbit's loop _skew_states lifts once and steps lazily;
 skew_step is its one-step case, the same lift and step with no
-generator.  Every orbit counts its budget in _budgeted.
+generator.  The float skew orbit (_float_chunks) binds its step once per
+chunk: the group operation once per orbit and the chunk's append once
+per chunk, so a step is its own float arithmetic.  Every orbit counts its
+budget in _budgeted.
 """
 
 from __future__ import annotations
@@ -453,24 +456,30 @@ _FLOAT_CHUNK = 1024
 
 def _float_chunks(n: int, alpha: float, group, generators, state,
                   steps: int):
-    """The float skew orbit in lists of at most _FLOAT_CHUNK states."""
+    """The float skew orbit in lists of at most _FLOAT_CHUNK states.  The
+    group operation is bound once per orbit and each list's append once
+    per chunk, so a step does only its own arithmetic."""
     x, g = float(state[0]), state[1]
     # reduced before rounding, as the exact step reduces x + alpha mod 1:
     # a large alpha would lose its fraction
     alpha = float(alpha % 1)
     comp = 0.0
+    op, last = group.op, n - 1
     while steps > 0:
         out = []
+        append = out.append
         for _ in range(min(_FLOAT_CHUNK, steps)):
-            i = min(int(x * n), n - 1)
-            g = group.op(generators[i], g)
+            i = int(x * n)
+            if i > last:   # an exact start below 1 rounded to 1.0
+                i = last
+            g = op(generators[i], g)
             add = alpha - comp
             nxt = x + add
             comp = (nxt - x) - add
             x = nxt
             if x >= 1.0:
                 x -= 1.0
-            out.append((x, g))
+            append((x, g))
         steps -= len(out)
         yield out
 

@@ -23,6 +23,7 @@ import operator
 import re
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 
 
 class FieldMixError(ArithmeticError):
@@ -60,22 +61,21 @@ def _square_split(n: int) -> tuple[int, int]:
     most two prime factors, so it is squarefree unless it is a square;
     above 10^18 only a square cofactor is decided.
     """
-    s, d = 1, 1
-    m = n
-    p = 2
-    while p * p <= m and p <= _TRIAL_LIMIT:
-        if m % p == 0:
+    s, d, m = 1, 1, n
+    r = math.isqrt(m)
+    for p in chain((2,), range(3, _TRIAL_LIMIT + 1, 2)):
+        if p > r:
+            return s, d * m
+        if not m % p:
             k = 0
-            while m % p == 0:
+            while not m % p:
                 m //= p
                 k += 1
             s *= p ** (k // 2)
             if k % 2:
                 d *= p
-        p += 1 if p == 2 else 2
-    if p * p > m:
-        return s, d * m
-    r = math.isqrt(m)
+            r = math.isqrt(m)
+    # no prime below 10^6 divides m, and m >= (10^6 - 1)^2
     if r * r == m:
         return s * r, d
     if m >= _TRIAL_LIMIT ** 3:

@@ -21,6 +21,7 @@ input, with one add per source term and incident edge.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from itertools import chain
 from typing import Callable
@@ -227,6 +228,8 @@ class Group(ABC):
     """A countable group with hashable canonical element encodings.
 
     Two groups are equal when they have the same type and parameters.
+    op may be a builtin: IntegersZ's is operator.add, held as a
+    staticmethod so that an instance can still set its own op.
     """
 
     def __eq__(self, other):
@@ -273,8 +276,7 @@ def _int_tuple(a, length: int) -> bool:
 class IntegersZ(Group):
     identity = 0
 
-    def op(self, a, b):
-        return a + b
+    op = staticmethod(operator.add)
 
     def inv(self, a):
         return -a
@@ -311,7 +313,7 @@ class IntegerLattice(Group):
         return (0,) * self.d
 
     def op(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inv(self, a):
         return tuple(-x for x in a)

@@ -1,10 +1,11 @@
 """Return map, geometric flow oracle, skew rotations, coding."""
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import make_dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -685,6 +686,69 @@ def test_skew_orbit_float_chunks_leave_the_orbit_unchanged(steps):
     assert orbit == _float_reference(*args)
     assert orbit[-1] == {5000: (0.5339059327378637, 0),
                          50000: (0.33905932737863687, 0)}[steps]
+
+
+# the skew groups of the exact checks, and Z/3 on three generators
+FLOAT_GROUPS = dict(SKEW_GROUPS, cyclic=(Cyclic(3), (1, 1, 1)))
+
+
+def _start_rounding_to_one():
+    """An exact start in [0, 1) whose float is 1.0, so the float loop's
+    first x * n is n: the least k with 1 - 10^-k rounding up, by search."""
+    k = next(k for k in count(1) if float(1 - Fraction(1, 10 ** k)) == 1.0)
+    return 1 - Fraction(1, 10 ** k)
+
+
+@pytest.mark.parametrize('steps', [1, 1023, 1024, 1025, 3000])
+@pytest.mark.parametrize('name', sorted(FLOAT_GROUPS))
+def test_skew_orbit_float_is_the_reference_loop_on_every_group(name, steps):
+    group, gens = FLOAT_GROUPS[name]
+    n, alpha, e = len(gens), float(ALPHA), group.identity
+    top = _start_rounding_to_one()
+    assert top < 1 and int(float(top) * n) == n
+    for x in (0.0, Fraction(1, 7), top):
+        want = _float_reference(n, alpha, group, gens, (float(x), e), steps)
+        assert skew_orbit_float(n, alpha, group, gens, (x, e), steps) == want
+        assert len(want) == steps and all(0.0 <= y < 1.0 for y, _ in want)
+
+
+@pytest.mark.parametrize('name', sorted(FLOAT_GROUPS))
+def test_skew_orbit_float_escapes_mid_chunk_as_exact_does(name):
+    group, gens = FLOAT_GROUPS[name]
+    n, e, chunk = len(gens), group.identity, dynamics._FLOAT_CHUNK
+    exact = skew_orbit(n, ALPHA, group, gens, (QuadNum(0), e), 3000)
+    approx = skew_orbit_float(n, float(ALPHA), group, gens, (0.0, e), 3000)
+    assert [g for _, g in approx] == [g for _, g in exact]
+    # (step, budget) for each step that meets a new element: that budget
+    # escapes there, naming the step and one more element than it allows
+    seen, fresh = {e}, []
+    for k, (_, g) in enumerate(exact, 1):
+        if g not in seen:
+            fresh.append((k, len(seen)))
+            seen.add(g)
+    # the first escape, and the first after the first chunk (Z/3 meets
+    # its three elements at once, so its last)
+    cases = {fresh[0], next((c for c in fresh if c[0] > chunk), fresh[-1])}
+    assert name == 'cyclic' or max(cases)[0] > chunk
+    for k, budget in cases:
+        assert k % chunk
+        for orbit, alpha, x in ((skew_orbit, ALPHA, QuadNum(0)),
+                                (skew_orbit_float, float(ALPHA), 0.0)):
+            with pytest.raises(OrbitEscapedBudget) as info:
+                orbit(n, alpha, group, gens, (x, e), 3000, budget=budget)
+            assert (info.value.steps_done, info.value.visited) == (
+                k, budget + 1)
+    assert skew_orbit_float(n, float(ALPHA), group, gens, (0.0, e), 3000,
+                            budget=len(seen)) == approx
+
+
+def test_counting_z_counts_every_float_step():
+    # IntegersZ's op is the builtin operator.add on the class; an instance
+    # still sets its own, and the float loop binds that one
+    group = counting_z()
+    assert IntegersZ.op is operator.add and group.op is not operator.add
+    skew_orbit_float(2, float(ALPHA), group, (1, -1), (0.0, 0), 3000)
+    assert group.calls == 3000
 
 
 def test_skew_orbit_float_budget_leaves_the_orbit_unchanged():

@@ -1,5 +1,6 @@
 import math
 import operator
+import random
 import re
 from fractions import Fraction
 
@@ -258,6 +259,68 @@ def test_quad_sqrt_decides_by_isqrt_without_trial_division(monkeypatch):
     # a rational square needs no split either
     assert sqrt_rational(Fraction(p * p, 49)) == QuadNum(Fraction(p, 7))
     assert sqrt_rational(0) == 0
+
+
+def _while_split(n):
+    """_square_split as a while loop over every candidate, the oracle."""
+    s, d = 1, 1
+    m = n
+    p = 2
+    while p * p <= m and p <= exact._TRIAL_LIMIT:
+        if m % p == 0:
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            s *= p ** (k // 2)
+            if k % 2:
+                d *= p
+        p += 1 if p == 2 else 2
+    if p * p > m:
+        return s, d * m
+    r = math.isqrt(m)
+    if r * r == m:
+        return s * r, d
+    if m >= exact._TRIAL_LIMIT ** 3:
+        raise ValueError('cannot split %d: a cofactor above 10^18 has no '
+                         'prime factor below 10^6' % n)
+    return s, d * m
+
+
+def _split_or_refusal(split, n):
+    try:
+        return split(n)
+    except ValueError as err:
+        return str(err)
+
+
+def test_square_split_equals_the_while_loop():
+    # the trial division steps its candidates by one for loop and takes
+    # isqrt only when a factor divides: the same (s, d), and the same
+    # refusal, as the loop that tested every bound on every candidate
+    rng = random.Random(1)
+    small = (2, 3, 5, 7, 11, 13, 101, 997)
+    inputs = list(range(1, 200)) + [rng.randrange(1, 10 ** 9)
+                                    for _ in range(1000)]
+    for _ in range(2000):
+        n = rng.randrange(1, 10 ** 6)
+        for p in rng.sample(small, 3):
+            n *= p ** rng.randrange(4)
+        inputs.append(n)
+    # 999983 and 1000003 are the primes either side of 10^6, and the
+    # primes 999996999983 and 999997000027 put 1000003 * q either side of
+    # the 10^18 cofactor bound; the last is three primes above 10^6
+    lo, hi = 999983, 1000003
+    edges = [lo, hi, lo * lo, hi * hi, lo * hi, 360 * hi * hi,
+             hi * 999996999983, 999996999983 ** 2, hi * 999997000027,
+             1000003 * 1000033 * 1000037]
+    for n in inputs + edges:
+        assert (_split_or_refusal(exact._square_split, n)
+                == _split_or_refusal(_while_split, n)), n
+    refused = _split_or_refusal(exact._square_split, hi * 999997000027)
+    assert refused == ('cannot split %d: a cofactor above 10^18 has no '
+                       'prime factor below 10^6' % (hi * 999997000027))
+    assert exact._square_split(hi * 999996999983) == (1, hi * 999996999983)
 
 
 def test_lift_common_of_rational_values():

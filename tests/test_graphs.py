@@ -141,6 +141,39 @@ def test_closed_form_neighbors_are_the_edge_derived_ones(name, graph):
         assert graph.neighbors(v) == RibbonGraph.neighbors(graph, v), v
 
 
+big_ints = st.integers(-10 ** 30, 10 ** 30)
+
+
+@given(a=big_ints, b=big_ints, d=st.integers(1, 3), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_builtin_group_ops_are_the_python_bodies(a, b, d, data):
+    # Z adds by operator.add and Z^d by map(operator.add): the same
+    # elements as the Python bodies they replaced
+    assert IntegersZ().op(a, b) == a + b
+    elements = st.tuples(*[big_ints] * d)
+    u, v = data.draw(elements), data.draw(elements)
+    assert IntegerLattice(d).op(u, v) == tuple(x + y for x, y in zip(u, v))
+
+
+SKEW_NEIGHBORS = {
+    'z': (SkewGraph(IntegersZ(), (1, -1)), st.integers(-10 ** 20, 10 ** 20)),
+    'z2': (SkewGraph(IntegerLattice(2), ((1, 0), (-1, 0), (0, 1), (0, -1))),
+           st.tuples(big_ints, big_ints)),
+    'heisenberg': (SkewGraph(Heisenberg(), (X, X_INV, Y, Y_INV)),
+                   st.tuples(big_ints, big_ints, big_ints)),
+}
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(SKEW_NEIGHBORS)),
+       kind=st.sampled_from('ab'))
+@settings(max_examples=100, deadline=None)
+def test_skew_neighbors_are_the_edge_derived_ones_anywhere(data, name, kind):
+    # far from the root too, where the ball checks above do not reach
+    graph, elements = SKEW_NEIGHBORS[name]
+    v = (kind, data.draw(elements))
+    assert graph.neighbors(v) == RibbonGraph.neighbors(graph, v)
+
+
 @pytest.mark.parametrize('name,graph', CLOSED_FORM_GRAPHS,
                          ids=[c[0] for c in CLOSED_FORM_GRAPHS])
 def test_closed_form_neighbors_number_the_ball_as_before(name, graph,
