@@ -223,38 +223,39 @@ def iet_step(surface: Surface, theta, p: HPoint) -> HPoint:
     return _land(surface.rotation(theta), _locate(surface, p.a, p.t))
 
 
-def walk(surface: Surface, u, e, cx, cy, scalar=as_quad) -> list:
-    """Follow the line of slope 1/u from (cx, cy) inside the rectangle
-    over e through side gluings up to its first crossing of a top edge.
+def _around(surface: Surface, e, scalar):
+    """The circumference of e's cylinder: the widths round its gluings."""
+    total, f = scalar(surface.width(e)), surface.east(e)
+    while f != e:
+        total, f = total + scalar(surface.width(f)), surface.east(f)
+    return total
 
-    Returns the legs, one (edge, width, x0, y0, x1, y1) per rectangle
-    crossed.  The last leg ends on the top edge with x1 in [0, width), so
-    a line through a top-right corner ends at offset 0 of the east
-    neighbor.  scalar converts the surface's exact lengths into the
-    arithmetic of the walk: as_quad, which keeps them, for exact walks,
-    float for float ones.
+
+def walk(surface: Surface, u, e, cx, cy, scalar=as_quad) -> tuple:
+    """Follow the line of slope 1/u from (cx, cy) in the rectangle over e
+    through side gluings to its first top crossing: (edge, offset in
+    [0, width(edge))), a top-right corner giving offset 0 of the east
+    neighbor.  East and west keep e's height h, so the walk carries the
+    line's x at h, in scalar (as_quad or float): cx + u*(h - cy), less
+    w(e) per east gluing, plus w(west(e)) per west one.  Back at e, with
+    x0 - x a turn and another one left, x is reduced once modulo the
+    circumference (_around): at most two turns, however steep the line.
     """
-    zero = scalar(_ZERO)
-    # east and west keep the A-vertex, so every rectangle crossed has the
-    # height of the first
-    h = scalar(surface.height(e))
-    legs = []
-    while True:
+    x = x0 = cx + u * (scalar(surface.height(e)) - cy)
+    start = e
+    while x < 0:
+        e = surface.west(e)
+        x += scalar(surface.width(e))
+        if e == start and x < x0 - x:
+            x %= _around(surface, e, scalar)
+    w = scalar(surface.width(e))
+    while x >= w:
+        x -= w
+        e = surface.east(e)
+        if e == start and x >= x0 - x:
+            x %= _around(surface, e, scalar)
         w = scalar(surface.width(e))
-        x1 = cx + u * (h - cy)
-        if x1 < zero:
-            y1 = cy - cx / u
-            legs.append((e, w, cx, cy, zero, y1))
-            e = surface.west(e)
-            cx, cy = scalar(surface.width(e)), y1
-        elif x1 < w:
-            legs.append((e, w, cx, cy, x1, h))
-            return legs
-        else:
-            # u == 0 here means a vertical line up the right side
-            y1 = cy + (w - cx) / u if u else cy
-            legs.append((e, w, cx, cy, w, y1))
-            e, cx, cy = surface.east(e), zero, y1
+    return e, x
 
 
 def flow_to_next_edge(surface: Surface, theta, p: SurfacePoint):
@@ -268,8 +269,7 @@ def flow_to_next_edge(surface: Surface, theta, p: SurfacePoint):
     # the walk starts where the top of south(p.edge) lands: the return
     # map's check of that hop refuses a rectangle with a side <= 0
     surface.landing(surface.south(p.edge))
-    e, _, _, _, x_top, _ = walk(surface, x / y, p.edge, as_quad(p.x),
-                                as_quad(p.y))[-1]
+    e, x_top = walk(surface, x / y, p.edge, as_quad(p.x), as_quad(p.y))
     point = from_edge(surface, e, x_top)
     if x_top:
         return point
@@ -284,8 +284,7 @@ def flow_to_next_edge_float(surface: Surface, theta, edge, x: float,
     tx, ty = _xy(theta)
     u = float(tx) / float(_upward(ty))
     surface.landing(surface.south(edge))
-    e, _, _, _, x_top, _ = walk(surface, u, edge, float(x), float(y),
-                                float)[-1]
+    e, x_top = walk(surface, u, edge, float(x), float(y), float)
     a = surface.graph.alpha(e)
     return a, float(surface.section(a).offset(e)) + x_top
 

@@ -308,7 +308,7 @@ def _chain_crossings(surface: Surface, theta, e, q, steps: int) -> SparseFun:
     A step from offset o of e crosses the core of its cylinder,
     (a, cut, h, length) = landing(e), once and that of each bottom edge
     r of a once per pass of r's midpoint in (s, s + u*h] (u > 0) or
-    [s + u*h, s) (u < 0), s = cut + o, as the walk counts: a floor pair.
+    [s + u*h, s) (u < 0), s = cut + o: a floor pair.
     """
     x, y = _theta_parts(theta)
     u = x / y

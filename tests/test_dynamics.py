@@ -2,6 +2,7 @@
 
 import math
 import operator
+import time
 from bisect import bisect_right
 from dataclasses import make_dataclass
 from fractions import Fraction
@@ -25,6 +26,8 @@ from ribbonflow.exact import (FieldMixError, QuadNum, QVec2, as_quad,
 from ribbonflow.graphs import (Cyclic, FreeGroup, Heisenberg, IntegerLattice,
                                IntegersZ, PathGraph, SkewGraph)
 from ribbonflow.surface import Surface
+
+from leg_walk import leg_walk
 
 
 def staircase():
@@ -510,9 +513,9 @@ def _float_step_reference(surface, theta, st):
 
 def _float_flow_reference(surface, theta, edge, x, y):
     """The float flow's landing as the float cut of the top edge plus
-    the offset there."""
+    the offset there, from the last leg of the leg walk."""
     u = float(theta[0]) / float(theta[1])
-    e, _, _, _, x_top, _ = dynamics.walk(surface, u, edge, x, y, float)[-1]
+    e, _, _, _, x_top, _ = leg_walk(surface, u, edge, x, y, float)[-1]
     a = surface.graph.alpha(e)
     return a, surface.float_cuts(a)[surface.section(a).edges.index(e)] + x_top
 
@@ -540,6 +543,7 @@ FLOAT_ORACLE = {
 def test_float_twins_match_the_per_step_formula(name):
     make, a, theta = FLOAT_ORACLE[name]
     s, ref = make(), make()
+    u = theta[0] / theta[1]
     length = float(s.circle_length(a))
     # the last start sits on the circle's float end: the clamped bisection
     # keeps it in the last edge
@@ -553,12 +557,136 @@ def test_float_twins_match_the_per_step_formula(name):
             args = (s.north(e), st_f.t - cuts[i], 0.0)
             got = flow_to_next_edge_float(s, theta, *args)
             want = _float_flow_reference(ref, theta, *args)
-            assert (got[0], got[1].hex()) == (want[0], want[1].hex())
+            # the walk rounds once per rectangle at the scale of the x it
+            # starts from, the legs once per leg at the scale of each leg,
+            # so the landings agree to a few ulps of the larger
+            x0 = args[1] + u * (float(s.height(args[0])) - args[2])
+            assert got[0] == want[0]
+            assert abs(got[1] - want[1]) <= 4 * math.ulp(
+                max(abs(got[1]), abs(want[1]), abs(x0)))
             st_f = iet_step_float(s, theta, st_f)
             st_r = _float_step_reference(ref, theta, st_r)
             assert st_f.a == st_r.a
             assert st_f.t.hex() == st_r.t.hex()
             assert st_f.comp.hex() == st_r.comp.hex()
+
+
+ROOT70 = sqrt_rational(70)
+
+# (surface maker, start circle, start coordinate, direction): c06's orbits,
+# u of both signs and u = 0, and an orbit of gz_constant through cuts
+WALK_ORACLE = {
+    'staircase': (staircase, ('a', 0), Fraction(1, 7), stair_theta(ALPHA)),
+    'tripod': (lambda: Surface.from_family(tripod_family(2)), ('c',),
+               Fraction(3, 11), THETA41),
+    'gz': (lambda: Surface.from_family(gz_constant()), 0, Fraction(1, 3),
+           (QuadNum(1), sqrt_rational(2) - 1)),
+    'gz_leftward': (lambda: Surface.from_family(gz_constant()), 0,
+                    Fraction(1, 3), (QuadNum(-1), sqrt_rational(2) - 1)),
+    'gz_vertical': (lambda: Surface.from_family(gz_constant()), 0,
+                    Fraction(1, 3), (QuadNum(0), QuadNum(1))),
+    'gz_cuts': (lambda: Surface.from_family(gz_constant()), 0, Fraction(0),
+                (QuadNum(1), QuadNum(2))),
+    'heisenberg': (heisenberg_character, ('a', (0, 0, 0)), Fraction(1, 3),
+                   (QuadNum(3), ROOT70 / 4)),
+    'heisenberg_leftward': (heisenberg_character, ('a', (0, 0, 0)),
+                            Fraction(1, 3), (QuadNum(-3), ROOT70 / 4)),
+    'heisenberg_vertical': (heisenberg_character, ('a', (0, 0, 0)),
+                            Fraction(1, 3), (QuadNum(0), QuadNum(1))),
+}
+
+
+def _walk_starts(name, steps=40):
+    """The surface, u and the walk's starts: the bottom of the rectangle
+    above each point of the orbit, and a grid of points inside it."""
+    make, a, t, theta = WALK_ORACLE[name]
+    s = make()
+    u = theta[0] / theta[1]
+    p, starts = hpoint(s, a, QuadNum(t)), []
+    for k in range(steps):
+        e, o = resolve(s, p)
+        e = s.north(e)
+        starts.append((e, o, QuadNum(0)))
+        if k % 8 == 0:
+            w, h = s.width(e), s.height(e)
+            starts += [(e, w * Fraction(i, 4), h * Fraction(j, 4))
+                       for i in range(5) for j in range(4)]
+        p = iet_step(s, theta, p)
+    return s, u, starts
+
+
+@pytest.mark.parametrize('name', sorted(WALK_ORACLE))
+def test_walk_crosses_the_top_where_the_last_leg_ends(name):
+    # the one value the walk carries lands where the leg walk's last leg
+    # ends, exactly, and within 1e-9 in float
+    s, u, starts = _walk_starts(name)
+    on_cut = 0
+    for e, x, y in starts:
+        legs = leg_walk(s, u, e, x, y)
+        got = dynamics.walk(s, u, e, x, y)
+        assert got == (legs[-1][0], legs[-1][4]), (e, x, y)
+        on_cut += not got[1]
+        e_f, x_f = dynamics.walk(s, float(u), e, float(x), float(y), float)
+        legs_f = leg_walk(s, float(u), e, float(x), float(y), float)
+        assert e_f == legs_f[-1][0] == got[0]
+        w = max(1.0, float(s.width(e_f)))
+        assert abs(x_f - legs_f[-1][4]) < 1e-9 * w
+        assert abs(x_f - float(got[1])) < 1e-9 * w
+    if name == 'gz_cuts':
+        assert on_cut
+
+
+def test_walk_reads_neither_section_nor_rotation(monkeypatch):
+    # the walk is the geometric half of c06: it reads gluings and widths,
+    # never the cut circles or the jump table of the interval route
+    s, u, starts = _walk_starts('tripod')
+    want = [dynamics.walk(s, u, *start) for start in starts]
+
+    def refused(*args):
+        raise AssertionError('the walk read the interval route')
+
+    fresh = Surface.from_family(tripod_family(2))
+    monkeypatch.setattr(Surface, 'section', refused)
+    monkeypatch.setattr(Surface, 'rotation', refused)
+    assert [dynamics.walk(fresh, u, *start) for start in starts] == want
+    assert [dynamics.walk(fresh, float(u), e, float(x), float(y), float)[0]
+            for e, x, y in starts] == [e for e, _ in want]
+
+
+@pytest.mark.parametrize('power', [9, 17])
+@pytest.mark.parametrize('sign', [1, -1], ids=['rightward', 'leftward'])
+@pytest.mark.parametrize('make,a', [
+    (lambda: Surface.from_family(gz_constant()), 0),
+    (lambda: Surface.from_family(tripod_family(2)), ('c',)),
+], ids=['gz_constant', 'tripod2'])
+def test_steep_flow_takes_at_most_two_turns(make, a, sign, power):
+    # u = 10**power + sqrt(2) winds the line round its cylinder about u
+    # times; the walk reduces it modulo the circumference once, where a
+    # walk over every rectangle crossed would take about u legs.  The
+    # float flow from the same start lands on the same circle, within a
+    # few ulps of the x it starts from, the scale at which it rounds; at
+    # 10**17 every width is below half an ulp of that x, so a float turn
+    # leaves x as it was and only the summed circumference reduces it
+    s = make()
+    theta = (sign * (10 ** power + sqrt_rational(2)), QuadNum(1))
+    u = float(theta[0])
+    p = hpoint(s, a, QuadNum(Fraction(1, 3)))
+    started = time.perf_counter()
+    for _ in range(50):
+        e, o = resolve(s, p)
+        n = s.north(e)
+        geo = flow_to_next_edge(s, theta, SurfacePoint(n, o, QuadNum(0)))
+        q = iet_step(s, theta, p)
+        if isinstance(geo, SingularHit):
+            assert geo.point == q and resolve(s, q)[1] == 0
+        else:
+            assert geo == q
+        a_f, t_f = flow_to_next_edge_float(s, (u, 1.0), n, float(o), 0.0)
+        assert a_f == q.a
+        assert abs(t_f - float(q.t)) <= 4 * math.ulp(
+            float(o) + u * float(s.height(n)))
+        p = q
+    assert time.perf_counter() - started < 1.0
 
 
 @pytest.mark.parametrize('theta', [(1.0, -1.0), (1.0, 0.0)])

@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ribbonflow import cli, dynamics, measures, renorm
-from ribbonflow.dynamics import (HPoint, from_edge, hpoint, iet_step, resolve,
-                                 walk)
+from ribbonflow.dynamics import HPoint, from_edge, hpoint, iet_step, resolve
 from ribbonflow.eigen import (builtin_families, character, character_eigen,
                               gz_constant, gz_exponential, ntree_constant,
                               ntree_horofunction, tripod_family)
@@ -33,6 +32,8 @@ from ribbonflow.measures import (DecayProfile, MatchedPair,
 from ribbonflow.renorm import (ShrinkData, TailStatus, critical_times,
                                shrinking_sequence)
 from ribbonflow.surface import Surface, _theta_parts
+
+from leg_walk import leg_walk
 
 THETA2 = (QuadNum(1), sqrt_rational(2) - 1)
 THETA41 = (QuadNum(4), sqrt_rational(41) - 5)
@@ -1116,7 +1117,7 @@ def _parent_chain_crossings(surface, theta, e, q, steps):
     p = hpoint(surface, start.a, start.t)
     for _ in range(steps):
         e1, o = resolve(surface, p)
-        legs = walk(surface, u, surface.north(e1), o, _ZERO)
+        legs = leg_walk(surface, u, surface.north(e1), o, _ZERO)
         h = surface.height(legs[0][0])
         for r, wr, x0, y0, x1, y1 in legs:
             if u > 0 and x0 < wr / 2 <= x1:
