@@ -449,7 +449,7 @@ def direction_from_sequence(lam, prefix: Sequence[Letter] = (),
             raise ValueError('empty prefix constrains nothing')
         last = prefix[-1]
         lo, hi = shrink_cone(lam, last)
-        back = rho(lam, Word(reversed(prefix[:-1]))).inverse()
+        back = rho(lam, Word(reversed(prefix[:-1])).inverse())
         return DirectionCone(back.apply(lo), back.apply(hi))
     period = tuple(period)
     pmat = rho(lam, Word(reversed(period)))
@@ -464,7 +464,7 @@ def direction_from_sequence(lam, prefix: Sequence[Letter] = (),
     else:
         eigvec = QVec2(mu - pmat.d, pmat.c)
     if prefix:
-        eigvec = rho(lam, Word(reversed(prefix))).inverse().apply(eigvec)
+        eigvec = rho(lam, Word(reversed(prefix)).inverse()).apply(eigvec)
     if len({eigvec.x.field_disc, eigvec.y.field_disc} - {0}) > 1:
         raise ValueError('eigendirection %s lies in no one quadratic field'
                          % (eigvec,))

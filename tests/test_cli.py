@@ -223,8 +223,10 @@ HEIS_GENERATORS = '((1,0,0),(-1,0,0),(0,1,0),(0,-1,0))'
      '9bb99c5f7c5b48e39d572f383308b98e2d97319d96bd53de48f942efb6045b73'),
 ], ids=['z-10^16', 'heisenberg'])
 def test_exact_skew_output_is_pinned(capsys, argv, digest):
-    # every column of the exact skew orbits whose group column CI compares
-    # with the float orbits': the circle coordinate is pinned too
+    # every column of the exact skew orbits whose group column the float
+    # orbits' must follow (test_float_skew_orbit_reduces_alpha_before_rounding
+    # and test_float_skew_orbit_on_heisenberg_follows_the_exact_group_column):
+    # the circle coordinate is pinned too
     code, out = run(capsys, ['simulate', *argv, '--mode', 'exact'])
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -1703,10 +1705,141 @@ def readme_commands():
     return commands
 
 
-def test_readme_examples_rerun_byte_identical(tmp_path, capsys):
-    commands = readme_commands()
-    assert len(commands) >= 12
-    assert [code for _, code in commands].count(EXIT_NOT_RENORM) == 1
+# the README's gz pair with an unmatched second direction, which survivor
+# takes for its witness and conjugate refuses
+GZ_SQRT42 = GZ_PAIR[:-1] + ['4, -5+sqrt(42)']
+# Z's staircase at chi = 4 against chi = 1/4, both at lambda 5/2
+SKEW_PAIR = ['--family', 'character:group=Z,generators=[1,-1],chi=4',
+             '--family2', 'character:group=Z,generators=[1,-1],chi=1/4',
+             '--theta', '4, -5+sqrt(41)', '--theta2', '4, -5+sqrt(41)']
+# theta1's period has 52 letters
+GZ_LONG_PERIOD = ['conjugate', '--family', 'gz_constant', '--family2',
+                  'gz_exponential:t=2', '--theta', '3, 1/2*sqrt(41)']
+Z_SKEW = ['simulate', '--group', 'Z', '--generators', '(1,-1)']
+HEIS_SKEW = ['simulate', '--group', 'heisenberg', '--generators',
+             HEIS_GENERATORS, '--alpha', '7/3+1/5*sqrt(5)', '--steps', '3000',
+             '--mode']
+
+# Every command pinned besides the README's, as (argv, documented exit
+# code).  CI runs each row of pinned_commands() through the installed
+# ribbonflow under PYTHONHASHSEED 0 and 1, each in its own directory, and
+# tier-1 runs it twice in process; both hold it to check_pinned_run.  A
+# value a row must print is checked by its own test.
+PINNED_COMMANDS = [
+    # the surface walks (SVG layout and growth layers) and the tree's
+    # block walk (residual_max and rows)
+    (['render', '--style', 'surface', '--family', HEISENBERG_CHI + '(2,1)',
+      '--depth', '4'], EXIT_OK),
+    (['growth', '--family', 'ntree_horo:n=3,s=1/2', '--depth', '9'],
+     EXIT_OK),
+    (['eigen', '--family', 'ntree_horo:n=3,s=1/2', '--window', '9'],
+     EXIT_OK),
+    # the return map's dict-backed landings: an orbit that lands on cuts,
+    # on its left branch, and one whose denominators grow with every step
+    (['simulate', '--family', 'gz_constant', '--theta', '1, -1+sqrt(2)',
+      '--steps', '2000'], EXIT_OK),
+    (['simulate', '--family', 'tripod:t=3', '--theta', '4, -5+sqrt(41)',
+      '--steps', '400'], EXIT_OK),
+    (GZ_CUT_ORBIT + ['left'], EXIT_OK),
+    (['simulate', '--family', 'tripod:t=2', '--theta', '1, sqrt(3)',
+      '--steps', '300'], EXIT_OK),
+    # the measure's descent; an exact run never rounds, so the tripod's
+    # cuts may outgrow floats
+    (['conjugate', *TRIPOD_README_PAIR, '--format', 'json'], EXIT_OK),
+    # a long tail that the greedy shrink replays from its period, and a
+    # period whose revisit scales by -3+2*sqrt(2): the replayed quadrants
+    # turn half way round each period
+    (['shrink', '--lambda', '5/2', '--theta', '4, -5+sqrt(41)', '--depth',
+      '200'], EXIT_OK),
+    (['shrink', '--lambda', '2', '--theta', '-1+1/2*sqrt(2), 1/2',
+      '--depth', '200'], EXIT_OK),
+    # limit sets whose words are sheared from their suffixes, one at a
+    # lambda that is irrational while sqrt(lambda^2 - 4) is rational
+    (['render', '--style', 'limitset', '--lambda', '5/2', '--depth', '5'],
+     EXIT_OK),
+    (['render', '--style', 'limitset', '--lambda', 'sqrt(5)', '--depth',
+      '5'], EXIT_OK),
+    # growth ring by ring on two long paths
+    (['growth', '--family', 'gz_constant', '--depth', '400'], EXIT_OK),
+    (['growth', '--family', 'tripod:t=2', '--depth', '200'], EXIT_OK),
+    # survivor and decay rows decided on ints: the tripod pair's decay
+    # table, the README pair's over a longer window, each value read once
+    # per letter that moved its class, and a direction off the matched one
+    # whose survivor check breaks at n = 3
+    (['decay', *TRIPOD_README_PAIR], EXIT_OK),
+    (['decay', *GZ_PAIR, '--depth', '40', '--window', '6'], EXIT_OK),
+    (['survivor', *GZ_SQRT42], EXIT_OK),
+    # the plane function lifted once on a skew graph
+    (['decay', *SKEW_PAIR, '--window', '3', '--depth', '8'], EXIT_OK),
+    (['survivor', *SKEW_PAIR, '--window', '3', '--depth', '8'], EXIT_OK),
+    # the measure's chains counted by floors on the one return-map orbit:
+    # the skew pair with theta2 derived, and a leftward gz direction
+    (['conjugate', *SKEW_PAIR[:-2], '--depth', '8'], EXIT_OK),
+    (['conjugate', *GZ_PAIR[:4], '--theta', '-1, -1+sqrt(2)', '--depth',
+      '12'], EXIT_OK),
+    # the README survivor and conjugate lines with theta2 derived
+    (['survivor', *GZ_PAIR[:-2]], EXIT_OK),
+    (['conjugate', *GZ_PAIR[:-2], '--depth', '12'], EXIT_OK),
+    # the skew orbits, every column: exact on ints, and in float mode
+    # with alpha reduced before it is rounded
+    (Z_SKEW + ['--steps', '2000', '--alpha', '10000000000000000+sqrt(2)',
+               '--mode', 'exact'], EXIT_OK),
+    (Z_SKEW + ['--steps', '2000', '--alpha', '10000000000000000+sqrt(2)',
+               '--mode', 'float'], EXIT_OK),
+    (Z_SKEW + ['--steps', '5000', '--alpha', '1/2*sqrt(2)', '--mode',
+               'float'], EXIT_OK),
+    (HEIS_SKEW + ['exact'], EXIT_OK),
+    (HEIS_SKEW + ['float'], EXIT_OK),
+    # a tuple takes exact numbers with or without quotes
+    (HEISENBERG + ['--chi', "('1/2',1)"], EXIT_OK),
+    # a budget counts the landings made: a 1-step orbit is its start
+    # alone, and a 2-step orbit escapes at its one landing
+    (GZ_BUDGET_1 + ['1'], EXIT_OK),
+    (GZ_BUDGET_1 + ['2'], EXIT_BUDGET),
+    # pairs that give no measure: an unmatched typed theta2, also where
+    # the period's root does not split, and a zero one; without theta2
+    # that root is needed, and refused
+    (['conjugate', *GZ_SQRT42], EXIT_NOT_RENORM),
+    (GZ_LONG_PERIOD + ['--theta2', '4, -5+sqrt(41)'], EXIT_NOT_RENORM),
+    (GZ_LONG_PERIOD, EXIT_PARSE),
+    (['survivor', *GZ_PAIR[:-1], '0, 0'], EXIT_NOT_RENORM),
+    (['decay', *GZ_PAIR[:-1], '0, 0'], EXIT_NOT_RENORM),
+    # a weight and a direction from two fields
+    (['survivor', '--family', 'gz_constant', '--family2',
+      'gz_exponential:t=sqrt(2)', *GZ_PAIR[4:]], EXIT_PARSE),
+    # a --budget and a --depth of more digits than Python converts, and a
+    # drawing beyond the float range
+    (['render', '--style', 'limitset', '--lambda', '3', '--depth', '2',
+      '--budget', '9' * 5000], EXIT_PARSE),
+    (['shrink', '--lambda', '2', '--theta', '1, -1+sqrt(2)', '--depth',
+      '9' * 5000], EXIT_PARSE),
+    (['render', '--style', 'surface', '--depth', '2', '--family',
+      'gz_exponential:t=1' + '0' * 200], EXIT_PARSE),
+]
+
+
+def pinned_commands():
+    """(argv, documented exit code) for every pinned command: the README's
+    lines, then PINNED_COMMANDS."""
+    return readme_commands() + PINNED_COMMANDS
+
+
+def check_pinned_run(argv, documented, code, out, err):
+    """What a run of a pinned command is held to, here and in CI: its
+    documented exit code; nothing on stderr at exit 0, and otherwise one
+    stderr line and no stdout, except for omega, which documents its
+    verdict row on stdout."""
+    assert code == documented, (argv, err)
+    if code == EXIT_OK:
+        assert err == '', argv
+    else:
+        assert err.count('\n') == 1 and err.endswith('\n'), (argv, err)
+        assert argv[0] == 'omega' or out == '', argv
+
+
+def rerun_pinned(tmp_path, capsys, commands):
+    """Run each command twice in process, with a --out FILE of its own
+    per run: both runs pass check_pinned_run and write the same bytes."""
     for argv, documented in commands:
         outputs = []
         for run_index in range(2):
@@ -1718,7 +1851,51 @@ def test_readme_examples_rerun_byte_identical(tmp_path, capsys):
                 argv_run[i] = str(out)
             code = main(argv_run)
             captured = capsys.readouterr()
-            assert code == documented, (argv, captured.err)
-            outputs.append(out.read_bytes() if out else
-                           captured.out.encode())
-        assert outputs[0] and outputs[0] == outputs[1], argv
+            check_pinned_run(argv, documented, code, *captured)
+            outputs.append((captured, out.read_bytes() if out else None))
+        assert outputs[0] == outputs[1], argv
+        assert any(outputs[0][0]) or outputs[0][1], argv
+
+
+def test_readme_examples_rerun_byte_identical(tmp_path, capsys):
+    commands = readme_commands()
+    assert len(commands) >= 15
+    assert [code for _, code in commands].count(EXIT_NOT_RENORM) == 1
+    rerun_pinned(tmp_path, capsys, commands)
+
+
+def test_pinned_commands_rerun_byte_identical(tmp_path, capsys):
+    rerun_pinned(tmp_path, capsys, PINNED_COMMANDS)
+
+
+@pytest.mark.parametrize('argv, row', [
+    (['survivor', *GZ_SQRT42], 'witness,3,-10,-'),
+    (['survivor', *SKEW_PAIR, '--window', '3', '--depth', '8'], 'pass,,,'),
+], ids=['sqrt42-witness', 'skew-pass'])
+def test_pinned_survivor_rows(capsys, argv, row):
+    code, out = run(capsys, argv)
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == row
+
+
+@pytest.mark.parametrize('command', ['survivor', 'conjugate'])
+def test_readme_pair_lines_print_the_same_bytes_without_theta2(capsys,
+                                                               command):
+    # the derived direction is a positive multiple of the typed one
+    argv = next(argv for argv, _ in readme_commands() if argv[0] == command)
+    i = argv.index('--theta2')
+    typed = run(capsys, argv)
+    assert typed[0] == EXIT_OK
+    assert run(capsys, argv[:i] + argv[i + 2:]) == typed
+
+
+def test_float_skew_orbit_on_heisenberg_follows_the_exact_group_column(
+        capsys):
+    # the group elements are tuples, whose commas the csv module keeps
+    groups = []
+    for mode in ('exact', 'float'):
+        code, out = run(capsys, HEIS_SKEW + [mode])
+        assert code == EXIT_OK
+        groups.append([row[2] for row in csv_rows(out)])
+    assert len(groups[0]) == 3000
+    assert groups[0] == groups[1]
