@@ -5,21 +5,22 @@ Points of the section live on the circles of top edges of horizontal
 cylinders.  The return map factors as a combinatorial jump S (each top
 edge to the next one counterclockwise around its B-vertex) followed by a
 rotation R^u of each circle by u times its cylinder height, u = x/y.  A
-circle of height w has length lam*w, so R^u turns it by w*r with
-r = u mod lam: one residue serves every circle.  An exact step is on
-ints: _locate bisects the int lift of the circle's cuts (Section.lift)
-and gives the offset t - cut, and _land adds it to base = cut + w*r from
-the direction's jump table (Jumps) and reduces by the circle's length;
-the one QuadNum it builds is the point it yields.  _land takes
-_locate's tuple as it is, _locate reads the kept section, and
-Surface.rotation returns its kept table at once for the same direction
-tuple.  iet_step is one such step and _legs the one orbit of them,
-landing only when the next step is asked for; resolve is _locate's
-QuadNum face, and located_orbit hands on the offsets _legs located; the
-measure steps on _legs too, and the rectangle walk serves only the
-geometric flow.  Exact quadratic arithmetic reproduces orbits bit for
-bit; the float mode, for long statistical runs, reads the landings
-rounded once and refuses what the exact routes refuse.
+circle of height w has length lam*w, so R^u turns it by w*r with r = u
+mod lam: one residue serves every circle.  An exact step is on ints:
+_locate bisects the int lift of the circle's cuts (Section.lift) and
+gives the offset t - cut, and _land adds it to base = cut + w*r from the
+direction's jump table (Jumps) and reduces by the circle's length; the
+one QuadNum it builds is the point it yields.  _land takes _locate's
+tuple as it is, _locate reads the kept section (a subscript of
+Surface.sections), and Surface.rotation returns its kept table at once
+for the same direction tuple.  iet_step is one such step and _legs the
+one orbit of them, landing only when the next step is asked for; resolve
+is _locate's QuadNum face, and located_orbit hands on the offsets _legs
+located; the measure steps on _legs too, and the rectangle walk serves
+only the geometric flow, which reads u off the direction's jump table.
+Exact quadratic arithmetic reproduces orbits bit for bit; the float
+mode, for long statistical runs, reads the landings rounded once and
+refuses what the exact routes refuse.
 The exact skew rotation lifts x and alpha to ints over one denominator
 (_skew_lift), so a step (_skew_next) is a floor, two int adds and a
 floor.  The orbit's loop _skew_states lifts once and steps lazily;
@@ -39,7 +40,7 @@ from itertools import chain, count, islice
 from operator import itemgetter
 
 from .exact import QuadNum, _floor, _join, _reduced, _sign, _xy, as_quad
-from .surface import Jumps, Surface, _theta_parts, _upward
+from .surface import Jumps, Surface, _upward
 
 _ZERO = QuadNum(0)
 
@@ -132,10 +133,7 @@ def _locate(surface: Surface, a, t):
     """
     if type(t) is not QuadNum:
         t = as_quad(t)
-    sec = surface._sections.get(a)
-    if sec is None:
-        sec = surface.section(a)
-    edges, _, (A, B, q, dc) = sec
+    edges, _, (A, B, q, dc) = surface.sections[a]
     ta, tb, tq, d = t._a, t._b, t._q, t._d
     mixed = d and dc and d != dc
     if not d:
@@ -214,7 +212,7 @@ def resolve(surface: Surface, p: HPoint):
 def from_edge(surface: Surface, e, offset) -> HPoint:
     """The circle point at a given offset inside the top interval of e."""
     a = surface.graph.alpha(e)
-    return HPoint(a, surface.section(a).offset(e) + as_quad(offset))
+    return HPoint(a, surface.sections[a].offset(e) + as_quad(offset))
 
 
 def iet_step(surface: Surface, theta, p: HPoint) -> HPoint:
@@ -265,11 +263,11 @@ def flow_to_next_edge(surface: Surface, theta, p: SurfacePoint):
     Returns the crossing as an HPoint, or a SingularHit when the line
     runs exactly into a rectangle corner.
     """
-    x, y = _theta_parts(theta)
+    u = surface.rotation(theta).u
     # the walk starts where the top of south(p.edge) lands: the return
     # map's check of that hop refuses a rectangle with a side <= 0
-    surface.landing(surface.south(p.edge))
-    e, x_top = walk(surface, x / y, p.edge, as_quad(p.x), as_quad(p.y))
+    surface.landings[surface.south(p.edge)]
+    e, x_top = walk(surface, u, p.edge, as_quad(p.x), as_quad(p.y))
     point = from_edge(surface, e, x_top)
     if x_top:
         return point
@@ -283,10 +281,10 @@ def flow_to_next_edge_float(surface: Surface, theta, edge, x: float,
     coordinate).  Corner hits are not detected in float mode."""
     tx, ty = _xy(theta)
     u = float(tx) / float(_upward(ty))
-    surface.landing(surface.south(edge))
+    surface.landings[surface.south(edge)]
     e, x_top = walk(surface, u, edge, float(x), float(y), float)
     a = surface.graph.alpha(e)
-    return a, float(surface.section(a).offset(e)) + x_top
+    return a, float(surface.sections[a].offset(e)) + x_top
 
 
 def _budgeted(states, start, budget, key=itemgetter(1), first=1):
@@ -508,12 +506,12 @@ def iet_step_float(surface: Surface, theta, st: FloatState) -> FloatState:
     compensating the accumulated rotation error on each circle coordinate."""
     x, y = _xy(theta)
     u = float(x) / float(_upward(y))
-    sec, cuts = surface.section(st.a), surface.float_cuts(st.a)
+    sec, cuts = surface.sections[st.a], surface.float_cuts[st.a]
     if not 0.0 <= st.t <= cuts[-1]:   # NaN fails too
         raise ValueError('coordinate beyond circle length at %r' % (st.a,))
     # rounding can push t onto the circle's end: keep it in the last edge
     i = min(bisect_right(cuts, st.t), len(sec.edges)) - 1
-    a2, cut, w, length = surface.float_landing(sec.edges[i])
+    a2, cut, w, length = surface.float_landings[sec.edges[i]]
     base = cut + (st.t - cuts[i])
     add = u * w - st.comp
     t2 = base + add

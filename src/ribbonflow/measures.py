@@ -310,24 +310,23 @@ def _chain_crossings(surface: Surface, theta, e, q, steps: int) -> SparseFun:
     r of a once per pass of r's midpoint in (s, s + u*h] (u > 0) or
     [s + u*h, s) (u < 0), s = cut + o: a floor pair.
     """
-    x, y = _theta_parts(theta)
-    u = x / y
+    jumps = surface.rotation(theta)
+    u = jumps.u
     sgn = u.sign()
     beta = surface.graph.beta
     w = surface.width(e)
     terms = [(beta(e), 1)] if 2 * q >= w and q > 0 else []
     if q == w:
         e, q = surface.east(e), _ZERO
-    legs = _legs(surface, surface.rotation(theta), from_edge(surface, e, q),
-                 'right')
+    legs = _legs(surface, jumps, from_edge(surface, e, q), 'right')
     for (e, *at), _ in islice(legs, steps):
-        a, cut, h, length = surface.landing(e)
+        a, cut, h, length = surface.landings[e]
         terms.append((a, -1))
         per = sgn / length
         s = (cut + _reduced(*at)) * per
         t = s + u * h * per
         half = per / 2
-        edges, cuts, _ = surface.section(a)
+        edges, cuts, _ = surface.sections[a]
         for r, c0, c1 in zip(edges, cuts, cuts[1:]):
             m = (c0 + c1) * half
             k = math.floor(t - m) - math.floor(s - m)
@@ -372,39 +371,6 @@ def transversal_measure(surface: Surface, f, theta, e, t, depth: int
     return TransMeasure(value, _cut_measure(surface, f, theta, e, *hi) - value)
 
 
-class _Transposed(RibbonGraph):
-    """The same graph with the two vertex classes swapped: on the mirror
-    surface vertical cylinders become horizontal, so vertical transversals
-    reuse the horizontal machinery."""
-
-    def __init__(self, graph: RibbonGraph):
-        self._graph = graph
-
-    def vertex_class(self, v) -> str:
-        return 'b' if self._graph.vertex_class(v) == 'a' else 'a'
-
-    def edges_at(self, v) -> tuple:
-        return self._graph.edges_at(v)
-
-    def alpha(self, e):
-        return self._graph.beta(e)
-
-    def beta(self, e):
-        return self._graph.alpha(e)
-
-    def root(self):
-        return self._graph.root()
-
-
-def transposed_surface(surface: Surface) -> Surface:
-    """The mirror surface, built on first use and kept on the surface, so
-    its sections, landings and jump tables are built once."""
-    if surface._mirror is None:
-        surface._mirror = Surface(_Transposed(surface.graph),
-                                  surface.weight, surface.lam)
-    return surface._mirror
-
-
 @dataclass(frozen=True)
 class BoundaryImage:
     """Image of a rectangle-side point, exact up to the error field."""
@@ -441,9 +407,8 @@ def conjugate_boundary_point(surface1: Surface, surface2: Surface,
         raise ValueError('a vertical second direction maps no %s side'
                          % side)
     flipped = (y1, x1) if x1 > 0 else (-y1, -x1)
-    ts = transposed_surface(surface1)
     edge = e if side == 'right' else surface1.west(e)
-    m = transversal_measure(ts, f, flipped, edge, t, depth)
+    m = transversal_measure(surface1.mirror, f, flipped, edge, t, depth)
     img = m.value / abs(x2)
     width = surface2.width(e) if side == 'right' else _ZERO
     return BoundaryImage(width, img, m.error / abs(x2))

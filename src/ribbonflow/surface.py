@@ -20,6 +20,7 @@ phi_homology is the shear action on classes.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -58,30 +59,48 @@ class Landing(NamedTuple):
     length: QuadNum
 
 
-class Jumps(dict):
-    """Each edge's jump for one rotation r, built from its landing on
-    first use: the circle a, base = cut + r * weight and the circle's
+class Kept(dict):
+    """A table that builds the entry for a key on its first read, as
+    build(key), and keeps it.  A build that raises keeps nothing, so the
+    next read of that key raises again."""
+
+    __slots__ = ('build',)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class Jumps(Kept):
+    """Each edge's jump for one direction, built from its landing on
+    first read: the circle a, base = cut + r * weight and the circle's
     length, so that offset o of the edge's top interval lands at
     base + o, one sum.  base and the length are lifted to ints over one
     denominator q, each with its own field: the entry is
     (a, A, B, d, LA, LB, ld, q) for base = (A + B*sqrt(d))/q and
-    length = (LA + LB*sqrt(ld))/q."""
+    length = (LA + LB*sqrt(ld))/q.  The table also keeps the direction's
+    u = x/y and r = u mod lam."""
 
-    __slots__ = ('landing', 'r')
+    __slots__ = ('u', 'r')
 
-    def __init__(self, landing, r):
-        super().__init__()
-        self.landing = landing
-        self.r = r
+    def __init__(self, landings, u, lam):
+        self.u = u
+        # lam + u names the surface's field first in a FieldMixError
+        self.r = r = (lam + u) % lam
 
-    def __missing__(self, e):
-        a2, cut, w, length = self.landing(e)
-        base = cut + self.r * w
-        q = math.lcm(base._q, length._q)
-        s, k = q // base._q, q // length._q
-        jump = self[e] = (a2, base._a * s, base._b * s, base._d,
-                          length._a * k, length._b * k, length._d, q)
-        return jump
+        def jump(e):
+            a2, cut, w, length = landings[e]
+            base = cut + r * w
+            q = math.lcm(base._q, length._q)
+            s, k = q // base._q, q // length._q
+            return (a2, base._a * s, base._b * s, base._d,
+                    length._a * k, length._b * k, length._d, q)
+
+        super().__init__(jump)
 
 
 def _upward(y):
@@ -97,29 +116,65 @@ def _theta_parts(theta):
     return v.x, _upward(v.y)
 
 
+class _Transposed(RibbonGraph):
+    """The same graph with the two vertex classes swapped: on the mirror
+    surface vertical cylinders become horizontal, so vertical transversals
+    reuse the horizontal machinery."""
+
+    def __init__(self, graph: RibbonGraph):
+        self._graph = graph
+
+    def vertex_class(self, v) -> str:
+        return 'b' if self._graph.vertex_class(v) == 'a' else 'a'
+
+    def edges_at(self, v) -> tuple:
+        return self._graph.edges_at(v)
+
+    def alpha(self, e):
+        return self._graph.beta(e)
+
+    def beta(self, e):
+        return self._graph.alpha(e)
+
+    def root(self):
+        return self._graph.root()
+
+
 class Surface:
-    """Rectangles over the edges of a graph, glued by the ribbon structure."""
+    """Rectangles over the edges of a graph, glued by the ribbon structure.
+
+    What the surface derives from its graph and weight is kept in Kept
+    tables, each entry built on its first read: the widths and heights
+    behind width and height, and the tables its readers subscript,
+    sections and landings for the exact step, float_cuts and
+    float_landings, their rounded copies, for the float step.  The jump
+    table of the last direction and the mirror surface are kept too.
+    """
 
     def __init__(self, graph: RibbonGraph, weight, lam):
         self.graph = graph
         self.weight = weight
         self.lam = as_quad(lam)
-        self._sections = {}
-        self._float_cuts = {}
-        self._landings = {}
-        self._float_landings = {}
+        self._widths = Kept(lambda e: weight(graph.beta(e)))
+        self._heights = Kept(lambda e: weight(graph.alpha(e)))
+        self.sections = Kept(self._section)
+        self.landings = Kept(self._landing)
+        # rounded once for the float step: exact runs never round, so a
+        # cut beyond the float range fails only a float run
+        self.float_cuts = Kept(
+            lambda a: tuple(map(float, self.sections[a].cuts)))
+        self.float_landings = Kept(self._float_landing)
         self._rotation = None
-        self._mirror = None   # measures.transposed_surface keeps it here
 
     @classmethod
     def from_family(cls, family) -> 'Surface':
         return cls(family.graph, family.weight, family.lam)
 
     def width(self, e) -> QuadNum:
-        return self.weight(self.graph.beta(e))
+        return self._widths[e]
 
     def height(self, e) -> QuadNum:
-        return self.weight(self.graph.alpha(e))
+        return self._heights[e]
 
     def _turn(self, e, v, step: int):
         """The edge step places after e in the cyclic order at v."""
@@ -141,21 +196,16 @@ class Surface:
     def circle_length(self, v) -> QuadNum:
         return self.lam * self.weight(v)
 
-    def section(self, a) -> Section:
-        """The cut circle at an A-vertex, built on first use and kept."""
-        sec = self._sections.get(a)
-        if sec is None:
-            edges = self.graph.edges_at(a)
-            cuts = [_ZERO]
-            for e in edges:
-                cuts.append(cuts[-1] + self.width(e))
-            sec = Section(edges, tuple(cuts), _lift_common(cuts))
-            self._sections[a] = sec
-        return sec
+    def _section(self, a) -> Section:
+        """The cut circle at an A-vertex."""
+        edges = self.graph.edges_at(a)
+        cuts = [_ZERO]
+        for e in edges:
+            cuts.append(cuts[-1] + self.width(e))
+        return Section(edges, tuple(cuts), _lift_common(cuts))
 
-    def landing(self, e) -> Landing:
-        """Where S takes the top interval of e, built on first use and
-        kept.
+    def _landing(self, e) -> Landing:
+        """Where S takes the top interval of e.
 
         The width of e, the cut and the weight are checked here, once,
         so that a point at offset o in [0, width(e)] turned by w*r, for
@@ -163,18 +213,19 @@ class Surface:
         2 * length when the cuts fill the circle, as eigen weights make
         them do.
         """
-        land = self._landings.get(e)
-        if land is None:
-            e2 = self.north(e)
-            a2 = self.graph.alpha(e2)
-            cut = self.section(a2).offset(e2)
-            w = self.weight(a2)
-            if not (cut >= 0 and w > 0 and self.width(e) > 0):
-                raise ValueError('rectangle sides must be positive where '
-                                 'the top of edge %r lands' % (e,))
-            land = self._landings[e] = Landing(a2, cut, w,
-                                               self.circle_length(a2))
-        return land
+        e2 = self.north(e)
+        a2 = self.graph.alpha(e2)
+        cut = self.sections[a2].offset(e2)
+        w = self.weight(a2)
+        if not (cut >= 0 and w > 0 and self.width(e) > 0):
+            raise ValueError('rectangle sides must be positive where '
+                             'the top of edge %r lands' % (e,))
+        return Landing(a2, cut, w, self.circle_length(a2))
+
+    def _float_landing(self, e) -> Landing:
+        """The landing of e with its cut, weight and length rounded."""
+        a2, cut, w, length = self.landings[e]
+        return Landing(a2, float(cut), float(w), float(length))
 
     def rotation(self, theta) -> Jumps:
         """The rotation R^u for the upward direction theta = (x, y),
@@ -199,36 +250,22 @@ class Surface:
                     and (y is last[2] or y == last[2])):
                 return last[3]
         x, y = _theta_parts(theta)
-        lam = self.lam
-        # lam + u names the surface's field first in a FieldMixError
-        jumps = Jumps(self.landing, (lam + x / y) % lam)
+        jumps = Jumps(self.landings, x / y, self.lam)
         self._rotation = (theta, x, y, jumps)
         return jumps
 
-    def float_cuts(self, a) -> tuple:
-        """The section's cuts at an A-vertex rounded once for the float
-        step's bisection, built on first use and kept.  Exact runs never
-        round, so a cut beyond the float range fails only a float run."""
-        cuts = self._float_cuts.get(a)
-        if cuts is None:
-            cuts = self._float_cuts[a] = tuple(
-                map(float, self.section(a).cuts))
-        return cuts
-
-    def float_landing(self, e) -> Landing:
-        """The landing of e with its cut, weight and length rounded once
-        for the float step, built on first use and kept."""
-        land = self._float_landings.get(e)
-        if land is None:
-            a2, cut, w, length = self.landing(e)
-            land = self._float_landings[e] = Landing(
-                a2, float(cut), float(w), float(length))
-        return land
+    @cached_property
+    def mirror(self) -> 'Surface':
+        """The same rectangles with the vertex classes swapped, so that
+        vertical cylinders become horizontal; built on first read and kept
+        while the surface lives."""
+        return Surface(_Transposed(self.graph), self.weight, self.lam)
 
     def edge_offsets(self, a) -> dict:
         """Left-endpoint coordinate of each bottom edge along the
-        horizontal circle at an A-vertex."""
-        sec = self.section(a)
+        horizontal circle at an A-vertex, read off the kept section; no
+        library code calls it, and the benchmark's tracer counts it."""
+        sec = self.sections[a]
         return dict(zip(sec.edges, sec.cuts))
 
 
@@ -413,7 +450,6 @@ def ball_growth(surface: Surface, n_max: int):
     if graph.vertex_class(root) != 'a':
         raise ValueError('growth layers start from an A-vertex')
     unions = (set(), set())
-    sides = {}   # each rectangle's (width, height), read once per call
     lengths = []
     max_sides = []
     for n, ring in enumerate(_numbered_ball(graph, (root,), n_max)[0]):
@@ -431,9 +467,7 @@ def ball_growth(surface: Surface, n_max: int):
             o, b = out(e), back(e)
             k = (-1 if o in rect else o != e) + (-1 if b in rect else b != e)
             rect.add(e)
-            if e not in sides:
-                sides[e] = surface.width(e), surface.height(e)
-            w, h = sides[e]
+            w, h = surface.width(e), surface.height(e)
             if k:
                 boundary = boundary + (h if p else w) * k
             widest = max(widest, w, h)

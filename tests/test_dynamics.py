@@ -25,6 +25,7 @@ from ribbonflow.exact import (FieldMixError, QuadNum, QVec2, as_quad,
                               sqrt_rational)
 from ribbonflow.graphs import (Cyclic, FreeGroup, Heisenberg, IntegerLattice,
                                IntegersZ, PathGraph, SkewGraph)
+from ribbonflow.measures import transversal_measure
 from ribbonflow.surface import Surface
 
 from leg_walk import leg_walk
@@ -357,7 +358,7 @@ def test_code_orbit_singular_needs_branch():
 ])
 def test_cut_points_and_their_left_branch(make, a, theta):
     s = make()
-    sec = s.section(a)
+    sec = s.sections[a]
     assert sec.cuts[0] == 0 and sec.cuts[-1] == s.circle_length(a)
     for e, cut in zip(sec.edges, sec.cuts):
         p = HPoint(a, cut)
@@ -499,11 +500,11 @@ def _float_step_reference(surface, theta, st):
     through Surface.landing: north, alpha, the target's float cut, its
     weight and its circle length."""
     u = float(theta[0]) / float(theta[1])
-    sec, cuts = surface.section(st.a), surface.float_cuts(st.a)
+    sec, cuts = surface.sections[st.a], surface.float_cuts[st.a]
     i = min(bisect_right(cuts, st.t), len(sec.edges)) - 1
     e2 = surface.north(sec.edges[i])
     a2 = surface.graph.alpha(e2)
-    base = (surface.float_cuts(a2)[surface.section(a2).edges.index(e2)]
+    base = (surface.float_cuts[a2][surface.sections[a2].edges.index(e2)]
             + (st.t - cuts[i]))
     add = u * float(surface.weight(a2)) - st.comp
     t2 = base + add
@@ -517,7 +518,7 @@ def _float_flow_reference(surface, theta, edge, x, y):
     u = float(theta[0]) / float(theta[1])
     e, _, _, _, x_top, _ = leg_walk(surface, u, edge, x, y, float)[-1]
     a = surface.graph.alpha(e)
-    return a, surface.float_cuts(a)[surface.section(a).edges.index(e)] + x_top
+    return a, surface.float_cuts[a][surface.sections[a].edges.index(e)] + x_top
 
 
 def heisenberg_character():
@@ -547,13 +548,13 @@ def test_float_twins_match_the_per_step_formula(name):
     length = float(s.circle_length(a))
     # the last start sits on the circle's float end: the clamped bisection
     # keeps it in the last edge
-    assert s.float_cuts(a)[-1] == length
+    assert s.float_cuts[a][-1] == length
     for t in [length * k / 7 for k in range(7)] + [length]:
         st_f = st_r = FloatState(a, t)
         for _ in range(150):
-            cuts = s.float_cuts(st_f.a)
+            cuts = s.float_cuts[st_f.a]
             i = min(bisect_right(cuts, st_f.t), len(cuts) - 1) - 1
-            e = s.section(st_f.a).edges[i]
+            e = s.sections[st_f.a].edges[i]
             args = (s.north(e), st_f.t - cuts[i], 0.0)
             got = flow_to_next_edge_float(s, theta, *args)
             want = _float_flow_reference(ref, theta, *args)
@@ -646,11 +647,14 @@ def test_walk_reads_neither_section_nor_rotation(monkeypatch):
         raise AssertionError('the walk read the interval route')
 
     fresh = Surface.from_family(tripod_family(2))
-    monkeypatch.setattr(Surface, 'section', refused)
     monkeypatch.setattr(Surface, 'rotation', refused)
     assert [dynamics.walk(fresh, u, *start) for start in starts] == want
     assert [dynamics.walk(fresh, float(u), e, float(x), float(y), float)[0]
             for e, x, y in starts] == [e for e, _ in want]
+    # the interval route's tables are read by subscript, which no patched
+    # method sees: they must still be empty
+    assert not (fresh.sections or fresh.landings or fresh.float_cuts
+                or fresh.float_landings)
 
 
 @pytest.mark.parametrize('power', [9, 17])
@@ -692,7 +696,7 @@ def test_steep_flow_takes_at_most_two_turns(make, a, sign, power):
 @pytest.mark.parametrize('theta', [(1.0, -1.0), (1.0, 0.0)])
 def test_float_twins_refuse_a_direction_that_is_not_upward(theta):
     s = Surface.from_family(tripod_family(2))
-    e = s.section(('c',)).edges[0]
+    e = s.sections[('c',)].edges[0]
     with pytest.raises(ValueError) as step:
         iet_step_float(s, theta, FloatState(('c',), 0.3))
     with pytest.raises(ValueError) as flow:
@@ -925,7 +929,7 @@ def _modular_jump(s, theta, e, o):
     x, y = map(as_quad, theta)
     e2 = s.north(e)
     a2 = s.graph.alpha(e2)
-    t2 = s.section(a2).offset(e2) + o + (x / y) * s.weight(a2)
+    t2 = s.sections[a2].offset(e2) + o + (x / y) * s.weight(a2)
     return HPoint(a2, t2 % s.circle_length(a2))
 
 
@@ -935,7 +939,7 @@ def _rotation_jump(s, theta, e, o):
     circle's length, else the modulus."""
     x, y = map(as_quad, theta)
     r = (s.lam + x / y) % s.lam
-    a2, cut, w, length = s.landing(e)
+    a2, cut, w, length = s.landings[e]
     t2 = cut + o + r * w
     if t2 < length:
         return HPoint(a2, t2)
@@ -946,7 +950,7 @@ def _rotation_jump(s, theta, e, o):
 def _bisect_resolve(surface, p):
     """The lookup as QuadNum arithmetic, as resolve ran it before the int
     cuts: bisect_right over Section.cuts, then t - cut."""
-    sec = surface.section(p.a)
+    sec = surface.sections[p.a]
     i = bisect_right(sec.cuts, p.t) - 1
     if not 0 <= i < len(sec.edges):
         raise ValueError('coordinate beyond circle length at %r' % (p.a,))
@@ -959,7 +963,7 @@ def _table_jump(s, theta, e, o):
     comparison, at most one subtraction, else the modulus."""
     x, y = map(as_quad, theta)
     r = (s.lam + x / y) % s.lam
-    a2, cut, w, length = s.landing(e)
+    a2, cut, w, length = s.landings[e]
     base = cut + r * w
     t2 = base + o
     if t2 < length:
@@ -997,7 +1001,7 @@ def oracle_runs(draw):
     if draw(st.booleans()):
         x = x.rational_part   # a rational direction hits cuts often
     a = s.graph.root()
-    sec = s.section(a)
+    sec = s.sections[a]
     if draw(st.booleans()):
         t = draw(st.sampled_from(sec.cuts[:-1]))
     else:
@@ -1036,9 +1040,9 @@ def _lookup_points(s):
     no cut's, and a t with a 40-digit denominator."""
     root = s.graph.root()
     big = 10 ** 39 + 7
-    for a in dict.fromkeys([root, *(s.landing(e).a
+    for a in dict.fromkeys([root, *(s.landings[e].a
                                     for e in s.graph.edges_at(root))]):
-        cuts = s.section(a).cuts
+        cuts = s.sections[a].cuts
         for cut in cuts[:-1]:
             yield HPoint(a, cut)
             yield HPoint(a, cut + Fraction(1, 97))
@@ -1081,7 +1085,7 @@ def test_lookup_refuses_the_circle_end_and_negative_coordinates(name):
     a = s.graph.root()
     # the sum of the widths: the circle's length, but where the cuts
     # overrun the circle; hpoint would wrap both points, so they are raw
-    end = s.section(a).cuts[-1]
+    end = s.sections[a].cuts[-1]
     assert end == s.circle_length(a) or name == 'path-not-eigen'
     message = 'coordinate beyond circle length at %r' % (a,)
     for t in (end, -QuadNum(Fraction(1, 3))):
@@ -1129,7 +1133,7 @@ def test_jump_table_matches_the_rotation_formula_at_cuts(name):
     s, ref = make(), make()
     a = s.graph.root()
     for theta in ((1, 1), (QuadNum(3, 1, field), 3)):
-        for cut in s.section(a).cuts[:-1]:
+        for cut in s.sections[a].cuts[:-1]:
             p = HPoint(a, cut)
             for branch in ('left', 'right'):
                 assert code_orbit(s, theta, p, 20, branch=branch) == \
@@ -1151,8 +1155,8 @@ def test_left_branch_onto_the_circle_end_wraps_to_zero(name):
     s = ORACLE_SURFACES[name][0]()
     root = s.graph.root()
     wraps = 0
-    for a in [root, *(s.landing(e).a for e in s.graph.edges_at(root))]:
-        sec = s.section(a)
+    for a in [root, *(s.landings[e].a for e in s.graph.edges_at(root))]:
+        sec = s.sections[a]
         for e, cut in zip(sec.edges, sec.cuts):
             left = s.west(e)
             e2 = s.north(left)
@@ -1163,7 +1167,7 @@ def test_left_branch_onto_the_circle_end_wraps_to_zero(name):
                                        branch='left')
                 assert points[1] == _modular_jump(s, theta, left,
                                                   s.width(left))
-                if s.section(a2).edges[-1] == e2:
+                if s.sections[a2].edges[-1] == e2:
                     assert points[1] == HPoint(a2, QuadNum(0))
                     wraps += 1
     assert wraps
@@ -1171,9 +1175,11 @@ def test_left_branch_onto_the_circle_end_wraps_to_zero(name):
 
 @pytest.mark.parametrize('name', sorted(ORACLE_SURFACES))
 def test_alternating_directions_keep_no_stale_rotation(name):
-    # one surface steps three directions in turn, each pair of them
-    # sharing x or y, and follows three fresh surfaces step for step:
-    # each new direction must drop the jump table of the one before
+    # one surface steps, flows and measures three directions in turn, each
+    # pair of them sharing x or y, and follows three fresh surfaces step
+    # for step: each new direction must drop the jump table of the one
+    # before, with its r for the step and its u for the flow and the
+    # measure's chains
     make, field = ORACLE_SURFACES[name]
     shared = make()
     x = QuadNum(1, 1, field)
@@ -1183,6 +1189,13 @@ def test_alternating_directions_keep_no_stale_rotation(name):
     p, q = [start] * 3, [start] * 3
     for k in range(60):
         i = k % 3
+        e, o = resolve(shared, p[i])
+        entry = SurfacePoint(shared.north(e), o, QuadNum(0))
+        assert (flow_to_next_edge(shared, thetas[i], entry)
+                == flow_to_next_edge(fresh[i], thetas[i], entry))
+        f = shared.weight
+        assert (transversal_measure(shared, f, thetas[i], e, o, 6)
+                == transversal_measure(fresh[i], f, thetas[i], e, o, 6))
         p[i] = iet_step(shared, thetas[i], p[i])
         q[i] = iet_step(fresh[i], thetas[i], q[i])
         assert p[i] == q[i]

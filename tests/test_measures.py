@@ -28,7 +28,7 @@ from ribbonflow.measures import (DecayProfile, MatchedPair,
                                  conjugate_boundary_point,
                                  decay_profile, decay_profiles,
                                  maharam_check, plane_point, survivor_check,
-                                 transposed_surface, transversal_measure)
+                                 transversal_measure)
 from ribbonflow.renorm import (ShrinkData, TailStatus, critical_times,
                                shrinking_sequence)
 from ribbonflow.surface import Surface, _theta_parts
@@ -852,7 +852,7 @@ def _split(surface: Surface, theta, q, ln, a, t):
     img = iet_step(surface, theta, HPoint(a, t))
     a2, t2 = img.a, img.t
     length = surface.circle_length(a2)
-    ladder = surface.section(a2).cuts
+    ladder = surface.sections[a2].cuts
     # cuts inside the image [t2, t2 + ln), which may run past the circle's
     # end; there the last cut is the first one again, so the wrapped list
     # skips cuts[0]
@@ -865,7 +865,7 @@ def _split(surface: Surface, theta, q, ln, a, t):
 def _start_cell(surface: Surface, e):
     """The whole top interval of e as a cell (q, ln, a, t)."""
     a = surface.graph.alpha(e)
-    return _ZERO, surface.width(e), a, surface.section(a).offset(e)
+    return _ZERO, surface.width(e), a, surface.sections[a].offset(e)
 
 
 def _coding_grid(surface: Surface, theta, e, depth: int) -> dict:
@@ -984,7 +984,7 @@ def pair_sides(pair):
     e = w1.graph.base_edge(w1.root)
     assert x1 > 0
     return [(s1, f, (x1, y1), s1.south(e)),
-            (transposed_surface(s1), f, (y1, x1), s1.west(e))]
+            (s1.mirror, f, (y1, x1), s1.west(e))]
 
 
 def grid_bracket(surface, f, theta, e, depth):
@@ -1029,7 +1029,7 @@ def z_skew_sides():
     f = plane_point(fam.graph, fam.weight, theta)
     e = fam.graph.base_edge(fam.root)
     return [(s, f, theta, s.south(e)),
-            (transposed_surface(s), f, theta[::-1], s.west(e))]
+            (s.mirror, f, theta[::-1], s.west(e))]
 
 
 @pytest.mark.parametrize('sides', [
@@ -1152,8 +1152,8 @@ CHAIN_CASES = {
     'heisenberg': lambda: (Surface.from_family(character_eigen(
         Heisenberg(), HEISENBERG_GENS, (1, 1))),
         (QuadNum(-3), sqrt_rational(5) / 2)),
-    'tripod2_mirror': lambda: (transposed_surface(
-        Surface.from_family(tripod_family(2))), THETA41[::-1]),
+    'tripod2_mirror': lambda: (
+        Surface.from_family(tripod_family(2)).mirror, THETA41[::-1]),
 }
 
 
@@ -1197,7 +1197,7 @@ def test_steep_measure_takes_no_step_per_rectangle(sign):
 
 def test_transposed_surface_swaps_roles():
     s = Surface.from_family(gz_exponential(2))
-    ts = transposed_surface(s)
+    ts = s.mirror
     for e in (0, 1, -2):
         assert ts.width(e) == s.height(e)
         assert ts.height(e) == s.width(e)
@@ -1211,7 +1211,7 @@ def test_transposed_surface_swaps_the_gluings(fam):
     # the mirror swaps the two ends of every edge and the two classes, so
     # turning about the A-end there is turning about the B-end here
     s = Surface.from_family(fam)
-    ts = transposed_surface(s)
+    ts = s.mirror
     g = fam.graph
     for v in vertices_in_ball(g, fam.root, 3):
         for e in g.edges_at(v):
@@ -1228,9 +1228,8 @@ def test_conjugacy_keeps_one_mirror_per_surface(pair):
     # so a fresh mirror per call
     w1, w2, _, theta2 = pair()
     s1, s2 = Surface.from_family(w1), Surface.from_family(w2)
-    assert transposed_surface(s1) is transposed_surface(s1)
-    assert transposed_surface(s1) is not transposed_surface(
-        Surface.from_family(w1))
+    assert s1.mirror is s1.mirror
+    assert s1.mirror is not Surface.from_family(w1).mirror
     e = w1.graph.base_edge(w1.root)
     for k in range(1, 8):
         t = s1.height(e) * Fraction(k, 8)

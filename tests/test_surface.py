@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 
@@ -18,7 +19,6 @@ from ribbonflow.graphs import (Heisenberg, IntegerLattice, IntegersZ,
                                FreeGroup, OracleFun, PathGraph, SparseFun,
                                TripodGraph, _numbered_ball, pairing, upsilon,
                                vertices_in_ball)
-from ribbonflow.measures import transposed_surface
 from ribbonflow.surface import (Surface, ball_growth, phi_homology,
                                 svg_truncation, z_class)
 
@@ -156,7 +156,7 @@ def test_growth_tripod_frozen():
 def test_growth_rejects_b_root():
     # the mirror surface swaps the vertex classes, so its root is a
     # B-vertex
-    mirror = transposed_surface(Surface.from_family(gz_constant()))
+    mirror = Surface.from_family(gz_constant()).mirror
     assert mirror.graph.vertex_class(mirror.graph.root()) == 'b'
     with pytest.raises(ValueError, match='A-vertex'):
         ball_growth(mirror, 2)
@@ -306,19 +306,41 @@ def _ball_growth_rereading(surface, n_max):
 @pytest.mark.parametrize('fam', [
     tripod_family(2), gz_constant(), ntree_horofunction(3, QuadNum('1/2')),
     _heisenberg_character()], ids=['tripod', 'gz', 'horo', 'heisenberg'])
-def test_growth_reads_each_rectangle_once(fam, monkeypatch):
-    surface = Surface.from_family(fam)
+def test_growth_reads_each_rectangle_once(fam):
+    # the weight oracle is read once per side of each rectangle met,
+    # across every depth and a drawing of the same surface: the surface
+    # keeps each width and height it reads
+    graph, reads = fam.graph, []
+    surface = Surface(graph, lambda v: reads.append(v) or fam.weight(v),
+                      fam.lam)
+    reference = Surface.from_family(fam)
     for depth in range(11):
         assert ball_growth(surface, depth) == \
-            _ball_growth_rereading(surface, depth), depth
-    reads = []
-    width, height = Surface.width, Surface.height
-    monkeypatch.setattr(Surface, 'width',
-                        lambda self, e: reads.append(e) or width(self, e))
-    monkeypatch.setattr(Surface, 'height',
-                        lambda self, e: reads.append(e) or height(self, e))
-    ball_growth(surface, 10)
-    assert reads and len(reads) == 2 * len(set(reads))
+            _ball_growth_rereading(reference, depth), depth
+    svg_truncation(surface)
+    widths, heights = list(surface._widths), list(surface._heights)
+    assert widths and set(widths) == set(heights)
+    assert Counter(reads) == Counter(
+        [*map(graph.beta, widths), *map(graph.alpha, heights)])
+
+
+def test_a_read_that_raises_keeps_no_entry():
+    # a weight that refuses a float raises at the width, so at the section
+    # and the landing that read it; every read of the same entry raises
+    # again, reading the weight again, and leaves its table without it
+    graph, reads = gz_constant().graph, []
+    s = Surface(graph, lambda v: reads.append(v) or as_quad(0.5), 2)
+    a = graph.root()
+    e = graph.edges_at(a)[0]
+    for table, key in ((s._widths, e), (s.sections, a), (s.landings, e)):
+        for _ in range(2):
+            before = len(reads)
+            with pytest.raises(TypeError, match='not an exact number'):
+                table[key]
+            assert len(reads) > before
+            assert key not in table
+    with pytest.raises(TypeError, match='not an exact number'):
+        s.width(e)
 
 
 def test_growth_turns_linearly_in_depth(monkeypatch):
@@ -369,10 +391,10 @@ def test_section_offsets_are_running_sums_of_widths(fam):
     for a in circles:
         total, running = QuadNum(0), {}
         for e in graph.edges_at(a):
-            assert s.section(a).offset(e) == total
+            assert s.sections[a].offset(e) == total
             running[e] = total
             total = total + s.width(e)
-        assert s.section(a).cuts[-1] == total
+        assert s.sections[a].cuts[-1] == total
         offsets = s.edge_offsets(a)
         assert offsets == running and list(offsets) == list(running)
 
